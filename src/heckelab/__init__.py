@@ -27,7 +27,7 @@ from .symfunc import (
 )
 from .characters import (
     chi, chi_element, frobenius_ch, frobenius_cprime, character_table,
-    murnaghan_nakayama, min_class_rep, cycle_type, standard_tableaux,
+    murnaghan_nakayama, min_class_rep, cycle_type,
 )
 from .csf import (
     IndifferenceGraph, indifference_graph, csf, csf_oracle, csf_batch,

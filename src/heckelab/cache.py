@@ -2,8 +2,10 @@
 Versioned JSON disk cache.
 
 Every file is self-describing: {"format": "heckelab/<kind>", "version": V,
-"payload": {...}}.  Files with an unexpected format or version are ignored,
-never migrated; the caller simply recomputes and overwrites.
+"payload": {...}}.  Files that are not such an object, or have an unexpected
+format or version, are ignored, never migrated; the caller simply
+recomputes and overwrites.  A loader that reads a payload also treats one
+of the wrong shape as a miss.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ class Cache:
                 data = json.load(fh)
         except (OSError, ValueError):
             return None
+        if not isinstance(data, dict):
+            return None
         if (data.get("format") != f"heckelab/{kind}"
                 or data.get("version") != VERSIONS[kind]):
             return None
@@ -71,3 +75,10 @@ class Cache:
             except OSError:
                 pass
             raise
+
+
+def int_poly(value) -> tuple:
+    """A payload's list of ints as a tuple polynomial; TypeError otherwise."""
+    if not isinstance(value, list) or not all(type(c) is int for c in value):
+        raise TypeError(f"not a list of integers: {value!r}")
+    return tuple(value)

@@ -1,244 +1,170 @@
 """
-Irreducible characters of the Hecke algebra of S_n, via the q-deformed
-Young seminormal form, and the Frobenius character map into symmetric
-functions.
+Irreducible characters of the Hecke algebra of S_n, from Geck-Pfeiffer
+class polynomials and Ram's values on minimal class representatives, and
+the Frobenius character map into symmetric functions.
 
-Strategy: the seminormal generator matrices have rational entries with
-denominators like 1 - q^rho, which vanish nowhere on integers q0 > 1.  We
-therefore evaluate the whole representation at integer sample points
-q0 = 2, 3, ... with exact rational arithmetic, take traces along one
-reduced word, and recover chi^lambda(T_w) as an integer polynomial in q by
-exact interpolation from l(w)+1 points.  Every spare sample point is
-checked against the interpolated polynomial, and the generator matrices
-are validated against the quadratic and braid relations at every sample
-point when they are constructed; any mismatch is a hard error.
+chi^lambda(T_w) is reduced to minimal-length class representatives
+(Geck & Pfeiffer, Adv. Math. 102 (1993); also their book "Characters of
+Finite Coxeter Groups and Iwahori-Hecke Algebras", 2000).  A character is
+constant on cyclic-shift classes, the classes of the conjugations
+x -> s x s with l(sxs) = l(x).  If some x in the class of w has
+l(sxs) = l(x) - 2, then T_x = T_s T_sxs T_s and the quadratic relation give
 
-The classical Murnaghan-Nakayama rule appears only as the q := 1 oracle.
+    chi(T_w) = (q-1) chi(T_xs) + q chi(T_sxs);
+
+otherwise w has minimal length in its conjugacy class, and every
+minimal-length element of a class takes the same values.  Hence
+chi(T_w) = sum_mu f_{w,mu}(q) chi(T_{w_mu}) with integer class polynomials
+f_{w,mu} and w_mu = min_class_rep(mu).
+
+On w_mu, the block Coxeter element of cycle type mu, Ram's Frobenius
+formula (Ram, Invent. Math. 106 (1991)) gives
+
+    sum_lambda chi^lambda(T_{w_mu}) s_lambda
+        = prod_i sum_r (-1)^r q^(mu_i - 1 - r) s_(mu_i - r, 1^r).
+
+The product is taken in the h basis, where it is partition concatenation,
+and converted to the s basis once per mu.
+
+Two independent oracles check this: the q-deformed Young seminormal form,
+evaluated at integer points and interpolated, in tests/seminormal_oracle.py,
+and, at q := 1, the classical Murnaghan-Nakayama rule below.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .hecke import (HeckeElement, poly_add, poly_mul, poly_to_laurent,
-                    row_store)
+from .cache import active, int_poly
+from .hecke import (HeckeElement, laurent_to_poly, poly_add, poly_mul,
+                    poly_shift, poly_to_laurent, row_store)
 from .permutations import Perm, all_perms
 from .qpoly import LaurentQ
-from .symfunc import SymmetricFunction, partitions
+from .symfunc import SymmetricFunction, kostka, partitions
 
 __all__ = [
-    "standard_tableaux", "SeminormalRep", "InterpolationError",
     "chi", "chi_element", "frobenius_ch", "frobenius_cprime",
-    "character_table", "murnaghan_nakayama", "min_class_rep", "cycle_type",
-    "MAX_FULL_TABLE_N",
+    "character_table", "class_poly", "murnaghan_nakayama", "min_class_rep",
+    "cycle_type", "MAX_FULL_TABLE_N",
 ]
 
 # full character tables (all of S_n at once) are only sane up to here
 MAX_FULL_TABLE_N = 6
 
-
-class InterpolationError(RuntimeError):
-    """Internal consistency failure in evaluate-then-interpolate."""
-
-
-@lru_cache(maxsize=None)
-def standard_tableaux(lam: tuple) -> tuple:
-    """All standard Young tableaux of shape lam, in a fixed sorted order.
-
-    A tableau is a tuple of row tuples.
-    """
-    n = sum(lam)
-    if n == 0:
-        return ((),)
-    out = []
-
-    def grow(tab, entry):
-        if entry > n:
-            out.append(tuple(tuple(r) for r in tab))
-            return
-        for r in range(len(lam)):
-            cur = len(tab[r])
-            if cur < lam[r] and (r == 0 or len(tab[r - 1]) > cur):
-                tab[r].append(entry)
-                grow(tab, entry + 1)
-                tab[r].pop()
-
-    grow([[] for _ in lam], 1)
-    return tuple(sorted(out))
-
-
-def _positions(tab) -> dict:
-    pos = {}
-    for r, row in enumerate(tab):
-        for c, v in enumerate(row):
-            pos[v] = (r, c)
-    return pos
-
-
-def _swap_entries(tab, a, b):
-    return tuple(tuple(b if v == a else a if v == b else v for v in row)
-                 for row in tab)
-
-
-def _matmul(A, B):
-    Bt = list(zip(*B))
-    return [[sum(x * y for x, y in zip(row, col)) for col in Bt] for row in A]
-
-
-class SeminormalRep:
-    """Seminormal matrices for one shape, evaluated at one integer q0.
-
-    Entries are scaled to a common integer denominator: the generator
-    matrix for s_i is mats[i-1] / denom.  The quadratic relation
-    (T - q0)(T + 1) = 0 and both braid relations are asserted on
-    construction.
-    """
-
-    def __init__(self, lam: tuple, q0: int):
-        if q0 <= 1:
-            raise ValueError("sample points must be integers > 1")
-        self.lam = lam
-        self.q0 = q0
-        self.n = sum(lam)
-        tableaux = standard_tableaux(lam)
-        self.dim = len(tableaux)
-        index = {t: i for i, t in enumerate(tableaux)}
-        frac_mats = []
-        for i in range(1, self.n):
-            M = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-            for b, t in enumerate(tableaux):
-                pos = _positions(t)
-                r1, c1 = pos[i]
-                r2, c2 = pos[i + 1]
-                rho = (c2 - r2) - (c1 - r1)
-                M[b][b] = Fraction(q0 - 1, 1) / (1 - Fraction(q0) ** (-rho))
-                if rho > 0 and r1 != r2 and c1 != c2:
-                    other = index.get(_swap_entries(t, i, i + 1))
-                    if other is not None:
-                        y = Fraction(q0) ** rho
-                        # v_t -> v_t' with coefficient 1; back with bb'
-                        M[other][b] = Fraction(1)
-                        M[b][other] = (q0 - y) * (1 - q0 * y) / (1 - y) ** 2
-            frac_mats.append(M)
-        denom = 1
-        for M in frac_mats:
-            for row in M:
-                for v in row:
-                    denom = lcm(denom, v.denominator)
-        self.denom = denom
-        self.mats = []
-        for M in frac_mats:
-            N = [[int(v * denom) for v in row] for row in M]
-            self.mats.append(N)
-        self._validate()
-
-    def _validate(self):
-        q0, D = self.q0, self.denom
-        ident = [[int(a == b) for b in range(self.dim)] for a in range(self.dim)]
-        for N in self.mats:
-            sq = _matmul(N, N)
-            expect = [[(q0 - 1) * D * N[a][b] + q0 * D * D * ident[a][b]
-                       for b in range(self.dim)] for a in range(self.dim)]
-            if sq != expect:
-                raise AssertionError(
-                    f"quadratic relation fails for {self.lam} at q={q0}")
-        for i in range(len(self.mats)):
-            for j in range(i + 1, len(self.mats)):
-                A, B = self.mats[i], self.mats[j]
-                if j == i + 1:
-                    if _matmul(_matmul(A, B), A) != _matmul(_matmul(B, A), B):
-                        raise AssertionError(
-                            f"braid relation fails for {self.lam} at q={q0}")
-                else:
-                    if _matmul(A, B) != _matmul(B, A):
-                        raise AssertionError(
-                            f"commuting relation fails for {self.lam} at q={q0}")
-
-    def trace_t(self, word) -> Fraction:
-        """trace of T_{s_{word[0]}} ... T_{s_{word[-1]}} at q = q0."""
-        if not word:
-            return Fraction(self.dim)
-        M = self.mats[word[0] - 1]
-        for i in word[1:]:
-            M = _matmul(M, self.mats[i - 1])
-        tr = sum(M[a][a] for a in range(self.dim))
-        return Fraction(tr, self.denom ** len(word))
-
-
-@lru_cache(maxsize=None)
-def _rep(lam: tuple, q0: int) -> SeminormalRep:
-    return SeminormalRep(lam, q0)
-
-
-def _interpolate(xs, ys) -> tuple:
-    """Exact Lagrange interpolation; returns int tuple poly, ascending."""
-    d = len(xs)
-    coeffs = [Fraction(0)] * d
-    for i in range(d):
-        # basis polynomial prod_{j != i} (x - x_j) / (x_i - x_j)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(d):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= xs[j] * basis[k + 1]
-            denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for k in range(len(basis)):
-            coeffs[k] += scale * basis[k]
-    out = []
-    for v in coeffs:
-        if v.denominator != 1:
-            raise InterpolationError("non-integer interpolated coefficient")
-        out.append(int(v))
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_eval(p: tuple, x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _chi_poly_from_word(lam: tuple, word) -> tuple:
-    """chi^lambda(T_w) as a tuple poly, via sampling and interpolation."""
-    ell = len(word)
-    points = list(range(2, ell + 4))  # l+1 for interpolation, one spare
-    values = [_rep(lam, q0).trace_t(word) for q0 in points]
-    poly = _interpolate(points[:ell + 1], values[:ell + 1])
-    for x, y in zip(points[ell + 1:], values[ell + 1:]):
-        if _poly_eval(poly, x) != y:
-            raise InterpolationError(
-                f"spare-point mismatch for chi^{lam} at q={x}")
-    return poly
-
-
-_chi_cache: dict = {}
+_class_polys: dict = {}
 _tables: dict = {}
 
 
-def chi(lam, w: Perm) -> LaurentQ:
-    """chi^lambda(T_w), an integer polynomial in q of degree <= l(w)."""
-    lam = tuple(lam)
-    if sum(lam) != len(w):
-        raise ValueError("partition size does not match the rank")
+def class_poly(w) -> dict:
+    """Class polynomials {mu: tuple poly} of w, a Perm or a plain tuple:
+    chi(T_w) = sum_mu f_mu(q) chi(T_{min_class_rep(mu)}) for every
+    character chi.
+
+    Computed once for the whole cyclic-shift class of w and memoised.
+    """
+    w = tuple(w)
+    got = _class_polys.get(w)
+    if got is not None:
+        return got
     n = len(w)
-    table = _tables.get(n)
-    if table is not None:
-        return poly_to_laurent(table[lam][w])
-    key = (lam, w)
-    poly = _chi_cache.get(key)
-    if poly is None:
-        poly = _chi_poly_from_word(lam, w.reduced_word())
-        _chi_cache[key] = poly
-    return poly_to_laurent(poly)
+    members, todo, step = {w}, [w], None
+    while todo:
+        x = todo.pop()
+        pos = [0] * (n + 1)
+        for p, v in enumerate(x):
+            pos[v] = p
+        for i in range(n - 1):
+            # s = s_(i+1): x s swaps the positions i, i+1 (0-based), and
+            # s (x s) then swaps the values i+1, i+2; each step is +-1
+            a, b = x[i], x[i + 1]
+            u, v = pos[i + 1], pos[i + 2]
+            u = i + 1 if u == i else i if u == i + 1 else u
+            v = i + 1 if v == i else i if v == i + 1 else v
+            delta = (1 if a < b else -1) + (1 if u < v else -1)
+            if delta > 0 or (delta < 0 and step is not None):
+                continue
+            y = list(x)
+            y[i], y[i + 1] = b, a
+            xs = tuple(y)
+            y[u], y[v] = i + 2, i + 1
+            sxs = tuple(y)
+            if delta < 0:
+                step = (xs, sxs)
+            elif sxs not in members:
+                members.add(sxs)
+                todo.append(sxs)
+    if step is None:
+        f = {cycle_type(w): (1,)}
+    else:
+        f_xs, f_sxs = class_poly(step[0]), class_poly(step[1])
+        f = {}
+        for mu in {**f_xs, **f_sxs}:
+            p = poly_add(poly_mul((-1, 1), f_xs.get(mu, ())),
+                         poly_shift(f_sxs.get(mu, ()), 1))
+            if p:
+                f[mu] = p
+    for x in members:
+        _class_polys[x] = f
+    return f
+
+
+@lru_cache(maxsize=None)
+def _coxeter_h(k: int) -> tuple:
+    """sum_r (-1)^r q^(k-1-r) s_(k-r, 1^r), the Frobenius character of
+    T_{s_1 ... s_(k-1)} in H(S_k), as ((h-partition, tuple poly), ...)."""
+    hooks = {(k - r,) + (1,) * r:
+             poly_to_laurent((0,) * (k - 1 - r) + ((-1) ** r,))
+             for r in range(k)}
+    h = SymmetricFunction("s", k, hooks).convert("h")
+    return tuple((nu, laurent_to_poly(c)) for nu, c in h.coeffs.items())
+
+
+@lru_cache(maxsize=None)
+def _class_values(mu: tuple) -> dict:
+    """{lambda: chi^lambda(T_{min_class_rep(mu)})} as tuple polys, from
+    Ram's formula; shapes with value zero are left out."""
+    prod = {(): (1,)}
+    for k in mu:
+        nxt = {}
+        for nu, p in prod.items():
+            for rho, c in _coxeter_h(k):
+                key = tuple(sorted(nu + rho, reverse=True))
+                nxt[key] = poly_add(nxt.get(key, ()), poly_mul(p, c))
+        prod = nxt
+    # h_nu = sum_lambda K_{lambda, nu} s_lambda
+    values = {}
+    for lam in partitions(sum(mu)):
+        acc = ()
+        for nu, p in prod.items():
+            k = kostka(lam, nu)
+            if k and p:
+                acc = poly_add(acc, tuple(k * c for c in p))
+        if acc:
+            values[lam] = acc
+    return values
+
+
+def _chi_poly(lam: tuple, f: dict) -> tuple:
+    """sum_mu f_mu * chi^lambda(T_{w_mu}) for class polynomials f."""
+    acc = ()
+    for mu, p in f.items():
+        v = _class_values(mu).get(lam)
+        if v:
+            acc = poly_add(acc, poly_mul(p, v))
+    return acc
+
+
+def chi(lam, w: Perm) -> LaurentQ:
+    """chi^lambda(T_w), an integer polynomial in q of degree <= l(w).
+
+    Computed from the class polynomials of w and the values on minimal
+    class representatives (see the module docstring); the seminormal-form
+    oracle in tests/seminormal_oracle.py checks it independently.
+    """
+    lam = tuple(lam)
+    if lam not in partitions(len(w)):
+        raise ValueError(f"{lam} is not a partition of the rank {len(w)}")
+    return poly_to_laurent(_chi_poly(lam, class_poly(w)))
 
 
 def chi_element(lam, a: HeckeElement) -> LaurentQ:
@@ -250,11 +176,33 @@ def chi_element(lam, a: HeckeElement) -> LaurentQ:
     return out
 
 
+def _table_from_payload(n: int, data):
+    """The table held by a chartable cache payload, or None unless the
+    payload is a complete {lambda |- n: {w in S_n: int list}} map."""
+    perms = {w: "-".join(map(str, w)) for w in all_perms(n)}
+    try:
+        values = data["values"]
+        if data["n"] != n or len(values) != len(partitions(n)):
+            return None
+        table = {}
+        for lam in partitions(n):
+            row = values[",".join(map(str, lam))]
+            if len(row) != len(perms):
+                return None
+            table[lam] = {w: int_poly(row[key]) for w, key in perms.items()}
+    except (KeyError, TypeError):
+        return None
+    return table
+
+
 def character_table(n: int, cache=None) -> dict:
     """chi^lambda(T_w) for every lambda |- n and every w in S_n.
 
-    Returns {lambda: {w: tuple poly}}; built once per process and reused.
-    Only sensible for n <= MAX_FULL_TABLE_N.
+    Returns {lambda: {w: tuple poly}}: the computation of chi swept over
+    S_n, each cyclic-shift class reduced once.  Built once per process and
+    reused; with a disk cache (the active one by default), a complete
+    chartable file is loaded instead, and a missing or malformed one is
+    rebuilt and overwritten.  Only sensible for n <= MAX_FULL_TABLE_N.
     """
     if n > MAX_FULL_TABLE_N:
         raise ValueError(
@@ -264,62 +212,25 @@ def character_table(n: int, cache=None) -> dict:
     if table is not None:
         return table
     if cache is None:
-        from .cache import active
         cache = active()
     if cache is not None:
-        data = cache.load("chartable", f"chartable-n{n}")
-        if data is not None and data.get("n") == n:
-            table = {}
-            for lam_s, row in data["values"].items():
-                lam = tuple(int(t) for t in lam_s.split(",")) if lam_s else ()
-                table[lam] = {Perm(tuple(map(int, ws.split("-")))): tuple(p)
-                              for ws, p in row.items()}
-            _tables[n] = table
-            return table
-
-    perms = sorted(all_perms(n), key=lambda w: (w.length(), w))
-    words = {w: w.reduced_word() for w in perms}
-    max_len = n * (n - 1) // 2
-    points = list(range(2, max_len + 4))
-    table = {}
-    for lam in partitions(n):
-        traces = {w: [] for w in perms}
-        for q0 in points:
-            rep = _rep(lam, q0)
-            # incremental products along the weak order, one matmul per perm
-            mats = {perms[0]: None}
-            for w in perms[1:]:
-                i = w.descents()[0]
-                prev = mats[w.times_simple(i)]
-                gen = rep.mats[i - 1]
-                mats[w] = gen if prev is None else _matmul(prev, gen)
-            for w in perms:
-                M = mats[w]
-                if M is None:
-                    traces[w].append(Fraction(rep.dim))
-                else:
-                    tr = sum(M[a][a] for a in range(rep.dim))
-                    traces[w].append(Fraction(tr, rep.denom ** w.length()))
-        row = {}
-        for w in perms:
-            ell = len(words[w])
-            poly = _interpolate(points[:ell + 1], traces[w][:ell + 1])
-            for x, y in zip(points[ell + 1:], traces[w][ell + 1:]):
-                if _poly_eval(poly, x) != y:
-                    raise InterpolationError(
-                        f"character table mismatch at {lam}, {w}, q={x}")
-            row[w] = poly
-        table[lam] = row
+        table = _table_from_payload(
+            n, cache.load("chartable", f"chartable-n{n}"))
+    if table is None:
+        perms = list(all_perms(n))
+        polys = [class_poly(w) for w in perms]
+        table = {lam: {w: _chi_poly(lam, f) for w, f in zip(perms, polys)}
+                 for lam in partitions(n)}
+        if cache is not None:
+            cache.store("chartable", f"chartable-n{n}", {
+                "n": n,
+                "values": {
+                    ",".join(map(str, lam)): {
+                        "-".join(map(str, w)): list(p) for w, p in row.items()
+                    } for lam, row in table.items()
+                },
+            })
     _tables[n] = table
-    if cache is not None:
-        cache.store("chartable", f"chartable-n{n}", {
-            "n": n,
-            "values": {
-                ",".join(map(str, lam)): {
-                    "-".join(map(str, w)): list(p) for w, p in row.items()
-                } for lam, row in table.items()
-            },
-        })
     return table
 
 
@@ -369,7 +280,7 @@ def frobenius_cprime(w: Perm) -> SymmetricFunction:
 # -- the q := 1 oracle --------------------------------------------------------
 
 def cycle_type(w: Perm) -> tuple:
-    """Cycle type of a permutation, as a partition."""
+    """Cycle type of a permutation (a Perm or plain tuple), as a partition."""
     n = len(w)
     seen = [False] * (n + 1)
     lengths = []
@@ -379,7 +290,7 @@ def cycle_type(w: Perm) -> tuple:
         k, cur = 0, start
         while not seen[cur]:
             seen[cur] = True
-            cur = w(cur)
+            cur = w[cur - 1]
             k += 1
         lengths.append(k)
     return tuple(sorted(lengths, reverse=True))

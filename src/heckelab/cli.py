@@ -13,7 +13,7 @@ import json
 import sys
 
 from .cache import DEFAULT_DIR, Cache
-from .characters import chi, frobenius_cprime
+from .characters import MAX_FULL_TABLE_N, chi, frobenius_cprime
 from .csf import csf
 from .hecke import cprime, kl_table
 from .lab import (CHECK_BOUNDS, CHECKS, check_suite, counterexample_search,
@@ -215,6 +215,8 @@ def _cmd_counterexample(args, fmt, cache) -> int:
 
 def _cmd_decompose(args, fmt) -> int:
     w = _parse_w(args.w)
+    if args.max_n > MAX_FULL_TABLE_N:
+        raise InputError(f"--max-n must be at most {MAX_FULL_TABLE_N}")
     result = decompose_codominant(w, max_n=args.max_n)
     if fmt == "json":
         payload = {"w": perm_to_str(w), "known": result is not None}
@@ -269,6 +271,16 @@ def _cmd_hessenberg(args, fmt) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hecke-lab",
@@ -280,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disk cache directory (versioned JSON files)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the disk cache")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_positive_int, default=1,
                         help="workers for batch computations (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .cache import active, int_poly
 from .hecke import poly_add, poly_shift, poly_to_laurent
 from .permutations import (Perm, codominant_of_hessenberg, enumerate_hessenberg,
                            hessenberg_to_str, is_hessenberg, parse_hessenberg)
@@ -187,6 +188,24 @@ def _batch_worker(m):
     return m, _csf_coeffs(m)
 
 
+def _batch_from_payload(n: int, ms: list, data):
+    """The batch held by a csf cache payload, or None unless the payload
+    holds one entry {"m", "csf": {lambda |- n: int list}} per function."""
+    shapes = {",".join(map(str, lam)): lam for lam in partitions(n)}
+    batch = {}
+    try:
+        if data["n"] != n or len(data["entries"]) != len(ms):
+            return None
+        for entry in data["entries"]:
+            batch[parse_hessenberg(entry["m"])] = {
+                shapes[lam]: int_poly(p) for lam, p in entry["csf"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return None
+    if batch.keys() != set(ms):
+        return None
+    return {m: batch[m] for m in ms}
+
+
 def csf_batch(n: int, cache=None, threads: int = 1) -> dict:
     """{m: monomial tuple-poly coefficients} for every Hessenberg function.
 
@@ -197,22 +216,14 @@ def csf_batch(n: int, cache=None, threads: int = 1) -> dict:
     if got is not None:
         return got
     if cache is None:
-        from .cache import active
         cache = active()
+    ms = enumerate_hessenberg(n)
     if cache is not None:
-        data = cache.load("csf", f"csf-n{n}")
-        if data is not None and data.get("n") == n:
-            batch = {}
-            for entry in data["entries"]:
-                m = parse_hessenberg(entry["m"])
-                batch[m] = {
-                    tuple(int(t) for t in lam.split(",")): tuple(p)
-                    for lam, p in entry["csf"].items()
-                }
+        batch = _batch_from_payload(n, ms, cache.load("csf", f"csf-n{n}"))
+        if batch is not None:
             _batches[n] = batch
             return batch
 
-    ms = enumerate_hessenberg(n)
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:

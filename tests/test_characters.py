@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from heckelab.characters import (InterpolationError, chi, chi_element,
-                                 character_table, cycle_type, frobenius_ch,
-                                 frobenius_cprime, min_class_rep,
-                                 murnaghan_nakayama, standard_tableaux,
-                                 _chi_poly_from_word)
+from heckelab.characters import (chi, chi_element, character_table,
+                                 cycle_type, frobenius_ch, frobenius_cprime,
+                                 min_class_rep, murnaghan_nakayama)
 from heckelab.hecke import HeckeElement, cprime, cprime_normalized
 from heckelab.permutations import Perm, all_perms, parse_perm
 from heckelab.qpoly import LaurentQ
 from heckelab.symfunc import (SymmetricFunction, num_syt, partitions,
                               q_factorial_partition)
+from seminormal_oracle import (InterpolationError, chi_poly_from_word,
+                               interpolate, interpolate_checked, poly_eval,
+                               seminormal_table, standard_tableaux)
 
 Q = LaurentQ.q()
 
@@ -71,6 +72,7 @@ def test_degree_bound():
 
 
 def test_reduced_word_independence():
+    # the seminormal oracle's traces do not depend on the reduced word
     rng = random.Random(19)
     pairs = []
     for n in (3, 4, 5):
@@ -82,8 +84,8 @@ def test_reduced_word_independence():
         pairs.append((rng.choice(partitions(6)), rng.choice(perms6)))
     checked = 0
     for lam, w in pairs:
-        first = _chi_poly_from_word(lam, w.reduced_word())
-        second = _chi_poly_from_word(lam, alternate_word(w))
+        first = chi_poly_from_word(lam, w.reduced_word())
+        second = chi_poly_from_word(lam, alternate_word(w))
         assert first == second, (lam, w)
         checked += 1
     assert checked == 100
@@ -142,15 +144,25 @@ def test_character_table_disk_cache(tmp_path):
 
 
 def test_interpolation_spare_point_guard():
-    # tampering with a trace must be caught by the spare sample point
-    from heckelab.characters import _interpolate, _poly_eval
+    # tampering with a trace must be caught by the oracle's spare sample point
     xs = [2, 3, 4, 5]
     poly = (1, 2)  # 1 + 2q
-    ys = [_poly_eval(poly, x) for x in xs]
-    assert _interpolate(xs[:2], ys[:2]) == poly
+    ys = [poly_eval(poly, x) for x in xs]
+    assert interpolate(xs[:2], ys[:2]) == poly
     ys[3] += 1
-    got = _interpolate(xs[:3], ys[:3])
-    assert _poly_eval(got, xs[3]) != ys[3]
+    got = interpolate(xs[:3], ys[:3])
+    assert poly_eval(got, xs[3]) != ys[3]
+    with pytest.raises(InterpolationError):
+        interpolate_checked(xs, ys, 2, "tampered")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_character_table_matches_seminormal_oracle(n):
+    table = character_table(n)
+    oracle = seminormal_table(n)
+    for lam in partitions(n):
+        for w in all_perms(n):
+            assert table[lam][w] == oracle[lam][w], (lam, w)
 
 
 def test_cycle_type_and_class_reps():
@@ -179,7 +191,7 @@ def test_murnaghan_nakayama_basics():
             assert murnaghan_nakayama((1,) * n, mu) == (-1) ** (n - len(mu))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_q1_matches_murnaghan_nakayama(n):
     table = character_table(n)
     for lam in partitions(n):

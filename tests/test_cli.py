@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -179,3 +180,86 @@ def test_stale_cache_version_ignored(tmp_path):
     data["version"] = 999
     path.write_text(json.dumps(data))
     assert cache.load("csf", "csf-n2") is None
+
+
+def test_decompose_max_n_beyond_table_exits_2(capsys):
+    code = main(["--no-cache", "decompose", "--w", "1256734", "--max-n", "8"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --max-n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "x"])
+def test_threads_below_one_rejected(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-cache", "--threads", threads, "hessenberg", "--n", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def _fresh_memos(monkeypatch):
+    # by module path: the package re-exports a function named csf
+    characters, csf = (importlib.import_module(f"heckelab.{name}")
+                       for name in ("characters", "csf"))
+    monkeypatch.setattr(characters, "_tables", {})
+    monkeypatch.setattr(csf, "_batches", {})
+    characters.frobenius_cprime.cache_clear()
+
+
+def _drop_one(mapping):
+    return dict(list(mapping.items())[1:])
+
+
+# damaged chartable-n3.json documents, made from a valid one
+CHARTABLE_DAMAGE = {
+    "not-an-object": lambda doc: [1, 2],
+    "no-values": lambda doc: {**doc, "payload": {"n": 3}},
+    "missing-shape": lambda doc: {**doc, "payload": {
+        "n": 3, "values": _drop_one(doc["payload"]["values"])}},
+    "non-list-poly": lambda doc: {**doc, "payload": {
+        "n": 3, "values": {lam: {w: "x" for w in row}
+                           for lam, row in doc["payload"]["values"].items()}}},
+    "short-row": lambda doc: {**doc, "payload": {
+        "n": 3, "values": {lam: _drop_one(row)
+                           for lam, row in doc["payload"]["values"].items()}}},
+}
+
+CSF_DAMAGE = {
+    "not-an-object": lambda doc: [1, 2],
+    "no-entries": lambda doc: {**doc, "payload": {"n": 3}},
+    "missing-function": lambda doc: {**doc, "payload": {
+        "n": 3, "entries": doc["payload"]["entries"][1:]}},
+    "non-list-poly": lambda doc: {**doc, "payload": {
+        "n": 3, "entries": [{"m": e["m"], "csf": {lam: "x" for lam in e["csf"]}}
+                            for e in doc["payload"]["entries"]]}},
+}
+
+
+def _damaged_cache_rebuilt(tmp_path, capsys, monkeypatch, name, damage, argv):
+    expected = run(capsys, *argv)
+    path = tmp_path / f"{name}.json"
+    _fresh_memos(monkeypatch)
+    assert main(["--cache-dir", str(tmp_path), *argv]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(damage(doc)))
+    _fresh_memos(monkeypatch)
+    code = main(["--cache-dir", str(tmp_path), *argv])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (0, expected[1], "")
+    # the damaged file was treated as a miss, rebuilt and overwritten
+    assert json.loads(path.read_text()) == doc
+
+
+@pytest.mark.parametrize("damage", sorted(CHARTABLE_DAMAGE))
+def test_damaged_chartable_file_is_rebuilt(tmp_path, capsys, monkeypatch,
+                                           damage):
+    _damaged_cache_rebuilt(tmp_path, capsys, monkeypatch, "chartable-n3",
+                           CHARTABLE_DAMAGE[damage], ["ch", "--w", "321"])
+
+
+@pytest.mark.parametrize("damage", sorted(CSF_DAMAGE))
+def test_damaged_csf_file_is_rebuilt(tmp_path, capsys, monkeypatch, damage):
+    _damaged_cache_rebuilt(tmp_path, capsys, monkeypatch, "csf-n3",
+                           CSF_DAMAGE[damage],
+                           ["counterexample", "--m", "2,3,3"])
