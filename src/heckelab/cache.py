@@ -1,5 +1,7 @@
 """
-Versioned JSON disk cache.
+Versioned JSON disk cache.  It holds one kind of file: the csf batch of a
+rank (see csf.csf_batch), the only result that is cheaper to load than to
+rebuild.
 
 Every file is self-describing: {"format": "heckelab/<kind>", "version": V,
 "payload": {...}}.  Files that are not such an object, or have an unexpected
@@ -17,22 +19,8 @@ import tempfile
 DEFAULT_DIR = ".hecke-lab-cache"
 
 VERSIONS = {
-    "klrow": 1,
-    "chartable": 1,
     "csf": 1,
 }
-
-# process-wide default cache; None disables disk persistence
-_active = None
-
-
-def activate(cache) -> None:
-    global _active
-    _active = cache
-
-
-def active():
-    return _active
 
 
 class Cache:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cache import active, int_poly
 from .hecke import (HeckeElement, laurent_to_poly, poly_add, poly_mul,
                     poly_shift, poly_to_laurent, row_store)
 from .permutations import Perm, all_perms
@@ -176,61 +175,25 @@ def chi_element(lam, a: HeckeElement) -> LaurentQ:
     return out
 
 
-def _table_from_payload(n: int, data):
-    """The table held by a chartable cache payload, or None unless the
-    payload is a complete {lambda |- n: {w in S_n: int list}} map."""
-    perms = {w: "-".join(map(str, w)) for w in all_perms(n)}
-    try:
-        values = data["values"]
-        if data["n"] != n or len(values) != len(partitions(n)):
-            return None
-        table = {}
-        for lam in partitions(n):
-            row = values[",".join(map(str, lam))]
-            if len(row) != len(perms):
-                return None
-            table[lam] = {w: int_poly(row[key]) for w, key in perms.items()}
-    except (KeyError, TypeError):
-        return None
-    return table
-
-
-def character_table(n: int, cache=None) -> dict:
+def character_table(n: int) -> dict:
     """chi^lambda(T_w) for every lambda |- n and every w in S_n.
 
     Returns {lambda: {w: tuple poly}}: the computation of chi swept over
     S_n, each cyclic-shift class reduced once.  Built once per process and
-    reused; with a disk cache (the active one by default), a complete
-    chartable file is loaded instead, and a missing or malformed one is
-    rebuilt and overwritten.  Only sensible for n <= MAX_FULL_TABLE_N.
+    reused; it is never written to disk, since rebuilding it is about as
+    cheap as loading it.  Only sensible for n <= MAX_FULL_TABLE_N.
     """
     if n > MAX_FULL_TABLE_N:
         raise ValueError(
             f"full character table beyond n={MAX_FULL_TABLE_N} is not supported; "
             "use chi() on the elements you need")
     table = _tables.get(n)
-    if table is not None:
-        return table
-    if cache is None:
-        cache = active()
-    if cache is not None:
-        table = _table_from_payload(
-            n, cache.load("chartable", f"chartable-n{n}"))
     if table is None:
         perms = list(all_perms(n))
         polys = [class_poly(w) for w in perms]
-        table = {lam: {w: _chi_poly(lam, f) for w, f in zip(perms, polys)}
-                 for lam in partitions(n)}
-        if cache is not None:
-            cache.store("chartable", f"chartable-n{n}", {
-                "n": n,
-                "values": {
-                    ",".join(map(str, lam)): {
-                        "-".join(map(str, w)): list(p) for w, p in row.items()
-                    } for lam, row in table.items()
-                },
-            })
-    _tables[n] = table
+        table = _tables[n] = {
+            lam: {w: _chi_poly(lam, f) for w, f in zip(perms, polys)}
+            for lam in partitions(n)}
     return table
 
 

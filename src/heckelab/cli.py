@@ -86,7 +86,7 @@ def _emit(payload, fmt: str) -> None:
 
 # -- subcommand handlers (return exit codes) ----------------------------------
 
-def _cmd_kl(args, fmt) -> int:
+def _cmd_kl(args, fmt, cache) -> int:
     w = _parse_w(args.w)
     table = kl_table(w)
     if args.z is not None:
@@ -104,7 +104,7 @@ def _cmd_kl(args, fmt) -> int:
     return 0
 
 
-def _cmd_cprime(args, fmt) -> int:
+def _cmd_cprime(args, fmt, cache) -> int:
     w = _parse_w(args.w)
     b = cprime(w)
     if fmt == "json":
@@ -119,14 +119,14 @@ def _cmd_cprime(args, fmt) -> int:
     return 0
 
 
-def _cmd_chi(args, fmt) -> int:
+def _cmd_chi(args, fmt, cache) -> int:
     w = _parse_w(args.w)
     lam = _parse_partition(args.lam, len(w))
     _emit(_poly_out(chi(lam, w), fmt), fmt)
     return 0
 
 
-def _cmd_ch(args, fmt) -> int:
+def _cmd_ch(args, fmt, cache) -> int:
     w = _parse_w(args.w)
     try:
         f = frobenius_cprime(w).convert(args.basis)
@@ -136,14 +136,14 @@ def _cmd_ch(args, fmt) -> int:
     return 0
 
 
-def _cmd_csf(args, fmt) -> int:
+def _cmd_csf(args, fmt, cache) -> int:
     m = _parse_m(args.m)
     f = csf(m).convert(args.basis)
     _emit(_symfunc_out(f, fmt), fmt)
     return 0
 
 
-def _cmd_smooth_reduce(args, fmt) -> int:
+def _cmd_smooth_reduce(args, fmt, cache) -> int:
     w = _parse_w(args.w)
     try:
         out = smooth_reduce(w)
@@ -156,7 +156,7 @@ def _cmd_smooth_reduce(args, fmt) -> int:
     return 0
 
 
-def _cmd_moment_graph(args, fmt) -> int:
+def _cmd_moment_graph(args, fmt, cache) -> int:
     w = _parse_w(args.w)
     graph = moment_graph(w)
     ts = sorted(graph.transpositions)
@@ -168,7 +168,7 @@ def _cmd_moment_graph(args, fmt) -> int:
     return 0
 
 
-def _cmd_modular(args, fmt) -> int:
+def _cmd_modular(args, fmt, cache) -> int:
     w = _parse_w(args.w)
     if not 1 <= args.s <= len(w) - 1:
         raise InputError(f"--s must be in 1..{len(w) - 1}")
@@ -213,7 +213,7 @@ def _cmd_counterexample(args, fmt, cache) -> int:
     return 0
 
 
-def _cmd_decompose(args, fmt) -> int:
+def _cmd_decompose(args, fmt, cache) -> int:
     w = _parse_w(args.w)
     if args.max_n > MAX_FULL_TABLE_N:
         raise InputError(f"--max-n must be at most {MAX_FULL_TABLE_N}")
@@ -236,7 +236,7 @@ def _cmd_decompose(args, fmt) -> int:
     return 0
 
 
-def _cmd_check(args, fmt) -> int:
+def _cmd_check(args, fmt, cache) -> int:
     if args.name == "all":
         names = [name for name, bound in CHECK_BOUNDS.items() if args.n <= bound]
     else:
@@ -258,7 +258,7 @@ def _cmd_check(args, fmt) -> int:
     return 1 if failed else 0
 
 
-def _cmd_hessenberg(args, fmt) -> int:
+def _cmd_hessenberg(args, fmt, cache) -> int:
     if args.n < 1:
         raise InputError("--n must be >= 1")
     ms = enumerate_hessenberg(args.n)
@@ -289,117 +289,93 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json", "latex"),
                         default="text", help="output format")
     parser.add_argument("--cache-dir", default=DEFAULT_DIR,
-                        help="disk cache directory (versioned JSON files)")
+                        help="disk cache for csf batches")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the disk cache")
     parser.add_argument("--threads", type=_positive_int, default=1,
                         help="workers for batch computations (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("kl", help="Kazhdan-Lusztig polynomial(s) below w")
+    def command(name, handler, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("kl", _cmd_kl, help="Kazhdan-Lusztig polynomial(s) below w")
     p.add_argument("--w", required=True)
     p.add_argument("--z", help="bottom permutation ('e' for the identity); "
                                "omit to print the whole row of w")
 
-    p = sub.add_parser("cprime", help="q^(l/2) C'_w in the T-basis")
+    p = command("cprime", _cmd_cprime, help="q^(l/2) C'_w in the T-basis")
     p.add_argument("--w", required=True)
 
-    p = sub.add_parser("chi", help="Hecke character chi^lambda(T_w)")
+    p = command("chi", _cmd_chi, help="Hecke character chi^lambda(T_w)")
     p.add_argument("--lambda", dest="lam", required=True,
                    help="partition, e.g. 2,1")
     p.add_argument("--w", required=True)
 
-    p = sub.add_parser("ch", help="Frobenius character of q^(l/2) C'_w")
+    p = command("ch", _cmd_ch, help="Frobenius character of q^(l/2) C'_w")
     p.add_argument("--w", required=True)
     p.add_argument("--basis", choices=("m", "e", "h", "p", "s"), default="s")
 
-    p = sub.add_parser("csf", help="chromatic quasisymmetric function of G_m")
+    p = command("csf", _cmd_csf,
+                help="chromatic quasisymmetric function of G_m")
     p.add_argument("--m", required=True, help="Hessenberg function, e.g. 2,3,3")
     p.add_argument("--basis", choices=("m", "e", "h", "p", "s"), default="m")
 
-    p = sub.add_parser("smooth-reduce",
-                       help="codominant permutation with the same character")
+    p = command("smooth-reduce", _cmd_smooth_reduce,
+                help="codominant permutation with the same character")
     p.add_argument("--w", required=True)
 
-    p = sub.add_parser("moment-graph", help="transpositions below w")
+    p = command("moment-graph", _cmd_moment_graph,
+                help="transpositions below w")
     p.add_argument("--w", required=True)
 
-    p = sub.add_parser("modular", help="modular relation dichotomy at (w, s)")
+    p = command("modular", _cmd_modular,
+                help="modular relation dichotomy at (w, s)")
     p.add_argument("--w", required=True)
     p.add_argument("--s", type=int, required=True, help="simple reflection index")
 
-    p = sub.add_parser("counterexample",
-                       help="search for (m0, m2) with (1+q)csf(m1) = "
-                            "csf(m2) + q csf(m0)")
+    p = command("counterexample", _cmd_counterexample,
+                help="search for (m0, m2) with (1+q)csf(m1) = "
+                     "csf(m2) + q csf(m0)")
     p.add_argument("--m", required=True, help="the Hessenberg function m1")
     p.add_argument("--general", action="store_true",
                    help="scan shifted equations without the edge-count filter")
     p.add_argument("--expect", choices=("found", "notfound"),
                    help="exit 1 if the outcome differs")
 
-    p = sub.add_parser("decompose",
-                       help="decompose ch(q^(l/2) C'_w) over codominant "
-                            "characters with N[q] coefficients")
+    p = command("decompose", _cmd_decompose,
+                help="decompose ch(q^(l/2) C'_w) over codominant "
+                     "characters with N[q] coefficients")
     p.add_argument("--w", required=True)
     p.add_argument("--max-n", type=int, default=6, dest="max_n",
                    help="bound for the exact fallback search (default 6)")
     p.add_argument("--expect", choices=("found",),
                    help="exit 1 if the decomposition is Unknown")
 
-    p = sub.add_parser("check", help="run a named exhaustive check")
+    p = command("check", _cmd_check, help="run a named exhaustive check")
     p.add_argument("--name", required=True,
                    help=", ".join(sorted(CHECKS)) + ", or all")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("hessenberg", help="enumerate Hessenberg functions")
+    p = command("hessenberg", _cmd_hessenberg,
+                help="enumerate Hessenberg functions")
     p.add_argument("--n", type=int, required=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    from .cache import activate, active
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fmt = args.format
-    previous_cache = active()
-    cache = None
-    if not args.no_cache:
-        cache = Cache(args.cache_dir)
-        activate(cache)
+    args = build_parser().parse_args(argv)
+    cache = None if args.no_cache else Cache(args.cache_dir)
     try:
-        if args.command == "kl":
-            return _cmd_kl(args, fmt)
-        if args.command == "cprime":
-            return _cmd_cprime(args, fmt)
-        if args.command == "chi":
-            return _cmd_chi(args, fmt)
-        if args.command == "ch":
-            return _cmd_ch(args, fmt)
-        if args.command == "csf":
-            return _cmd_csf(args, fmt)
-        if args.command == "smooth-reduce":
-            return _cmd_smooth_reduce(args, fmt)
-        if args.command == "moment-graph":
-            return _cmd_moment_graph(args, fmt)
-        if args.command == "modular":
-            return _cmd_modular(args, fmt)
-        if args.command == "counterexample":
-            return _cmd_counterexample(args, fmt, cache)
-        if args.command == "decompose":
-            return _cmd_decompose(args, fmt)
-        if args.command == "check":
-            return _cmd_check(args, fmt)
-        if args.command == "hessenberg":
-            return _cmd_hessenberg(args, fmt)
-        raise InputError(f"unknown command {args.command!r}")
+        return args.handler(args, args.format, cache)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0
-    finally:
-        activate(previous_cache)
 
 
 if __name__ == "__main__":

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cache import active, int_poly
+from .cache import int_poly
 from .hecke import poly_add, poly_shift, poly_to_laurent
-from .permutations import (Perm, codominant_of_hessenberg, enumerate_hessenberg,
+from .permutations import (enumerate_hessenberg, hessenberg_edges,
                            hessenberg_to_str, is_hessenberg, parse_hessenberg)
-from .qpoly import LaurentQ
 from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
@@ -44,10 +43,7 @@ class IndifferenceGraph:
         m = tuple(m)
         if not is_hessenberg(m):
             raise ValueError(f"not a Hessenberg function: {m}")
-        n = len(m)
-        edges = frozenset((i, j) for i in range(1, n + 1)
-                          for j in range(i + 1, m[i - 1] + 1))
-        return cls(n, edges)
+        return cls(len(m), hessenberg_edges(m))
 
 
 def indifference_graph(m) -> IndifferenceGraph:
@@ -61,13 +57,9 @@ def edge_count(m) -> int:
 
 def _upward_masks(m) -> list[int]:
     """up[v] = bitmask of neighbors of v+1 above it (0-based vertex bits)."""
-    n = len(m)
-    up = []
-    for i in range(1, n + 1):
-        mask = 0
-        for j in range(i + 1, m[i - 1] + 1):
-            mask |= 1 << (j - 1)
-        up.append(mask)
+    up = [0] * len(m)
+    for i, j in hessenberg_edges(m):
+        up[i - 1] |= 1 << (j - 1)
     return up
 
 
@@ -150,7 +142,7 @@ def csf_oracle(m) -> SymmetricFunction:
     n = len(m)
     if n > 6:
         raise ValueError("the coloring oracle is capped at n = 6")
-    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, m[i - 1] + 1)]
+    edges = sorted(hessenberg_edges(m))
     coeffs: dict[tuple, tuple] = {}
     for kappa in product(range(1, n + 1), repeat=n):
         if any(kappa[i - 1] == kappa[j - 1] for i, j in edges):
@@ -209,14 +201,14 @@ def _batch_from_payload(n: int, ms: list, data):
 def csf_batch(n: int, cache=None, threads: int = 1) -> dict:
     """{m: monomial tuple-poly coefficients} for every Hessenberg function.
 
-    Deterministic (lexicographic) order; cached per rank; optionally
-    computed in a process pool.
+    Deterministic (lexicographic) order; optionally computed in a process
+    pool.  The in-process memo of the rank takes precedence over both
+    arguments: the disk cache `cache` (None for none) is read, and on a
+    miss written, only when the memo has no batch of rank n.
     """
     got = _batches.get(n)
     if got is not None:
         return got
-    if cache is None:
-        cache = active()
     ms = enumerate_hessenberg(n)
     if cache is not None:
         batch = _batch_from_payload(n, ms, cache.load("csf", f"csf-n{n}"))
@@ -252,15 +244,15 @@ def csf_key(coeffs: dict) -> tuple:
     return tuple(sorted((lam, p) for lam, p in coeffs.items() if p))
 
 
-def csf_index(n: int, cache=None, threads: int = 1) -> dict:
-    """Reverse lookup: canonical coefficient key -> list of Hessenberg
-    functions with that csf.
+def csf_index(batch: dict) -> dict:
+    """Reverse lookup over a csf_batch: canonical coefficient key -> list
+    of the Hessenberg functions with that csf.
 
     Distinct functions can share a csf (reversing the vertex order of an
     indifference graph changes m but, by palindromicity, not csf_q), so the
-    values are lists, in lexicographic order.
+    values are lists, in the batch's (lexicographic) order.
     """
     index: dict[tuple, list] = {}
-    for m, coeffs in csf_batch(n, cache=cache, threads=threads).items():
+    for m, coeffs in batch.items():
         index.setdefault(csf_key(coeffs), []).append(m)
     return index

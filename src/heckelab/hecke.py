@@ -20,7 +20,7 @@ affordable.
 
 from __future__ import annotations
 
-from .permutations import Perm, bruhat_leq, perm_to_str, parse_perm
+from .permutations import Perm, bruhat_leq, perm_to_str
 from .qpoly import LaurentQ
 
 __all__ = [
@@ -257,12 +257,11 @@ class KLRowStore:
 
     Rows are dicts Perm -> int tuple and are computed lazily by the
     C'_{ys} C'_s recursion, pulling in exactly the rows the corrections
-    need.  Optionally persisted one file per row through a Cache.
+    need.
     """
 
-    def __init__(self, n: int, cache=None):
+    def __init__(self, n: int):
         self.n = n
-        self.cache = cache
         self._rows: dict[Perm, dict] = {}
         self._lengths: dict[Perm, int] = {}
         self._perms: dict[tuple, Perm] = {}
@@ -291,10 +290,7 @@ class KLRowStore:
         y = self._intern(y)
         got = self._rows.get(y)
         if got is None:
-            got = self._load_cached(y)
-        if got is None:
             got = self._build_row(y)
-            self._store_cached(y)
         return got
 
     def _build_row(self, y: Perm) -> dict:
@@ -339,56 +335,23 @@ class KLRowStore:
         self._rows[y] = out
         return out
 
-    # -- optional disk persistence ---------------------------------------
-
-    def _cache_key(self, y: Perm) -> str:
-        return f"klrow-n{self.n}-{perm_to_str(y).replace(',', '_')}"
-
-    def _load_cached(self, y: Perm):
-        if self.cache is None:
-            return None
-        data = self.cache.load("klrow", self._cache_key(y))
-        if data is None or data.get("n") != self.n:
-            return None
-        row = {}
-        for zstr, coeffs in data["entries"]:
-            z = self._intern(parse_perm(zstr, self.n))
-            row[z] = tuple(coeffs)
-        self._rows[y] = row
-        return row
-
-    def _store_cached(self, y: Perm):
-        if self.cache is None:
-            return
-        row = self._rows[y]
-        entries = [[perm_to_str(z), list(p)] for z, p in
-                   sorted(row.items(), key=lambda it: (self.length(it[0]), it[0]))]
-        self.cache.store("klrow", self._cache_key(y),
-                         {"n": self.n, "w": perm_to_str(y), "entries": entries})
-
 
 _stores: dict[int, KLRowStore] = {}
 
 
 def reset_row_store(n: int | None = None) -> None:
-    """Drop the in-memory row store(s); disk caches are untouched."""
+    """Drop the in-memory row store(s)."""
     if n is None:
         _stores.clear()
     else:
         _stores.pop(n, None)
 
 
-def row_store(n: int, cache=None) -> KLRowStore:
+def row_store(n: int) -> KLRowStore:
     """The process-wide row store for S_n (created on first use)."""
-    from .cache import active
     store = _stores.get(n)
-    if cache is None:
-        cache = active()
     if store is None:
-        store = KLRowStore(n, cache=cache)
-        _stores[n] = store
-    elif cache is not None and store.cache is None:
-        store.cache = cache
+        store = _stores[n] = KLRowStore(n)
     return store
 
 

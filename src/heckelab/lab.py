@@ -9,13 +9,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .characters import (character_table, chi, cycle_type, frobenius_cprime,
-                         min_class_rep, murnaghan_nakayama)
+from .characters import (chi, frobenius_cprime, min_class_rep,
+                         murnaghan_nakayama)
 from .csf import csf, csf_batch, csf_index, csf_key, csf_oracle, edge_count
-from .hecke import (HeckeElement, cprime, cprime_normalized, iota,
-                    poly_add, poly_mul, poly_shift, poly_sub, row_store)
-from .permutations import (NotSmoothError, Perm, all_perms, bruhat_leq,
-                           codominant_of_hessenberg, enumerate_hessenberg,
+from .hecke import (cprime, cprime_normalized, iota, poly_mul, poly_shift,
+                    poly_sub, row_store)
+from .permutations import (Perm, all_perms, codominant_of_hessenberg,
+                           enumerate_hessenberg, hessenberg_edges,
                            hessenberg_of_smooth, hessenberg_to_str,
                            perm_to_str, transpositions_below)
 from .qpoly import LaurentQ
@@ -66,9 +66,7 @@ def moment_graph(w: Perm, use_hessenberg: bool | None = None) -> MomentGraph:
     if use_hessenberg is None:
         use_hessenberg = w.is_smooth()
     if use_hessenberg:
-        m = hessenberg_of_smooth(w)
-        ts = frozenset((i, j) for i in range(1, len(w) + 1)
-                       for j in range(i + 1, m[i - 1] + 1))
+        ts = hessenberg_edges(hessenberg_of_smooth(w))
     else:
         ts = transpositions_below(w)
     return MomentGraph(len(w), ts)
@@ -203,7 +201,7 @@ def counterexample_search(m1, general: bool = False, cache=None,
     m1 = tuple(m1)
     n = len(m1)
     batch = csf_batch(n, cache=cache, threads=threads)
-    index = csf_index(n, cache=cache)
+    index = csf_index(batch)
     target = {lam: poly_mul((1, 1), p) for lam, p in batch[m1].items()}
     e1 = edge_count(m1)
 
@@ -542,9 +540,7 @@ def _check_lemma22(n: int) -> Report:
     count = 0
     for w in smooth_perms(n):
         count += 1
-        m = hessenberg_of_smooth(w)
-        fast = frozenset((i, j) for i in range(1, n + 1)
-                         for j in range(i + 1, m[i - 1] + 1))
+        fast = hessenberg_edges(hessenberg_of_smooth(w))
         brute = transpositions_below(w)
         if fast != brute or len(brute) != w.length():
             witnesses.append(perm_to_str(w))
@@ -580,6 +576,8 @@ CHECK_SAMPLED = {"cor44": (6, 50), "csf-oracle": (6, 12)}
 
 def check_suite(n: int, which=None) -> list[Report]:
     """Run the named checks (default: all applicable at rank n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     names = list(CHECKS) if which is None else list(which)
     reports = []
     for name in names:

@@ -21,13 +21,11 @@ True
 
 from __future__ import annotations
 
-from itertools import combinations
-
 __all__ = [
     "Perm", "NotSmoothError",
     "bruhat_leq", "coessential_set", "hessenberg_of_smooth",
     "codominant_of_hessenberg", "transpositions_below",
-    "is_hessenberg", "enumerate_hessenberg", "catalan",
+    "is_hessenberg", "hessenberg_edges", "enumerate_hessenberg", "catalan",
     "all_perms", "simple_reflection",
     "parse_perm", "perm_to_str", "parse_hessenberg", "hessenberg_to_str",
 ]
@@ -313,6 +311,13 @@ def is_hessenberg(m) -> bool:
         if not (i <= v <= n):
             return False
     return all(m[i] <= m[i + 1] for i in range(n - 1))
+
+
+def hessenberg_edges(m) -> frozenset[tuple[int, int]]:
+    """{(i, j): i < j <= m(i)}: the edges of the indifference graph G_m,
+    and for smooth w with m = m_w the transpositions below w (Lemma 2.2)."""
+    return frozenset((i, j) for i, v in enumerate(m, start=1)
+                     for j in range(i + 1, v + 1))
 
 
 def enumerate_hessenberg(n: int) -> list[tuple[int, ...]]:

@@ -133,16 +133,6 @@ def test_character_table_cap():
         character_table(7)
 
 
-def test_character_table_disk_cache(tmp_path):
-    from heckelab.cache import Cache
-    from heckelab.characters import _tables
-    cache = Cache(str(tmp_path))
-    table = character_table(3, cache=cache)
-    _tables.pop(3)
-    reloaded = character_table(3, cache=cache)
-    assert reloaded == table
-
-
 def test_interpolation_spare_point_guard():
     # tampering with a trace must be caught by the oracle's spare sample point
     xs = [2, 3, 4, 5]

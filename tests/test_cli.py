@@ -1,9 +1,13 @@
+import contextlib
 import importlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckelab.cli import main
+from heckelab.lab import CHECKS
 from heckelab.qpoly import LaurentQ
 from heckelab.symfunc import SymmetricFunction
 
@@ -158,7 +162,7 @@ def test_determinism_and_cache(tmp_path, capsys):
     from heckelab.hecke import reset_row_store
     cache_dir = str(tmp_path / "cache")
     outputs = []
-    for _ in range(2):  # cold in-memory state, then rows read back from disk
+    for _ in range(2):  # two runs from cold in-memory state
         reset_row_store(4)
         code = main(["--cache-dir", cache_dir, "--format", "json",
                      "kl", "--w", "3412", "--z", "e"])
@@ -166,8 +170,6 @@ def test_determinism_and_cache(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     reset_row_store(4)
     assert outputs[0] == outputs[1]
-    assert any(p.name.startswith("klrow-n4") for p in
-               (tmp_path / "cache").iterdir())
 
 
 def test_stale_cache_version_ignored(tmp_path):
@@ -206,24 +208,6 @@ def _fresh_memos(monkeypatch):
     characters.frobenius_cprime.cache_clear()
 
 
-def _drop_one(mapping):
-    return dict(list(mapping.items())[1:])
-
-
-# damaged chartable-n3.json documents, made from a valid one
-CHARTABLE_DAMAGE = {
-    "not-an-object": lambda doc: [1, 2],
-    "no-values": lambda doc: {**doc, "payload": {"n": 3}},
-    "missing-shape": lambda doc: {**doc, "payload": {
-        "n": 3, "values": _drop_one(doc["payload"]["values"])}},
-    "non-list-poly": lambda doc: {**doc, "payload": {
-        "n": 3, "values": {lam: {w: "x" for w in row}
-                           for lam, row in doc["payload"]["values"].items()}}},
-    "short-row": lambda doc: {**doc, "payload": {
-        "n": 3, "values": {lam: _drop_one(row)
-                           for lam, row in doc["payload"]["values"].items()}}},
-}
-
 CSF_DAMAGE = {
     "not-an-object": lambda doc: [1, 2],
     "no-entries": lambda doc: {**doc, "payload": {"n": 3}},
@@ -251,15 +235,101 @@ def _damaged_cache_rebuilt(tmp_path, capsys, monkeypatch, name, damage, argv):
     assert json.loads(path.read_text()) == doc
 
 
-@pytest.mark.parametrize("damage", sorted(CHARTABLE_DAMAGE))
-def test_damaged_chartable_file_is_rebuilt(tmp_path, capsys, monkeypatch,
-                                           damage):
-    _damaged_cache_rebuilt(tmp_path, capsys, monkeypatch, "chartable-n3",
-                           CHARTABLE_DAMAGE[damage], ["ch", "--w", "321"])
-
-
 @pytest.mark.parametrize("damage", sorted(CSF_DAMAGE))
 def test_damaged_csf_file_is_rebuilt(tmp_path, capsys, monkeypatch, damage):
     _damaged_cache_rebuilt(tmp_path, capsys, monkeypatch, "csf-n3",
                            CSF_DAMAGE[damage],
                            ["counterexample", "--m", "2,3,3"])
+
+
+# files of kinds the cache no longer holds (KL rows, character tables),
+# with the command that would once have read each
+LEFTOVER_FILES = {
+    "klrow": ("klrow-n3-321", {"format": "heckelab/klrow", "version": 1,
+                               "payload": {"n": 3}}, ["kl", "--w", "321"]),
+    "chartable-not-an-object": ("chartable-n3", [1, 2], ["ch", "--w", "321"]),
+    "chartable-no-values": ("chartable-n3", {
+        "format": "heckelab/chartable", "version": 1, "payload": {"n": 3}},
+        ["ch", "--w", "321"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEFTOVER_FILES))
+def test_leftover_cache_files_are_ignored(tmp_path, capsys, monkeypatch,
+                                          case):
+    name, doc, argv = LEFTOVER_FILES[case]
+    expected = run(capsys, *argv)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    before = path.read_bytes()
+    _fresh_memos(monkeypatch)
+    monkeypatch.setattr(importlib.import_module("heckelab.hecke"), "_stores",
+                        {})
+    code = main(["--cache-dir", str(tmp_path), *argv])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (0, expected[1], "")
+    assert path.read_bytes() == before
+
+
+def values(good, bad):
+    """Well-formed values, and malformed ones in one draw of eight."""
+    return st.integers(0, 7).flatmap(
+        lambda k: st.sampled_from(good) if k else bad)
+
+
+# option values; free text is kept short so that no rank exceeds 4
+JUNK = st.text("01234x,", max_size=4)
+PERMS = values(["1", "21", "321", "2143", "3142", "3412", "4231", "1,2", "e"],
+               st.sampled_from(["3x1", "11", "", "2,,1", "0"]) | JUNK)
+HESSENBERG = values(["1", "2,2", "1,2,3", "2,3,3", "3,3,3", "1,3,3,4",
+                     "2,3,4,4", "4,4,4,4"],
+                    st.sampled_from(["2,1,3", "3,3", "", "x"]) | JUNK)
+PARTITIONS = values(["1", "2", "1,1", "2,1", "3", "1,1,1", "2,2", "3,1", "4"],
+                    st.sampled_from(["1,2", "0", "-1,4", "", "x"]) | JUNK)
+RANKS = values(["1", "2", "3", "4"], st.sampled_from(["-1", "0", "x"]))
+BASES = values(["m", "e", "h", "p", "s"], st.just("x"))
+FLAG = st.just(None)  # an option without a value
+
+COMMANDS = {
+    "kl": {"--w": PERMS, "--z": PERMS},
+    "cprime": {"--w": PERMS},
+    "chi": {"--lambda": PARTITIONS, "--w": PERMS},
+    "ch": {"--w": PERMS, "--basis": BASES},
+    "csf": {"--m": HESSENBERG, "--basis": BASES},
+    "smooth-reduce": {"--w": PERMS},
+    "moment-graph": {"--w": PERMS},
+    "modular": {"--w": PERMS, "--s": RANKS},
+    "counterexample": {"--m": HESSENBERG, "--general": FLAG,
+                       "--expect": values(["found", "notfound"], st.just("x"))},
+    "decompose": {"--w": PERMS, "--max-n": RANKS,
+                  "--expect": values(["found"], st.just("x"))},
+    "check": {"--name": values(sorted(CHECKS) + ["all"], st.just("x")),
+              "--n": RANKS},
+    "hessenberg": {"--n": RANKS},
+}
+
+
+@st.composite
+def argvs(draw, name):
+    fmt = draw(values(["text", "json", "latex"], st.just("x")))
+    argv = ["--no-cache", "--format", fmt, name]
+    for option, drawn in COMMANDS[name].items():
+        if draw(st.integers(0, 7)):  # one option in eight is left out
+            value = draw(drawn)
+            argv += [option] if value is None else [option, value]
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_exit_codes_and_no_tracebacks(name, data):
+    argv = data.draw(argvs(name))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected argv
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -97,7 +97,7 @@ def test_batch_and_index(tmp_path):
     clear_batch_cache(4)
     batch2 = csf_batch(4, cache=cache)
     assert batch2 == batch
-    index = csf_index(4, cache=cache)
+    index = csf_index(batch2)
     for m, coeffs in batch.items():
         assert m in index[csf_key(coeffs)]
     # isomorphic embeddings share a csf: the single-edge graphs at n = 4

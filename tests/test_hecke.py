@@ -222,18 +222,6 @@ def test_kl_table_json():
     assert entries[-1][:2] == ["3412", "3412"]
 
 
-def test_kl_row_disk_cache(tmp_path):
-    from heckelab.cache import Cache
-    from heckelab.hecke import KLRowStore
-    cache = Cache(str(tmp_path / "cache"))
-    store = KLRowStore(4, cache=cache)
-    w = parse_perm("3412")
-    row = store.row(w)
-    # a fresh store must load the identical row from disk
-    store2 = KLRowStore(4, cache=cache)
-    assert store2._load_cached(w) == row
-
-
 def test_hecke_element_serialization():
     a = HeckeElement(3, {S1: 1 + Q, E3: LaurentQ.q_half(-1)})
     text = str(a)

@@ -6,7 +6,8 @@ import pytest
 from heckelab.permutations import (NotSmoothError, Perm, all_perms, bruhat_leq,
                                    catalan, codominant_of_hessenberg,
                                    coessential_set, enumerate_hessenberg,
-                                   hessenberg_of_smooth, is_hessenberg,
+                                   hessenberg_edges, hessenberg_of_smooth,
+                                   is_hessenberg,
                                    parse_hessenberg, parse_perm, perm_to_str,
                                    simple_reflection, transpositions_below)
 
@@ -240,6 +241,13 @@ def test_lemma22_smooth(n):
         got = transpositions_below(w)
         assert got == expected, w
         assert len(got) == w.length()
+
+
+def test_hessenberg_edges():
+    assert hessenberg_edges((1, 2, 3)) == frozenset()
+    assert hessenberg_edges((2, 3, 3)) == {(1, 2), (2, 3)}
+    assert hessenberg_edges((3, 3, 3)) == {(1, 2), (1, 3), (2, 3)}
+    assert len(hessenberg_edges((2, 4, 4, 5, 5))) == 1 + 2 + 1 + 1
 
 
 def test_enumerate_hessenberg():
