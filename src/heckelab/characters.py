@@ -35,10 +35,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .hecke import (HeckeElement, laurent_to_poly, poly_add, poly_mul,
-                    poly_shift, poly_to_laurent, row_store)
+from .hecke import HeckeElement, row_store
 from .permutations import Perm, all_perms
-from .qpoly import LaurentQ
+from .qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_shift
 from .symfunc import SymmetricFunction, kostka, partitions
 
 __all__ = [
@@ -111,11 +110,10 @@ def class_poly(w) -> dict:
 def _coxeter_h(k: int) -> tuple:
     """sum_r (-1)^r q^(k-1-r) s_(k-r, 1^r), the Frobenius character of
     T_{s_1 ... s_(k-1)} in H(S_k), as ((h-partition, tuple poly), ...)."""
-    hooks = {(k - r,) + (1,) * r:
-             poly_to_laurent((0,) * (k - 1 - r) + ((-1) ** r,))
+    hooks = {(k - r,) + (1,) * r: LaurentQ.q(k - 1 - r) * (-1) ** r
              for r in range(k)}
     h = SymmetricFunction("s", k, hooks).convert("h")
-    return tuple((nu, laurent_to_poly(c)) for nu, c in h.coeffs.items())
+    return tuple((nu, c.poly_coeffs()) for nu, c in h.coeffs.items())
 
 
 @lru_cache(maxsize=None)
@@ -136,8 +134,8 @@ def _class_values(mu: tuple) -> dict:
         acc = ()
         for nu, p in prod.items():
             k = kostka(lam, nu)
-            if k and p:
-                acc = poly_add(acc, tuple(k * c for c in p))
+            if k:
+                acc = poly_add_scaled(acc, p, k, 0)
         if acc:
             values[lam] = acc
     return values
@@ -163,7 +161,7 @@ def chi(lam, w: Perm) -> LaurentQ:
     lam = tuple(lam)
     if lam not in partitions(len(w)):
         raise ValueError(f"{lam} is not a partition of the rank {len(w)}")
-    return poly_to_laurent(_chi_poly(lam, class_poly(w)))
+    return LaurentQ.from_poly_coeffs(_chi_poly(lam, class_poly(w)))
 
 
 def chi_element(lam, a: HeckeElement) -> LaurentQ:
@@ -236,7 +234,7 @@ def frobenius_cprime(w: Perm) -> SymmetricFunction:
                 term = poly_mul(p, chi_z)
             acc = poly_add(acc, term)
         if acc:
-            coeffs[lam] = poly_to_laurent(acc)
+            coeffs[lam] = LaurentQ.from_poly_coeffs(acc)
     return SymmetricFunction("s", n, coeffs)
 
 

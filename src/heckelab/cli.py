@@ -25,6 +25,10 @@ from .permutations import (NotSmoothError, Perm, hessenberg_to_str,
 from .qpoly import LaurentQ
 
 
+# hessenberg lists all Catalan(n) functions: 208 012 at n = 12
+MAX_HESSENBERG_N = 12
+
+
 class InputError(ValueError):
     """Malformed command-line input; maps to exit code 2."""
 
@@ -86,7 +90,7 @@ def _emit(payload, fmt: str) -> None:
 
 # -- subcommand handlers (return exit codes) ----------------------------------
 
-def _cmd_kl(args, fmt, cache) -> int:
+def _cmd_kl(args, fmt) -> int:
     w = _parse_w(args.w)
     table = kl_table(w)
     if args.z is not None:
@@ -104,7 +108,7 @@ def _cmd_kl(args, fmt, cache) -> int:
     return 0
 
 
-def _cmd_cprime(args, fmt, cache) -> int:
+def _cmd_cprime(args, fmt) -> int:
     w = _parse_w(args.w)
     b = cprime(w)
     if fmt == "json":
@@ -119,14 +123,14 @@ def _cmd_cprime(args, fmt, cache) -> int:
     return 0
 
 
-def _cmd_chi(args, fmt, cache) -> int:
+def _cmd_chi(args, fmt) -> int:
     w = _parse_w(args.w)
     lam = _parse_partition(args.lam, len(w))
     _emit(_poly_out(chi(lam, w), fmt), fmt)
     return 0
 
 
-def _cmd_ch(args, fmt, cache) -> int:
+def _cmd_ch(args, fmt) -> int:
     w = _parse_w(args.w)
     try:
         f = frobenius_cprime(w).convert(args.basis)
@@ -136,14 +140,14 @@ def _cmd_ch(args, fmt, cache) -> int:
     return 0
 
 
-def _cmd_csf(args, fmt, cache) -> int:
+def _cmd_csf(args, fmt) -> int:
     m = _parse_m(args.m)
     f = csf(m).convert(args.basis)
     _emit(_symfunc_out(f, fmt), fmt)
     return 0
 
 
-def _cmd_smooth_reduce(args, fmt, cache) -> int:
+def _cmd_smooth_reduce(args, fmt) -> int:
     w = _parse_w(args.w)
     try:
         out = smooth_reduce(w)
@@ -156,7 +160,7 @@ def _cmd_smooth_reduce(args, fmt, cache) -> int:
     return 0
 
 
-def _cmd_moment_graph(args, fmt, cache) -> int:
+def _cmd_moment_graph(args, fmt) -> int:
     w = _parse_w(args.w)
     graph = moment_graph(w)
     ts = sorted(graph.transpositions)
@@ -168,7 +172,7 @@ def _cmd_moment_graph(args, fmt, cache) -> int:
     return 0
 
 
-def _cmd_modular(args, fmt, cache) -> int:
+def _cmd_modular(args, fmt) -> int:
     w = _parse_w(args.w)
     if not 1 <= args.s <= len(w) - 1:
         raise InputError(f"--s must be in 1..{len(w) - 1}")
@@ -188,8 +192,9 @@ def _cmd_modular(args, fmt, cache) -> int:
     return 0
 
 
-def _cmd_counterexample(args, fmt, cache) -> int:
+def _cmd_counterexample(args, fmt) -> int:
     m = _parse_m(args.m)
+    cache = None if args.no_cache else Cache(args.cache_dir)
     result = counterexample_search(m, general=args.general, cache=cache,
                                    threads=args.threads)
     if fmt == "json":
@@ -213,7 +218,7 @@ def _cmd_counterexample(args, fmt, cache) -> int:
     return 0
 
 
-def _cmd_decompose(args, fmt, cache) -> int:
+def _cmd_decompose(args, fmt) -> int:
     w = _parse_w(args.w)
     if args.max_n > MAX_FULL_TABLE_N:
         raise InputError(f"--max-n must be at most {MAX_FULL_TABLE_N}")
@@ -236,7 +241,7 @@ def _cmd_decompose(args, fmt, cache) -> int:
     return 0
 
 
-def _cmd_check(args, fmt, cache) -> int:
+def _cmd_check(args, fmt) -> int:
     if args.name == "all":
         names = [name for name, bound in CHECK_BOUNDS.items() if args.n <= bound]
     else:
@@ -258,9 +263,9 @@ def _cmd_check(args, fmt, cache) -> int:
     return 1 if failed else 0
 
 
-def _cmd_hessenberg(args, fmt, cache) -> int:
-    if args.n < 1:
-        raise InputError("--n must be >= 1")
+def _cmd_hessenberg(args, fmt) -> int:
+    if not 1 <= args.n <= MAX_HESSENBERG_N:
+        raise InputError(f"--n must be in 1..{MAX_HESSENBERG_N}")
     ms = enumerate_hessenberg(args.n)
     if fmt == "json":
         _emit({"n": args.n, "count": len(ms),
@@ -368,9 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cache = None if args.no_cache else Cache(args.cache_dir)
     try:
-        return args.handler(args, args.format, cache)
+        return args.handler(args, args.format)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

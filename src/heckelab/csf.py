@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cache import int_poly
-from .hecke import poly_add, poly_shift, poly_to_laurent
 from .permutations import (enumerate_hessenberg, hessenberg_edges,
                            hessenberg_to_str, is_hessenberg, parse_hessenberg)
+from .qpoly import LaurentQ, poly_add, poly_shift
 from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
@@ -128,7 +128,8 @@ def csf(m) -> SymmetricFunction:
     m = tuple(m)
     if not is_hessenberg(m):
         raise ValueError(f"not a Hessenberg function: {m}")
-    coeffs = {lam: poly_to_laurent(p) for lam, p in _csf_coeffs(m).items()}
+    coeffs = {lam: LaurentQ.from_poly_coeffs(p)
+              for lam, p in _csf_coeffs(m).items()}
     return SymmetricFunction("m", len(m), coeffs)
 
 
@@ -160,7 +161,8 @@ def csf_oracle(m) -> SymmetricFunction:
         prev = coeffs.get(lam, ())
         coeffs[lam] = poly_add(prev, poly_shift((1,), asc))
     return SymmetricFunction(
-        "m", n, {lam: poly_to_laurent(p) for lam, p in coeffs.items()})
+        "m", n, {lam: LaurentQ.from_poly_coeffs(p)
+                 for lam, p in coeffs.items()})
 
 
 # -- batch computation over all Hessenberg functions of a rank ---------------

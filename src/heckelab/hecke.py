@@ -12,96 +12,22 @@ Conventions:
   properties (self-duality under the bar involution, degree bounds) in the
   test suite.
 
-Row polynomials are stored as plain int tuples (ascending powers of q) and
-only wrapped into LaurentQ at the API boundary; the S_8 computations walk
-tens of thousands of interval elements and dict-of-tuple rows keep that
-affordable.
+Rows hold the tuple polynomials of heckelab.qpoly and are wrapped into
+LaurentQ only at the API boundary.
 """
 
 from __future__ import annotations
 
 from .permutations import Perm, bruhat_leq, perm_to_str
-from .qpoly import LaurentQ
+from .qpoly import (POLY_ONE, LaurentQ, poly_add, poly_add_scaled,
+                    poly_shift)
 
 __all__ = [
     "HeckeElement", "hecke_multiply", "iota",
     "KLTable", "kl_table", "kl_polynomial", "mu",
     "cprime", "cprime_normalized", "cprime_times_cs",
     "row_store", "KLRowStore",
-    "poly_add", "poly_mul", "poly_shift", "poly_to_laurent",
 ]
-
-
-# -- tuple polynomials in q (ascending coefficients, () is zero) -------------
-
-POLY_ONE = (1,)
-
-
-def poly_trim(c: list) -> tuple:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_add(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    c = list(a)
-    for i, v in enumerate(b):
-        c[i] += v
-    return poly_trim(c)
-
-
-def poly_sub(a: tuple, b: tuple) -> tuple:
-    c = list(a) + [0] * (len(b) - len(a))
-    for i, v in enumerate(b):
-        c[i] -= v
-    return poly_trim(c)
-
-
-def poly_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    if a == POLY_ONE:
-        return b
-    if b == POLY_ONE:
-        return a
-    c = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                c[i + j] += u * v
-    return poly_trim(c)
-
-
-def poly_shift(a: tuple, k: int) -> tuple:
-    """a * q^k (k >= 0)."""
-    if not a:
-        return ()
-    return (0,) * k + a
-
-
-def poly_sub_scaled_shift(a: tuple, b: tuple, c: int, k: int) -> tuple:
-    """a - c * q^k * b."""
-    out = list(a) + [0] * max(0, k + len(b) - len(a))
-    for i, v in enumerate(b):
-        out[k + i] -= c * v
-    return poly_trim(out)
-
-
-def poly_to_laurent(a: tuple) -> LaurentQ:
-    return LaurentQ.from_poly_coeffs(a)
-
-
-def laurent_to_poly(c: LaurentQ) -> tuple:
-    """LaurentQ with nonnegative integer powers -> tuple poly."""
-    lo = c.min_half_exponent()
-    if lo is not None and (lo < 0 or not c.is_integer_powers()):
-        raise ValueError("not a polynomial in q")
-    out = [0] * ((c.max_half_exponent() or 0) // 2 + 1) if c else []
-    for k, v in c.items():
-        out[k // 2] = v
-    return poly_trim(out)
 
 
 # -- Hecke algebra elements ---------------------------------------------------
@@ -323,7 +249,7 @@ class KLRowStore:
 
         for u, mu_val, shift in corrections:
             for z, pz in self.row(u).items():
-                cur = poly_sub_scaled_shift(out.get(z, ()), pz, mu_val, shift)
+                cur = poly_add_scaled(out.get(z, ()), pz, -mu_val, shift)
                 if cur:
                     out[z] = cur
                 else:
@@ -372,7 +298,7 @@ class KLTable:
         y = self.w if y is None else y
         if not bruhat_leq(y, self.w):
             raise ValueError("y is not below the table's top element")
-        return poly_to_laurent(self.store.row(y).get(z, ()))
+        return LaurentQ.from_poly_coeffs(self.store.row(y).get(z, ()))
 
     def mu(self, z: Perm, y: Perm | None = None) -> int:
         y = self.w if y is None else y
@@ -388,7 +314,8 @@ class KLTable:
     def row(self, y: Perm | None = None) -> dict:
         """{z: P_{z,y} as LaurentQ} for the requested row."""
         y = self.w if y is None else y
-        return {z: poly_to_laurent(p) for z, p in self.store.row(y).items()}
+        return {z: LaurentQ.from_poly_coeffs(p)
+                for z, p in self.store.row(y).items()}
 
     def to_json(self, rows=None) -> dict:
         """Versioned JSON {n, entries: [[z, y, poly]]}, deterministic order.
@@ -403,7 +330,7 @@ class KLTable:
             row = self.store.row(y)
             for z in sorted(row, key=lambda z: (length(z), z)):
                 entries.append([perm_to_str(z), perm_to_str(y),
-                                poly_to_laurent(row[z]).to_json()])
+                                LaurentQ.from_poly_coeffs(row[z]).to_json()])
         return {"n": self.n, "entries": entries}
 
 
@@ -436,8 +363,8 @@ def mu(z: Perm, w: Perm) -> int:
 def cprime(w: Perm) -> HeckeElement:
     """The scaled element B_w = q^(l(w)/2) C'_w = sum_{z<=w} P_{z,w} T_z."""
     store = row_store(len(w))
-    return HeckeElement(
-        len(w), {z: poly_to_laurent(p) for z, p in store.row(w).items()})
+    return HeckeElement(len(w), {z: LaurentQ.from_poly_coeffs(p)
+                                 for z, p in store.row(w).items()})
 
 
 def cprime_normalized(w: Perm) -> HeckeElement:

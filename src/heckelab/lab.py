@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 from .characters import (chi, frobenius_cprime, min_class_rep,
                          murnaghan_nakayama)
 from .csf import csf, csf_batch, csf_index, csf_key, csf_oracle, edge_count
-from .hecke import (cprime, cprime_normalized, iota, poly_mul, poly_shift,
-                    poly_sub, row_store)
+from .hecke import cprime_normalized, iota, row_store
 from .permutations import (Perm, all_perms, codominant_of_hessenberg,
                            enumerate_hessenberg, hessenberg_edges,
                            hessenberg_of_smooth, hessenberg_to_str,
                            perm_to_str, transpositions_below)
-from .qpoly import LaurentQ
+from .qpoly import ONE_PLUS_Q, Q, LaurentQ, poly_add_scaled, poly_mul
 from .symfunc import SymmetricFunction, omega, partitions, positivity
 
 __all__ = [
@@ -143,11 +142,10 @@ def modular_relation(w: Perm, i: int, verify_limit: int = 6) -> ModularRelation:
             f"the distinguished cover {perm_to_str(z)} is singular")
     verified: bool | None = None
     if n <= verify_limit:
-        one_plus_q = LaurentQ.one() + LaurentQ.q()
-        lhs = frobenius_cprime(w).scale(one_plus_q)
+        lhs = frobenius_cprime(w).scale(ONE_PLUS_Q)
         rhs = frobenius_cprime(ws)
         if z is not None:
-            rhs = rhs + frobenius_cprime(z).scale(LaurentQ.q())
+            rhs = rhs + frobenius_cprime(z).scale(Q)
         verified = lhs == rhs
         if not verified:
             raise InternalContradictionError(
@@ -208,8 +206,8 @@ def counterexample_search(m1, general: bool = False, cache=None,
     def residual_key(m0_coeffs, a):
         out = {}
         for lam in set(target) | set(m0_coeffs):
-            diff = poly_sub(target.get(lam, ()),
-                            poly_shift(m0_coeffs.get(lam, ()), a))
+            diff = poly_add_scaled(target.get(lam, ()),
+                                   m0_coeffs.get(lam, ()), -1, a)
             if diff:
                 out[lam] = diff
         return csf_key(out)
@@ -275,8 +273,7 @@ def decompose_codominant(w: Perm, max_n: int = 6):
         sub = decompose_codominant(v, max_n=max_n)
         if sub is None:
             return None
-        one_plus_q = LaurentQ.one() + LaurentQ.q()
-        return {u: c * one_plus_q for u, c in sub.items()}
+        return {u: c * ONE_PLUS_Q for u, c in sub.items()}
     n = len(w)
     if n > max_n:
         return None
@@ -307,7 +304,7 @@ def _positive_solve(target: SymmetricFunction, n: int, node_budget: int = 200000
     def subtract(vec, other, k, shift):
         out = dict(vec)
         for lam, p in other.items():
-            cur = poly_sub(out.get(lam, ()), poly_shift(tuple(v * k for v in p), shift))
+            cur = poly_add_scaled(out.get(lam, ()), p, -k, shift)
             if cur:
                 out[lam] = cur
             else:
@@ -351,9 +348,7 @@ def _positive_solve(target: SymmetricFunction, n: int, node_budget: int = 200000
 
 def _h_vec(f: SymmetricFunction) -> dict:
     """h-basis coefficients as tuple polynomials (requires poly entries)."""
-    from .hecke import laurent_to_poly
-    return {lam: laurent_to_poly(c)
-            for lam, c in f.convert("h").coeffs.items() if c}
+    return {lam: c.poly_coeffs() for lam, c in f.convert("h").coeffs.items()}
 
 
 def verify_decomposition(w: Perm, decomposition: dict) -> bool:
@@ -462,13 +457,11 @@ def _check_momentgraph(n: int) -> Report:
 
 
 def _check_modular_law(n: int) -> Report:
-    one_plus_q = LaurentQ.one() + LaurentQ.q()
-    q = LaurentQ.q()
     triples = modular_triples(n)
     witnesses = []
     for m0, m1, m2, i in triples:
-        lhs = csf(m1).scale(one_plus_q)
-        rhs = csf(m2) + csf(m0).scale(q)
+        lhs = csf(m1).scale(ONE_PLUS_Q)
+        rhs = csf(m2) + csf(m0).scale(Q)
         if lhs != rhs:
             witnesses.append([hessenberg_to_str(m) for m in (m0, m1, m2)])
     return Report("modular-law", n, "fail" if witnesses else "pass", witnesses,
@@ -508,13 +501,12 @@ def _check_kl_selfdual(n: int) -> Report:
 
 
 def _check_unimodal(n: int) -> Report:
-    from .characters import chi_element
     witnesses = []
     checked = 0
     for w in all_perms(n):
-        b = cprime(w)
+        ch = frobenius_cprime(w)
         for lam in partitions(n):
-            props = chi_element(lam, b).props()
+            props = ch.coefficient(lam).props()
             checked += 1
             if not (props.nonnegative and props.palindromic and props.unimodal):
                 witnesses.append({"w": perm_to_str(w), "lambda": list(lam)})

@@ -1,11 +1,14 @@
 """
-Exact Laurent polynomials in a formal half-power of q, over the integers.
+Exact polynomials in q over the integers, in two representations.
 
-The coefficient ring for everything else in this package: Kazhdan-Lusztig
-polynomials, Hecke algebra coordinates, graded symmetric function
-coefficients.  Exponents are stored internally as integer multiples of 1/2,
-so ``q`` itself sits at internal exponent 2 and ``q**(1/2)`` at exponent 1.
-Coefficients are plain Python ints, so arithmetic never overflows.
+``LaurentQ`` is the API type: a Laurent polynomial in a formal half-power
+of q.  Every quantity the package compares is an integer polynomial in q
+(Kazhdan-Lusztig polynomials, the characters of B_w = q^(l(w)/2) C'_w,
+the coefficients of csf_q(G_m)); half powers appear only in the normalised
+C'_w and in the (q^(-1/2) + q^(1/2)) identity.  Exponents are stored as
+integer multiples of 1/2, so ``q`` itself sits at internal exponent 2 and
+``q**(1/2)`` at exponent 1.  Coefficients are plain Python ints, so
+arithmetic never overflows.
 
 >>> q = LaurentQ.q()
 >>> print((1 + q) * (1 + q))
@@ -14,6 +17,14 @@ Coefficients are plain Python ints, so arithmetic never overflows.
 q^(-1/2) + q^(1/2)
 >>> print((LaurentQ.q_half(-1) + LaurentQ.q_half(1)) * LaurentQ.q_half(1))
 1 + q
+
+The ``poly_*`` functions are the internal kernel: a polynomial in q is a
+plain int tuple of coefficients ascending from q^0, with no trailing
+zeros, so () is zero.  KL rows, class polynomials, character tables and
+csf coefficients are computed in this form and wrapped into LaurentQ
+(``LaurentQ.from_poly_coeffs``) only at the API boundary; the S_8
+computations walk tens of thousands of interval elements and dict-of-tuple
+rows keep that affordable.
 """
 
 from __future__ import annotations
@@ -76,6 +87,18 @@ class LaurentQ:
     def from_poly_coeffs(cls, coeffs) -> "LaurentQ":
         """Polynomial in q from a coefficient sequence, ascending from q^0."""
         return cls({2 * k: c for k, c in enumerate(coeffs)})
+
+    def poly_coeffs(self) -> tuple:
+        """Inverse of from_poly_coeffs: the tuple polynomial, () for zero.
+
+        Raises ValueError for negative or half powers of q.
+        """
+        if any(k < 0 or k & 1 for k in self._c):
+            raise ValueError("not a polynomial in q")
+        out = [0] * (max(self._c, default=-2) // 2 + 1)
+        for k, v in self._c.items():
+            out[k // 2] = v
+        return tuple(out)
 
     # -- ring structure ---------------------------------------------------
 
@@ -345,10 +368,8 @@ class PolyProps:
     unimodal: bool
 
 
-ZERO = LaurentQ.zero()
-ONE = LaurentQ.one()
 Q = LaurentQ.q()
-ONE_PLUS_Q = ONE + Q
+ONE_PLUS_Q = 1 + Q
 
 
 def q_integer(k: int) -> LaurentQ:
@@ -362,3 +383,53 @@ def q_factorial(k: int) -> LaurentQ:
     for i in range(1, k + 1):
         out = out * q_integer(i)
     return out
+
+
+# -- tuple polynomials in q (ascending coefficients, () is zero) -------------
+
+POLY_ONE = (1,)
+
+
+def poly_trim(c: list) -> tuple:
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def poly_add(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    c = list(a)
+    for i, v in enumerate(b):
+        c[i] += v
+    return poly_trim(c)
+
+
+def poly_mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    if a == POLY_ONE:
+        return b
+    if b == POLY_ONE:
+        return a
+    c = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                c[i + j] += u * v
+    return poly_trim(c)
+
+
+def poly_shift(a: tuple, k: int) -> tuple:
+    """a * q^k (k >= 0)."""
+    if not a:
+        return ()
+    return (0,) * k + a
+
+
+def poly_add_scaled(a: tuple, b: tuple, c: int, k: int) -> tuple:
+    """a + c * q^k * b (k >= 0)."""
+    out = list(a) + [0] * max(0, k + len(b) - len(a))
+    for i, v in enumerate(b):
+        out[k + i] += c * v
+    return poly_trim(out)

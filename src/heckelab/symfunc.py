@@ -320,12 +320,12 @@ class SymmetricFunction:
             self.basis, self.n, {lam: v * c for lam, v in self.coeffs.items()})
 
     def __eq__(self, other):
-        """Mathematical equality, compared in the monomial basis."""
+        """Mathematical equality, compared in the basis of self."""
         if not isinstance(other, SymmetricFunction):
             return NotImplemented
         if self.n != other.n:
             return False
-        return self.convert("m").coeffs == other.convert("m").coeffs
+        return self.coeffs == other.convert(self.basis).coeffs
 
     def __hash__(self):
         m = self.convert("m")

@@ -124,8 +124,7 @@ def test_character_table_consistency():
     table = character_table(4)
     for lam in partitions(4):
         for w in all_perms(4):
-            from heckelab.hecke import poly_to_laurent
-            assert poly_to_laurent(table[lam][w]) == chi(lam, w)
+            assert LaurentQ.from_poly_coeffs(table[lam][w]) == chi(lam, w)
 
 
 def test_character_table_cap():

@@ -149,6 +149,25 @@ def test_hessenberg(capsys):
     assert data["count"] == 14
 
 
+def test_hessenberg_rank_capped(capsys):
+    # at n = 13 the listing still fits in memory; larger n would not
+    code = main(["--no-cache", "hessenberg", "--n", "13"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: --n") and out.err.count("\n") == 1
+
+
+def test_cache_dir_made_only_by_counterexample(tmp_path, capsys,
+                                               monkeypatch):
+    cache_dir = tmp_path / "c"
+    _fresh_memos(monkeypatch)
+    assert main(["--cache-dir", str(cache_dir), "kl", "--w", "321"]) == 0
+    assert not cache_dir.exists()
+    assert main(["--cache-dir", str(cache_dir),
+                 "counterexample", "--m", "2,3,3"]) == 0
+    assert (cache_dir / "csf-n3.json").exists()
+
+
 def test_bad_inputs_exit_2(capsys):
     code, _ = run(capsys, "kl", "--w", "1123")
     assert code == 2

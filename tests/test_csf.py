@@ -89,9 +89,8 @@ def test_batch_and_index(tmp_path):
     batch = csf_batch(4, cache=cache)
     assert len(batch) == 14
     for m, coeffs in batch.items():
-        from heckelab.hecke import poly_to_laurent
-        assert SymmetricFunction(
-            "m", 4, {lam: poly_to_laurent(p) for lam, p in coeffs.items()}) \
+        assert SymmetricFunction("m", 4, {
+            lam: LaurentQ.from_poly_coeffs(p) for lam, p in coeffs.items()}) \
             == csf(m)
     # reload through the disk cache
     clear_batch_cache(4)

@@ -4,7 +4,7 @@ import pytest
 
 from heckelab.hecke import (HeckeElement, cprime, cprime_normalized,
                             cprime_times_cs, hecke_multiply, iota, kl_table,
-                            kl_polynomial, mu, poly_to_laurent, row_store)
+                            kl_polynomial, mu, row_store)
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
                                    simple_reflection)
 from heckelab.qpoly import LaurentQ

@@ -1,6 +1,10 @@
 import random
 
-from heckelab.qpoly import LaurentQ, q_factorial, q_integer
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from heckelab.qpoly import (LaurentQ, poly_add, poly_add_scaled, poly_mul,
+                            poly_shift, poly_trim, q_factorial, q_integer)
 
 Q = LaurentQ.q()
 ONE = LaurentQ.one()
@@ -95,3 +99,79 @@ def test_evaluate_and_specialize():
     assert a.evaluate(2) == 13
     assert a.at_q1() == 4
     assert (Q - 1).at_q1() == 0
+
+
+# -- the tuple kernel, differentially against LaurentQ ------------------------
+
+seeded = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=100)
+# coefficient lists, possibly with trailing zeros, and canonical tuples
+raw = st.lists(st.integers(-12, 12), max_size=7)
+polys = raw.map(lambda c: poly_trim(list(c)))
+shifts = st.integers(0, 4)
+laurents = st.dictionaries(st.integers(-9, 9),
+                           st.integers(-150, 150)).map(LaurentQ)
+
+
+def as_laurent(a: tuple) -> LaurentQ:
+    assert not a or a[-1] != 0, a  # the kernel keeps tuples trimmed
+    return LaurentQ.from_poly_coeffs(a)
+
+
+@seeded
+@given(polys, polys)
+def test_poly_add_matches_laurent(a, b):
+    assert as_laurent(poly_add(a, b)) == as_laurent(a) + as_laurent(b)
+
+
+@seeded
+@given(polys, polys, st.integers(-5, 5), shifts)
+@example((), (), -3, 2)
+@example((1, 2), (), -1, 4)
+@example((), (1, 2), -1, 2)
+@example((0, 0, 1), (1,), -1, 2)
+def test_poly_add_scaled_matches_laurent(a, b, c, k):
+    got = poly_add_scaled(a, b, c, k)
+    assert as_laurent(got) == as_laurent(a) + c * Q ** k * as_laurent(b)
+
+
+@seeded
+@given(polys, polys)
+def test_poly_mul_matches_laurent(a, b):
+    assert as_laurent(poly_mul(a, b)) == as_laurent(a) * as_laurent(b)
+
+
+@seeded
+@given(polys, shifts)
+def test_poly_shift_matches_laurent(a, k):
+    assert as_laurent(poly_shift(a, k)) == as_laurent(a) * Q ** k
+
+
+@seeded
+@given(raw)
+@example([])
+@example([0, 0])
+@example([1, 0, 2, 0])
+def test_poly_coeffs_round_trip(c):
+    f = LaurentQ.from_poly_coeffs(c)
+    assert f.poly_coeffs() == poly_trim(list(c))
+    assert LaurentQ.from_poly_coeffs(f.poly_coeffs()) == f
+
+
+@seeded
+@given(laurents)
+@example(LaurentQ.q_half(1))
+@example(LaurentQ.q(-1))
+@example(1 + LaurentQ.q_half(3))
+def test_poly_coeffs_rejects_half_and_negative_powers(f):
+    if any(k < 0 or k % 2 for k, _ in f.items()):
+        with pytest.raises(ValueError):
+            f.poly_coeffs()
+    else:
+        assert LaurentQ.from_poly_coeffs(f.poly_coeffs()) == f
+
+
+@seeded
+@given(laurents)
+def test_parse_inverts_str(f):
+    assert LaurentQ.parse(str(f)) == f
