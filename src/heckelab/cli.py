@@ -27,6 +27,8 @@ from .qpoly import LaurentQ
 
 # hessenberg lists all Catalan(n) functions: 208 012 at n = 12
 MAX_HESSENBERG_N = 12
+# counterexample builds the csf of all Catalan(n) functions: 16 796 at n = 10
+MAX_SEARCH_N = 10
 
 
 class InputError(ValueError):
@@ -194,7 +196,13 @@ def _cmd_modular(args, fmt) -> int:
 
 def _cmd_counterexample(args, fmt) -> int:
     m = _parse_m(args.m)
-    cache = None if args.no_cache else Cache(args.cache_dir)
+    if len(m) > MAX_SEARCH_N:
+        raise InputError(f"--m must have rank at most {MAX_SEARCH_N}")
+    try:
+        cache = None if args.no_cache else Cache(args.cache_dir)
+    except OSError as exc:
+        raise InputError(f"cannot use --cache-dir {args.cache_dir!r}: "
+                         f"{exc.strerror or exc}") from exc
     result = counterexample_search(m, general=args.general, cache=cache,
                                    threads=args.threads)
     if fmt == "json":

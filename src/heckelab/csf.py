@@ -14,12 +14,20 @@ The production path enumerates ordered independent-set partitions with a
 subset-mask dynamic program (the class of color c only interacts with the
 still-uncolored vertices); the oracle enumerates all n^n colorings and is
 deliberately independent of that machinery.
+
+Inside the DP a q-polynomial is packed into one int (Kronecker
+substitution): the coefficient of q^i sits in bits [i*B, (i+1)*B) with
+B = n!.bit_length(), so shifting by q^w and adding is `acc += sub << B*w`.
+Slots never carry: a packed value counts proper colorings of a k-vertex
+subset, so each coefficient is at most k! <= n! < 2^B.  Packed ints never
+leave `_csf_coeffs`, which returns tuple polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import factorial
 
 from .cache import int_poly
 from .permutations import (enumerate_hessenberg, hessenberg_edges,
@@ -80,46 +88,60 @@ def _independent_by_size(up: list[int], n: int) -> dict[int, list[int]]:
     return by_size
 
 
-def _dp_coefficient(lam, up, indep_by_size, full) -> tuple:
-    """q-weight of proper colorings with class sizes exactly lam."""
-    memo = {0: (1,)}
-    parts = tuple(lam)
-
-    def solve(remaining: int, j: int) -> tuple:
-        got = memo.get(remaining)
-        if got is not None:
-            return got
-        acc = ()
-        for block in indep_by_size[parts[j]]:
-            if block & remaining == block:
-                rest = remaining & ~block
-                sub = solve(rest, j + 1)
-                if sub:
-                    weight = 0
-                    b = block
-                    while b:
-                        v = (b & -b).bit_length() - 1
-                        weight += (up[v] & rest).bit_count()
-                        b &= b - 1
-                    acc = poly_add(acc, poly_shift(sub, weight))
-        memo[remaining] = acc
-        return acc
-
-    return solve(full, 0)
-
-
 def _csf_coeffs(m) -> dict[tuple, tuple]:
-    """Monomial coefficients of csf_q(G_m) as tuple polynomials."""
+    """Monomial coefficients of csf_q(G_m) as tuple polynomials.
+
+    solve(remaining, parts) is the packed q-weight of the proper colorings
+    of the vertex set `remaining` whose classes, in increasing color order,
+    have sizes `parts`.  Parts stay in decreasing order, so partitions that
+    share a tail share memo entries.
+    """
     m = tuple(m)
     n = len(m)
     up = _upward_masks(m)
-    indep = _independent_by_size(up, n)
+    by_size = _independent_by_size(up, n)
+    independent = {b for blocks in by_size.values() for b in blocks}
+    ups = {b: [up[v] for v in range(n) if b >> v & 1] for b in independent}
+    width = factorial(n).bit_length()  # B in the module docstring
+    memo = {}
+
+    def solve(remaining: int, parts: tuple) -> int:
+        key = (remaining, parts)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        acc = 0
+        tail = parts[1:]
+        last = len(tail) == 1
+        for block in by_size[parts[0]]:
+            if block & remaining == block:
+                rest = remaining ^ block
+                if last:  # the final class is all of rest, with weight 0
+                    if rest not in independent:
+                        continue
+                    sub = 1
+                else:
+                    sub = solve(rest, tail)
+                    if not sub:
+                        continue
+                weight = 0
+                for u in ups[block]:
+                    weight += (u & rest).bit_count()
+                acc += sub << width * weight
+        memo[key] = acc
+        return acc
+
     full = (1 << n) - 1
+    slot = (1 << width) - 1
     out = {}
     for lam in partitions(n):
-        poly = _dp_coefficient(lam, up, indep, full)
-        if poly:
-            out[lam] = poly
+        packed = solve(full, lam) if len(lam) > 1 else int(full in independent)
+        coeffs = []
+        while packed:
+            coeffs.append(packed & slot)
+            packed >>= width
+        if coeffs:
+            out[lam] = tuple(coeffs)
     return out
 
 

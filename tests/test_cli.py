@@ -168,6 +168,26 @@ def test_cache_dir_made_only_by_counterexample(tmp_path, capsys,
     assert (cache_dir / "csf-n3.json").exists()
 
 
+def test_counterexample_rank_capped(capsys):
+    # a batch at rank 11 would build the csf of 58 786 functions
+    code = main(["--no-cache", "counterexample",
+                 "--m", "2,3,4,5,6,7,8,9,10,11,11"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: --m") and out.err.count("\n") == 1
+
+
+def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    _fresh_memos(monkeypatch)
+    path = tmp_path / "f"
+    path.write_text("")
+    code = main(["--cache-dir", str(path), "counterexample", "--m", "2,3,3"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
+
+
 def test_bad_inputs_exit_2(capsys):
     code, _ = run(capsys, "kl", "--w", "1123")
     assert code == 2

@@ -1,11 +1,17 @@
+import hashlib
+import json
+from math import factorial, prod
+
 import pytest
 
 from heckelab.csf import (IndifferenceGraph, csf, csf_batch, csf_index,
                           csf_key, csf_oracle, edge_count, indifference_graph)
 from heckelab.permutations import (Perm, codominant_of_hessenberg,
-                                   enumerate_hessenberg, parse_perm)
+                                   enumerate_hessenberg, hessenberg_to_str,
+                                   parse_perm)
 from heckelab.qpoly import LaurentQ, q_factorial
-from heckelab.symfunc import SymmetricFunction, q_factorial_partition
+from heckelab.symfunc import (SymmetricFunction, partitions,
+                              q_factorial_partition)
 
 Q = LaurentQ.q()
 
@@ -52,7 +58,7 @@ def test_csf_oracle_examples():
         csf_oracle((1,) + tuple(range(2, 8)))  # n = 7 beyond the oracle cap
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_csf_matches_oracle_exhaustive(n):
     for m in enumerate_hessenberg(n):
         assert csf(m) == csf_oracle(m), m
@@ -66,10 +72,9 @@ def test_csf_top_degree_and_constant_term():
         assert any(c.coefficient_q(0) for c in f.coeffs.values())
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
 def test_disjoint_cliques_factorial(n):
     # build the clique Hessenberg function for each partition of n
-    from heckelab.symfunc import partitions
     for lam in partitions(n):
         m = []
         start = 1
@@ -80,6 +85,36 @@ def test_disjoint_cliques_factorial(n):
         expected = SymmetricFunction.basis_element("e", lam).scale(
             q_factorial_partition(lam))
         assert csf(m) == expected, lam
+
+
+def test_empty_graph_multinomials():
+    # no edges: every coloring is proper and has no ascent, so m_lambda
+    # counts the ordered set partitions of shape lambda; at lambda = 1^10
+    # that is 10!, the largest value a slot of the packed DP ever holds
+    n = 10
+    f = csf(tuple(range(1, n + 1)))
+    assert f.coeffs == {
+        lam: LaurentQ.integer(factorial(n) // prod(map(factorial, lam)))
+        for lam in partitions(n)}
+    assert f.coeffs[(1,) * n] == LaurentQ.integer(3628800)
+
+
+# sha256 of the canonical JSON of csf_batch(7): pins all 429 functions,
+# beyond the reach of the n <= 6 coloring oracle
+BATCH7_SHA256 = \
+    "87676eff0b29acd94e0f8c3af22a48c2eb91581d6ccb3c39b8054621d92f8d4e"
+
+
+def test_batch7_golden_digest():
+    from heckelab.csf import clear_batch_cache
+    clear_batch_cache(7)
+    batch = csf_batch(7)
+    assert len(batch) == 429
+    canon = {hessenberg_to_str(m): {",".join(map(str, lam)): list(p)
+                                    for lam, p in coeffs.items()}
+             for m, coeffs in batch.items()}
+    text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == BATCH7_SHA256
 
 
 def test_batch_and_index(tmp_path):
@@ -105,9 +140,11 @@ def test_batch_and_index(tmp_path):
 
 
 def test_batch_threads_small():
+    # 42 functions at n = 5: three pool chunks of 16
     from heckelab.csf import clear_batch_cache
-    clear_batch_cache(3)
-    parallel = csf_batch(3, threads=2)
-    clear_batch_cache(3)
-    serial = csf_batch(3)
+    clear_batch_cache(5)
+    parallel = csf_batch(5, threads=2)
+    clear_batch_cache(5)
+    serial = csf_batch(5)
+    assert len(serial) == 42
     assert parallel == serial
