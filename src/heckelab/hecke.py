@@ -12,15 +12,25 @@ Conventions:
   properties (self-duality under the bar involution, degree bounds) in the
   test suite.
 
-Rows hold the tuple polynomials of heckelab.qpoly and are wrapped into
-LaurentQ only at the API boundary.
+Inside ``KLRowStore`` every permutation is an int index and each P_{z,y}
+is one packed int (Kronecker substitution, as in heckelab.csf): the
+coefficient of q^k sits in bits [k*B, (k+1)*B) with B = n(n-1)/2 + 2, so
+q*p is ``p << B`` and a mu-correction is one multiply and subtract.
+Packing is evaluation at q = 2^B, a ring homomorphism, so every sum, shift
+and subtraction of the recursion is exact whatever the signs of the
+intermediate values.  Only decoding needs a bound: every final coefficient
+must lie in [0, 2^B).  KL positivity gives P >= 0, and each coefficient of
+a row of length l is at most twice the largest of the row of length l - 1
+it is built from (the mu-corrections only subtract), so
+P_{z,y} <= 2^(l(y)) <= 2^(B-2) coefficientwise.  Packed ints never leave
+the store: ``KLRowStore.row`` returns tuple polynomials of heckelab.qpoly,
+which are wrapped into LaurentQ only at the API boundary.
 """
 
 from __future__ import annotations
 
 from .permutations import Perm, bruhat_leq, perm_to_str
-from .qpoly import (POLY_ONE, LaurentQ, poly_add, poly_add_scaled,
-                    poly_shift)
+from .qpoly import LaurentQ
 
 __all__ = [
     "HeckeElement", "hecke_multiply", "iota",
@@ -181,84 +191,122 @@ def iota(a: HeckeElement) -> HeckeElement:
 class KLRowStore:
     """Per-rank memo of the rows B_y = sum_z P_{z,y} T_z, keyed by y.
 
-    Rows are dicts Perm -> int tuple and are computed lazily by the
-    C'_{ys} C'_s recursion, pulling in exactly the rows the corrections
-    need.
+    Rows are computed lazily by the C'_{ys} C'_s recursion, pulling in
+    exactly the rows the corrections need.  Each permutation the store
+    meets is interned to an int index with its length and, once first
+    needed, its right neighbours u*s_i; rows are built as dicts of index ->
+    packed int (see the module docstring) and decoded to dicts
+    Perm -> int tuple on the first `row` request.
     """
 
     def __init__(self, n: int):
         self.n = n
+        self._width = n * (n - 1) // 2 + 2
+        self._perms: list[Perm] = []
+        self._index: dict[Perm, int] = {}
+        self._lengths: list[int] = []
+        # _right[i - 1][u] is the index of u*s_i, -1 until first needed
+        self._right: list[list[int]] = [[] for _ in range(n - 1)]
+        self._packed: dict[int, dict[int, int]] = {}
         self._rows: dict[Perm, dict] = {}
-        self._lengths: dict[Perm, int] = {}
-        self._perms: dict[tuple, Perm] = {}
-        e = Perm.identity(n)
-        e = self._intern(e)
-        self._rows[e] = {e: POLY_ONE}
-        self._lengths[e] = 0
-        self.identity = e
+        e = self._intern(Perm.identity(n), 0)
+        self._packed[e] = {e: 1}
 
-    def _intern(self, w: Perm) -> Perm:
-        got = self._perms.get(w)
-        if got is None:
-            self._perms[w] = w
-            return w
-        return got
+    def _intern(self, w: Perm, length: int) -> int:
+        k = len(self._perms)
+        self._index[w] = k
+        self._perms.append(w)
+        self._lengths.append(length)
+        for right in self._right:
+            right.append(-1)
+        return k
+
+    def _index_of(self, w: Perm) -> int:
+        k = self._index.get(w)
+        return self._intern(w, w.length()) if k is None else k
+
+    def _times_simple(self, u: int, i: int) -> int:
+        """Index of u*s_i, linked both ways on first use."""
+        w = self._perms[u]
+        ws = w.times_simple(i)
+        k = self._index.get(ws)
+        if k is None:
+            k = self._intern(ws, self._lengths[u]
+                             + (1 if w[i - 1] < w[i] else -1))
+        right = self._right[i - 1]
+        right[u] = k
+        right[k] = u
+        return k
 
     def length(self, w: Perm) -> int:
-        got = self._lengths.get(w)
-        if got is None:
-            got = w.length()
-            self._lengths[w] = got
-        return got
+        return self._lengths[self._index_of(w)]
 
     def row(self, y: Perm) -> dict:
         """The full row {z: P_{z,y} as tuple} over z <= y."""
-        y = self._intern(y)
         got = self._rows.get(y)
         if got is None:
-            got = self._build_row(y)
+            packed = self._packed_row(self._index_of(y))
+            perms, width = self._perms, self._width
+            mask = (1 << width) - 1
+            polys: dict[int, tuple] = {}
+            got = {}
+            for z, p in packed.items():
+                poly = polys.get(p)
+                if poly is None:
+                    if p < 0:
+                        raise AssertionError(
+                            f"negative KL coefficient in row {perm_to_str(y)}")
+                    coeffs, rest = [], p
+                    while rest:
+                        coeffs.append(rest & mask)
+                        rest >>= width
+                    poly = polys[p] = tuple(coeffs)
+                got[perms[z]] = poly
+            self._rows[y] = got
         return got
 
-    def _build_row(self, y: Perm) -> dict:
-        i = y.descents()[0]
-        yp = self._intern(y.times_simple(i))
-        rowp = self.row(yp)
-        ly = self.length(yp) + 1
-        self._lengths.setdefault(y, ly)
+    def _packed_row(self, y: int) -> dict:
+        got = self._packed.get(y)
+        if got is not None:
+            return got
+        w = self._perms[y]
+        i = w.descents()[0]
+        right = self._right[i - 1]
+        yp = right[y]
+        if yp < 0:
+            yp = self._times_simple(y, i)
+        rowp = self._packed_row(yp)
+        lengths, width = self._lengths, self._width
+        mask = (1 << width) - 1
+        ly = lengths[y]
 
-        out: dict[Perm, tuple] = {}
+        out: dict[int, int] = {}
+        get = out.get
         corrections = []
         for u, p in rowp.items():
-            us = self._intern(u.times_simple(i))
-            if u[i - 1] > u[i]:  # us < u: factor q, and u may carry a mu term
-                qp = poly_shift(p, 1)
-                prev = out.get(u)
-                out[u] = qp if prev is None else poly_add(prev, qp)
-                prev = out.get(us)
-                out[us] = qp if prev is None else poly_add(prev, qp)
-                gap = ly - 1 - self.length(u)
+            us = right[u]
+            if us < 0:
+                us = self._times_simple(u, i)
+            lu = lengths[u]
+            if lengths[us] < lu:  # us < u: factor q, and u may carry a mu term
+                gap = ly - 1 - lu
                 if gap & 1:
-                    k = (gap - 1) >> 1
-                    if k < len(p) and p[k]:
-                        corrections.append((u, p[k], (ly - self.length(u)) >> 1))
-            else:
-                prev = out.get(u)
-                out[u] = p if prev is None else poly_add(prev, p)
-                prev = out.get(us)
-                out[us] = p if prev is None else poly_add(prev, p)
+                    mu_val = p >> width * (gap >> 1) & mask
+                    if mu_val:
+                        corrections.append(
+                            (u, mu_val << width * ((gap + 1) >> 1)))
+                p <<= width
+            out[u] = get(u, 0) + p
+            out[us] = get(us, 0) + p
 
-        for u, mu_val, shift in corrections:
-            for z, pz in self.row(u).items():
-                cur = poly_add_scaled(out.get(z, ()), pz, -mu_val, shift)
-                if cur:
-                    out[z] = cur
-                else:
-                    out.pop(z, None)
+        for u, c in corrections:
+            for z, pz in self._packed_row(u).items():
+                out[z] = get(z, 0) - pz * c
 
-        if out.get(y) != POLY_ONE:
+        if out.get(y) != 1:
             raise AssertionError(
-                f"KL recursion failed at {perm_to_str(y)}: P_ww != 1")
-        self._rows[y] = out
+                f"KL recursion failed at {perm_to_str(w)}: P_ww != 1")
+        self._packed[y] = out
         return out
 
 

@@ -61,13 +61,13 @@ class Perm(tuple):
         """(self * other)(i) = self(other(i))."""
         if len(self) != len(other):
             raise ValueError("size mismatch")
-        return Perm(self[v - 1] for v in other)
+        return _trusted(self[v - 1] for v in other)
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self)
         for i, v in enumerate(self):
             inv[v - 1] = i + 1
-        return Perm(inv)
+        return _trusted(inv)
 
     def length(self) -> int:
         """Number of inversion pairs i < j with w(i) > w(j)."""
@@ -88,13 +88,13 @@ class Perm(tuple):
         """w * s_i: swap positions i, i+1 (1-based i < n)."""
         w = list(self)
         w[i - 1], w[i] = w[i], w[i - 1]
-        return Perm(w)
+        return _trusted(w)
 
     def times_transposition(self, i: int, j: int) -> "Perm":
         """w * (i j): swap positions i and j."""
         w = list(self)
         w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-        return Perm(w)
+        return _trusted(w)
 
     def descents(self) -> list[int]:
         """Positions i with w(i) > w(i+1)."""
@@ -173,6 +173,11 @@ class Perm(tuple):
 
     def __repr__(self):
         return f"Perm({perm_to_str(self)!r})"
+
+
+def _trusted(word) -> Perm:
+    """A Perm from a word that is a permutation by construction, unchecked."""
+    return tuple.__new__(Perm, word)
 
 
 def simple_reflection(i: int, n: int) -> Perm:
@@ -348,7 +353,7 @@ def all_perms(n: int):
     """All permutations of [n], lexicographic order."""
     from itertools import permutations as _p
     for word in _p(range(1, n + 1)):
-        yield Perm(word)
+        yield _trusted(word)
 
 
 # -- serialization ----------------------------------------------------------

@@ -1,13 +1,18 @@
+import contextlib
+import hashlib
+import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from heckelab.cli import main
 from heckelab.hecke import (HeckeElement, cprime, cprime_normalized,
                             cprime_times_cs, hecke_multiply, iota, kl_table,
                             kl_polynomial, mu, row_store)
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
                                    simple_reflection)
-from heckelab.qpoly import LaurentQ
+from heckelab.qpoly import LaurentQ, poly_add_scaled, poly_mul
 
 Q = LaurentQ.q()
 E3 = Perm.identity(3)
@@ -134,6 +139,56 @@ def test_kl_row_support_is_interval():
         support = set(store.row(w))
         for z in perms:
             assert (z in support) == bruhat_leq(z, w), (z, w)
+
+
+def test_kl_inversion_formula_s5():
+    # sum_z (-1)^(l(x)+l(z)) P_{x,z} P_{w0 w, w0 z} = delta_{x,w}: a relation
+    # between rows that the recursion building them does not use
+    n = 5
+    store = row_store(n)
+    w0 = Perm(range(n, 0, -1))
+    for w in all_perms(n):
+        acc = {}
+        for z in store.row(w):
+            dual = store.row(w0 * z)[w0 * w]
+            for x, p in store.row(z).items():
+                sign = -1 if (x.length() + z.length()) & 1 else 1
+                acc[x] = poly_add_scaled(acc.get(x, ()), poly_mul(p, dual),
+                                         sign, 0)
+        assert {x: p for x, p in acc.items() if p} == {w: (1,)}, w
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(st.sampled_from([7, 8]).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(Perm))
+def test_kl_row_properties_s7_s8(w):
+    row = row_store(len(w)).row(w)
+    assert row[w] == (1,)
+    lw = w.length()
+    for z, p in row.items():
+        assert p[0] == 1 and min(p) >= 0, (z, p)
+        if z != w:
+            assert 2 * (len(p) - 1) < lw - z.length(), (z, p)
+    assert set(row) == {z for z in all_perms(len(w)) if bruhat_leq(z, w)}
+
+
+# sha256 of `hecke-lab --format json kl --w <w>` stdout, recorded from the
+# row store that built rows of tuple polynomials keyed by Perm
+KL_JSON_SHA256 = {
+    "87654321":
+        "8463083f1b346cc1b13388ba02aa5326a0ce44a8c2247d6c724775c49fdd1a02",
+    "62754381":
+        "e4474580f1e337b5e3733bd81d70d1037b4dd4bd582e800cad5e8257e1d53a59",
+}
+
+
+@pytest.mark.parametrize("w", sorted(KL_JSON_SHA256))
+def test_kl_json_golden_digest(w):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["--no-cache", "--format", "json", "kl", "--w", w])
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == KL_JSON_SHA256[w]
 
 
 def test_mu():

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from heckelab.characters import frobenius_cprime
@@ -8,7 +10,8 @@ from heckelab.lab import (InternalContradictionError, MomentGraph,
                           modular_relation, modular_triples, moment_graph,
                           smooth_perms, smooth_reduce, verify_decomposition)
 from heckelab.permutations import (NotSmoothError, Perm, all_perms,
-                                   enumerate_hessenberg, parse_perm)
+                                   enumerate_hessenberg, hessenberg_to_str,
+                                   parse_perm)
 from heckelab.qpoly import LaurentQ
 from heckelab.symfunc import omega
 
@@ -86,6 +89,19 @@ def test_modular_triples():
         lhs = csf(m1).scale(1 + Q)
         rhs = csf(m2) + csf(m0).scale(Q)
         assert lhs == rhs, (m0, m1, m2)
+
+
+def test_modular_law_check_reports_a_broken_triple(monkeypatch):
+    csf_module = importlib.import_module("heckelab.csf")
+    batch = dict(csf_module.csf_batch(4))
+    m0, m1, m2, _ = modular_triples(4)[0]
+    broken = dict(batch[m1])
+    lam = max(broken)
+    broken[lam] = broken[lam] + (1,)
+    monkeypatch.setattr(csf_module, "_batches", {4: {**batch, m1: broken}})
+    (rep,) = check_suite(4, ["modular-law"])
+    assert rep.status == "fail"
+    assert [hessenberg_to_str(m) for m in (m0, m1, m2)] in rep.witnesses
 
 
 def test_counterexample_positive_control():

@@ -47,6 +47,14 @@ def coessential_scan(w):
         if wv(i) <= j < wv(i + 1) and iv(j) <= i < iv(j + 1))
 
 
+def test_perm_rejects_non_permutations():
+    for word in ((1, 1, 2), (0, 1), (2, 3)):
+        with pytest.raises(ValueError):
+            Perm(word)
+    with pytest.raises(ValueError):
+        parse_perm("112")
+
+
 def test_length_examples():
     assert Perm.identity(5).length() == 0
     w = parse_perm("245361")
