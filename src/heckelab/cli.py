@@ -25,7 +25,8 @@ from .permutations import (NotSmoothError, Perm, hessenberg_to_str,
 from .qpoly import LaurentQ
 
 
-# hessenberg lists all Catalan(n) functions: 208 012 at n = 12
+# hessenberg lists all Catalan(n) functions: 208 012 at n = 12; the csf
+# of one function of rank 12 takes under a second
 MAX_HESSENBERG_N = 12
 # counterexample builds the csf of all Catalan(n) functions: 16 796 at n = 10
 MAX_SEARCH_N = 10
@@ -144,6 +145,8 @@ def _cmd_ch(args, fmt) -> int:
 
 def _cmd_csf(args, fmt) -> int:
     m = _parse_m(args.m)
+    if len(m) > MAX_HESSENBERG_N:
+        raise InputError(f"--m must have rank at most {MAX_HESSENBERG_N}")
     f = csf(m).convert(args.basis)
     _emit(_symfunc_out(f, fmt), fmt)
     return 0

@@ -10,17 +10,28 @@ so the monomial-basis coefficient of m_lambda is the weight of the proper
 colorings whose color classes, in increasing color order, have sizes
 exactly lambda_1, lambda_2, ...
 
-The production path enumerates ordered independent-set partitions with a
-subset-mask dynamic program (the class of color c only interacts with the
-still-uncolored vertices); the oracle enumerates all n^n colorings and is
-deliberately independent of that machinery.
+The production path is a dynamic program over color classes.  Coloring
+G_h in increasing color order, the first class B is an independent set,
+and an edge i < j between B and the rest is an ascent exactly when i is
+in B; so B weighs sum over v in B of h(v) - v, and the rest V - B is
+left to color with the later classes.  That subproblem depends only on
+(h', later class sizes), so one memo serves a whole batch, because
+- the subgraph of G_h induced on v_1 < ... < v_r is G_h' for the induced
+  Hessenberg function h'(t) = #{u in V - B : u <= h(v_t)}: v_t < v_s is
+  an edge exactly when v_s <= h(v_t), that is s <= h'(t);
+- asc compares colors along the vertex order only, which relabelling
+  v_1 < ... < v_r as 1 < ... < r keeps.
+The oracle enumerates all n^n colorings and is deliberately independent
+of that machinery.
 
 Inside the DP a q-polynomial is packed into one int (Kronecker
 substitution): the coefficient of q^i sits in bits [i*B, (i+1)*B) with
-B = n!.bit_length(), so shifting by q^w and adding is `acc += sub << B*w`.
-Slots never carry: a packed value counts proper colorings of a k-vertex
-subset, so each coefficient is at most k! <= n! < 2^B.  Packed ints never
-leave `_csf_coeffs`, which returns tuple polynomials.
+B = n!.bit_length() for the rank n of the call, so shifting by q^w and
+adding is `acc += sub << B*w`.  Slots never carry: a value at any rank
+k <= n counts proper colorings of k vertices with given class sizes, so
+each coefficient is at most k! <= n! < 2^B, and one B serves every memo
+entry of the call.  Packed ints never leave `_csf_coeffs`, which returns
+tuple polynomials.
 """
 
 from __future__ import annotations
@@ -63,85 +74,74 @@ def edge_count(m) -> int:
     return sum(v - i for i, v in enumerate(m, start=1))
 
 
-def _upward_masks(m) -> list[int]:
-    """up[v] = bitmask of neighbors of v+1 above it (0-based vertex bits)."""
-    up = [0] * len(m)
-    for i, j in hessenberg_edges(m):
-        up[i - 1] |= 1 << (j - 1)
-    return up
+def _blocks(h: tuple, size: int = 0) -> list[tuple]:
+    """(size, ascent weight into the rest, induced function of the rest) for
+    every nonempty independent vertex set of G_h of the given size (of
+    every size when size is 0)."""
+    k = len(h)
+    full = (1 << k) - 1
+    lows = [(1 << x, (1 << h[x]) - 1) for x in range(k)]
+    out = []
+    stack = [(0, 0, 0, 0)]  # (block, its size, its weight, first free vertex)
+    while stack:
+        block, count, weight, start = stack.pop()
+        count += 1
+        for v in range(start, k - max(size - count, 0)):
+            # bit v is vertex v + 1: its h[v] - v - 1 upper neighbours all
+            # lie outside the block, and bit h[v] is the next one free of them
+            w = weight + h[v] - v - 1
+            grown = block | 1 << v
+            if count == size or not size:
+                rest = full ^ grown
+                out.append((count, w, tuple([(rest & low).bit_count()
+                                             for bit, low in lows
+                                             if rest & bit])))
+            if count != size:
+                stack.append((grown, count, w, h[v]))
+    return out
 
 
-def _independent_by_size(up: list[int], n: int) -> dict[int, list[int]]:
-    """All independent vertex subsets, as masks grouped by size."""
-    by_size: dict[int, list[int]] = {k: [] for k in range(1, n + 1)}
+def _total(blocks, tail: tuple, memo: dict, width: int) -> int:
+    """Packed q-weight of the proper colorings whose first class is one of
+    `blocks` and whose later classes, in increasing color order, have sizes
+    `tail`.  memo[tail][h] is that weight over all first classes of G_h."""
+    known = memo.setdefault(tail, {})
+    acc = 0
+    for _, weight, rest in blocks:
+        sub = known.get(rest)
+        if sub is None:
+            sub = known[rest] = _total(_blocks(rest, tail[0]), tail[1:],
+                                       memo, width)
+        if sub:
+            acc += sub << width * weight
+    return acc
 
-    def extend(mask, size, start, forbidden):
-        if size:
-            by_size[size].append(mask)
-        for v in range(start, n):
-            bit = 1 << v
-            if forbidden & bit:
-                continue
-            extend(mask | bit, size + 1, v + 1, forbidden | up[v])
 
-    extend(0, 0, 0, 0)
-    return by_size
+def _csf_coeffs(ms) -> dict:
+    """{m: monomial coefficients of csf_q(G_m) as tuple polynomials} for
+    Hessenberg functions ms of one rank, in the order given.
 
-
-def _csf_coeffs(m) -> dict[tuple, tuple]:
-    """Monomial coefficients of csf_q(G_m) as tuple polynomials.
-
-    solve(remaining, parts) is the packed q-weight of the proper colorings
-    of the vertex set `remaining` whose classes, in increasing color order,
-    have sizes `parts`.  Parts stay in decreasing order, so partitions that
-    share a tail share memo entries.
+    One memo, of functions below the top rank, serves every function and
+    partition of the call.  The blocks of each top-rank m are listed once
+    and reused for all its partitions.
     """
-    m = tuple(m)
-    n = len(m)
-    up = _upward_masks(m)
-    by_size = _independent_by_size(up, n)
-    independent = {b for blocks in by_size.values() for b in blocks}
-    ups = {b: [up[v] for v in range(n) if b >> v & 1] for b in independent}
-    width = factorial(n).bit_length()  # B in the module docstring
-    memo = {}
-
-    def solve(remaining: int, parts: tuple) -> int:
-        key = (remaining, parts)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = 0
-        tail = parts[1:]
-        last = len(tail) == 1
-        for block in by_size[parts[0]]:
-            if block & remaining == block:
-                rest = remaining ^ block
-                if last:  # the final class is all of rest, with weight 0
-                    if rest not in independent:
-                        continue
-                    sub = 1
-                else:
-                    sub = solve(rest, tail)
-                    if not sub:
-                        continue
-                weight = 0
-                for u in ups[block]:
-                    weight += (u & rest).bit_count()
-                acc += sub << width * weight
-        memo[key] = acc
-        return acc
-
-    full = (1 << n) - 1
+    width = factorial(len(ms[0])).bit_length()  # B in the module docstring
     slot = (1 << width) - 1
+    memo = {(): {(): 1}}  # the empty graph has one coloring with no class
     out = {}
-    for lam in partitions(n):
-        packed = solve(full, lam) if len(lam) > 1 else int(full in independent)
-        coeffs = []
-        while packed:
-            coeffs.append(packed & slot)
-            packed >>= width
-        if coeffs:
-            out[lam] = tuple(coeffs)
+    for m in ms:
+        by_size: dict[int, list] = {}
+        for block in _blocks(m):
+            by_size.setdefault(block[0], []).append(block)
+        coeffs = out[m] = {}
+        for lam in partitions(len(m)):
+            packed = _total(by_size.get(lam[0], ()), lam[1:], memo, width)
+            poly = []
+            while packed:
+                poly.append(packed & slot)
+                packed >>= width
+            if poly:
+                coeffs[lam] = tuple(poly)
     return out
 
 
@@ -151,7 +151,7 @@ def csf(m) -> SymmetricFunction:
     if not is_hessenberg(m):
         raise ValueError(f"not a Hessenberg function: {m}")
     coeffs = {lam: LaurentQ.from_poly_coeffs(p)
-              for lam, p in _csf_coeffs(m).items()}
+              for lam, p in _csf_coeffs([m])[m].items()}
     return SymmetricFunction("m", len(m), coeffs)
 
 
@@ -200,10 +200,6 @@ def clear_batch_cache(n: int | None = None) -> None:
         _batches.pop(n, None)
 
 
-def _batch_worker(m):
-    return m, _csf_coeffs(m)
-
-
 def _batch_from_payload(n: int, ms: list, data):
     """The batch held by a csf cache payload, or None unless the payload
     holds one entry {"m", "csf": {lambda |- n: int list}} per function."""
@@ -240,13 +236,16 @@ def csf_batch(n: int, cache=None, threads: int = 1) -> dict:
             _batches[n] = batch
             return batch
 
-    if threads > 1:
+    if threads > 1:  # one contiguous chunk, and so one memo, per worker
         from concurrent.futures import ProcessPoolExecutor
+        step = -(-len(ms) // threads)
+        batch = {}
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(_batch_worker, ms, chunksize=16))
-        batch = {m: results[m] for m in ms}
+            for chunk in pool.map(_csf_coeffs, [ms[i:i + step] for i in
+                                                range(0, len(ms), step)]):
+                batch.update(chunk)
     else:
-        batch = {m: _csf_coeffs(m) for m in ms}
+        batch = _csf_coeffs(ms)
     _batches[n] = batch
     if cache is not None:
         cache.store("csf", f"csf-n{n}", {

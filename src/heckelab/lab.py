@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .characters import (chi, frobenius_cprime, min_class_rep,
                          murnaghan_nakayama)
@@ -38,9 +39,10 @@ class InternalContradictionError(RuntimeError):
     """A proved dichotomy failed; should be unreachable."""
 
 
-def smooth_perms(n: int):
-    """All smooth permutations of [n]."""
-    return [w for w in all_perms(n) if w.is_smooth()]
+@lru_cache(maxsize=None)
+def smooth_perms(n: int) -> tuple:
+    """All smooth permutations of [n], found once per rank."""
+    return tuple(w for w in all_perms(n) if w.is_smooth())
 
 
 def smooth_reduce(w: Perm) -> Perm:
@@ -560,7 +562,7 @@ CHECKS = {
 # checks that would be prohibitively slow past these ranks
 CHECK_BOUNDS = {
     "cor44": 6, "hpos": 5, "prop31": 7, "thm15": 6, "momentgraph": 6,
-    "modular-law": 7, "csf-oracle": 6, "kl-selfdual": 5, "unimodal": 5,
+    "modular-law": 9, "csf-oracle": 6, "kl-selfdual": 5, "unimodal": 5,
     "mn": 7, "lemma22": 7,
 }
 

@@ -177,6 +177,15 @@ def test_counterexample_rank_capped(capsys):
     assert out.err.startswith("error: --m") and out.err.count("\n") == 1
 
 
+def test_csf_rank_capped(capsys):
+    # above rank 12 csf --m is refused, as hessenberg --n is
+    code = main(["--no-cache", "csf",
+                 "--m", ",".join(map(str, range(1, 14)))])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: --m") and out.err.count("\n") == 1
+
+
 def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
     _fresh_memos(monkeypatch)
     path = tmp_path / "f"

@@ -117,6 +117,35 @@ def test_batch7_golden_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == BATCH7_SHA256
 
 
+# sha256 of the canonical JSON of csf_batch(8), recorded with the
+# per-function subset DP that the shared induced-function memo replaced
+BATCH8_SHA256 = \
+    "4471a5e116b61e8ed65e61eb810257838c40272b771e28b7266a1e04b7865e4d"
+
+
+def test_batch8_golden_digest():
+    from heckelab.csf import clear_batch_cache
+    clear_batch_cache(8)
+    batch = csf_batch(8)
+    clear_batch_cache(8)
+    assert len(batch) == 1430
+    canon = {hessenberg_to_str(m): {",".join(map(str, lam)): list(p)
+                                    for lam, p in coeffs.items()}
+             for m, coeffs in batch.items()}
+    text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == BATCH8_SHA256
+
+
+def test_single_csf_matches_batch6():
+    # csf(m) runs the DP on m alone, with a memo of its own; the batch
+    # shares one memo across all 132 functions of the rank
+    batch = csf_batch(6)
+    assert len(batch) == 132
+    for m, coeffs in batch.items():
+        assert csf(m).coeffs == {lam: LaurentQ.from_poly_coeffs(p)
+                                 for lam, p in coeffs.items()}, m
+
+
 def test_batch_and_index(tmp_path):
     from heckelab.cache import Cache
     from heckelab.csf import clear_batch_cache
@@ -140,7 +169,7 @@ def test_batch_and_index(tmp_path):
 
 
 def test_batch_threads_small():
-    # 42 functions at n = 5: three pool chunks of 16
+    # 42 functions at n = 5: two contiguous chunks of 21
     from heckelab.csf import clear_batch_cache
     clear_batch_cache(5)
     parallel = csf_batch(5, threads=2)
@@ -148,3 +177,14 @@ def test_batch_threads_small():
     serial = csf_batch(5)
     assert len(serial) == 42
     assert parallel == serial
+
+
+def test_batch_threads_chunked_n6():
+    # 132 functions in two chunks of 66, each with its own memo; the
+    # merged batch keeps the lexicographic order of the serial one
+    from heckelab.csf import clear_batch_cache
+    clear_batch_cache(6)
+    parallel = csf_batch(6, threads=2)
+    clear_batch_cache(6)
+    serial = csf_batch(6)
+    assert list(parallel.items()) == list(serial.items())
