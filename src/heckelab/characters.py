@@ -26,6 +26,16 @@ formula (Ram, Invent. Math. 106 (1991)) gives
 The product is taken in the h basis, where it is partition concatenation,
 and converted to the s basis once per mu.
 
+The Frobenius character of B_w = q^(l(w)/2) C'_w = sum_{z<=w} P_{z,w} T_z
+is summed in class coordinates first and mapped to the s basis once:
+
+    F_{w,mu} = sum_{z<=w} P_{z,w} f_{z,mu},
+    ch(B_w) = sum_lambda (sum_mu F_{w,mu} chi^lambda(T_{w_mu})) s_lambda.
+
+Every step is an integer polynomial product or sum, so the result is
+exact; it costs one product per (z, class of f_z) and one per
+(mu, lambda), and no character table is built.
+
 Two independent oracles check this: the q-deformed Young seminormal form,
 evaluated at integer points and interpolated, in tests/seminormal_oracle.py,
 and, at q := 1, the classical Murnaghan-Nakayama rule below.
@@ -43,14 +53,14 @@ from .symfunc import SymmetricFunction, kostka, partitions
 __all__ = [
     "chi", "chi_element", "frobenius_ch", "frobenius_cprime",
     "character_table", "class_poly", "murnaghan_nakayama", "min_class_rep",
-    "cycle_type", "MAX_FULL_TABLE_N",
+    "cycle_type", "MAX_CHARACTER_N",
 ]
 
-# full character tables (all of S_n at once) are only sane up to here
-MAX_FULL_TABLE_N = 6
+# the rank cap of ch(B_w) and of character tables, set by KL-row memory:
+# the row of w0 in S_8 takes about 0.3 s and 62 MB
+MAX_CHARACTER_N = 8
 
 _class_polys: dict = {}
-_tables: dict = {}
 
 
 def class_poly(w) -> dict:
@@ -173,26 +183,23 @@ def chi_element(lam, a: HeckeElement) -> LaurentQ:
     return out
 
 
+def _check_rank(n: int) -> None:
+    if n > MAX_CHARACTER_N:
+        raise ValueError(
+            f"rank {n} is above the character cap {MAX_CHARACTER_N}")
+
+
 def character_table(n: int) -> dict:
     """chi^lambda(T_w) for every lambda |- n and every w in S_n.
 
     Returns {lambda: {w: tuple poly}}: the computation of chi swept over
-    S_n, each cyclic-shift class reduced once.  Built once per process and
-    reused; it is never written to disk, since rebuilding it is about as
-    cheap as loading it.  Only sensible for n <= MAX_FULL_TABLE_N.
+    S_n, each cyclic-shift class reduced once.  Nothing is memoised.
     """
-    if n > MAX_FULL_TABLE_N:
-        raise ValueError(
-            f"full character table beyond n={MAX_FULL_TABLE_N} is not supported; "
-            "use chi() on the elements you need")
-    table = _tables.get(n)
-    if table is None:
-        perms = list(all_perms(n))
-        polys = [class_poly(w) for w in perms]
-        table = _tables[n] = {
-            lam: {w: _chi_poly(lam, f) for w, f in zip(perms, polys)}
+    _check_rank(n)
+    perms = list(all_perms(n))
+    polys = [class_poly(w) for w in perms]
+    return {lam: {w: _chi_poly(lam, f) for w, f in zip(perms, polys)}
             for lam in partitions(n)}
-    return table
 
 
 def frobenius_ch(a: HeckeElement) -> SymmetricFunction:
@@ -208,34 +215,18 @@ def frobenius_ch(a: HeckeElement) -> SymmetricFunction:
 
 @lru_cache(maxsize=None)
 def frobenius_cprime(w: Perm) -> SymmetricFunction:
-    """ch(q^(l(w)/2) C'_w), computed from the KL row and the character table.
-
-    Equals frobenius_ch(cprime(w)) but works in tuple-polynomial space over
-    the whole Bruhat interval, which is what the exhaustive S_6 checks need.
-    """
+    """ch(q^(l(w)/2) C'_w) = frobenius_ch(cprime(w)): F_w summed over the
+    KL row of w, then mapped to the s basis by Ram's formula (see the
+    module docstring).  Raises ValueError above MAX_CHARACTER_N."""
     n = len(w)
-    if n > MAX_FULL_TABLE_N:
-        raise ValueError(
-            "direct character evaluation beyond n=6 is out of reach; "
-            "use the reduction drivers in heckelab.lab")
-    table = character_table(n)
-    row = row_store(n).row(w)
-    coeffs = {}
-    for lam in partitions(n):
-        chi_row = table[lam]
-        acc = ()
-        for z, p in row.items():
-            chi_z = chi_row[z]
-            if not chi_z:
-                continue
-            if p == (1,):
-                term = chi_z
-            else:
-                term = poly_mul(p, chi_z)
-            acc = poly_add(acc, term)
-        if acc:
-            coeffs[lam] = LaurentQ.from_poly_coeffs(acc)
-    return SymmetricFunction("s", n, coeffs)
+    _check_rank(n)
+    f = {}
+    for z, p in row_store(n).row(w).items():
+        for mu, c in class_poly(z).items():
+            f[mu] = poly_add(f.get(mu, ()), poly_mul(p, c))
+    return SymmetricFunction("s", n, {
+        lam: LaurentQ.from_poly_coeffs(_chi_poly(lam, f))
+        for lam in partitions(n)})
 
 
 # -- the q := 1 oracle --------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .cache import DEFAULT_DIR, Cache
-from .characters import MAX_FULL_TABLE_N, chi, frobenius_cprime
+from .characters import MAX_CHARACTER_N, chi, frobenius_cprime
 from .csf import csf
 from .hecke import cprime, kl_table
 from .lab import (CHECK_BOUNDS, CHECKS, check_suite, counterexample_search,
@@ -231,8 +231,8 @@ def _cmd_counterexample(args, fmt) -> int:
 
 def _cmd_decompose(args, fmt) -> int:
     w = _parse_w(args.w)
-    if args.max_n > MAX_FULL_TABLE_N:
-        raise InputError(f"--max-n must be at most {MAX_FULL_TABLE_N}")
+    if args.max_n > MAX_CHARACTER_N:
+        raise InputError(f"--max-n must be at most {MAX_CHARACTER_N}")
     result = decompose_codominant(w, max_n=args.max_n)
     if fmt == "json":
         payload = {"w": perm_to_str(w), "known": result is not None}

@@ -10,8 +10,8 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .characters import (chi, frobenius_cprime, min_class_rep,
-                         murnaghan_nakayama)
+from .characters import (MAX_CHARACTER_N, chi, frobenius_cprime,
+                         min_class_rep, murnaghan_nakayama)
 from .csf import csf, csf_batch, csf_index, csf_key, csf_oracle, edge_count
 from .hecke import cprime_normalized, iota, row_store
 from .permutations import (Perm, all_perms, codominant_of_hessenberg,
@@ -84,7 +84,8 @@ class ModularRelation:
     case "singular": (q^(-1/2)+q^(1/2)) ch(C'_w) = ch(C'_ws)
 
     verified is True when the identity was recomputed through the character
-    module, None when it is asserted by the theorem (large n).
+    module, None when n exceeds verify_limit (by default MAX_CHARACTER_N)
+    and the identity is asserted by the theorem.
     """
     case: str
     w: Perm
@@ -112,7 +113,8 @@ class ModularRelation:
         }
 
 
-def modular_relation(w: Perm, i: int, verify_limit: int = 6) -> ModularRelation:
+def modular_relation(w: Perm, i: int,
+                     verify_limit: int = MAX_CHARACTER_N) -> ModularRelation:
     """Classify (w, s_i) with w smooth and s_i w < w < w s_i.
 
     Smooth case: w s_i is smooth and exactly one lower cover z of w has

@@ -20,8 +20,8 @@ q^(-1/2) + q^(1/2)
 
 The ``poly_*`` functions are the internal kernel: a polynomial in q is a
 plain int tuple of coefficients ascending from q^0, with no trailing
-zeros, so () is zero.  KL rows, class polynomials, character tables and
-csf coefficients are computed in this form and wrapped into LaurentQ
+zeros, so () is zero.  KL rows, class polynomials, characters and csf
+coefficients are computed in this form and wrapped into LaurentQ
 (``LaurentQ.from_poly_coeffs``) only at the API boundary; the S_8
 computations walk tens of thousands of interval elements and dict-of-tuple
 rows keep that affordable.

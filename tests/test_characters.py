@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from heckelab.characters import (chi, chi_element, character_table,
-                                 cycle_type, frobenius_ch, frobenius_cprime,
-                                 min_class_rep, murnaghan_nakayama)
-from heckelab.hecke import HeckeElement, cprime, cprime_normalized
+from heckelab.characters import (MAX_CHARACTER_N, chi, chi_element,
+                                 character_table, cycle_type, frobenius_ch,
+                                 frobenius_cprime, min_class_rep,
+                                 murnaghan_nakayama)
+from heckelab.hecke import HeckeElement, cprime, cprime_normalized, row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
-from heckelab.qpoly import LaurentQ
+from heckelab.qpoly import LaurentQ, poly_add, poly_mul
 from heckelab.symfunc import (SymmetricFunction, num_syt, partitions,
                               q_factorial_partition)
 from seminormal_oracle import (InterpolationError, chi_poly_from_word,
@@ -129,7 +130,22 @@ def test_character_table_consistency():
 
 def test_character_table_cap():
     with pytest.raises(ValueError):
-        character_table(7)
+        character_table(MAX_CHARACTER_N + 1)
+
+
+def test_frobenius_cprime_matches_seminormal_oracle_s5():
+    # ch(B_w) = sum_lambda (sum_z P_{z,w} chi^lambda(T_z)) s_lambda, with
+    # chi^lambda(T_z) from the seminormal form instead of class polynomials
+    oracle = seminormal_table(5)
+    for w in all_perms(5):
+        row = row_store(5).row(w)
+        got = frobenius_cprime(w)
+        for lam in partitions(5):
+            acc = ()
+            for z, p in row.items():
+                acc = poly_add(acc, poly_mul(p, oracle[lam][z]))
+            assert got.coefficient(lam) == LaurentQ.from_poly_coeffs(acc), \
+                (w, lam)
 
 
 def test_interpolation_spare_point_guard():

@@ -233,10 +233,25 @@ def test_stale_cache_version_ignored(tmp_path):
 
 
 def test_decompose_max_n_beyond_table_exits_2(capsys):
-    code = main(["--no-cache", "decompose", "--w", "1256734", "--max-n", "8"])
+    code = main(["--no-cache", "decompose", "--w", "1256734", "--max-n", "9"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: --max-n") and err.count("\n") == 1
+
+
+def test_modular_s8_verified(capsys):
+    # the paper's singular relation (1+q) ch(B_26754381) = ch(B_62754381)
+    code, out = run(capsys, "modular", "--w", "26754381", "--s", "1")
+    assert code == 0
+    assert "case: singular" in out
+    assert "verified: yes" in out
+
+
+def test_ch_rank_capped(capsys):
+    code = main(["--no-cache", "ch", "--w", "213456789"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("threads", ["0", "-1", "x"])
@@ -251,7 +266,6 @@ def _fresh_memos(monkeypatch):
     # by module path: the package re-exports a function named csf
     characters, csf = (importlib.import_module(f"heckelab.{name}")
                        for name in ("characters", "csf"))
-    monkeypatch.setattr(characters, "_tables", {})
     monkeypatch.setattr(csf, "_batches", {})
     characters.frobenius_cprime.cache_clear()
 

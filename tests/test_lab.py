@@ -51,7 +51,7 @@ def test_modular_relation_examples():
     rel = modular_relation(parse_perm("26754381"), 1)
     assert rel.case == "singular"
     assert rel.ws == parse_perm("62754381")
-    assert rel.verified is None  # asserted by the theorem at this rank
+    assert rel.verified is True  # the paper's S_8 identity, computed
     assert "ch(C'[62754381])" in rel.identity()
 
 

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckelab.permutations import (NotSmoothError, Perm, all_perms, bruhat_leq,
                                    catalan, codominant_of_hessenberg,
@@ -28,6 +29,15 @@ def subword_interval(w):
                 z = z * simple_reflection(i, n)
         out.add(z)
     return out
+
+
+def perms_of(*ranks):
+    return st.sampled_from(ranks).flatmap(
+        lambda n: st.permutations(range(1, n + 1))).map(Perm)
+
+
+seeded = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=50)
 
 
 def coessential_scan(w):
@@ -129,6 +139,12 @@ def test_bruhat_vs_subword_oracle_s5():
         below = subword_interval(w)
         for z in perms:
             assert bruhat_leq(z, w) == (z in below), (z, w)
+
+
+@seeded
+@given(perms_of(6), perms_of(6))
+def test_bruhat_rank_criterion_matches_subword_oracle(z, w):
+    assert bruhat_leq(z, w) == (z in subword_interval(w)), (z, w)
 
 
 def test_lower_covers():
@@ -279,6 +295,17 @@ def test_reduced_word():
         for i in word:
             u = u.times_simple(i)
         assert u == w
+
+
+@seeded
+@given(perms_of(8, 9))
+def test_reduced_word_length_is_length(w):
+    word = w.reduced_word()
+    assert len(word) == w.length()
+    u = Perm.identity(len(w))
+    for i in word:
+        u = u.times_simple(i)
+    assert u == w
 
 
 def test_serialization():
