@@ -255,6 +255,9 @@ def _cmd_decompose(args, fmt) -> int:
 def _cmd_check(args, fmt) -> int:
     if args.name == "all":
         names = [name for name, bound in CHECK_BOUNDS.items() if args.n <= bound]
+        if not names:
+            raise InputError(f"--n must be at most {max(CHECK_BOUNDS.values())}"
+                             " for some check to run")
     else:
         if args.name not in CHECKS:
             raise InputError(f"unknown check {args.name!r}; known: "
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="decompose ch(q^(l/2) C'_w) over codominant "
                      "characters with N[q] coefficients")
     p.add_argument("--w", required=True)
-    p.add_argument("--max-n", type=int, default=6, dest="max_n",
+    p.add_argument("--max-n", type=_positive_int, default=6, dest="max_n",
                    help="bound for the exact fallback search (default 6)")
     p.add_argument("--expect", choices=("found",),
                    help="exit 1 if the decomposition is Unknown")

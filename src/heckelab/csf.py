@@ -21,8 +21,8 @@ left to color with the later classes.  That subproblem depends only on
   an edge exactly when v_s <= h(v_t), that is s <= h'(t);
 - asc compares colors along the vertex order only, which relabelling
   v_1 < ... < v_r as 1 < ... < r keeps.
-The oracle enumerates all n^n colorings and is deliberately independent
-of that machinery.
+The oracle lists the proper colorings with each class size in turn, vertex
+by vertex, and is deliberately independent of that machinery.
 
 Inside the DP a q-polynomial is packed into one int (Kronecker
 substitution): the coefficient of q^i sits in bits [i*B, (i+1)*B) with
@@ -36,14 +36,14 @@ tuple polynomials.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from math import factorial
 
 from .cache import int_poly
 from .permutations import (enumerate_hessenberg, hessenberg_edges,
                            hessenberg_to_str, is_hessenberg, parse_hessenberg)
-from .qpoly import LaurentQ, poly_add, poly_shift
+from .qpoly import LaurentQ
 from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
@@ -156,35 +156,39 @@ def csf(m) -> SymmetricFunction:
 
 
 def csf_oracle(m) -> SymmetricFunction:
-    """Brute-force csf over all n^n colorings; the independent cross-check.
+    """Brute-force csf by listing colorings; the independent cross-check.
 
-    Only the colorings whose color-count vector is (lambda_1, ..., lambda_k,
-    0, ..., 0) contribute to m_lambda, which is enough by symmetry.
+    By symmetry the coefficient of m_lambda is the weight of the proper
+    colorings that use color c exactly lambda_c times.  Those are listed
+    vertex by vertex, 1 to n, skipping any color that an earlier neighbour
+    already has; each complete coloring adds q^(asc).
     """
     m = tuple(m)
     n = len(m)
     if n > 6:
         raise ValueError("the coloring oracle is capped at n = 6")
-    edges = sorted(hessenberg_edges(m))
-    coeffs: dict[tuple, tuple] = {}
-    for kappa in product(range(1, n + 1), repeat=n):
-        if any(kappa[i - 1] == kappa[j - 1] for i, j in edges):
-            continue
-        counts = [0] * n
-        for c in kappa:
-            counts[c - 1] += 1
-        k = n
-        while k and counts[k - 1] == 0:
-            k -= 1
-        lam = tuple(counts[:k])
-        if any(lam[t] < lam[t + 1] for t in range(k - 1)) or 0 in lam:
-            continue
-        asc = sum(1 for i, j in edges if kappa[i - 1] < kappa[j - 1])
-        prev = coeffs.get(lam, ())
-        coeffs[lam] = poly_add(prev, poly_shift((1,), asc))
-    return SymmetricFunction(
-        "m", n, {lam: LaurentQ.from_poly_coeffs(p)
-                 for lam, p in coeffs.items()})
+    edges = hessenberg_edges(m)
+    earlier = [[i - 1 for i in range(1, j) if (i, j) in edges]
+               for j in range(1, n + 1)]
+    coeffs = {}
+    for lam in partitions(n):
+        room, weight = list(lam), Counter()  # room[c]: uses left of color c
+
+        def extend(kappa: tuple, asc: int) -> None:
+            if len(kappa) == n:
+                weight[asc] += 1
+                return
+            taken = [kappa[i] for i in earlier[len(kappa)]]
+            for c in range(len(room)):
+                if room[c] and c not in taken:
+                    room[c] -= 1
+                    extend(kappa + (c,), asc + sum(t < c for t in taken))
+                    room[c] += 1
+
+        extend((), 0)
+        if weight:
+            coeffs[lam] = LaurentQ({2 * a: k for a, k in weight.items()})
+    return SymmetricFunction("m", n, coeffs)
 
 
 # -- batch computation over all Hessenberg functions of a rank ---------------

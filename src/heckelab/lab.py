@@ -6,7 +6,6 @@ counterexample, and the named exhaustive check suite.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -386,14 +385,12 @@ class Report:
         return head
 
 
-def _check_cor44(n: int, sample: int | None = None) -> Report:
+def _check_cor44(n: int) -> Report:
     ms = enumerate_hessenberg(n)
-    if sample is not None and len(ms) > sample:
-        ms = random.Random(44).sample(ms, sample)
     witnesses = []
     for m in ms:
-        wm = codominant_of_hessenberg(m)
-        if frobenius_cprime(wm) != omega(csf(m)):
+        # omega is an involution and only relabels the s basis
+        if omega(frobenius_cprime(codominant_of_hessenberg(m))) != csf(m):
             witnesses.append(hessenberg_to_str(m))
     return Report("cor44", n, "fail" if witnesses else "pass", witnesses,
                   f"ch(q^(l/2) C'_wm) = omega(csf(G_m)) on {len(ms)} "
@@ -475,10 +472,8 @@ def _check_modular_law(n: int) -> Report:
                   "triples")
 
 
-def _check_csf_oracle(n: int, sample: int | None = None) -> Report:
+def _check_csf_oracle(n: int) -> Report:
     ms = enumerate_hessenberg(n)
-    if sample is not None and len(ms) > sample:
-        ms = random.Random(7).sample(ms, sample)
     witnesses = []
     for m in ms:
         if csf(m) != csf_oracle(m):
@@ -568,9 +563,6 @@ CHECK_BOUNDS = {
     "mn": 7, "lemma22": 7,
 }
 
-# at these ranks a check switches from exhaustive to a seeded sample
-CHECK_SAMPLED = {"cor44": (6, 50), "csf-oracle": (6, 12)}
-
 
 def check_suite(n: int, which=None) -> list[Report]:
     """Run the named checks (default: all applicable at rank n)."""
@@ -585,9 +577,5 @@ def check_suite(n: int, which=None) -> list[Report]:
         if n > CHECK_BOUNDS[name]:
             raise ValueError(
                 f"check {name!r} is capped at n = {CHECK_BOUNDS[name]}")
-        sampled = CHECK_SAMPLED.get(name)
-        if sampled and n >= sampled[0]:
-            reports.append(CHECKS[name](n, sample=sampled[1]))
-        else:
-            reports.append(CHECKS[name](n))
+        reports.append(CHECKS[name](n))
     return reports

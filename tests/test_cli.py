@@ -239,6 +239,22 @@ def test_decompose_max_n_beyond_table_exits_2(capsys):
     assert err.startswith("error: --max-n") and err.count("\n") == 1
 
 
+def test_check_all_above_every_bound_exits_2(capsys):
+    # no check reaches n = 10: running none must not read as a pass
+    code = main(["--no-cache", "check", "--name", "all", "--n", "10"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: --n") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_decompose_max_n_below_one_rejected(capsys, max_n):
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-cache", "decompose", "--w", "4231", "--max-n", max_n])
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
+
+
 def test_modular_s8_verified(capsys):
     # the paper's singular relation (1+q) ch(B_26754381) = ch(B_62754381)
     code, out = run(capsys, "modular", "--w", "26754381", "--s", "1")

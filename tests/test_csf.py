@@ -58,6 +58,16 @@ def test_csf_oracle_examples():
         csf_oracle((1,) + tuple(range(2, 8)))  # n = 7 beyond the oracle cap
 
 
+def test_csf_oracle_extremes_n6():
+    # the empty graph: every coloring is proper and has no ascent
+    f = csf_oracle((1, 2, 3, 4, 5, 6))
+    assert f.coeffs == {
+        lam: LaurentQ.integer(factorial(6) // prod(map(factorial, lam)))
+        for lam in partitions(6)}
+    # the complete graph: only six distinct colors, in all 6! orders
+    assert csf_oracle((6,) * 6).coeffs == {(1,) * 6: q_factorial(6)}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_csf_matches_oracle_exhaustive(n):
     for m in enumerate_hessenberg(n):

@@ -1,0 +1,15 @@
+"""The >>> examples in module docstrings, run as tests."""
+
+import doctest
+
+import pytest
+
+from heckelab import permutations, qpoly
+
+
+@pytest.mark.parametrize("module", [qpoly, permutations],
+                         ids=lambda module: module.__name__)
+def test_docstring_examples(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -170,6 +170,14 @@ def test_thm15_and_cor44_small(n):
         assert rep.status == "pass", rep
 
 
+def test_cor44_and_csf_oracle_exhaustive_n6():
+    # every one of the 132 Hessenberg functions of rank 6, none sampled
+    cor44, oracle = check_suite(6, ["cor44", "csf-oracle"])
+    assert (cor44.status, oracle.status) == ("pass", "pass")
+    assert "on 132 Hessenberg functions" in cor44.details
+    assert "on 132 graphs" in oracle.details
+
+
 def test_check_suite_unknown_name():
     with pytest.raises(ValueError):
         check_suite(3, ["nope"])

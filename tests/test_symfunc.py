@@ -2,6 +2,7 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckelab.qpoly import LaurentQ
 from heckelab.symfunc import (BASES, SymmetricFunction, conjugate, kostka,
@@ -129,6 +130,26 @@ def test_omega_involution_every_basis(n):
     for basis in BASES:
         f = random_symfunc(rng, n, basis)
         assert omega(omega(f)) == f
+
+
+@st.composite
+def symfuncs(draw):
+    """Degree n <= 6, a random basis, integer polynomials in q."""
+    n = draw(st.integers(1, 6))
+    lams = draw(st.lists(st.sampled_from(partitions(n)), max_size=4,
+                         unique=True))
+    polys = st.lists(st.integers(-9, 9), min_size=1, max_size=4)
+    return SymmetricFunction(draw(st.sampled_from(BASES)), n, {
+        lam: LaurentQ.from_poly_coeffs(draw(polys)) for lam in lams})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(symfuncs())
+def test_round_trip_through_every_basis(f):
+    for basis in BASES:
+        assert f.convert(basis).convert(f.basis).coeffs == f.coeffs, basis
+    twice = omega(omega(f))
+    assert (twice.basis, twice.coeffs) == (f.basis, f.coeffs)
 
 
 def test_schur_sum_is_h1n():
