@@ -104,10 +104,10 @@ def _cmd_kl(args, fmt) -> int:
     if fmt == "json":
         _emit(table.to_json(), fmt)
         return 0
-    store = table.store
-    for z, p in sorted(table.row().items(),
-                       key=lambda it: (store.length(it[0]), it[0])):
-        print(f"P[{perm_to_str(z)}, {perm_to_str(w)}] = {p}")
+    ws = perm_to_str(w)
+    entries = table.store.export(
+        w, lambda coeffs: str(LaurentQ.from_poly_coeffs(coeffs)))
+    print("\n".join(f"P[{z}, {ws}] = {p}" for z, p in entries))
     return 0
 
 
@@ -253,20 +253,17 @@ def _cmd_decompose(args, fmt) -> int:
 
 
 def _cmd_check(args, fmt) -> int:
-    if args.name == "all":
-        names = [name for name, bound in CHECK_BOUNDS.items() if args.n <= bound]
-        if not names:
-            raise InputError(f"--n must be at most {max(CHECK_BOUNDS.values())}"
-                             " for some check to run")
-    else:
-        if args.name not in CHECKS:
-            raise InputError(f"unknown check {args.name!r}; known: "
-                             + ", ".join(sorted(CHECKS)) + ", all")
-        names = [args.name]
+    if args.name != "all" and args.name not in CHECKS:
+        raise InputError(f"unknown check {args.name!r}; known: "
+                         + ", ".join(sorted(CHECKS)) + ", all")
     try:
-        reports = check_suite(args.n, names)
+        reports = check_suite(args.n,
+                              None if args.name == "all" else [args.name])
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if not reports:
+        raise InputError(f"--n must be at most {max(CHECK_BOUNDS.values())}"
+                         " for some check to run")
     failed = False
     for rep in reports:
         if fmt == "json":

@@ -22,9 +22,10 @@ intermediate values.  Only decoding needs a bound: every final coefficient
 must lie in [0, 2^B).  KL positivity gives P >= 0, and each coefficient of
 a row of length l is at most twice the largest of the row of length l - 1
 it is built from (the mu-corrections only subtract), so
-P_{z,y} <= 2^(l(y)) <= 2^(B-2) coefficientwise.  Packed ints never leave
-the store: ``KLRowStore.row`` returns tuple polynomials of heckelab.qpoly,
-which are wrapped into LaurentQ only at the API boundary.
+P_{z,y} <= 2^(l(y)) <= 2^(B-2) coefficientwise.  Packed ints leave the
+store only decoded: as tuple polynomials of heckelab.qpoly from
+``KLRowStore.row`` (wrapped into LaurentQ only at the API boundary), or as
+JSON or text from ``KLRowStore.export``.
 """
 
 from __future__ import annotations
@@ -195,8 +196,8 @@ class KLRowStore:
     exactly the rows the corrections need.  Each permutation the store
     meets is interned to an int index with its length and, once first
     needed, its right neighbours u*s_i; rows are built as dicts of index ->
-    packed int (see the module docstring) and decoded to dicts
-    Perm -> int tuple on the first `row` request.
+    packed int (see the module docstring), decoded to dicts Perm -> int
+    tuple by `row` (memoised) or to sorted output by `export`.
     """
 
     def __init__(self, n: int):
@@ -245,25 +246,34 @@ class KLRowStore:
         """The full row {z: P_{z,y} as tuple} over z <= y."""
         got = self._rows.get(y)
         if got is None:
-            packed = self._packed_row(self._index_of(y))
-            perms, width = self._perms, self._width
-            mask = (1 << width) - 1
-            polys: dict[int, tuple] = {}
-            got = {}
-            for z, p in packed.items():
-                poly = polys.get(p)
-                if poly is None:
-                    if p < 0:
-                        raise AssertionError(
-                            f"negative KL coefficient in row {perm_to_str(y)}")
-                    coeffs, rest = [], p
-                    while rest:
-                        coeffs.append(rest & mask)
-                        rest >>= width
-                    poly = polys[p] = tuple(coeffs)
-                got[perms[z]] = poly
-            self._rows[y] = got
+            perms = self._perms
+            got = self._rows[y] = {perms[z]: p
+                                   for z, p in self._decoded(y, tuple)}
         return got
+
+    def export(self, y: Perm, poly_out) -> list:
+        """[(z as string, poly_out(coefficients of P_{z,y}))] over the row of
+        y in (length, z) order, read from the packed row without building
+        `row(y)`."""
+        perms, lengths = self._perms, self._lengths
+        return [(perm_to_str(perms[z]), p) for z, p in sorted(
+            self._decoded(y, poly_out),
+            key=lambda e: (lengths[e[0]], perms[e[0]]))]
+
+    def _decoded(self, y: Perm, poly_out) -> list:
+        """[(z index, poly_out(coefficient list of P_{z,y}))]; each distinct
+        packed polynomial of the row is decoded and passed on once."""
+        packed = self._packed_row(self._index_of(y))
+        width = self._width
+        mask = (1 << width) - 1
+        polys = {}
+        for p in set(packed.values()):
+            if p < 0:
+                raise AssertionError(
+                    f"negative KL coefficient in row {perm_to_str(y)}")
+            polys[p] = poly_out([p >> width * k & mask for k in
+                                 range((p.bit_length() + width - 1) // width)])
+        return [(z, polys[p]) for z, p in packed.items()]
 
     def _packed_row(self, y: int) -> dict:
         got = self._packed.get(y)
@@ -369,16 +379,16 @@ class KLTable:
         """Versioned JSON {n, entries: [[z, y, poly]]}, deterministic order.
 
         `rows` selects which rows to export (default: just the top row).
+        Entries with equal polynomials in one row share one dict.
         """
         if rows is None:
             rows = [self.w]
-        length = self.store.length
+        store = self.store
         entries = []
-        for y in sorted(rows, key=lambda y: (length(y), y)):
-            row = self.store.row(y)
-            for z in sorted(row, key=lambda z: (length(z), z)):
-                entries.append([perm_to_str(z), perm_to_str(y),
-                                LaurentQ.from_poly_coeffs(row[z]).to_json()])
+        for y in sorted(rows, key=lambda y: (store.length(y), y)):
+            ys = perm_to_str(y)
+            entries += ([z, ys, p] for z, p in store.export(
+                y, lambda c: {str(k): v for k, v in enumerate(c) if v}))
         return {"n": self.n, "entries": entries}
 
 

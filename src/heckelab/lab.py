@@ -479,8 +479,8 @@ def _check_csf_oracle(n: int) -> Report:
         if csf(m) != csf_oracle(m):
             witnesses.append(hessenberg_to_str(m))
     return Report("csf-oracle", n, "fail" if witnesses else "pass", witnesses,
-                  f"partition enumeration matches the n^n coloring oracle on "
-                  f"{len(ms)} graphs")
+                  f"partition enumeration matches the per-class-size coloring "
+                  f"oracle on {len(ms)} graphs")
 
 
 def _check_kl_selfdual(n: int) -> Report:
@@ -565,10 +565,11 @@ CHECK_BOUNDS = {
 
 
 def check_suite(n: int, which=None) -> list[Report]:
-    """Run the named checks (default: all applicable at rank n)."""
+    """Run the named checks (default: those whose bound is at least n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    names = list(CHECKS) if which is None else list(which)
+    names = ([name for name in CHECKS if n <= CHECK_BOUNDS[name]]
+             if which is None else list(which))
     reports = []
     for name in names:
         if name not in CHECKS:

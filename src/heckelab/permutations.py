@@ -21,6 +21,8 @@ True
 
 from __future__ import annotations
 
+from itertools import combinations
+
 __all__ = [
     "Perm", "NotSmoothError",
     "bruhat_leq", "coessential_set", "hessenberg_of_smooth",
@@ -118,16 +120,15 @@ class Perm(tuple):
         return tuple(reversed(rev))
 
     def lower_covers(self) -> set["Perm"]:
-        """All z = w * t with length(z) = length(w) - 1."""
-        target = self.length() - 1
+        """All z = w * (i j) with length(z) = length(w) - 1: those with
+        w(i) > w(j) and no i < k < j with w(j) < w(k) < w(i)."""
         out = set()
-        n = len(self)
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                if self[i - 1] > self[j - 1]:
-                    z = self.times_transposition(i, j)
-                    if z.length() == target:
-                        out.add(z)
+        for i, a in enumerate(self):
+            top = 0  # the largest w(k) < a seen right of i
+            for j in range(i + 1, len(self)):
+                if top < self[j] < a:
+                    top = self[j]
+                    out.add(self.times_transposition(i + 1, j + 1))
         return out
 
     # -- patterns ---------------------------------------------------------
@@ -161,12 +162,12 @@ class Perm(tuple):
 
     def is_smooth(self) -> bool:
         """Avoids 3412 and 4231."""
-        return not (self.contains_pattern((3, 4, 1, 2))
-                    or self.contains_pattern((4, 2, 3, 1)))
+        return not any(c < d < a < b or d < b < c < a
+                       for a, b, c, d in combinations(self, 4))
 
     def is_codominant(self) -> bool:
         """Avoids 312."""
-        return not self.contains_pattern((3, 1, 2))
+        return not any(b < c < a for a, b, c in combinations(self, 3))
 
     def classify(self) -> dict:
         return {"smooth": self.is_smooth(), "codominant": self.is_codominant()}
@@ -293,16 +294,26 @@ def codominant_of_hessenberg(m) -> Perm:
 def transpositions_below(w: Perm) -> frozenset[tuple[int, int]]:
     """All transpositions t = (i j), i < j, with t <= w in Bruhat order.
 
-    Computed by rank-criterion comparisons; callers wanting the smooth fast
+    By the rank criterion: r_{a,b}(t) = min(a, b) - 1 on the square
+    i <= a, b < j and min(a, b) elsewhere, so t <= w iff
+    r_{a,b}(w) < min(a, b) on that square.  Callers wanting the smooth fast
     path should go through ``heckelab.lab.moment_graph``.
     """
     n = len(w)
+    # low[a][b]: r_{a,b}(w) < min(a, b), for 1 <= a, b < n
+    low = [[False] * n]
+    rank = [0] * (n + 1)
+    for a in range(1, n):
+        for v in range(w[a - 1], n + 1):
+            rank[v] += 1
+        low.append([rank[b] < min(a, b) for b in range(n)])
     out = set()
-    e = Perm.identity(n)
     for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            if bruhat_leq(e.times_transposition(i, j), w):
-                out.add((i, j))
+        # grow the square [i, j - 1]^2 while it stays low
+        j = i
+        while j < n and all(low[j][b] and low[b][j] for b in range(i, j + 1)):
+            j += 1
+            out.add((i, j))
     return frozenset(out)
 
 
@@ -360,9 +371,7 @@ def all_perms(n: int):
 
 def perm_to_str(w: Perm) -> str:
     """Digit string for n <= 9 (e.g. '62754381'), comma-separated beyond."""
-    if len(w) <= 9:
-        return "".join(str(v) for v in w)
-    return ",".join(str(v) for v in w)
+    return ("" if len(w) <= 9 else ",").join(["%d"] * len(w)) % w
 
 
 def parse_perm(text: str, n: int | None = None) -> Perm:

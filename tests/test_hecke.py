@@ -1,15 +1,17 @@
 import contextlib
 import hashlib
 import io
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab.cli import main
-from heckelab.hecke import (HeckeElement, cprime, cprime_normalized,
-                            cprime_times_cs, hecke_multiply, iota, kl_table,
-                            kl_polynomial, mu, row_store)
+from heckelab.hecke import (HeckeElement, KLRowStore, cprime,
+                            cprime_normalized, cprime_times_cs,
+                            hecke_multiply, iota, kl_table, kl_polynomial, mu,
+                            row_store)
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
                                    simple_reflection)
 from heckelab.qpoly import LaurentQ, poly_add_scaled, poly_mul
@@ -173,22 +175,66 @@ def test_kl_row_properties_s7_s8(w):
 
 
 # sha256 of `hecke-lab --format json kl --w <w>` stdout, recorded from the
-# row store that built rows of tuple polynomials keyed by Perm
+# row store that built rows of tuple polynomials keyed by Perm (the first
+# two) and from the export that decoded rows into {Perm: tuple} (the rest;
+# the coset permutations the benchmark draws from seeds)
 KL_JSON_SHA256 = {
     "87654321":
         "8463083f1b346cc1b13388ba02aa5326a0ce44a8c2247d6c724775c49fdd1a02",
     "62754381":
         "e4474580f1e337b5e3733bd81d70d1037b4dd4bd582e800cad5e8257e1d53a59",
+    "76854321":
+        "f8db3c61206baec1a56080f1bfde2a097b5c53020e3ab2973f24b8c7b22c8e17",
+    "85764321":
+        "9e465b31892c65d8d8cdff6642d3df082d5dea7321d1893425013f2fddd95f05",
 }
+# the same for `hecke-lab --format text kl --w <w>`
+KL_TEXT_SHA256 = {
+    "62754381":
+        "9f1fff4fb3f309b9bb96e7b4dfff2c4bd765c0b56e403e61dcb82c47be9e8ebd",
+}
+
+
+def kl_stdout_sha256(fmt, w):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["--no-cache", "--format", fmt, "kl", "--w", w])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("w", sorted(KL_JSON_SHA256))
 def test_kl_json_golden_digest(w):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        main(["--no-cache", "--format", "json", "kl", "--w", w])
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert digest == KL_JSON_SHA256[w]
+    assert kl_stdout_sha256("json", w) == KL_JSON_SHA256[w]
+
+
+@pytest.mark.parametrize("w", sorted(KL_TEXT_SHA256))
+def test_kl_text_golden_digest(w):
+    assert kl_stdout_sha256("text", w) == KL_TEXT_SHA256[w]
+
+
+def test_kl_table_json_multi_row_golden_digest():
+    # rows out of order, three of one length: pins the order across rows
+    table = kl_table(parse_perm("62754381"))
+    rows = [parse_perm(y) for y in ("62754381", "12345678", "61754382",
+                                     "62753481", "26754381")]
+    data = table.to_json(rows=rows)
+    assert len(data["entries"]) == 13153
+    digest = hashlib.sha256(
+        json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == \
+        "b2f7038e8355db8dec309095a7fc04d59b9214c614d938d94588b1e71e33c3bb"
+
+
+def test_negative_packed_coefficient_raises():
+    w = parse_perm("3412")
+    for read in (lambda s: s.row(w), lambda s: s.export(w, tuple)):
+        store = KLRowStore(4)
+        store.row(w)
+        packed = store._packed[store._index_of(w)]
+        packed[next(iter(packed))] = -1
+        store._rows.clear()
+        with pytest.raises(AssertionError, match="negative KL coefficient"):
+            read(store)
 
 
 def test_mu():

@@ -1,8 +1,12 @@
+import contextlib
 import importlib
+import io
+import json
 
 import pytest
 
 from heckelab.characters import frobenius_cprime
+from heckelab.cli import main
 from heckelab.csf import csf, edge_count
 from heckelab.lab import (InternalContradictionError, MomentGraph,
                           PreconditionError, check_suite,
@@ -176,6 +180,19 @@ def test_cor44_and_csf_oracle_exhaustive_n6():
     assert (cor44.status, oracle.status) == ("pass", "pass")
     assert "on 132 Hessenberg functions" in cor44.details
     assert "on 132 graphs" in oracle.details
+
+
+def test_check_suite_default_runs_the_checks_the_cli_prints_n7():
+    # every check whose bound is >= 7, and nothing raises on the others
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["--no-cache", "--format", "json", "check", "--name", "all",
+              "--n", "7"])
+    printed = [json.loads(line) for line in out.getvalue().splitlines()]
+    reports = check_suite(7)
+    assert [r.check for r in reports] == \
+        ["prop31", "modular-law", "mn", "lemma22"]
+    assert [r.to_json() for r in reports] == printed
 
 
 def test_check_suite_unknown_name():

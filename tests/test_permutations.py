@@ -160,6 +160,15 @@ def test_lower_covers():
             assert bruhat_leq(z, w)
 
 
+def test_lower_covers_match_length_definition_s6():
+    for w in all_perms(6):
+        target = w.length() - 1
+        by_length = {w.times_transposition(i, j)
+                     for i in range(1, 6) for j in range(i + 1, 7)
+                     if w.times_transposition(i, j).length() == target}
+        assert w.lower_covers() == by_length, w
+
+
 def test_patterns():
     assert parse_perm("3412").contains_pattern((3, 4, 1, 2))
     assert parse_perm("62754381").contains_pattern((4, 2, 3, 1))
@@ -185,6 +194,20 @@ def test_classify():
     assert parse_perm("245361").classify() == {"smooth": True, "codominant": True}
     assert parse_perm("62754381").classify() == {"smooth": False, "codominant": False}
     assert parse_perm("3142").classify() == {"smooth": True, "codominant": False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_smooth_and_codominant_scans_match_contains_pattern(n):
+    for w in all_perms(n):
+        assert w.is_smooth() == (not w.contains_pattern((3, 4, 1, 2))
+                                 and not w.contains_pattern((4, 2, 3, 1))), w
+        assert w.is_codominant() == (not w.contains_pattern((3, 1, 2))), w
+
+
+def test_smooth_counts_to_n8():
+    counts = [sum(1 for w in all_perms(n) if w.is_smooth())
+              for n in range(1, 9)]
+    assert counts == [1, 2, 6, 22, 88, 366, 1552, 6652]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -250,6 +273,15 @@ def test_transpositions_below():
     assert ts == frozenset(
         {(1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (5, 6)})
     assert len(ts) == w.length()
+
+
+def test_transpositions_below_matches_bruhat_leq_s6():
+    e = Perm.identity(6)
+    for w in all_perms(6):
+        expected = frozenset(
+            (i, j) for i in range(1, 6) for j in range(i + 1, 7)
+            if bruhat_leq(e.times_transposition(i, j), w))
+        assert transpositions_below(w) == expected, w
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
