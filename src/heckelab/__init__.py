@@ -17,16 +17,13 @@ from .permutations import (
     enumerate_hessenberg, parse_perm, perm_to_str, parse_hessenberg,
     hessenberg_to_str, all_perms,
 )
-from .hecke import (
-    HeckeElement, hecke_multiply, iota, KLTable, kl_table, kl_polynomial,
-    mu, cprime, cprime_normalized, cprime_times_cs,
-)
+from .hecke import KLTable, kl_table, kl_polynomial, mu
 from .symfunc import (
     SymmetricFunction, partitions, conjugate, num_syt, kostka, omega,
     positivity, q_factorial_partition,
 )
 from .characters import (
-    chi, chi_element, frobenius_ch, frobenius_cprime, character_table,
+    chi, frobenius_cprime, character_table,
     murnaghan_nakayama, min_class_rep, cycle_type,
 )
 from .csf import (

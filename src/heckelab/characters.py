@@ -45,13 +45,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .hecke import HeckeElement, row_store
+from .hecke import row_store
 from .permutations import Perm, all_perms
 from .qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_shift
 from .symfunc import SymmetricFunction, kostka, partitions
 
 __all__ = [
-    "chi", "chi_element", "frobenius_ch", "frobenius_cprime",
+    "chi", "frobenius_cprime",
     "character_table", "class_poly", "murnaghan_nakayama", "min_class_rep",
     "cycle_type", "MAX_CHARACTER_N",
 ]
@@ -174,15 +174,6 @@ def chi(lam, w: Perm) -> LaurentQ:
     return LaurentQ.from_poly_coeffs(_chi_poly(lam, class_poly(w)))
 
 
-def chi_element(lam, a: HeckeElement) -> LaurentQ:
-    """Linear extension of chi over the T-basis terms of a."""
-    lam = tuple(lam)
-    out = LaurentQ.zero()
-    for w, c in a.terms.items():
-        out = out + c * chi(lam, w)
-    return out
-
-
 def _check_rank(n: int) -> None:
     if n > MAX_CHARACTER_N:
         raise ValueError(
@@ -202,22 +193,12 @@ def character_table(n: int) -> dict:
             for lam in partitions(n)}
 
 
-def frobenius_ch(a: HeckeElement) -> SymmetricFunction:
-    """ch(a) = sum_lambda chi^lambda(a) s_lambda."""
-    n = a.n
-    coeffs = {}
-    for lam in partitions(n):
-        c = chi_element(lam, a)
-        if c:
-            coeffs[lam] = c
-    return SymmetricFunction("s", n, coeffs)
-
-
 @lru_cache(maxsize=None)
 def frobenius_cprime(w: Perm) -> SymmetricFunction:
-    """ch(q^(l(w)/2) C'_w) = frobenius_ch(cprime(w)): F_w summed over the
-    KL row of w, then mapped to the s basis by Ram's formula (see the
-    module docstring).  Raises ValueError above MAX_CHARACTER_N."""
+    """ch(q^(l(w)/2) C'_w): F_w summed over the KL row of w, then mapped
+    to the s basis by Ram's formula (see the module docstring); the
+    T-basis oracle in tests/hecke_oracle.py checks it term by term.
+    Raises ValueError above MAX_CHARACTER_N."""
     n = len(w)
     _check_rank(n)
     f = {}

@@ -15,7 +15,7 @@ import sys
 from .cache import DEFAULT_DIR, Cache
 from .characters import MAX_CHARACTER_N, chi, frobenius_cprime
 from .csf import csf
-from .hecke import cprime, kl_table
+from .hecke import kl_table, row_store
 from .lab import (CHECK_BOUNDS, CHECKS, check_suite, counterexample_search,
                   decompose_codominant, modular_relation, moment_graph,
                   smooth_reduce)
@@ -113,16 +113,19 @@ def _cmd_kl(args, fmt) -> int:
 
 def _cmd_cprime(args, fmt) -> int:
     w = _parse_w(args.w)
-    b = cprime(w)
+    store = row_store(len(w))
     if fmt == "json":
         _emit({
-            "n": b.n,
+            "n": len(w),
             "w": perm_to_str(w),
             "scaling": f"q^({w.length()}/2) * C'_w",
-            "terms": [[perm_to_str(z), c.to_json()] for z, c in b.sorted_items()],
+            "terms": store.export(
+                w, lambda c: LaurentQ.from_poly_coeffs(c).to_json()),
         }, fmt)
         return 0
-    print(f"q^({w.length()}/2)*C'[{perm_to_str(w)}] = {b}")
+    terms = store.export(w, lambda c: str(LaurentQ.from_poly_coeffs(c)))
+    print(f"q^({w.length()}/2)*C'[{perm_to_str(w)}] = "
+          + " + ".join(f"({c})*T[{z}]" for z, c in terms))
     return 0
 
 

@@ -1,16 +1,18 @@
 """
-The Hecke algebra of S_n in the T-basis, the bar involution, and
-Kazhdan-Lusztig polynomials.
+Kazhdan-Lusztig polynomials of S_n, built row by row in a packed store.
 
 Conventions:
 
 * quadratic relation T_s^2 = (q-1) T_s + q;
 * B_w denotes the scaled Kazhdan-Lusztig element q^(l(w)/2) C'_w
   = sum_{z <= w} P_{z,w}(q) T_z, which has integer powers of q throughout;
-* the recursion builds B_y from B_{y s} (T_s + 1) minus mu-corrections,
-  and the resulting elements are validated against the two defining
-  properties (self-duality under the bar involution, degree bounds) in the
-  test suite.
+* the recursion builds B_y from B_{y s} (T_s + 1) minus mu-corrections.
+
+B_w is defined by bar-invariance and the degree bound.  The
+``kl-selfdual`` check of heckelab.lab tests the rows against the degree
+bound and the Kazhdan-Lusztig inversion formula (Invent. Math. 53 (1979),
+Thm 3.1), which the recursion does not use; the T-basis Hecke algebra in
+tests/hecke_oracle.py checks bar-invariance itself.
 
 Inside ``KLRowStore`` every permutation is an int index and each P_{z,y}
 is one packed int (Kronecker substitution, as in heckelab.csf): the
@@ -26,168 +28,41 @@ P_{z,y} <= 2^(l(y)) <= 2^(B-2) coefficientwise.  Packed ints leave the
 store only decoded: as tuple polynomials of heckelab.qpoly from
 ``KLRowStore.row`` (wrapped into LaurentQ only at the API boundary), or as
 JSON or text from ``KLRowStore.export``.
+
+``KLRowStore.inversion_failures`` evaluates, for every x <= w in S_n,
+
+    sum_{x <= z <= w} (-1)^(l(x)+l(z)) P_{x,z} P_{w0 w, w0 z} = delta_{x,w}
+
+on packed ints too, with an exact zero test.  Products can carry past B
+bits, so every distinct polynomial of the rows is decoded at width B (as
+``row`` and ``export`` report it) and repacked at a width W with
+2^W > n! M^2 + 1, M the largest value at q = 1 among them.  The terms of
+each sum are split by sign into two sums S+ and S- with nonnegative
+coefficients, each at most S+(1) + S-(1) <= n! M^2.  So S+ and S- + delta
+have every coefficient in [0, 2^W), each is the base-2^W expansion of its
+packed int, and the two ints are equal exactly when the decoded sums are.
 """
 
 from __future__ import annotations
 
-from .permutations import Perm, bruhat_leq, perm_to_str
+from itertools import zip_longest
+from math import factorial
+
+from .permutations import Perm, all_perms, bruhat_leq, perm_to_str
 from .qpoly import LaurentQ
 
 __all__ = [
-    "HeckeElement", "hecke_multiply", "iota",
-    "KLTable", "kl_table", "kl_polynomial", "mu",
-    "cprime", "cprime_normalized", "cprime_times_cs",
-    "row_store", "KLRowStore",
+    "KLTable", "kl_table", "kl_polynomial", "mu", "row_store", "KLRowStore",
 ]
 
 
-# -- Hecke algebra elements ---------------------------------------------------
+def _unpack(p: int, width: int) -> list:
+    """Coefficient list, ascending from q^0, of a packed int p >= 0 whose
+    coefficients all lie in [0, 2^width)."""
+    mask = (1 << width) - 1
+    return [p >> width * k & mask
+            for k in range((p.bit_length() + width - 1) // width)]
 
-class HeckeElement:
-    """Finitely supported map Perm -> LaurentQ, in the T-basis."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict | None = None):
-        self.n = n
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if not isinstance(c, LaurentQ):
-                    c = LaurentQ.integer(c)
-                if c:
-                    if len(w) != n:
-                        raise ValueError("rank mismatch in terms")
-                    clean[w] = c
-        self.terms = clean
-
-    @classmethod
-    def t(cls, w: Perm, coeff=1) -> "HeckeElement":
-        return cls(len(w), {w: coeff})
-
-    @classmethod
-    def unit(cls, n: int) -> "HeckeElement":
-        return cls.t(Perm.identity(n))
-
-    @classmethod
-    def zero(cls, n: int) -> "HeckeElement":
-        return cls(n, {})
-
-    def coefficient(self, w: Perm) -> LaurentQ:
-        return self.terms.get(w, LaurentQ.zero())
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, LaurentQ.zero()) + c
-        return HeckeElement(self.n, out)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "HeckeElement":
-        if not isinstance(c, LaurentQ):
-            c = LaurentQ.integer(c)
-        return HeckeElement(self.n, {w: v * c for w, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, HeckeElement)
-                and self.n == other.n and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def times_simple(self, i: int) -> "HeckeElement":
-        """Right multiplication by T_{s_i}."""
-        q = LaurentQ.q()
-        qm1 = q - 1
-        out = {}
-
-        def acc(w, c):
-            if c:
-                prev = out.get(w)
-                out[w] = c if prev is None else prev + c
-
-        for w, c in self.terms.items():
-            ws = w.times_simple(i)
-            if w[i - 1] < w[i]:
-                acc(ws, c)
-            else:
-                acc(w, c * qm1)
-                acc(ws, c * q)
-        return HeckeElement(self.n, out)
-
-    def times_simple_inverse(self, i: int) -> "HeckeElement":
-        """Right multiplication by T_{s_i}^{-1} = q^{-1} T_s + (q^{-1}-1)."""
-        qinv = LaurentQ.q(-1)
-        return (self.times_simple(i).scale(qinv)
-                + self.scale(qinv - 1))
-
-    def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        return hecke_multiply(self, other)
-
-    def at_q1(self) -> dict:
-        """Specialize q := 1, giving a group algebra element (Perm -> int)."""
-        out = {}
-        for w, c in self.terms.items():
-            v = c.at_q1()
-            if v:
-                out[w] = v
-        return out
-
-    def sorted_items(self):
-        return sorted(self.terms.items(),
-                      key=lambda it: (it[0].length(), it[0]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*T[{perm_to_str(w)}]"
-                          for w, c in self.sorted_items())
-
-    def __repr__(self):
-        return f"HeckeElement({self.n}, {self.terms!r})"
-
-
-def hecke_multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in the Hecke algebra; bilinear over reduced words of b."""
-    if a.n != b.n:
-        raise ValueError("rank mismatch")
-    out = HeckeElement.zero(a.n)
-    for v, c in b.terms.items():
-        t = a
-        for i in v.reduced_word():
-            t = t.times_simple(i)
-        out = out + t.scale(c)
-    return out
-
-
-def iota(a: HeckeElement) -> HeckeElement:
-    """The involution with q^(1/2) -> q^(-1/2) and T_w -> (T_{w^-1})^{-1}.
-
-    For a reduced word w = s_{i_1} ... s_{i_k} the image of T_w is
-    T_{s_{i_1}}^{-1} ... T_{s_{i_k}}^{-1}.
-    """
-    out = HeckeElement.zero(a.n)
-    memo: dict[Perm, HeckeElement] = {}
-
-    def iota_t(w: Perm) -> HeckeElement:
-        got = memo.get(w)
-        if got is None:
-            got = HeckeElement.unit(a.n)
-            for i in w.reduced_word():
-                got = got.times_simple_inverse(i)
-            memo[w] = got
-        return got
-
-    for w, c in a.terms.items():
-        out = out + iota_t(w).scale(c.bar())
-    return out
-
-
-# -- Kazhdan-Lusztig rows -----------------------------------------------------
 
 class KLRowStore:
     """Per-rank memo of the rows B_y = sum_z P_{z,y} T_z, keyed by y.
@@ -265,14 +140,12 @@ class KLRowStore:
         packed polynomial of the row is decoded and passed on once."""
         packed = self._packed_row(self._index_of(y))
         width = self._width
-        mask = (1 << width) - 1
         polys = {}
         for p in set(packed.values()):
             if p < 0:
                 raise AssertionError(
                     f"negative KL coefficient in row {perm_to_str(y)}")
-            polys[p] = poly_out([p >> width * k & mask for k in
-                                 range((p.bit_length() + width - 1) // width)])
+            polys[p] = poly_out(_unpack(p, width))
         return [(z, polys[p]) for z, p in packed.items()]
 
     def _packed_row(self, y: int) -> dict:
@@ -318,6 +191,41 @@ class KLRowStore:
                 f"KL recursion failed at {perm_to_str(w)}: P_ww != 1")
         self._packed[y] = out
         return out
+
+    def inversion_failures(self) -> list:
+        """[(w, x, coefficient list of the sum)] for every x <= w in S_n at
+        which sum_z (-1)^(l(x)+l(z)) P_{x,z} P_{w0 w, w0 z} != delta_{x,w};
+        builds every row of S_n.  The module docstring shows why the
+        comparison of packed sums is exact."""
+        n = self.n
+        w0 = Perm(range(n, 0, -1))
+        dual = {self._index_of(w): self._index_of(w0 * w)
+                for w in all_perms(n)}
+        lengths, perms = self._lengths, self._perms
+        rows = {y: self._decoded(perms[y], tuple) for y in dual}
+        polys = {c for row in rows.values() for _, c in row}
+        top = max(sum(c) for c in polys)
+        width = (factorial(n) * top * top + 1).bit_length()
+        wide = {c: sum(a << width * k for k, a in enumerate(c)) for c in polys}
+        rows = {y: {z: wide[c] for z, c in row} for y, row in rows.items()}
+        failures = []
+        for w, dw in dual.items():
+            by_parity = ({}, {})  # the terms of z with l(z) even, odd
+            for z in rows[w]:
+                d = rows[dual[z]][dw]
+                acc = by_parity[lengths[z] & 1]
+                get = acc.get
+                for x, p in rows[z].items():
+                    acc[x] = get(x, 0) + p * d
+            for x in rows[w]:
+                pos = by_parity[lengths[x] & 1].get(x, 0)
+                neg = by_parity[~lengths[x] & 1].get(x, 0)
+                if pos != neg + (x == w):
+                    failures.append((perms[w], perms[x], [
+                        a - b for a, b in zip_longest(
+                            _unpack(pos, width), _unpack(neg, width),
+                            fillvalue=0)]))
+        return failures
 
 
 _stores: dict[int, KLRowStore] = {}
@@ -416,39 +324,3 @@ def mu(z: Perm, w: Perm) -> int:
     if not bruhat_leq(z, w):
         return 0
     return kl_table(w).mu(z)
-
-
-def cprime(w: Perm) -> HeckeElement:
-    """The scaled element B_w = q^(l(w)/2) C'_w = sum_{z<=w} P_{z,w} T_z."""
-    store = row_store(len(w))
-    return HeckeElement(len(w), {z: LaurentQ.from_poly_coeffs(p)
-                                 for z, p in store.row(w).items()})
-
-
-def cprime_normalized(w: Perm) -> HeckeElement:
-    """C'_w itself, with the q^(-l(w)/2) prefactor reattached."""
-    return cprime(w).scale(LaurentQ.q_half(-w.length()))
-
-
-def cprime_times_cs(w: Perm, i: int) -> dict[Perm, LaurentQ]:
-    """C'_w C'_{s_i} expanded in the C' basis.
-
-    For w s_i > w this is {ws: 1} plus {z: mu(z, w)} over z <= w with
-    z s_i < z; for w s_i < w the product collapses to
-    (q^(-1/2) + q^(1/2)) C'_w.
-    """
-    if w[i - 1] > w[i]:
-        return {w: LaurentQ.q_half(-1) + LaurentQ.q_half(1)}
-    ws = w.times_simple(i)
-    out = {ws: LaurentQ.one()}
-    store = row_store(len(w))
-    roww = store.row(w)
-    lw = store.length(w)
-    for z, p in roww.items():
-        if z[i - 1] > z[i]:
-            gap = lw - store.length(z)
-            if gap & 1:
-                k = (gap - 1) >> 1
-                if k < len(p) and p[k]:
-                    out[z] = LaurentQ.integer(p[k])
-    return out

@@ -1,0 +1,222 @@
+"""
+Test oracle for the Kazhdan-Lusztig elements: the Hecke algebra of S_n in
+the T-basis over LaurentQ, with the bar involution and Frobenius
+characters of arbitrary elements.
+
+heckelab computes each B_w = q^(l(w)/2) C'_w = sum_z P_{z,w} T_z only as a
+packed row of heckelab.hecke.KLRowStore.  Here the same rows become
+HeckeElements, so tests can check the properties that define B_w
+directly: bar-invariance iota(C'_w) = C'_w, the product rule
+C'_w C'_s = C'_ws + sum_z mu(z, w) C'_z, and ch(B_w) summed term by term
+against heckelab.characters.frobenius_cprime.  The arithmetic multiplies
+by one simple generator at a time and shares no code with the row
+recursion.
+"""
+
+from __future__ import annotations
+
+from heckelab.characters import chi
+from heckelab.hecke import row_store
+from heckelab.permutations import Perm, perm_to_str
+from heckelab.qpoly import LaurentQ
+from heckelab.symfunc import SymmetricFunction, partitions
+
+
+class HeckeElement:
+    """Finitely supported map Perm -> LaurentQ, in the T-basis."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: dict | None = None):
+        self.n = n
+        clean = {}
+        if terms:
+            for w, c in terms.items():
+                if not isinstance(c, LaurentQ):
+                    c = LaurentQ.integer(c)
+                if c:
+                    if len(w) != n:
+                        raise ValueError("rank mismatch in terms")
+                    clean[w] = c
+        self.terms = clean
+
+    @classmethod
+    def t(cls, w: Perm, coeff=1) -> "HeckeElement":
+        return cls(len(w), {w: coeff})
+
+    @classmethod
+    def unit(cls, n: int) -> "HeckeElement":
+        return cls.t(Perm.identity(n))
+
+    @classmethod
+    def zero(cls, n: int) -> "HeckeElement":
+        return cls(n, {})
+
+    def coefficient(self, w: Perm) -> LaurentQ:
+        return self.terms.get(w, LaurentQ.zero())
+
+    def __add__(self, other: "HeckeElement") -> "HeckeElement":
+        if self.n != other.n:
+            raise ValueError("rank mismatch")
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, LaurentQ.zero()) + c
+        return HeckeElement(self.n, out)
+
+    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "HeckeElement":
+        if not isinstance(c, LaurentQ):
+            c = LaurentQ.integer(c)
+        return HeckeElement(self.n, {w: v * c for w, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return (isinstance(other, HeckeElement)
+                and self.n == other.n and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def times_simple(self, i: int) -> "HeckeElement":
+        """Right multiplication by T_{s_i}."""
+        q = LaurentQ.q()
+        qm1 = q - 1
+        out = {}
+
+        def acc(w, c):
+            if c:
+                prev = out.get(w)
+                out[w] = c if prev is None else prev + c
+
+        for w, c in self.terms.items():
+            ws = w.times_simple(i)
+            if w[i - 1] < w[i]:
+                acc(ws, c)
+            else:
+                acc(w, c * qm1)
+                acc(ws, c * q)
+        return HeckeElement(self.n, out)
+
+    def times_simple_inverse(self, i: int) -> "HeckeElement":
+        """Right multiplication by T_{s_i}^{-1} = q^{-1} T_s + (q^{-1}-1)."""
+        qinv = LaurentQ.q(-1)
+        return (self.times_simple(i).scale(qinv)
+                + self.scale(qinv - 1))
+
+    def __mul__(self, other: "HeckeElement") -> "HeckeElement":
+        return hecke_multiply(self, other)
+
+    def at_q1(self) -> dict:
+        """Specialize q := 1, giving a group algebra element (Perm -> int)."""
+        out = {}
+        for w, c in self.terms.items():
+            v = c.at_q1()
+            if v:
+                out[w] = v
+        return out
+
+    def sorted_items(self):
+        return sorted(self.terms.items(),
+                      key=lambda it: (it[0].length(), it[0]))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({c})*T[{perm_to_str(w)}]"
+                          for w, c in self.sorted_items())
+
+    def __repr__(self):
+        return f"HeckeElement({self.n}, {self.terms!r})"
+
+
+def hecke_multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
+    """Product in the Hecke algebra; bilinear over reduced words of b."""
+    if a.n != b.n:
+        raise ValueError("rank mismatch")
+    out = HeckeElement.zero(a.n)
+    for v, c in b.terms.items():
+        t = a
+        for i in v.reduced_word():
+            t = t.times_simple(i)
+        out = out + t.scale(c)
+    return out
+
+
+def iota(a: HeckeElement) -> HeckeElement:
+    """The involution with q^(1/2) -> q^(-1/2) and T_w -> (T_{w^-1})^{-1}.
+
+    For a reduced word w = s_{i_1} ... s_{i_k} the image of T_w is
+    T_{s_{i_1}}^{-1} ... T_{s_{i_k}}^{-1}.
+    """
+    out = HeckeElement.zero(a.n)
+    memo: dict[Perm, HeckeElement] = {}
+
+    def iota_t(w: Perm) -> HeckeElement:
+        got = memo.get(w)
+        if got is None:
+            got = HeckeElement.unit(a.n)
+            for i in w.reduced_word():
+                got = got.times_simple_inverse(i)
+            memo[w] = got
+        return got
+
+    for w, c in a.terms.items():
+        out = out + iota_t(w).scale(c.bar())
+    return out
+
+
+def cprime(w: Perm) -> HeckeElement:
+    """The scaled element B_w = q^(l(w)/2) C'_w = sum_{z<=w} P_{z,w} T_z."""
+    store = row_store(len(w))
+    return HeckeElement(len(w), {z: LaurentQ.from_poly_coeffs(p)
+                                 for z, p in store.row(w).items()})
+
+
+def cprime_normalized(w: Perm) -> HeckeElement:
+    """C'_w itself, with the q^(-l(w)/2) prefactor reattached."""
+    return cprime(w).scale(LaurentQ.q_half(-w.length()))
+
+
+def cprime_times_cs(w: Perm, i: int) -> dict[Perm, LaurentQ]:
+    """C'_w C'_{s_i} expanded in the C' basis.
+
+    For w s_i > w this is {ws: 1} plus {z: mu(z, w)} over z <= w with
+    z s_i < z; for w s_i < w the product collapses to
+    (q^(-1/2) + q^(1/2)) C'_w.
+    """
+    if w[i - 1] > w[i]:
+        return {w: LaurentQ.q_half(-1) + LaurentQ.q_half(1)}
+    ws = w.times_simple(i)
+    out = {ws: LaurentQ.one()}
+    store = row_store(len(w))
+    roww = store.row(w)
+    lw = store.length(w)
+    for z, p in roww.items():
+        if z[i - 1] > z[i]:
+            gap = lw - store.length(z)
+            if gap & 1:
+                k = (gap - 1) >> 1
+                if k < len(p) and p[k]:
+                    out[z] = LaurentQ.integer(p[k])
+    return out
+
+
+def chi_element(lam, a: HeckeElement) -> LaurentQ:
+    """Linear extension of chi over the T-basis terms of a."""
+    lam = tuple(lam)
+    out = LaurentQ.zero()
+    for w, c in a.terms.items():
+        out = out + c * chi(lam, w)
+    return out
+
+
+def frobenius_ch(a: HeckeElement) -> SymmetricFunction:
+    """ch(a) = sum_lambda chi^lambda(a) s_lambda."""
+    n = a.n
+    coeffs = {}
+    for lam in partitions(n):
+        c = chi_element(lam, a)
+        if c:
+            coeffs[lam] = c
+    return SymmetricFunction("s", n, coeffs)

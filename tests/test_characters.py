@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from heckelab.characters import (MAX_CHARACTER_N, chi, chi_element,
-                                 character_table, cycle_type, frobenius_ch,
-                                 frobenius_cprime, min_class_rep,
+from heckelab.characters import (MAX_CHARACTER_N, chi, character_table,
+                                 cycle_type, frobenius_cprime, min_class_rep,
                                  murnaghan_nakayama)
-from heckelab.hecke import HeckeElement, cprime, cprime_normalized, row_store
+from heckelab.hecke import row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
 from heckelab.qpoly import LaurentQ, poly_add, poly_mul
 from heckelab.symfunc import (SymmetricFunction, num_syt, partitions,
                               q_factorial_partition)
+from hecke_oracle import (HeckeElement, chi_element, cprime,
+                          cprime_normalized, frobenius_ch)
 from seminormal_oracle import (InterpolationError, chi_poly_from_word,
                                interpolate, interpolate_checked, poly_eval,
                                seminormal_table, standard_tableaux)

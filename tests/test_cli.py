@@ -2,14 +2,17 @@ import contextlib
 import importlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab.cli import main
 from heckelab.lab import CHECKS
+from heckelab.permutations import all_perms, perm_to_str
 from heckelab.qpoly import LaurentQ
 from heckelab.symfunc import SymmetricFunction
+from hecke_oracle import cprime
 
 
 def run(capsys, *argv):
@@ -49,6 +52,25 @@ def test_cprime(capsys):
     code, out = run(capsys, "cprime", "--w", "21")
     assert code == 0
     assert out.strip() == "q^(1/2)*C'[21] = (1)*T[12] + (1)*T[21]"
+
+
+def test_cprime_matches_the_t_basis_oracle(capsys):
+    # the printer reads the packed row; the oracle renders the HeckeElement
+    perms = [w for n in range(1, 5) for w in all_perms(n)]
+    perms += random.Random(12).sample(list(all_perms(5)), 20)
+    for w in perms:
+        b, ws_text = cprime(w), perm_to_str(w)
+        code, out = run(capsys, "cprime", "--w", ws_text)
+        assert (code, out) == \
+            (0, f"q^({w.length()}/2)*C'[{ws_text}] = {b}\n"), w
+        code, out = run(capsys, "--format", "json", "cprime", "--w", ws_text)
+        assert (code, out) == (0, json.dumps({
+            "n": b.n,
+            "w": ws_text,
+            "scaling": f"q^({w.length()}/2) * C'_w",
+            "terms": [[perm_to_str(z), c.to_json()]
+                      for z, c in b.sorted_items()],
+        }, sort_keys=True) + "\n"), w
 
 
 def test_chi(capsys):

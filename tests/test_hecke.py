@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab.cli import main
-from heckelab.hecke import (HeckeElement, KLRowStore, cprime,
-                            cprime_normalized, cprime_times_cs,
-                            hecke_multiply, iota, kl_table, kl_polynomial, mu,
+from heckelab.hecke import (KLRowStore, _unpack, kl_table, kl_polynomial, mu,
                             row_store)
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
                                    simple_reflection)
 from heckelab.qpoly import LaurentQ, poly_add_scaled, poly_mul
+from hecke_oracle import (HeckeElement, cprime, cprime_normalized,
+                          cprime_times_cs, hecke_multiply, iota)
 
 Q = LaurentQ.q()
 E3 = Perm.identity(3)
@@ -134,6 +134,13 @@ def test_kl_self_duality_s4():
         assert iota(cn) == cn, w
 
 
+def test_kl_self_duality_s5_sample():
+    rng = random.Random(5)
+    for w in rng.sample(list(all_perms(5)), 20):
+        cn = cprime_normalized(w)
+        assert iota(cn) == cn, w
+
+
 def test_kl_row_support_is_interval():
     store = row_store(4)
     perms = list(all_perms(4))
@@ -235,6 +242,17 @@ def test_negative_packed_coefficient_raises():
         store._rows.clear()
         with pytest.raises(AssertionError, match="negative KL coefficient"):
             read(store)
+
+
+def test_unpack_reads_coefficients_above_the_store_width():
+    # a sum of products of KL polynomials can carry past the store's slot
+    # width B; at a width above its value at q = 1 it decodes exactly
+    b = KLRowStore(4)._width
+    coeffs = [2 ** b + 3, 0, 1]
+    width = sum(coeffs).bit_length()
+    packed = sum(c << width * k for k, c in enumerate(coeffs))
+    assert _unpack(packed, width) == coeffs
+    assert _unpack(packed, b) != coeffs
 
 
 def test_mu():

@@ -8,8 +8,9 @@ import pytest
 from heckelab.characters import frobenius_cprime
 from heckelab.cli import main
 from heckelab.csf import csf, edge_count
+from heckelab.hecke import KLRowStore
 from heckelab.lab import (InternalContradictionError, MomentGraph,
-                          PreconditionError, check_suite,
+                          PreconditionError, _check_kl_selfdual, check_suite,
                           counterexample_search, decompose_codominant,
                           modular_relation, modular_triples, moment_graph,
                           smooth_perms, smooth_reduce, verify_decomposition)
@@ -106,6 +107,27 @@ def test_modular_law_check_reports_a_broken_triple(monkeypatch):
     (rep,) = check_suite(4, ["modular-law"])
     assert rep.status == "fail"
     assert [hessenberg_to_str(m) for m in (m0, m1, m2)] in rep.witnesses
+
+
+def test_kl_selfdual_passes_n5():
+    (rep,) = check_suite(5, ["kl-selfdual"])
+    assert rep.status == "pass", rep
+    assert rep.details == \
+        "KL inversion formula and degree bounds over all 120 w"
+
+
+def test_kl_selfdual_reports_a_perturbed_kl_polynomial(monkeypatch):
+    # P_{e,3412} = 1 + q becomes 2 + q, which keeps the degree bound
+    store = KLRowStore(4)
+    assert store.inversion_failures() == []
+    w = parse_perm("3412")
+    store._packed[store._index_of(w)][store._index_of(Perm.identity(4))] += 1
+    monkeypatch.setitem(importlib.import_module("heckelab.hecke")._stores,
+                        4, store)
+    rep = _check_kl_selfdual(4)
+    assert rep.status == "fail"
+    assert "inversion formula at x = 1234, w = 3412: sum = 1" in rep.witnesses
+    assert not any("deg" in witness for witness in rep.witnesses)
 
 
 def test_counterexample_positive_control():
