@@ -21,8 +21,17 @@ left to color with the later classes.  That subproblem depends only on
   an edge exactly when v_s <= h(v_t), that is s <= h'(t);
 - asc compares colors along the vertex order only, which relabelling
   v_1 < ... < v_r as 1 < ... < r keeps.
-The oracle lists the proper colorings with each class size in turn, vertex
-by vertex, and is deliberately independent of that machinery.
+The oracle lists every proper coloring of each content lambda in turn,
+vertex by vertex, on one preallocated color list.  The earlier neighbours
+of vertex j are the interval first(j), ..., j - 1 (i < j is an edge
+exactly when j <= h(i), and h is non-decreasing), and they form a clique,
+so their colors are distinct.  Scanning the colors of j in increasing
+order and adding one ascent at each color an earlier neighbour holds thus
+keeps a running ascent count, and the last vertex, whose color lambda
+forces, is counted in place: a flat list indexed by the ascent count
+gains 1.  The oracle visits every coloring and reads only the edges of
+G_h; it shares no memo, no packing and neither the class weights nor the
+induced functions with the DP, so the DP's reductions are what it checks.
 
 Inside the DP a q-polynomial is packed into one int (Kronecker
 substitution): the coefficient of q^i sits in bits [i*B, (i+1)*B) with
@@ -36,7 +45,6 @@ tuple polynomials.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
@@ -145,14 +153,60 @@ def _csf_coeffs(ms) -> dict:
     return out
 
 
+def _monomial(n: int, coeffs: dict) -> SymmetricFunction:
+    """The symmetric function of degree n with monomial tuple-poly
+    coefficients `coeffs`, as `_csf_coeffs` and `_oracle_coeffs` give them."""
+    return SymmetricFunction("m", n, {lam: LaurentQ.from_poly_coeffs(p)
+                                      for lam, p in coeffs.items()})
+
+
 def csf(m) -> SymmetricFunction:
     """csf_q(G_m) in the monomial basis."""
     m = tuple(m)
     if not is_hessenberg(m):
         raise ValueError(f"not a Hessenberg function: {m}")
-    coeffs = {lam: LaurentQ.from_poly_coeffs(p)
-              for lam, p in _csf_coeffs([m])[m].items()}
-    return SymmetricFunction("m", len(m), coeffs)
+    return _monomial(len(m), _csf_coeffs([m])[m])
+
+
+def _oracle_coeffs(m) -> dict:
+    """{lambda: tuple polynomial} of csf_q(G_m) in the monomial basis, by
+    listing every proper coloring (the module docstring has the method)."""
+    m = tuple(m)
+    if not is_hessenberg(m):
+        raise ValueError(f"not a Hessenberg function: {m}")
+    n = len(m)
+    if n > 6:
+        raise ValueError("the coloring oracle is capped at n = 6")
+    edges = hessenberg_edges(m)
+    # vertex v + 1 has the earlier neighbours first[v] + 1, ..., v
+    first = [min((i - 1 for i, j in edges if j == v + 1), default=v)
+             for v in range(n)]
+    kappa = [0] * n  # kappa[v]: color of vertex v + 1, for v below the depth
+    coeffs = {}
+    for lam in partitions(n):
+        room, colors = list(lam), range(len(lam))  # room[c]: uses left of c
+        weight = [0] * (len(edges) + 1)  # weight[a]: colorings with a ascents
+
+        def extend(v: int, asc: int) -> None:
+            taken = kappa[first[v]:v]
+            for c in colors:
+                if c in taken:  # an ascent into every later color of v
+                    asc += 1
+                elif room[c]:
+                    if v == n - 1:  # the one color with room left
+                        weight[asc] += 1
+                        return
+                    room[c] -= 1
+                    kappa[v] = c
+                    extend(v + 1, asc)
+                    room[c] += 1
+
+        extend(0, 0)
+        while weight and not weight[-1]:
+            weight.pop()
+        if weight:
+            coeffs[lam] = tuple(weight)
+    return coeffs
 
 
 def csf_oracle(m) -> SymmetricFunction:
@@ -161,34 +215,11 @@ def csf_oracle(m) -> SymmetricFunction:
     By symmetry the coefficient of m_lambda is the weight of the proper
     colorings that use color c exactly lambda_c times.  Those are listed
     vertex by vertex, 1 to n, skipping any color that an earlier neighbour
-    already has; each complete coloring adds q^(asc).
+    already has; each complete coloring adds q^(asc), with asc counted as
+    the module docstring describes.  Capped at n = 6.
     """
     m = tuple(m)
-    n = len(m)
-    if n > 6:
-        raise ValueError("the coloring oracle is capped at n = 6")
-    edges = hessenberg_edges(m)
-    earlier = [[i - 1 for i in range(1, j) if (i, j) in edges]
-               for j in range(1, n + 1)]
-    coeffs = {}
-    for lam in partitions(n):
-        room, weight = list(lam), Counter()  # room[c]: uses left of color c
-
-        def extend(kappa: tuple, asc: int) -> None:
-            if len(kappa) == n:
-                weight[asc] += 1
-                return
-            taken = [kappa[i] for i in earlier[len(kappa)]]
-            for c in range(len(room)):
-                if room[c] and c not in taken:
-                    room[c] -= 1
-                    extend(kappa + (c,), asc + sum(t < c for t in taken))
-                    room[c] += 1
-
-        extend((), 0)
-        if weight:
-            coeffs[lam] = LaurentQ({2 * a: k for a, k in weight.items()})
-    return SymmetricFunction("m", n, coeffs)
+    return _monomial(len(m), _oracle_coeffs(m))
 
 
 # -- batch computation over all Hessenberg functions of a rank ---------------

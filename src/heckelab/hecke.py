@@ -148,6 +148,14 @@ class KLRowStore:
             polys[p] = poly_out(_unpack(p, width))
         return [(z, polys[p]) for z, p in packed.items()]
 
+    def degree_failures(self, y: Perm) -> list:
+        """[z] for every z != y in the row of y whose P_{z,y} is nonzero of
+        degree at least (l(y) - l(z)) / 2, in row order."""
+        k = self._index_of(y)
+        lengths, ly = self._lengths, self._lengths[k]
+        return [self._perms[z] for z, size in self._decoded(y, len)
+                if z != k and size and 2 * (size - 1) >= ly - lengths[z]]
+
     def _packed_row(self, y: int) -> dict:
         got = self._packed.get(y)
         if got is not None:

@@ -11,7 +11,8 @@ from functools import lru_cache
 
 from .characters import (MAX_CHARACTER_N, chi, frobenius_cprime,
                          min_class_rep, murnaghan_nakayama)
-from .csf import csf, csf_batch, csf_index, csf_key, csf_oracle, edge_count
+from .csf import (_monomial, _oracle_coeffs, csf_batch, csf_index, csf_key,
+                  edge_count)
 from .hecke import row_store
 from .permutations import (Perm, all_perms, codominant_of_hessenberg,
                            enumerate_hessenberg, hessenberg_edges,
@@ -387,10 +388,12 @@ class Report:
 
 def _check_cor44(n: int) -> Report:
     ms = enumerate_hessenberg(n)
+    batch = csf_batch(n)
     witnesses = []
     for m in ms:
         # omega is an involution and only relabels the s basis
-        if omega(frobenius_cprime(codominant_of_hessenberg(m))) != csf(m):
+        if (omega(frobenius_cprime(codominant_of_hessenberg(m)))
+                != _monomial(n, batch[m])):
             witnesses.append(hessenberg_to_str(m))
     return Report("cor44", n, "fail" if witnesses else "pass", witnesses,
                   f"ch(q^(l/2) C'_wm) = omega(csf(G_m)) on {len(ms)} "
@@ -474,10 +477,9 @@ def _check_modular_law(n: int) -> Report:
 
 def _check_csf_oracle(n: int) -> Report:
     ms = enumerate_hessenberg(n)
-    witnesses = []
-    for m in ms:
-        if csf(m) != csf_oracle(m):
-            witnesses.append(hessenberg_to_str(m))
+    batch = csf_batch(n)
+    witnesses = [hessenberg_to_str(m) for m in ms
+                 if _oracle_coeffs(m) != batch[m]]
     return Report("csf-oracle", n, "fail" if witnesses else "pass", witnesses,
                   f"partition enumeration matches the per-class-size coloring "
                   f"oracle on {len(ms)} graphs")
@@ -492,11 +494,8 @@ def _check_kl_selfdual(n: int) -> Report:
     count = 0
     for w in all_perms(n):
         count += 1
-        lw = w.length()
-        for z, p in store.row(w).items():
-            if z != w and p and 2 * (len(p) - 1) >= lw - z.length():
-                witnesses.append(
-                    f"deg P[{perm_to_str(z)},{perm_to_str(w)}] too big")
+        witnesses += (f"deg P[{perm_to_str(z)},{perm_to_str(w)}] too big"
+                      for z in store.degree_failures(w))
     return Report("kl-selfdual", n, "fail" if witnesses else "pass", witnesses,
                   f"KL inversion formula and degree bounds over all {count} w")
 

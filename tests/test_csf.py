@@ -4,8 +4,9 @@ from math import factorial, prod
 
 import pytest
 
-from heckelab.csf import (IndifferenceGraph, csf, csf_batch, csf_index,
-                          csf_key, csf_oracle, edge_count, indifference_graph)
+from heckelab.csf import (IndifferenceGraph, _oracle_coeffs, csf, csf_batch,
+                          csf_index, csf_key, csf_oracle, edge_count,
+                          indifference_graph)
 from heckelab.permutations import (Perm, codominant_of_hessenberg,
                                    enumerate_hessenberg, hessenberg_to_str,
                                    parse_perm)
@@ -66,6 +67,26 @@ def test_csf_oracle_extremes_n6():
         for lam in partitions(6)}
     # the complete graph: only six distinct colors, in all 6! orders
     assert csf_oracle((6,) * 6).coeffs == {(1,) * 6: q_factorial(6)}
+
+
+@pytest.mark.parametrize("m", [(2, 1, 3), (1, 1, 3), (4, 4, 4)])
+def test_csf_and_oracle_reject_non_hessenberg(m):
+    # decreasing, below the diagonal, beyond n
+    for fn in (csf, csf_oracle):
+        with pytest.raises(ValueError, match="not a Hessenberg function"):
+            fn(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_oracle_distinct_colors_coefficient(n):
+    # the m_{1^n} coefficient weighs the n! bijective colorings; its top
+    # degree puts every edge in ascent, and reversing colors swaps ascents
+    # and descents
+    for m in enumerate_hessenberg(n):
+        p = _oracle_coeffs(m)[(1,) * n]
+        assert sum(p) == factorial(n), m
+        assert len(p) - 1 == edge_count(m), m
+        assert p == p[::-1], m
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -130,6 +130,37 @@ def test_kl_selfdual_reports_a_perturbed_kl_polynomial(monkeypatch):
     assert not any("deg" in witness for witness in rep.witnesses)
 
 
+def test_kl_selfdual_reports_a_kl_polynomial_of_too_high_degree(monkeypatch):
+    # P_{e,3412} = 1 + q becomes 1 + q + q^2, of degree 2 >= l(3412) / 2
+    store = KLRowStore(4)
+    w = parse_perm("3412")
+    assert store.degree_failures(w) == []
+    store._packed[store._index_of(w)][store._index_of(Perm.identity(4))] += \
+        1 << 2 * store._width
+    monkeypatch.setitem(importlib.import_module("heckelab.hecke")._stores,
+                        4, store)
+    rep = _check_kl_selfdual(4)
+    assert rep.status == "fail"
+    assert "deg P[1234,3412] too big" in rep.witnesses
+
+
+def test_csf_oracle_reports_a_perturbed_batch_entry():
+    from heckelab.csf import clear_batch_cache, csf_batch
+    batch = csf_batch(4)
+    m = (2, 3, 4, 4)
+    broken = dict(batch[m])
+    broken[(1, 1, 1, 1)] += (1,)
+    batch[m] = broken
+    try:
+        (rep,) = check_suite(4, ["csf-oracle"])
+    finally:
+        clear_batch_cache(4)
+    assert rep.status == "fail"
+    assert rep.witnesses == [hessenberg_to_str(m)]
+    (rep,) = check_suite(4, ["csf-oracle"])
+    assert rep.status == "pass", rep
+
+
 def test_counterexample_positive_control():
     res = counterexample_search((2, 3, 3))
     assert res is not None
