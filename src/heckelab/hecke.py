@@ -26,8 +26,22 @@ a row of length l is at most twice the largest of the row of length l - 1
 it is built from (the mu-corrections only subtract), so
 P_{z,y} <= 2^(l(y)) <= 2^(B-2) coefficientwise.  Packed ints leave the
 store only decoded: as tuple polynomials of heckelab.qpoly from
-``KLRowStore.row`` (wrapped into LaurentQ only at the API boundary), or as
-JSON or text from ``KLRowStore.export``.
+``KLRowStore.row`` and ``KLRowStore.terms`` (wrapped into LaurentQ only at
+the API boundary), or as JSON or text from ``KLRowStore.export``.
+
+Each row is built and kept as its lower half.  Let s be the first right
+descent of y.  Since ys < y, P_{z,y} = P_{zs,y} for every z (Kazhdan and
+Lusztig, op. cit.), so the row is fixed by its values at the lower z,
+those with zs > z.  One pass over the row of ys gives each lower z its
+share of B_{ys} (T_s + 1), P_{z,ys} + q P_{zs,ys}, and nothing else.  The
+mu-corrections subtract rows B_u with us < u, which are s-symmetric by the
+same identity, so the build needs only their values at the lower z: it
+subtracts at the z already in the half and skips the rest.  The half
+holds every lower z <= y, since z <= ys by the lifting property, so the
+pass over the row of ys reaches z.  The store keeps the lower indices,
+their packed values (equal polynomials share one int object) and the
+list that maps each index to its s-partner; a reader gets the half, then
+the partners with the same values.
 
 ``KLRowStore.inversion_failures`` evaluates, for every x <= w in S_n,
 
@@ -45,7 +59,7 @@ packed int, and the two ints are equal exactly when the decoded sums are.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import factorial
 
 from .permutations import Perm, all_perms, bruhat_leq, perm_to_str
@@ -70,9 +84,25 @@ class KLRowStore:
     Rows are computed lazily by the C'_{ys} C'_s recursion, pulling in
     exactly the rows the corrections need.  Each permutation the store
     meets is interned to an int index with its length and, once first
-    needed, its right neighbours u*s_i; rows are built as dicts of index ->
-    packed int (see the module docstring), decoded to dicts Perm -> int
-    tuple by `row` (memoised) or to sorted output by `export`.
+    needed, its right neighbours u*s_i.  A row is built and kept as its
+    lower half for the first descent s of y: the z with zs > z, as a tuple
+    of indices and a tuple of packed ints (see the module docstring for why
+    the other half is a copy).  Reads decode it in full: to a dict
+    Perm -> int tuple by `row` (memoised), to pairs by `terms`, or to
+    sorted output by `export`.
+
+    >>> from heckelab.permutations import parse_perm
+    >>> store = KLRowStore(4)
+    >>> y = parse_perm("3412")
+    >>> store.row(y)[parse_perm("1234")]
+    (1, 1)
+    >>> keys, values, _ = store._packed[store._index_of(y)]
+    >>> sorted((perm_to_str(store._perms[z]), _unpack(p, store._width))
+    ...        for z, p in zip(keys, values))  # doctest: +NORMALIZE_WHITESPACE
+    [('1234', [1, 1]), ('1243', [1]), ('1342', [1]), ('2134', [1]),
+     ('2143', [1]), ('3124', [1]), ('3142', [1])]
+    >>> len(keys), len(store.row(y))
+    (7, 14)
     """
 
     def __init__(self, n: int):
@@ -83,10 +113,13 @@ class KLRowStore:
         self._lengths: list[int] = []
         # _right[i - 1][u] is the index of u*s_i, -1 until first needed
         self._right: list[list[int]] = [[] for _ in range(n - 1)]
-        self._packed: dict[int, dict[int, int]] = {}
+        # row y -> (lower z indices, packed P_{z,y}, _right[i - 1] of its s)
+        self._packed: dict[int, tuple] = {}
+        # each distinct packed polynomial, so equal values share one int
+        self._polys: dict[int, int] = {}
         self._rows: dict[Perm, dict] = {}
         e = self._intern(Perm.identity(n), 0)
-        self._packed[e] = {e: 1}
+        self._packed[e] = ((e,), (1,), None)
 
     def _intern(self, w: Perm, length: int) -> int:
         k = len(self._perms)
@@ -118,13 +151,17 @@ class KLRowStore:
         return self._lengths[self._index_of(w)]
 
     def row(self, y: Perm) -> dict:
-        """The full row {z: P_{z,y} as tuple} over z <= y."""
+        """The full row {z: P_{z,y} as tuple} over z <= y (memoised)."""
         got = self._rows.get(y)
         if got is None:
-            perms = self._perms
-            got = self._rows[y] = {perms[z]: p
-                                   for z, p in self._decoded(y, tuple)}
+            got = self._rows[y] = dict(self.terms(y))
         return got
+
+    def terms(self, y: Perm) -> list:
+        """[(z, P_{z,y} as tuple)] over the row of y, decoded afresh from
+        the packed row and not kept."""
+        perms = self._perms
+        return [(perms[z], p) for z, p in self._decoded(y, tuple)]
 
     def export(self, y: Perm, poly_out) -> list:
         """[(z as string, poly_out(coefficients of P_{z,y}))] over the row of
@@ -138,15 +175,15 @@ class KLRowStore:
     def _decoded(self, y: Perm, poly_out) -> list:
         """[(z index, poly_out(coefficient list of P_{z,y}))]; each distinct
         packed polynomial of the row is decoded and passed on once."""
-        packed = self._packed_row(self._index_of(y))
+        k = self._index_of(y)
         width = self._width
         polys = {}
-        for p in set(packed.values()):
+        for p in set(self._packed_row(k)[1]):
             if p < 0:
                 raise AssertionError(
                     f"negative KL coefficient in row {perm_to_str(y)}")
             polys[p] = poly_out(_unpack(p, width))
-        return [(z, polys[p]) for z, p in packed.items()]
+        return [(z, polys[p]) for z, p in self._items(k)]
 
     def degree_failures(self, y: Perm) -> list:
         """[z] for every z != y in the row of y whose P_{z,y} is nonzero of
@@ -156,7 +193,17 @@ class KLRowStore:
         return [self._perms[z] for z, size in self._decoded(y, len)
                 if z != k and size and 2 * (size - 1) >= ly - lengths[z]]
 
-    def _packed_row(self, y: int) -> dict:
+    def _items(self, y: int):
+        """The full row of y as (z index, packed P_{z,y}) pairs: the stored
+        lower half, then the s-partner of each of its keys with the same
+        value."""
+        keys, values, right = self._packed_row(y)
+        if right is None:  # the identity has no descent
+            return zip(keys, values)
+        return chain(zip(keys, values),
+                     zip(map(right.__getitem__, keys), values))
+
+    def _packed_row(self, y: int) -> tuple:
         got = self._packed.get(y)
         if got is not None:
             return got
@@ -166,15 +213,15 @@ class KLRowStore:
         yp = right[y]
         if yp < 0:
             yp = self._times_simple(y, i)
-        rowp = self._packed_row(yp)
         lengths, width = self._lengths, self._width
         mask = (1 << width) - 1
         ly = lengths[y]
 
+        # P_{z,y} = P_{z,ys} + q P_{zs,ys} at each lower z (zs > z)
         out: dict[int, int] = {}
         get = out.get
         corrections = []
-        for u, p in rowp.items():
+        for u, p in self._items(yp):
             us = right[u]
             if us < 0:
                 us = self._times_simple(u, i)
@@ -186,19 +233,24 @@ class KLRowStore:
                     if mu_val:
                         corrections.append(
                             (u, mu_val << width * ((gap + 1) >> 1)))
-                p <<= width
-            out[u] = get(u, 0) + p
-            out[us] = get(us, 0) + p
+                out[us] = get(us, 0) + (p << width)
+            else:
+                out[u] = get(u, 0) + p
 
+        # a correction row is s-symmetric; its lower z are keys of out
         for u, c in corrections:
-            for z, pz in self._packed_row(u).items():
-                out[z] = get(z, 0) - pz * c
+            for z, pz in self._items(u):
+                if z in out:
+                    out[z] -= pz * c
 
-        if out.get(y) != 1:
+        if out.get(yp) != 1:  # P_{y,y}, stored at its partner ys
             raise AssertionError(
                 f"KL recursion failed at {perm_to_str(w)}: P_ww != 1")
-        self._packed[y] = out
-        return out
+        values = out.values()
+        got = self._packed[y] = (
+            tuple(out), tuple(map(self._polys.setdefault, values, values)),
+            right)
+        return got
 
     def inversion_failures(self) -> list:
         """[(w, x, coefficient list of the sum)] for every x <= w in S_n at

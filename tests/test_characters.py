@@ -5,7 +5,8 @@ import pytest
 from heckelab.characters import (MAX_CHARACTER_N, chi, character_table,
                                  cycle_type, frobenius_cprime, min_class_rep,
                                  murnaghan_nakayama)
-from heckelab.hecke import row_store
+from heckelab import hecke
+from heckelab.hecke import KLRowStore, row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
 from heckelab.qpoly import LaurentQ, poly_add, poly_mul
 from heckelab.symfunc import (SymmetricFunction, num_syt, partitions,
@@ -147,6 +148,18 @@ def test_frobenius_cprime_matches_seminormal_oracle_s5():
                 acc = poly_add(acc, poly_mul(p, oracle[lam][z]))
             assert got.coefficient(lam) == LaurentQ.from_poly_coeffs(acc), \
                 (w, lam)
+
+
+def test_frobenius_cprime_keeps_no_decoded_rows(monkeypatch):
+    # a character sweep reads the packed rows and leaves the Perm-keyed
+    # memo of `row` empty
+    store = KLRowStore(5)
+    monkeypatch.setitem(hecke._stores, 5, store)
+    frobenius_cprime.cache_clear()
+    for w in all_perms(5):
+        frobenius_cprime(w)
+    assert len(store._packed) == 120
+    assert store._rows == {}
 
 
 def test_interpolation_spare_point_guard():

@@ -316,6 +316,11 @@ CSF_DAMAGE = {
     "non-list-poly": lambda doc: {**doc, "payload": {
         "n": 3, "entries": [{"m": e["m"], "csf": {lam: "x" for lam in e["csf"]}}
                             for e in doc["payload"]["entries"]]}},
+    # the same polynomials, each list with a trailing 0
+    "trailing-zero": lambda doc: {**doc, "payload": {
+        "n": 3, "entries": [{"m": e["m"], "csf": {lam: p + [0] for lam, p in
+                                                  e["csf"].items()}}
+                            for e in doc["payload"]["entries"]]}},
 }
 
 

@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from heckelab import permutations, qpoly
+from heckelab import hecke, permutations, qpoly
 
 
-@pytest.mark.parametrize("module", [qpoly, permutations],
+@pytest.mark.parametrize("module", [hecke, qpoly, permutations],
                          ids=lambda module: module.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)

@@ -237,11 +237,40 @@ def test_negative_packed_coefficient_raises():
     for read in (lambda s: s.row(w), lambda s: s.export(w, tuple)):
         store = KLRowStore(4)
         store.row(w)
-        packed = store._packed[store._index_of(w)]
-        packed[next(iter(packed))] = -1
+        keys, values, right = store._packed[store._index_of(w)]
+        store._packed[store._index_of(w)] = (keys, (-1,) + values[1:], right)
         store._rows.clear()
         with pytest.raises(AssertionError, match="negative KL coefficient"):
             read(store)
+
+
+def test_stored_rows_are_lower_halves():
+    # a row keeps only the z with zs > z for the first descent s of y;
+    # P_{z,y} = P_{zs,y}, for every descent s of y, gives back the rest
+    store = KLRowStore(6)
+    shared = {}
+    pairs = 0
+    for y in all_perms(6):
+        row = store.row(y)
+        pairs += len(row)
+        keys, values, _ = store._packed[store._index_of(y)]
+        lower = [store._perms[z] for z in keys]
+        if y == Perm.identity(6):
+            assert row == {y: (1,)}
+        else:
+            i = y.descents()[0]
+            assert all(z[i - 1] < z[i] for z in lower), y
+            full = {}
+            for z, p in zip(lower, values):
+                full[z] = full[z.times_simple(i)] = \
+                    tuple(_unpack(p, store._width))
+            assert full == row, y
+        for i in y.descents():
+            for z, p in row.items():
+                assert row[z.times_simple(i)] == p, (z, y, i)
+        for p in values:
+            assert shared.setdefault(p, p) is p, (y, p)
+    assert pairs == 98407  # the Bruhat-comparable pairs z <= y of S_6
 
 
 def test_unpack_reads_coefficients_above_the_store_width():

@@ -116,12 +116,21 @@ def test_kl_selfdual_passes_n5():
         "KL inversion formula and degree bounds over all 120 w"
 
 
+def _add_to_stored_value(store, y, z, delta):
+    """Add the packed delta to the stored value of P_{z,y}, z a stored
+    (lower) key of the row of y; its s-partner reads the same value."""
+    keys, values, right = store._packed_row(store._index_of(y))
+    k = keys.index(store._index_of(z))
+    store._packed[store._index_of(y)] = (
+        keys, values[:k] + (values[k] + delta,) + values[k + 1:], right)
+
+
 def test_kl_selfdual_reports_a_perturbed_kl_polynomial(monkeypatch):
     # P_{e,3412} = 1 + q becomes 2 + q, which keeps the degree bound
     store = KLRowStore(4)
     assert store.inversion_failures() == []
     w = parse_perm("3412")
-    store._packed[store._index_of(w)][store._index_of(Perm.identity(4))] += 1
+    _add_to_stored_value(store, w, Perm.identity(4), 1)
     monkeypatch.setitem(importlib.import_module("heckelab.hecke")._stores,
                         4, store)
     rep = _check_kl_selfdual(4)
@@ -135,8 +144,7 @@ def test_kl_selfdual_reports_a_kl_polynomial_of_too_high_degree(monkeypatch):
     store = KLRowStore(4)
     w = parse_perm("3412")
     assert store.degree_failures(w) == []
-    store._packed[store._index_of(w)][store._index_of(Perm.identity(4))] += \
-        1 << 2 * store._width
+    _add_to_stored_value(store, w, Perm.identity(4), 1 << 2 * store._width)
     monkeypatch.setitem(importlib.import_module("heckelab.hecke")._stores,
                         4, store)
     rep = _check_kl_selfdual(4)
