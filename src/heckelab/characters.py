@@ -27,14 +27,29 @@ The product is taken in the h basis, where it is partition concatenation,
 and converted to the s basis once per mu.
 
 The Frobenius character of B_w = q^(l(w)/2) C'_w = sum_{z<=w} P_{z,w} T_z
-is summed in class coordinates first and mapped to the s basis once:
+is summed per cyclic-shift class c first, since f_z depends only on the
+class of z, and mapped to the s basis once:
 
-    F_{w,mu} = sum_{z<=w} P_{z,w} f_{z,mu},
-    ch(B_w) = sum_lambda (sum_mu F_{w,mu} chi^lambda(T_{w_mu})) s_lambda.
+    S_c = sum_{z <= w in c} P_{z,w},
+    F_{w,mu} = sum_c S_c f_{c,mu},
+    ch(B_w) = sum_lambda (sum_mu F_{w,mu} V_{mu,lambda}) s_lambda,
 
-Every step is an integer polynomial product or sum, so the result is
-exact; it costs one product per (z, class of f_z) and one per
-(mu, lambda), and no character table is built.
+with V_{mu,lambda} = chi^lambda(T_{w_mu}); no character table is built.
+All of it runs on packed ints, as heckelab.hecke packs its rows: a
+polynomial p is the int p(2^W), so each sum and product above is one int
+operation.  Evaluation at q = 2^W is a ring homomorphism, so the packed
+sums are exact whatever the signs of f and V, and only the final decode
+needs a bound.  A polynomial whose coefficients all lie in
+(-2^(W-1), 2^(W-1)) is read back from its value at 2^W as balanced
+base-2^W digits.  Every coefficient of sum_mu F_{w,mu} V_{mu,lambda} is at
+most its l1 norm |.|, and
+
+    sum_{c,mu} |S_c| |f_{c,mu}| |V_{mu,lambda}| <= sum_c |S_c| A_c <= T A,
+
+with A_c = sum_mu |f_{c,mu}| max_lambda |V_{mu,lambda}| and A its largest
+value over the classes c of the row, and T = sum_z P_{z,w}(1), which is
+sum_c |S_c| because KL polynomials are nonnegative.  So each row is
+packed at the least width W with 2^(W-1) > T A.
 
 Two independent oracles check this: the q-deformed Young seminormal form,
 evaluated at integer points and interpolated, in tests/seminormal_oracle.py,
@@ -44,6 +59,7 @@ and, at q := 1, the classical Murnaghan-Nakayama rule below.
 from __future__ import annotations
 
 from functools import lru_cache
+from weakref import WeakKeyDictionary
 
 from .hecke import row_store
 from .permutations import Perm, all_perms
@@ -57,11 +73,17 @@ __all__ = [
 ]
 
 # the rank cap of ch(B_w) and of character tables, set by KL-row memory:
-# the row of w0 in S_8 builds 578 rows in about 0.5 s, and the process
-# peaks at 39 MB (Python 3.11, one core)
+# ch(B_w0) in S_8 builds 578 KL rows and takes 1.3-1.6 s, and the process
+# peaks at 51 MB (Python 3.11, one core)
 MAX_CHARACTER_N = 8
 
-_class_polys: dict = {}
+# each cyclic-shift class met gets a number: the class number of each
+# permutation, and by number the class polynomials
+_class_of: dict = {}
+_classes: list = []
+# row store -> the class number of each of its permutation indices, -1
+# until first needed
+_store_classes: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def class_poly(w) -> dict:
@@ -71,8 +93,13 @@ def class_poly(w) -> dict:
 
     Computed once for the whole cyclic-shift class of w and memoised.
     """
-    w = tuple(w)
-    got = _class_polys.get(w)
+    return _classes[_class_number(tuple(w))]
+
+
+def _class_number(w: tuple) -> int:
+    """The number of the cyclic-shift class of w, whose class polynomials
+    are computed and numbered when the class is first met."""
+    got = _class_of.get(w)
     if got is not None:
         return got
     n = len(w)
@@ -112,9 +139,11 @@ def class_poly(w) -> dict:
                          poly_shift(f_sxs.get(mu, ()), 1))
             if p:
                 f[mu] = p
+    c = len(_classes)
+    _classes.append(f)
     for x in members:
-        _class_polys[x] = f
-    return f
+        _class_of[x] = c
+    return c
 
 
 @lru_cache(maxsize=None)
@@ -194,21 +223,118 @@ def character_table(n: int) -> dict:
             for lam in partitions(n)}
 
 
+def _packed(coeffs, width: int) -> int:
+    """p(2^width) for the polynomial p with these coefficients, ascending."""
+    return sum(a << width * k for k, a in enumerate(coeffs))
+
+
+def _unpacked(p: int, width: int) -> tuple:
+    """The tuple polynomial with value p at 2^width whose coefficients all
+    lie in (-2^(width-1), 2^(width-1)): the balanced base-2^width digits
+    of p."""
+    mask, half, full = (1 << width) - 1, 1 << width - 1, 1 << width
+    out = []
+    while p:
+        d = p & mask
+        if d >= half:
+            d -= full
+        out.append(d)
+        p = (p - d) >> width
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
-def frobenius_cprime(w: Perm) -> SymmetricFunction:
-    """ch(q^(l(w)/2) C'_w): F_w summed over the KL row of w, then mapped
-    to the s basis by Ram's formula (see the module docstring); the
-    T-basis oracle in tests/hecke_oracle.py checks it term by term.
-    Raises ValueError above MAX_CHARACTER_N."""
+def _class_bound(c: int) -> int:
+    """A_c = sum_mu |f_{c,mu}|_1 max_lambda |V_{mu,lambda}|_1 for the class
+    numbered c (see the module docstring)."""
+    return sum(sum(map(abs, p))
+               * max(sum(map(abs, v)) for v in _class_values(mu).values())
+               for mu, p in _classes[c].items())
+
+
+@lru_cache(maxsize=None)
+def _wide_class(c: int, width: int) -> tuple:
+    """The class polynomials f_{c,mu} of the class numbered c packed at
+    width, as ((index of mu in partitions(|mu|), f_{c,mu}(2^width)), ...)."""
+    f = _classes[c]
+    parts = partitions(sum(next(iter(f))))
+    return tuple((parts.index(mu), _packed(p, width)) for mu, p in f.items())
+
+
+@lru_cache(maxsize=None)
+def _wide_values(mu: tuple, width: int) -> tuple:
+    """Ram's values V_{mu,lambda} packed at width, as ((index of lambda in
+    partitions(|mu|), V_{mu,lambda}(2^width)), ...) over the lambda with a
+    nonzero value."""
+    parts = partitions(sum(mu))
+    return tuple((parts.index(lam), _packed(v, width))
+                 for lam, v in _class_values(mu).items())
+
+
+def _row_classes(store, zs) -> list:
+    """The class numbers of the permutation indices zs of a row store,
+    each looked up once per store and index."""
+    classes = _store_classes.setdefault(store, [])
+    classes += [-1] * (len(store._perms) - len(classes))
+    cs = list(map(classes.__getitem__, zs))
+    if -1 in cs:
+        perms = store._perms
+        for k, z in enumerate(zs):
+            if cs[k] < 0:
+                cs[k] = classes[z] = _class_number(tuple(perms[z]))
+    return cs
+
+
+def _frobenius_coeffs(w: Perm) -> dict:
+    """ch(B_w) = ch(q^(l(w)/2) C'_w) in the s basis as {lambda: tuple
+    poly}, zero coefficients left out, from the packed KL row of w by
+    class sums (see the module docstring).  Nothing is memoised here.
+    Raises ValueError above MAX_CHARACTER_N.
+
+    >>> _frobenius_coeffs(Perm((3, 2, 1)))  # [3]_q! s_(3)
+    {(3,): (1, 2, 2, 1)}
+    """
     n = len(w)
     _check_rank(n)
-    f = {}
-    for z, p in row_store(n).terms(w):
-        for mu, c in class_poly(z).items():
-            f[mu] = poly_add(f.get(mu, ()), poly_mul(p, c))
-    return SymmetricFunction("s", n, {
-        lam: LaurentQ.from_poly_coeffs(_chi_poly(lam, f))
-        for lam in partitions(n)})
+    store = row_store(n)
+    y = store._index_of(w)
+    # the row as z indices, their class numbers and packed P_{z,w}
+    zs, ps = zip(*store._items(y))
+    cs = _row_classes(store, zs)
+    polys = store._distinct(y, list)
+    at_one = {p: sum(coeffs) for p, coeffs in polys.items()}
+    bound = (sum(map(at_one.__getitem__, ps))
+             * max(map(_class_bound, set(cs))))
+    width = bound.bit_length() + 1  # 2^(width-1) > T A
+    wide = {p: _packed(coeffs, width) for p, coeffs in polys.items()}
+
+    sums = {}  # S_c(2^W) by class number
+    get = sums.get
+    for c, p in zip(cs, ps):
+        sums[c] = get(c, 0) + wide[p]
+    parts = partitions(n)
+    f_w = [0] * len(parts)  # F_{w,mu}(2^W) by index of mu
+    for c, s in sums.items():
+        for i, f in _wide_class(c, width):
+            f_w[i] += s * f
+    chi_w = [0] * len(parts)  # chi^lambda(B_w)(2^W) by index of lambda
+    for mu, f in zip(parts, f_w):
+        if f:
+            for j, v in _wide_values(mu, width):
+                chi_w[j] += f * v
+    return {lam: _unpacked(x, width)
+            for lam, x in zip(parts, chi_w) if x}
+
+
+@lru_cache(maxsize=None)
+def frobenius_cprime(w: Perm) -> SymmetricFunction:
+    """ch(q^(l(w)/2) C'_w) as a symmetric function in the s basis: the
+    packed kernel `_frobenius_coeffs`, memoised here and nowhere else; the
+    T-basis oracle in tests/hecke_oracle.py checks it term by term.
+    Raises ValueError above MAX_CHARACTER_N."""
+    return SymmetricFunction("s", len(w), {
+        lam: LaurentQ.from_poly_coeffs(p)
+        for lam, p in _frobenius_coeffs(w).items()})
 
 
 # -- the q := 1 oracle --------------------------------------------------------

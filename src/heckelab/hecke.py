@@ -26,8 +26,9 @@ a row of length l is at most twice the largest of the row of length l - 1
 it is built from (the mu-corrections only subtract), so
 P_{z,y} <= 2^(l(y)) <= 2^(B-2) coefficientwise.  Packed ints leave the
 store only decoded: as tuple polynomials of heckelab.qpoly from
-``KLRowStore.row`` and ``KLRowStore.terms`` (wrapped into LaurentQ only at
-the API boundary), or as JSON or text from ``KLRowStore.export``.
+``KLRowStore.row`` (wrapped into LaurentQ only at the API boundary), as
+JSON or text from ``KLRowStore.export``, or repacked at a width of its own
+by the Frobenius character kernel of heckelab.characters.
 
 Each row is built and kept as its lower half.  Let s be the first right
 descent of y.  Since ys < y, P_{z,y} = P_{zs,y} for every z (Kazhdan and
@@ -88,8 +89,8 @@ class KLRowStore:
     lower half for the first descent s of y: the z with zs > z, as a tuple
     of indices and a tuple of packed ints (see the module docstring for why
     the other half is a copy).  Reads decode it in full: to a dict
-    Perm -> int tuple by `row` (memoised), to pairs by `terms`, or to
-    sorted output by `export`.
+    Perm -> int tuple by `row` (memoised), or to sorted output by
+    `export`.
 
     >>> from heckelab.permutations import parse_perm
     >>> store = KLRowStore(4)
@@ -154,14 +155,10 @@ class KLRowStore:
         """The full row {z: P_{z,y} as tuple} over z <= y (memoised)."""
         got = self._rows.get(y)
         if got is None:
-            got = self._rows[y] = dict(self.terms(y))
+            perms = self._perms
+            got = self._rows[y] = {perms[z]: p
+                                   for z, p in self._decoded(y, tuple)}
         return got
-
-    def terms(self, y: Perm) -> list:
-        """[(z, P_{z,y} as tuple)] over the row of y, decoded afresh from
-        the packed row and not kept."""
-        perms = self._perms
-        return [(perms[z], p) for z, p in self._decoded(y, tuple)]
 
     def export(self, y: Perm, poly_out) -> list:
         """[(z as string, poly_out(coefficients of P_{z,y}))] over the row of
@@ -176,14 +173,20 @@ class KLRowStore:
         """[(z index, poly_out(coefficient list of P_{z,y}))]; each distinct
         packed polynomial of the row is decoded and passed on once."""
         k = self._index_of(y)
+        polys = self._distinct(k, poly_out)
+        return [(z, polys[p]) for z, p in self._items(k)]
+
+    def _distinct(self, y: int, poly_out) -> dict:
+        """{packed P: poly_out(coefficient list of P)} over the distinct
+        values P_{z,y} of the row of the index y."""
         width = self._width
         polys = {}
-        for p in set(self._packed_row(k)[1]):
+        for p in set(self._packed_row(y)[1]):
             if p < 0:
-                raise AssertionError(
-                    f"negative KL coefficient in row {perm_to_str(y)}")
+                raise AssertionError("negative KL coefficient in row "
+                                     f"{perm_to_str(self._perms[y])}")
             polys[p] = poly_out(_unpack(p, width))
-        return [(z, polys[p]) for z, p in self._items(k)]
+        return polys
 
     def degree_failures(self, y: Perm) -> list:
         """[z] for every z != y in the row of y whose P_{z,y} is nonzero of

@@ -53,7 +53,7 @@ class LaurentQ:
         c = {}
         if coeffs:
             for k, v in coeffs.items():
-                if isinstance(v, Fraction) and v.denominator == 1:
+                if type(v) is Fraction and v.denominator == 1:
                     v = int(v)
                 if v:
                     c[int(k)] = v

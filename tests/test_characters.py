@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from heckelab.characters import (MAX_CHARACTER_N, chi, character_table,
+from heckelab.characters import (MAX_CHARACTER_N, _frobenius_coeffs,
+                                 _packed, _unpacked, chi, character_table,
                                  cycle_type, frobenius_cprime, min_class_rep,
                                  murnaghan_nakayama)
 from heckelab import hecke
 from heckelab.hecke import KLRowStore, row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
-from heckelab.qpoly import LaurentQ, poly_add, poly_mul
+from heckelab.qpoly import LaurentQ, poly_add, poly_mul, q_factorial
 from heckelab.symfunc import (SymmetricFunction, num_syt, partitions,
                               q_factorial_partition)
 from hecke_oracle import (HeckeElement, chi_element, cprime,
@@ -160,6 +161,45 @@ def test_frobenius_cprime_keeps_no_decoded_rows(monkeypatch):
         frobenius_cprime(w)
     assert len(store._packed) == 120
     assert store._rows == {}
+
+
+@pytest.mark.parametrize("n", range(1, MAX_CHARACTER_N + 1))
+def test_frobenius_of_w0_is_the_q_factorial(monkeypatch, n):
+    # P_{z,w0} = 1 for every z, so T = sum_z P_{z,w0}(1) = n!
+    monkeypatch.setitem(hecke._stores, n, KLRowStore(n))
+    w0 = Perm(range(n, 0, -1))
+    assert _frobenius_coeffs(w0) == {(n,): q_factorial(n).poly_coeffs()}
+
+
+@pytest.mark.parametrize("w", ["54231", "645231"])
+def test_frobenius_of_the_row_with_the_largest_t(monkeypatch, w):
+    # T = 144 and 1728, the largest sum_z P_{z,w}(1) of S_5 and S_6, above
+    # the n! of w0; compared with sum_z P_{z,w} chi^lambda(T_z) in tuples
+    w = parse_perm(w)
+    n = len(w)
+    store = KLRowStore(n)
+    monkeypatch.setitem(hecke._stores, n, store)
+    table = character_table(n)
+    row = store.row(w)
+    assert sum(sum(p) for p in row.values()) == max(
+        sum(sum(p) for p in store.row(u).values()) for u in all_perms(n))
+    want = {}
+    for lam in partitions(n):
+        acc = ()
+        for z, p in row.items():
+            acc = poly_add(acc, poly_mul(p, table[lam][z]))
+        if acc:
+            want[lam] = acc
+    assert _frobenius_coeffs(w) == want
+
+
+@pytest.mark.parametrize("width", [2, 3, 17])
+def test_balanced_decode_at_the_edge_of_the_width(width):
+    top = (1 << width - 1) - 1
+    for coeffs in [(top, 0, -top), (-top, 0, top), (top, 0, 0, top),
+                   (0, -top, 0, -top), (1, 0, -1)]:
+        assert _unpacked(_packed(coeffs, width), width) == coeffs
+    assert _unpacked(0, width) == ()
 
 
 def test_interpolation_spare_point_guard():

@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from heckelab import hecke, permutations, qpoly
+from heckelab import characters, hecke, permutations, qpoly
 
 
-@pytest.mark.parametrize("module", [hecke, qpoly, permutations],
+@pytest.mark.parametrize("module", [characters, hecke, qpoly, permutations],
                          ids=lambda module: module.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)

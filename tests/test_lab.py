@@ -15,8 +15,9 @@ from heckelab.lab import (InternalContradictionError, MomentGraph,
                           modular_relation, modular_triples, moment_graph,
                           smooth_perms, smooth_reduce, verify_decomposition)
 from heckelab.permutations import (NotSmoothError, Perm, all_perms,
+                                   codominant_of_hessenberg,
                                    enumerate_hessenberg, hessenberg_to_str,
-                                   parse_perm)
+                                   parse_perm, perm_to_str)
 from heckelab.qpoly import LaurentQ
 from heckelab.symfunc import omega
 
@@ -150,6 +151,46 @@ def test_kl_selfdual_reports_a_kl_polynomial_of_too_high_degree(monkeypatch):
     rep = _check_kl_selfdual(4)
     assert rep.status == "fail"
     assert "deg P[1234,3412] too big" in rep.witnesses
+
+
+def _store_with_perturbed_row(monkeypatch, w):
+    """A fresh store of every row of S_n, installed as the row store of
+    its rank, in which P_{e,w} has gained 1; no other row changes."""
+    n = len(w)
+    store = KLRowStore(n)
+    for u in all_perms(n):
+        store._packed_row(store._index_of(u))
+    _add_to_stored_value(store, w, Perm.identity(n), 1)
+    monkeypatch.setitem(importlib.import_module("heckelab.hecke")._stores,
+                        n, store)
+    frobenius_cprime.cache_clear()  # no memo answers from another store
+
+
+def test_thm15_reports_a_perturbed_smooth_row(monkeypatch):
+    w = next(w for w in smooth_perms(4) if smooth_reduce(w) != w)
+    _store_with_perturbed_row(monkeypatch, w)
+    (rep,) = check_suite(4, ["thm15"])
+    assert rep.status == "fail"
+    assert rep.witnesses == [perm_to_str(w)]
+
+
+def test_cor44_reports_a_perturbed_codominant_row(monkeypatch):
+    m = enumerate_hessenberg(4)[-1]
+    w = codominant_of_hessenberg(m)
+    assert w != Perm.identity(4)
+    _store_with_perturbed_row(monkeypatch, w)
+    (rep,) = check_suite(4, ["cor44"])
+    assert rep.status == "fail"
+    assert rep.witnesses == [hessenberg_to_str(m)]
+
+
+def test_prop31_reports_a_perturbed_character_identity(monkeypatch):
+    w, i = parse_perm("2314"), 1  # s w < w < w s, and n <= verify_limit
+    _store_with_perturbed_row(monkeypatch, w)
+    (rep,) = check_suite(4, ["prop31"])
+    assert rep.status == "fail"
+    assert f"character identity failed at w={perm_to_str(w)}, s={i}" \
+        in rep.witnesses
 
 
 def test_csf_oracle_reports_a_perturbed_batch_entry():
