@@ -35,6 +35,9 @@ class of z, and mapped to the s basis once:
     ch(B_w) = sum_lambda (sum_mu F_{w,mu} V_{mu,lambda}) s_lambda,
 
 with V_{mu,lambda} = chi^lambda(T_{w_mu}); no character table is built.
+heckelab.hecke stores a row once per right coset of W_J, J = D_R(w), on
+which P_{z,w} is constant, so S_c adds each coset's P times the number
+of its elements in c, counted once per coset.
 All of it runs on packed ints, as heckelab.hecke packs its rows: a
 polynomial p is the int p(2^W), so each sum and product above is one int
 operation.  Evaluation at q = 2^W is a ring homomorphism, so the packed
@@ -59,11 +62,12 @@ and, at q := 1, the classical Murnaghan-Nakayama rule below.
 from __future__ import annotations
 
 from functools import lru_cache
-from weakref import WeakKeyDictionary
+from math import factorial, prod
 
-from .hecke import row_store
+from .hecke import _coset, _runs, row_store
 from .permutations import Perm, all_perms
-from .qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_shift
+from .qpoly import (LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_shift,
+                    poly_trim)
 from .symfunc import SymmetricFunction, kostka, partitions
 
 __all__ = [
@@ -73,17 +77,14 @@ __all__ = [
 ]
 
 # the rank cap of ch(B_w) and of character tables, set by KL-row memory:
-# ch(B_w0) in S_8 builds 578 KL rows and takes 1.3-1.6 s, and the process
-# peaks at 51 MB (Python 3.11, one core)
+# ch(B_w0) in S_8 builds 578 KL rows (17 402 stored cosets) and takes
+# 0.8-1.0 s, and the process peaks at 34 MB (Python 3.11, one core)
 MAX_CHARACTER_N = 8
 
 # each cyclic-shift class met gets a number: the class number of each
 # permutation, and by number the class polynomials
 _class_of: dict = {}
 _classes: list = []
-# row store -> the class number of each of its permutation indices, -1
-# until first needed
-_store_classes: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def class_poly(w) -> dict:
@@ -147,13 +148,31 @@ def _class_number(w: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
+def _e_in_h(m: int) -> tuple:
+    """e_m = sum_{lambda |- m} (-1)^(m - l(lambda)) l(lambda)! /
+    prod_i m_i(lambda)! h_lambda, as ((lambda, integer coefficient), ...)."""
+    out = []
+    for lam in partitions(m):
+        c = factorial(len(lam))
+        for part in set(lam):
+            c //= factorial(lam.count(part))
+        out.append((lam, (-1) ** (m - len(lam)) * c))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _coxeter_h(k: int) -> tuple:
     """sum_r (-1)^r q^(k-1-r) s_(k-r, 1^r), the Frobenius character of
-    T_{s_1 ... s_(k-1)} in H(S_k), as ((h-partition, tuple poly), ...)."""
-    hooks = {(k - r,) + (1,) * r: LaurentQ.q(k - 1 - r) * (-1) ** r
-             for r in range(k)}
-    h = SymmetricFunction("s", k, hooks).convert("h")
-    return tuple((nu, c.poly_coeffs()) for nu, c in h.coeffs.items())
+    T_{s_1 ... s_(k-1)} in H(S_k), as ((h-partition, tuple poly), ...), in
+    integers: s_(a, 1^b) = sum_j (-1)^j h_(a+j) e_(b-j)."""
+    acc = {}
+    for r in range(k):
+        for j in range(r + 1):
+            for lam, c in _e_in_h(r - j):
+                nu = tuple(sorted((k - r + j,) + lam, reverse=True))
+                coeffs = acc.setdefault(nu, [0] * k)
+                coeffs[k - 1 - r] += (-1) ** (r + j) * c
+    return tuple((nu, poly_trim(c)) for nu, c in acc.items() if any(c))
 
 
 @lru_cache(maxsize=None)
@@ -271,18 +290,16 @@ def _wide_values(mu: tuple, width: int) -> tuple:
                  for lam, v in _class_values(mu).items())
 
 
-def _row_classes(store, zs) -> list:
-    """The class numbers of the permutation indices zs of a row store,
-    each looked up once per store and index."""
-    classes = _store_classes.setdefault(store, [])
-    classes += [-1] * (len(store._perms) - len(classes))
-    cs = list(map(classes.__getitem__, zs))
-    if -1 in cs:
-        perms = store._perms
-        for k, z in enumerate(zs):
-            if cs[k] < 0:
-                cs[k] = classes[z] = _class_number(tuple(perms[z]))
-    return cs
+@lru_cache(maxsize=1 << 16)
+def _coset_classes(r: tuple, runs: tuple) -> tuple:
+    """((class number, count), ...) over the right coset r W_J of its
+    minimal element r, J given by its descent runs; the rows of one rank
+    share their cosets, so each is expanded about once."""
+    counts = {}
+    for _, z in _coset(r, runs):
+        c = _class_number(z)
+        counts[c] = counts.get(c, 0) + 1
+    return tuple(counts.items())
 
 
 def _frobenius_coeffs(w: Perm) -> dict:
@@ -297,21 +314,23 @@ def _frobenius_coeffs(w: Perm) -> dict:
     n = len(w)
     _check_rank(n)
     store = row_store(n)
-    y = store._index_of(w)
-    # the row as z indices, their class numbers and packed P_{z,w}
-    zs, ps = zip(*store._items(y))
-    cs = _row_classes(store, zs)
-    polys = store._distinct(y, list)
-    at_one = {p: sum(coeffs) for p, coeffs in polys.items()}
-    bound = (sum(map(at_one.__getitem__, ps))
-             * max(map(_class_bound, set(cs))))
+    # the stored row: one packed P_{z,w} per right coset of W_J, J = D_R(w)
+    stored = store._packed_row(w)
+    runs = _runs(w)
+    counts = [_coset_classes(r, runs) for r in stored]
+    polys = store._distinct(w, list)
+    size = prod(factorial(hi - lo) for lo, hi in runs)  # |W_J|
+    bound = (size * sum(sum(polys[p]) for p in stored.values())
+             * max(_class_bound(c) for hist in counts for c, _ in hist))
     width = bound.bit_length() + 1  # 2^(width-1) > T A
     wide = {p: _packed(coeffs, width) for p, coeffs in polys.items()}
 
     sums = {}  # S_c(2^W) by class number
     get = sums.get
-    for c, p in zip(cs, ps):
-        sums[c] = get(c, 0) + wide[p]
+    for hist, p in zip(counts, stored.values()):
+        wp = wide[p]
+        for c, k in hist:
+            sums[c] = get(c, 0) + k * wp
     parts = partitions(n)
     f_w = [0] * len(parts)  # F_{w,mu}(2^W) by index of mu
     for c, s in sums.items():

@@ -14,35 +14,60 @@ bound and the Kazhdan-Lusztig inversion formula (Invent. Math. 53 (1979),
 Thm 3.1), which the recursion does not use; the T-basis Hecke algebra in
 tests/hecke_oracle.py checks bar-invariance itself.
 
-Inside ``KLRowStore`` every permutation is an int index and each P_{z,y}
-is one packed int (Kronecker substitution, as in heckelab.csf): the
-coefficient of q^k sits in bits [k*B, (k+1)*B) with B = n(n-1)/2 + 2, so
-q*p is ``p << B`` and a mu-correction is one multiply and subtract.
-Packing is evaluation at q = 2^B, a ring homomorphism, so every sum, shift
-and subtraction of the recursion is exact whatever the signs of the
-intermediate values.  Only decoding needs a bound: every final coefficient
-must lie in [0, 2^B).  KL positivity gives P >= 0, and each coefficient of
-a row of length l is at most twice the largest of the row of length l - 1
-it is built from (the mu-corrections only subtract), so
-P_{z,y} <= 2^(l(y)) <= 2^(B-2) coefficientwise.  Packed ints leave the
-store only decoded: as tuple polynomials of heckelab.qpoly from
-``KLRowStore.row`` (wrapped into LaurentQ only at the API boundary), as
-JSON or text from ``KLRowStore.export``, or repacked at a width of its own
-by the Frobenius character kernel of heckelab.characters.
+Inside ``KLRowStore`` each P_{z,y} is one packed int (Kronecker
+substitution, as in heckelab.csf): the coefficient of q^k sits in bits
+[k*B, (k+1)*B) with B = n(n-1)/2 + 2, so q*p is ``p << B`` and a
+mu-correction is one multiply and subtract.  Packing is evaluation at
+q = 2^B, a ring homomorphism, so every sum, shift and subtraction of the
+recursion is exact whatever the signs of the intermediate values.  Only
+decoding needs a bound: every final coefficient must lie in [0, 2^B).  KL
+positivity gives P >= 0, and each coefficient of a row of length l is at
+most twice the largest of the row of length l - 1 it is built from (the
+mu-corrections only subtract), so P_{z,y} <= 2^(l(y)) <= 2^(B-2)
+coefficientwise.  The store keeps a subset of the same values, built by
+the same recursion, so neither B nor this bound depends on the layout
+below.  Packed ints leave the store only decoded: as tuple polynomials of
+heckelab.qpoly from ``KLRowStore.row`` and ``KLRowStore.polynomial``
+(wrapped into LaurentQ only at the API boundary), as JSON or text from
+``KLRowStore.export``, or repacked at a width of its own by the Frobenius
+character kernel of heckelab.characters.
 
-Each row is built and kept as its lower half.  Let s be the first right
-descent of y.  Since ys < y, P_{z,y} = P_{zs,y} for every z (Kazhdan and
-Lusztig, op. cit.), so the row is fixed by its values at the lower z,
-those with zs > z.  One pass over the row of ys gives each lower z its
-share of B_{ys} (T_s + 1), P_{z,ys} + q P_{zs,ys}, and nothing else.  The
-mu-corrections subtract rows B_u with us < u, which are s-symmetric by the
-same identity, so the build needs only their values at the lower z: it
-subtracts at the z already in the half and skips the rest.  The half
-holds every lower z <= y, since z <= ys by the lifting property, so the
-pass over the row of ys reaches z.  The store keeps the lower indices,
-their packed values (equal polynomials share one int object) and the
-list that maps each index to its s-partner; a reader gets the half, then
-the partners with the same values.
+Each row is stored once per descent coset.  Let J = D_R(y), the right
+descents of y; W_J permutes the positions inside each descent run of y
+(a maximal interval on which y decreases).  For every t in J,
+P_{z,y} = P_{zt,y} (Kazhdan and Lusztig, op. cit.), so the row is
+constant on each right coset z W_J, and the set {z <= y} is a union of
+such cosets.  The store keeps one packed value per coset, keyed by its
+minimal element, the z increasing on every descent run of y; equal
+polynomials share one int object.  Readers expand each coset on read, at
+length l(r) plus the inversions inside the runs.
+
+A row is built from the row of y' = ys, s the first descent of y, by
+
+    P_{z,y} = P_{z,y'} + q P_{zs,y'}
+              - sum_u mu(u,y') q^((l(y)-l(u))/2) P_{z,u},
+
+u < y' with us < u, at each key z of y (zs > z, as s is in J).
+
+* The keys.  By the lifting property, z <= y with zs > z gives z <= y',
+  so z lies in the coset r W_J' of a key r of y', J' = D_R(y').  J' and J
+  differ only in the run A of y' ending at s (one or two positions) and
+  the run B starting at s+1; z is r with z(s) = a from the values of r on
+  A (the other one, if any, before it) and z(s+1) = b > a from those on B
+  (the rest sorted after it).  If s+1 is a descent of y, z is increasing
+  on B and b is the least.  Then l(z) = l(r) + (|A| - 1 - index of a in
+  A) + (index of b in B).
+* The q-term.  zs has b at s and a at s+1, so P_{zs,y'} is stored at r
+  with a and b exchanged between A and B, each re-sorted.
+* The mu-corrections.  If u < y', mu(u,y') != 0 and t in J', then ut < u
+  or u = y't (Kazhdan and Lusztig, op. cit., (2.3.e)).  So u is either
+  the maximum of the coset of a key r of y', where P_{u,y'} = P_{r,y'},
+  or y't; with us < u the latter happens only for t = s+1, when s+1 is a
+  descent of y (then mu = 1).  The maximum u of r W_J' has D_R(u)
+  containing J', so P_{z,u} is the same for every z in r W_J'.  For
+  u = y't the keys z from r differ from r only on A, which lies in one
+  descent run of u, so again P_{z,u} = P_{r,u}.  Either way it is read
+  once per key r of y', at r sorted inside the runs of u.
 
 ``KLRowStore.inversion_failures`` evaluates, for every x <= w in S_n,
 
@@ -60,10 +85,12 @@ packed int, and the two ints are equal exactly when the decoded sums are.
 
 from __future__ import annotations
 
-from itertools import chain, zip_longest
+from bisect import bisect
+from functools import lru_cache
+from itertools import permutations, zip_longest
 from math import factorial
 
-from .permutations import Perm, all_perms, bruhat_leq, perm_to_str
+from .permutations import Perm, _trusted, all_perms, bruhat_leq, perm_to_str
 from .qpoly import LaurentQ
 
 __all__ = [
@@ -79,181 +106,266 @@ def _unpack(p: int, width: int) -> list:
             for k in range((p.bit_length() + width - 1) // width)]
 
 
+def _runs(w) -> tuple:
+    """The descent runs of w with two or more positions, as 0-based
+    half-open intervals (lo, hi) on which w decreases."""
+    runs, lo, n = [], 0, len(w)
+    for k in range(1, n + 1):
+        if k == n or w[k - 1] < w[k]:
+            if k - lo > 1:
+                runs.append((lo, k))
+            lo = k
+    return tuple(runs)
+
+
+# bounded: the mu-corrections of the rows of one rank ask for the same
+# (key, runs) pairs again and again (about ten times each over S_7)
+@lru_cache(maxsize=1 << 16)
+def _coset_min(z: tuple, runs: tuple) -> tuple:
+    """The minimal element of z W_J, J given by its runs: z sorted inside
+    each run."""
+    if not runs:
+        return tuple(z)
+    z = list(z)
+    for lo, hi in runs:
+        z[lo:hi] = sorted(z[lo:hi])
+    return tuple(z)
+
+
+@lru_cache(maxsize=None)
+def _inversions(m: int) -> tuple:
+    """The inversion count of each permutation of permutations(range(m)),
+    in that order: the k-th has the digit sum of k in the factorial base."""
+    if m <= 1:
+        return (0,)
+    rest = _inversions(m - 1)
+    return tuple(d + k for d in range(m) for k in rest)
+
+
+def _longest(runs) -> int:
+    """l(w_J), the longest element of W_J, J given by its descent runs:
+    the most that l(z) - l(r) reaches on a coset r W_J."""
+    return sum((hi - lo) * (hi - lo - 1) // 2 for lo, hi in runs)
+
+
+def _coset(r: tuple, runs: tuple):
+    """(l(z) - l(r), z) over the right coset r W_J of its minimal element
+    r, J given by its descent runs: z is r with the values inside each run
+    permuted, one at a time."""
+    ends = [lo for lo, _ in runs[1:]] + [len(r)]
+    out = iter([(0, r[:runs[0][0]] if runs else r)])
+    for (lo, hi), end in zip(runs, ends):
+        out = _arranged(out, r[lo:hi], r[hi:end])
+    return out
+
+
+def _arranged(prefixes, block, tail):
+    """(dx + inversions of a, x + a + tail) for each (dx, x) of prefixes and
+    each arrangement a of the sorted block."""
+    inv = _inversions(len(block))
+    for dx, x in prefixes:
+        for d, a in zip(inv, permutations(block)):
+            yield dx + d, x + a + tail
+
+
 class KLRowStore:
     """Per-rank memo of the rows B_y = sum_z P_{z,y} T_z, keyed by y.
 
     Rows are computed lazily by the C'_{ys} C'_s recursion, pulling in
-    exactly the rows the corrections need.  Each permutation the store
-    meets is interned to an int index with its length and, once first
-    needed, its right neighbours u*s_i.  A row is built and kept as its
-    lower half for the first descent s of y: the z with zs > z, as a tuple
-    of indices and a tuple of packed ints (see the module docstring for why
-    the other half is a copy).  Reads decode it in full: to a dict
-    Perm -> int tuple by `row` (memoised), or to sorted output by
-    `export`.
+    exactly the rows the corrections need.  A row is a dict from the
+    minimal element of each right W_J-coset of [e, y], J = D_R(y), to its
+    packed P_{z,y} (see the module docstring); every key is interned with
+    its length.  Reads expand the cosets: to a dict Perm -> int tuple by
+    `row` (memoised), or to sorted output by `export`; `polynomial` reads
+    the one value at the coset of z.
 
     >>> from heckelab.permutations import parse_perm
     >>> store = KLRowStore(4)
     >>> y = parse_perm("3412")
     >>> store.row(y)[parse_perm("1234")]
     (1, 1)
-    >>> keys, values, _ = store._packed[store._index_of(y)]
-    >>> sorted((perm_to_str(store._perms[z]), _unpack(p, store._width))
-    ...        for z, p in zip(keys, values))  # doctest: +NORMALIZE_WHITESPACE
+    >>> stored = store._packed[y]
+    >>> sorted((perm_to_str(z), _unpack(p, store._width))
+    ...        for z, p in stored.items())  # doctest: +NORMALIZE_WHITESPACE
     [('1234', [1, 1]), ('1243', [1]), ('1342', [1]), ('2134', [1]),
      ('2143', [1]), ('3124', [1]), ('3142', [1])]
-    >>> len(keys), len(store.row(y))
+    >>> len(stored), len(store.row(y))
     (7, 14)
     """
 
     def __init__(self, n: int):
         self.n = n
         self._width = n * (n - 1) // 2 + 2
-        self._perms: list[Perm] = []
-        self._index: dict[Perm, int] = {}
-        self._lengths: list[int] = []
-        # _right[i - 1][u] is the index of u*s_i, -1 until first needed
-        self._right: list[list[int]] = [[] for _ in range(n - 1)]
-        # row y -> (lower z indices, packed P_{z,y}, _right[i - 1] of its s)
-        self._packed: dict[int, tuple] = {}
+        # row y -> {minimal element of each coset: packed P_{z,y}}
+        self._packed: dict[tuple, dict] = {}
+        # each key of a row, so equal keys share one tuple, and its length
+        self._keys: dict[tuple, tuple] = {}
+        self._lengths: dict[tuple, int] = {}
         # each distinct packed polynomial, so equal values share one int
         self._polys: dict[int, int] = {}
         self._rows: dict[Perm, dict] = {}
-        e = self._intern(Perm.identity(n), 0)
-        self._packed[e] = ((e,), (1,), None)
-
-    def _intern(self, w: Perm, length: int) -> int:
-        k = len(self._perms)
-        self._index[w] = k
-        self._perms.append(w)
-        self._lengths.append(length)
-        for right in self._right:
-            right.append(-1)
-        return k
-
-    def _index_of(self, w: Perm) -> int:
-        k = self._index.get(w)
-        return self._intern(w, w.length()) if k is None else k
-
-    def _times_simple(self, u: int, i: int) -> int:
-        """Index of u*s_i, linked both ways on first use."""
-        w = self._perms[u]
-        ws = w.times_simple(i)
-        k = self._index.get(ws)
-        if k is None:
-            k = self._intern(ws, self._lengths[u]
-                             + (1 if w[i - 1] < w[i] else -1))
-        right = self._right[i - 1]
-        right[u] = k
-        right[k] = u
-        return k
-
-    def length(self, w: Perm) -> int:
-        return self._lengths[self._index_of(w)]
+        e = tuple(range(1, n + 1))
+        self._keys[e], self._lengths[e] = e, 0
+        self._packed[e] = {e: 1}
 
     def row(self, y: Perm) -> dict:
         """The full row {z: P_{z,y} as tuple} over z <= y (memoised)."""
         got = self._rows.get(y)
         if got is None:
-            perms = self._perms
-            got = self._rows[y] = {perms[z]: p
-                                   for z, p in self._decoded(y, tuple)}
+            polys = self._distinct(y, tuple)
+            got = self._rows[y] = {_trusted(z): polys[p]
+                                   for _, z, p in self._items(y)}
         return got
+
+    def polynomial(self, z: Perm, y: Perm) -> tuple:
+        """P_{z,y} as a tuple polynomial, () unless z <= y: the one stored
+        value at the coset of z."""
+        p = self._packed_row(y).get(_coset_min(z, _runs(y)))
+        return () if p is None else self._decode(y, p, tuple)
 
     def export(self, y: Perm, poly_out) -> list:
         """[(z as string, poly_out(coefficients of P_{z,y}))] over the row of
-        y in (length, z) order, read from the packed row without building
-        `row(y)`."""
-        perms, lengths = self._perms, self._lengths
-        return [(perm_to_str(perms[z]), p) for z, p in sorted(
-            self._decoded(y, poly_out),
-            key=lambda e: (lengths[e[0]], perms[e[0]]))]
+        y in (length, z) order, expanded from the stored cosets without
+        building `row(y)`."""
+        polys = self._distinct(y, poly_out)
+        out = sorted(self._items(y))
+        for k, (_, z, p) in enumerate(out):  # in place: each z is freed
+            out[k] = perm_to_str(z), polys[p]
+        return out
 
-    def _decoded(self, y: Perm, poly_out) -> list:
-        """[(z index, poly_out(coefficient list of P_{z,y}))]; each distinct
-        packed polynomial of the row is decoded and passed on once."""
-        k = self._index_of(y)
-        polys = self._distinct(k, poly_out)
-        return [(z, polys[p]) for z, p in self._items(k)]
+    def _decode(self, y: Perm, p: int, poly_out):
+        if p < 0:
+            raise AssertionError(
+                f"negative KL coefficient in row {perm_to_str(y)}")
+        return poly_out(_unpack(p, self._width))
 
-    def _distinct(self, y: int, poly_out) -> dict:
+    def _distinct(self, y: Perm, poly_out) -> dict:
         """{packed P: poly_out(coefficient list of P)} over the distinct
-        values P_{z,y} of the row of the index y."""
-        width = self._width
-        polys = {}
-        for p in set(self._packed_row(y)[1]):
-            if p < 0:
-                raise AssertionError("negative KL coefficient in row "
-                                     f"{perm_to_str(self._perms[y])}")
-            polys[p] = poly_out(_unpack(p, width))
-        return polys
+        values P_{z,y} of the row of y."""
+        return {p: self._decode(y, p, poly_out)
+                for p in set(self._packed_row(y).values())}
 
     def degree_failures(self, y: Perm) -> list:
         """[z] for every z != y in the row of y whose P_{z,y} is nonzero of
-        degree at least (l(y) - l(z)) / 2, in row order."""
-        k = self._index_of(y)
-        lengths, ly = self._lengths, self._lengths[k]
-        return [self._perms[z] for z, size in self._decoded(y, len)
-                if z != k and size and 2 * (size - 1) >= ly - lengths[z]]
+        degree at least (l(y) - l(z)) / 2, coset by coset."""
+        ly, runs, lengths = y.length(), _runs(y), self._lengths
+        top = _longest(runs)
+        sizes = self._distinct(y, len)
+        out = []
+        for r, p in self._packed_row(y).items():
+            twice, lr = 2 * (sizes[p] - 1), lengths[r]
+            if sizes[p] and twice >= ly - lr - top:  # else no z of r fails
+                out += (_trusted(z) for d, z in _coset(r, runs)
+                        if z != y and twice >= ly - lr - d)
+        return out
 
-    def _items(self, y: int):
-        """The full row of y as (z index, packed P_{z,y}) pairs: the stored
-        lower half, then the s-partner of each of its keys with the same
-        value."""
-        keys, values, right = self._packed_row(y)
-        if right is None:  # the identity has no descent
-            return zip(keys, values)
-        return chain(zip(keys, values),
-                     zip(map(right.__getitem__, keys), values))
+    def _items(self, y: Perm):
+        """The full row of y as (l(z), z, packed P_{z,y}) triples, which
+        sort in (length, z) order: each stored coset r W_J expanded, z = r
+        with the values inside each run permuted, at l(r) plus the
+        inversions inside the runs."""
+        lengths, runs = self._lengths, _runs(y)
+        for r, p in self._packed_row(y).items():
+            lr = lengths[r]
+            for d, z in _coset(r, runs):
+                yield lr + d, z, p
 
-    def _packed_row(self, y: int) -> tuple:
+    def _packed_row(self, y: tuple) -> dict:
         got = self._packed.get(y)
         if got is not None:
             return got
-        w = self._perms[y]
-        i = w.descents()[0]
-        right = self._right[i - 1]
-        yp = right[y]
-        if yp < 0:
-            yp = self._times_simple(y, i)
-        lengths, width = self._lengths, self._width
+        n, width = self.n, self._width
         mask = (1 << width) - 1
-        ly = lengths[y]
+        i = next(k for k in range(n - 1) if y[k] > y[k + 1])
+        yp = y[:i] + (y[i + 1], y[i]) + y[i + 2:]  # y' = ys, s = s_(i+1)
+        prev = self._packed_row(yp)
+        lengths, keys = self._lengths, self._keys
+        runs = _runs(yp)
+        # the runs A of y' ending at s and B starting at s + 1 (0-based
+        # positions [alo, i] and [i + 1, bhi)); z is increasing on B when
+        # s + 1 is a descent of y
+        alo = next((lo for lo, hi in runs if hi == i + 1), i)
+        bhi = next((hi for lo, hi in runs if lo == i + 1), i + 2)
+        increasing_b = i + 2 < n and y[i + 1] > y[i + 2]
+        lyp = Perm.length(yp)
+        top = _longest(runs)
 
-        # P_{z,y} = P_{z,ys} + q P_{zs,ys} at each lower z (zs > z)
-        out: dict[int, int] = {}
-        get = out.get
-        corrections = []
-        for u, p in self._items(yp):
-            us = right[u]
-            if us < 0:
-                us = self._times_simple(u, i)
-            lu = lengths[u]
-            if lengths[us] < lu:  # us < u: factor q, and u may carry a mu term
-                gap = ly - 1 - lu
+        out: dict[tuple, int] = {}  # key z of y -> packed P_{z,y}
+        out_lengths = []
+        by_coset: dict[tuple, list] = {}  # key r of y' -> its keys z of y
+        corrections = []  # (u, mu(u, y') q^((l(y) - l(u)) / 2) packed)
+        get = prev.get
+        # with one value on A and z(s+1) the least on B, z is r itself
+        single = alo == i and (increasing_b or bhi == i + 2)
+        for r, p in prev.items():
+            lr = lengths[r]
+            if r[alo] > r[bhi - 1]:  # the maximum u of r W_J' has us < u
+                gap = lyp - lr - top
                 if gap & 1:
                     mu_val = p >> width * (gap >> 1) & mask
                     if mu_val:
+                        u = list(r)
+                        for lo, hi in runs:
+                            u[lo:hi] = reversed(u[lo:hi])
                         corrections.append(
-                            (u, mu_val << width * ((gap + 1) >> 1)))
-                out[us] = get(us, 0) + (p << width)
-            else:
-                out[u] = get(u, 0) + p
+                            (tuple(u), mu_val << width * ((gap + 1) >> 1)))
+            if single:
+                if r[i] < r[i + 1]:
+                    pz = get(r[:i] + (r[i + 1], r[i]) + r[i + 2:])
+                    out[r] = p + (pz << width) if pz else p
+                    out_lengths.append(lr)
+                    by_coset[r] = [r]
+                continue
+            pre, a_vals, b_vals, post = r[:alo], r[alo:i + 1], r[i + 1:bhi], \
+                r[bhi:]
+            zs = []
+            for ia, a in enumerate(a_vals):
+                other = a_vals[:ia] + a_vals[ia + 1:]
+                front = pre + other + (a,)
+                below = bisect(b_vals, a)  # the values on B less than a
+                for jb in range(below, 1 if increasing_b else len(b_vals)):
+                    b = b_vals[jb]
+                    rest = b_vals[:jb] + b_vals[jb + 1:]
+                    z = front + (b,) + rest + post
+                    # zs re-sorted on A and B
+                    a_new = (other + (b,) if not other or other[0] < b
+                             else (b,) + other)
+                    b_new = rest[:below] + (a,) + rest[below:]
+                    pz = get(pre + a_new + b_new + post)
+                    out[z] = p + (pz << width) if pz else p
+                    out_lengths.append(lr + len(other) - ia + jb)
+                    zs.append(z)
+            if zs:
+                by_coset[r] = zs
 
-        # a correction row is s-symmetric; its lower z are keys of out
+        # P_{z,u} = P_{r,u} for the keys z from r: read once per key r of
+        # y', at r sorted inside the runs of u that are not runs of y'
+        if increasing_b:  # u = y' s_(i+2), mu(u, y') = 1
+            corrections.append(
+                (yp[:i + 1] + (yp[i + 2], yp[i + 1]) + yp[i + 3:], 1 << width))
         for u, c in corrections:
-            for z, pz in self._items(u):
-                if z in out:
-                    out[z] -= pz * c
+            row_u = self._packed_row(u)
+            extra = tuple(run for run in _runs(u) if run not in runs)
+            for r, zs in by_coset.items():
+                pu = row_u.get(_coset_min(r, extra))
+                if pu:
+                    d = pu * c
+                    for z in zs:
+                        out[z] -= d
 
-        if out.get(yp) != 1:  # P_{y,y}, stored at its partner ys
+        if out.get(_coset_min(y, _runs(y))) != 1:
             raise AssertionError(
-                f"KL recursion failed at {perm_to_str(w)}: P_ww != 1")
-        values = out.values()
-        got = self._packed[y] = (
-            tuple(out), tuple(map(self._polys.setdefault, values, values)),
-            right)
-        return got
+                f"KL recursion failed at {perm_to_str(y)}: P_ww != 1")
+        row = {}
+        polys = self._polys
+        for (z, v), lz in zip(out.items(), out_lengths):
+            key = keys.get(z)
+            if key is None:
+                key = keys[z] = z
+                lengths[z] = lz
+            row[key] = polys.setdefault(v, v)
+        self._packed[y] = row
+        return row
 
     def inversion_failures(self) -> list:
         """[(w, x, coefficient list of the sum)] for every x <= w in S_n at
@@ -261,18 +373,30 @@ class KLRowStore:
         builds every row of S_n.  The module docstring shows why the
         comparison of packed sums is exact."""
         n = self.n
-        w0 = Perm(range(n, 0, -1))
-        dual = {self._index_of(w): self._index_of(w0 * w)
-                for w in all_perms(n)}
-        lengths, perms = self._lengths, self._perms
-        rows = {y: self._decoded(perms[y], tuple) for y in dual}
-        polys = {c for row in rows.values() for _, c in row}
-        top = max(sum(c) for c in polys)
+        perms = list(all_perms(n))
+        index = {w: k for k, w in enumerate(perms)}
+        dual = [index[tuple(n + 1 - v for v in w)] for w in perms]  # w0 w
+        lengths = [w.length() for w in perms]
+        polys = {}
+        for w in perms:
+            polys.update(self._distinct(w, tuple))
+        top = max(map(sum, polys.values()))
         width = (factorial(n) * top * top + 1).bit_length()
-        wide = {c: sum(a << width * k for k, a in enumerate(c)) for c in polys}
-        rows = {y: {z: wide[c] for z, c in row} for y, row in rows.items()}
+        wide = {p: sum(a << width * k for k, a in enumerate(c))
+                for p, c in polys.items()}
+        members = {}  # (r, runs) -> the indices of r W_J; rows share cosets
+        rows = []
+        for w in perms:
+            runs, row = _runs(w), {}
+            for r, p in self._packed_row(w).items():
+                ks = members.get((r, runs))
+                if ks is None:
+                    ks = members[r, runs] = [index[z] for _, z in
+                                             _coset(r, runs)]
+                row.update(dict.fromkeys(ks, wide[p]))
+            rows.append(row)
         failures = []
-        for w, dw in dual.items():
+        for w, dw in enumerate(dual):
             by_parity = ({}, {})  # the terms of z with l(z) even, odd
             for z in rows[w]:
                 d = rows[dual[z]][dw]
@@ -327,14 +451,14 @@ class KLTable:
         y = self.w if y is None else y
         if not bruhat_leq(y, self.w):
             raise ValueError("y is not below the table's top element")
-        return LaurentQ.from_poly_coeffs(self.store.row(y).get(z, ()))
+        return LaurentQ.from_poly_coeffs(self.store.polynomial(z, y))
 
     def mu(self, z: Perm, y: Perm | None = None) -> int:
         y = self.w if y is None else y
-        p = self.store.row(y).get(z)
-        if p is None:
+        p = self.store.polynomial(z, y)
+        if not p:
             return 0
-        gap = self.store.length(y) - self.store.length(z)
+        gap = y.length() - z.length()
         if not gap & 1:
             return 0
         k = (gap - 1) >> 1
@@ -356,7 +480,7 @@ class KLTable:
             rows = [self.w]
         store = self.store
         entries = []
-        for y in sorted(rows, key=lambda y: (store.length(y), y)):
+        for y in sorted(rows, key=lambda y: (y.length(), y)):
             ys = perm_to_str(y)
             entries += ([z, ys, p] for z, p in store.export(
                 y, lambda c: {str(k): v for k, v in enumerate(c) if v}))

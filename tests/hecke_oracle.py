@@ -191,10 +191,10 @@ def cprime_times_cs(w: Perm, i: int) -> dict[Perm, LaurentQ]:
     out = {ws: LaurentQ.one()}
     store = row_store(len(w))
     roww = store.row(w)
-    lw = store.length(w)
+    lw = w.length()
     for z, p in roww.items():
         if z[i - 1] > z[i]:
-            gap = lw - store.length(z)
+            gap = lw - z.length()
             if gap & 1:
                 k = (gap - 1) >> 1
                 if k < len(p) and p[k]:

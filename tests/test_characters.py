@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from heckelab.characters import (MAX_CHARACTER_N, _frobenius_coeffs,
-                                 _packed, _unpacked, chi, character_table,
+from heckelab.characters import (MAX_CHARACTER_N, _coxeter_h,
+                                 _frobenius_coeffs, _packed, _unpacked, chi, character_table,
                                  cycle_type, frobenius_cprime, min_class_rep,
                                  murnaghan_nakayama)
 from heckelab import hecke
@@ -271,3 +271,14 @@ def test_haiman_unimodality_spot():
 def test_partition_size_guard():
     with pytest.raises(ValueError):
         chi((2, 1), Perm.identity(4))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_coxeter_h_matches_the_s_to_h_conversion(k):
+    # the integer hook sums equal sum_r (-1)^r q^(k-1-r) s_(k-r, 1^r)
+    # converted to the h basis by the Fraction elimination of symfunc
+    hooks = {(k - r,) + (1,) * r: LaurentQ.q(k - 1 - r) * (-1) ** r
+             for r in range(k)}
+    h = SymmetricFunction("s", k, hooks).convert("h")
+    assert dict(_coxeter_h(k)) == {nu: c.poly_coeffs()
+                                   for nu, c in h.coeffs.items()}

@@ -3,13 +3,14 @@ import hashlib
 import io
 import json
 import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab.cli import main
-from heckelab.hecke import (KLRowStore, _unpack, kl_table, kl_polynomial, mu,
-                            row_store)
+from heckelab.hecke import (KLRowStore, KLTable, _unpack, kl_table,
+                            kl_polynomial, mu, row_store)
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
                                    simple_reflection)
 from heckelab.qpoly import LaurentQ, poly_add_scaled, poly_mul
@@ -183,8 +184,10 @@ def test_kl_row_properties_s7_s8(w):
 
 # sha256 of `hecke-lab --format json kl --w <w>` stdout, recorded from the
 # row store that built rows of tuple polynomials keyed by Perm (the first
-# two) and from the export that decoded rows into {Perm: tuple} (the rest;
-# the coset permutations the benchmark draws from seeds)
+# two), from the export that decoded rows into {Perm: tuple} (the next two;
+# the coset permutations the benchmark draws from seeds) and from the store
+# of lower half rows (78563412, singular, whose closure has
+# mu-corrections with nonconstant polynomials)
 KL_JSON_SHA256 = {
     "87654321":
         "8463083f1b346cc1b13388ba02aa5326a0ce44a8c2247d6c724775c49fdd1a02",
@@ -194,11 +197,15 @@ KL_JSON_SHA256 = {
         "f8db3c61206baec1a56080f1bfde2a097b5c53020e3ab2973f24b8c7b22c8e17",
     "85764321":
         "9e465b31892c65d8d8cdff6642d3df082d5dea7321d1893425013f2fddd95f05",
+    "78563412":
+        "0705acc4ba7fc73edecc0e34d393f336b813e9700abb1e60724138f6cb39d73d",
 }
 # the same for `hecke-lab --format text kl --w <w>`
 KL_TEXT_SHA256 = {
     "62754381":
         "9f1fff4fb3f309b9bb96e7b4dfff2c4bd765c0b56e403e61dcb82c47be9e8ebd",
+    "78563412":
+        "5f00a4fd0ef5e6f93a3ab4c2f2197f101d84c15cfefb8a7a9ba9e7a32c0b87cc",
 }
 
 
@@ -237,38 +244,43 @@ def test_negative_packed_coefficient_raises():
     for read in (lambda s: s.row(w), lambda s: s.export(w, tuple)):
         store = KLRowStore(4)
         store.row(w)
-        keys, values, right = store._packed[store._index_of(w)]
-        store._packed[store._index_of(w)] = (keys, (-1,) + values[1:], right)
+        stored = store._packed[w]
+        stored[next(iter(stored))] = -1
         store._rows.clear()
         with pytest.raises(AssertionError, match="negative KL coefficient"):
             read(store)
 
 
-def test_stored_rows_are_lower_halves():
-    # a row keeps only the z with zs > z for the first descent s of y;
-    # P_{z,y} = P_{zs,y}, for every descent s of y, gives back the rest
+def test_stored_rows_are_descent_cosets():
+    # a row keeps one value per right W_J-coset of [e, y], J = D_R(y),
+    # keyed by the coset's minimal element; P_{z,y} = P_{zt,y} for every
+    # descent t of y gives back the rest
     store = KLRowStore(6)
     shared = {}
     pairs = 0
     for y in all_perms(6):
         row = store.row(y)
         pairs += len(row)
-        keys, values, _ = store._packed[store._index_of(y)]
-        lower = [store._perms[z] for z in keys]
-        if y == Perm.identity(6):
-            assert row == {y: (1,)}
-        else:
-            i = y.descents()[0]
-            assert all(z[i - 1] < z[i] for z in lower), y
-            full = {}
-            for z, p in zip(lower, values):
-                full[z] = full[z.times_simple(i)] = \
-                    tuple(_unpack(p, store._width))
-            assert full == row, y
+        stored = store._packed[y]
+        runs = []  # the descent runs of y as lists of 0-based positions
+        for k in range(6):
+            if k and y[k - 1] > y[k]:
+                runs[-1].append(k)
+            else:
+                runs.append([k])
+        full = {}
+        for r, p in stored.items():
+            assert all(r[a] < r[b] for run in runs
+                       for a, b in zip(run, run[1:])), (r, y)
+            for arranged in product(*(permutations([r[k] for k in run])
+                                      for run in runs)):
+                z = Perm(v for part in arranged for v in part)
+                full[z] = tuple(_unpack(p, store._width))
+        assert full == row, y
         for i in y.descents():
             for z, p in row.items():
                 assert row[z.times_simple(i)] == p, (z, y, i)
-        for p in values:
+        for p in stored.values():
             assert shared.setdefault(p, p) is p, (y, p)
     assert pairs == 98407  # the Bruhat-comparable pairs z <= y of S_6
 
@@ -282,6 +294,22 @@ def test_unpack_reads_coefficients_above_the_store_width():
     packed = sum(c << width * k for k, c in enumerate(coeffs))
     assert _unpack(packed, width) == coeffs
     assert _unpack(packed, b) != coeffs
+
+
+def test_single_entry_reads_match_the_row():
+    # polynomial and mu read the one stored value at the coset of z,
+    # without decoding a row into the memo of `row`
+    store = KLRowStore(5)
+    perms = list(all_perms(5))
+    for y in random.Random(3).sample(perms, 12):
+        table = KLTable(y, store)
+        expected = {z: row_store(5).row(y).get(z, ()) for z in perms}
+        for z in perms:
+            assert store.polynomial(z, y) == expected[z], (z, y)
+            assert table.polynomial(z) == \
+                LaurentQ.from_poly_coeffs(expected[z]), (z, y)
+            assert table.mu(z) == mu(z, y), (z, y)
+    assert store._rows == {}
 
 
 def test_mu():

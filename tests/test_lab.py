@@ -118,12 +118,11 @@ def test_kl_selfdual_passes_n5():
 
 
 def _add_to_stored_value(store, y, z, delta):
-    """Add the packed delta to the stored value of P_{z,y}, z a stored
-    (lower) key of the row of y; its s-partner reads the same value."""
-    keys, values, right = store._packed_row(store._index_of(y))
-    k = keys.index(store._index_of(z))
-    store._packed[store._index_of(y)] = (
-        keys, values[:k] + (values[k] + delta,) + values[k + 1:], right)
+    """Add the packed delta to the stored value of P_{z,y}, z a stored key
+    of the row of y (the minimal element of its coset); every z of the
+    coset reads the same value."""
+    stored = store._packed_row(y)
+    stored[z] += delta
 
 
 def test_kl_selfdual_reports_a_perturbed_kl_polynomial(monkeypatch):
@@ -159,7 +158,7 @@ def _store_with_perturbed_row(monkeypatch, w):
     n = len(w)
     store = KLRowStore(n)
     for u in all_perms(n):
-        store._packed_row(store._index_of(u))
+        store._packed_row(u)
     _add_to_stored_value(store, w, Perm.identity(n), 1)
     monkeypatch.setitem(importlib.import_module("heckelab.hecke")._stores,
                         n, store)
