@@ -263,11 +263,17 @@ def _unpacked(p: int, width: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _values_bound(mu: tuple) -> int:
+    """max_lambda |V_{mu,lambda}|_1, the part of A_c that depends on mu
+    alone."""
+    return max(sum(map(abs, v)) for v in _class_values(mu).values())
+
+
+@lru_cache(maxsize=None)
 def _class_bound(c: int) -> int:
     """A_c = sum_mu |f_{c,mu}|_1 max_lambda |V_{mu,lambda}|_1 for the class
     numbered c (see the module docstring)."""
-    return sum(sum(map(abs, p))
-               * max(sum(map(abs, v)) for v in _class_values(mu).values())
+    return sum(sum(map(abs, p)) * _values_bound(mu)
                for mu, p in _classes[c].items())
 
 
@@ -351,9 +357,7 @@ def frobenius_cprime(w: Perm) -> SymmetricFunction:
     packed kernel `_frobenius_coeffs`, memoised here and nowhere else; the
     T-basis oracle in tests/hecke_oracle.py checks it term by term.
     Raises ValueError above MAX_CHARACTER_N."""
-    return SymmetricFunction("s", len(w), {
-        lam: LaurentQ.from_poly_coeffs(p)
-        for lam, p in _frobenius_coeffs(w).items()})
+    return SymmetricFunction.from_polys("s", len(w), _frobenius_coeffs(w))
 
 
 # -- the q := 1 oracle --------------------------------------------------------

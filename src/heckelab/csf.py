@@ -51,7 +51,6 @@ from math import factorial
 from .cache import int_poly
 from .permutations import (enumerate_hessenberg, hessenberg_edges,
                            hessenberg_to_str, is_hessenberg, parse_hessenberg)
-from .qpoly import LaurentQ
 from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
@@ -153,19 +152,12 @@ def _csf_coeffs(ms) -> dict:
     return out
 
 
-def _monomial(n: int, coeffs: dict) -> SymmetricFunction:
-    """The symmetric function of degree n with monomial tuple-poly
-    coefficients `coeffs`, as `_csf_coeffs` and `_oracle_coeffs` give them."""
-    return SymmetricFunction("m", n, {lam: LaurentQ.from_poly_coeffs(p)
-                                      for lam, p in coeffs.items()})
-
-
 def csf(m) -> SymmetricFunction:
     """csf_q(G_m) in the monomial basis."""
     m = tuple(m)
     if not is_hessenberg(m):
         raise ValueError(f"not a Hessenberg function: {m}")
-    return _monomial(len(m), _csf_coeffs([m])[m])
+    return SymmetricFunction.from_polys("m", len(m), _csf_coeffs([m])[m])
 
 
 def _oracle_coeffs(m) -> dict:
@@ -219,7 +211,7 @@ def csf_oracle(m) -> SymmetricFunction:
     the module docstring describes.  Capped at n = 6.
     """
     m = tuple(m)
-    return _monomial(len(m), _oracle_coeffs(m))
+    return SymmetricFunction.from_polys("m", len(m), _oracle_coeffs(m))
 
 
 # -- batch computation over all Hessenberg functions of a rank ---------------

@@ -18,7 +18,7 @@ from .permutations import (Perm, all_perms, codominant_of_hessenberg,
                            hessenberg_of_smooth, hessenberg_to_str,
                            perm_to_str, transpositions_below)
 from .qpoly import ONE_PLUS_Q, LaurentQ, poly_add_scaled, poly_mul
-from .symfunc import (SymmetricFunction, _matrix_to_m, conjugate, partitions,
+from .symfunc import (SymmetricFunction, _transition, conjugate, partitions,
                       positivity)
 
 __all__ = [
@@ -200,9 +200,10 @@ def counterexample_search(m1, general: bool = False, cache=None,
     E(m2) = E(m1) + 1 (the lengths any character-level solution must have,
     since P_{e,w} = 1 + q pins the length gaps).  With general=True the
     equation (1+q) csf(m1) = q^a csf(m0) + csf(m2) is scanned for every
-    a in 0..E(m1)+1 with no length filter; the trivial solution
-    (a, m0, m2) = (1, m1, m1) is excluded, being an artifact of the
-    symmetric-function form that the character equation does not admit.
+    a in 0..E(m1)+1 with no length filter.  At a = 1 every m0 with
+    csf(m0) = csf(m1), as m1 and its reversal (csf_q is reversal-invariant;
+    Shareshian & Wachs, Adv. Math. 295 (2016)), is skipped: it gives the
+    trivial csf(m2) = csf(m1), which the character equation does not admit.
 
     Returns the first solution in scan order, or None (NotFound).
     """
@@ -236,13 +237,11 @@ def counterexample_search(m1, general: bool = False, cache=None,
 
     for a in range(0, e1 + 2):
         for m0, coeffs in batch.items():
-            hits = index.get(residual_key(coeffs, a))
-            if not hits:
+            if a == 1 and coeffs == batch[m1]:
                 continue
-            for m2 in hits:
-                if a == 1 and m0 == m1 and m2 == m1:
-                    continue
-                return CounterexampleResult(m0, m2, a)
+            hits = index.get(residual_key(coeffs, a))
+            if hits:
+                return CounterexampleResult(m0, hits[0], a)
     return None
 
 
@@ -296,7 +295,7 @@ def _positive_solve(target: SymmetricFunction, n: int, node_budget: int = 200000
     candidates = []
     for m in enumerate_hessenberg(n):
         wm = codominant_of_hessenberg(m)
-        vec = _h_vec(frobenius_cprime(wm))
+        vec = frobenius_cprime(wm).convert("h").polys
         candidates.append((wm, vec, wm.length()))
 
     budget = [node_budget]
@@ -353,12 +352,7 @@ def _positive_solve(target: SymmetricFunction, n: int, node_budget: int = 200000
                     return rest
         return None
 
-    return search(_h_vec(target), None, 0)
-
-
-def _h_vec(f: SymmetricFunction) -> dict:
-    """h-basis coefficients as tuple polynomials (requires poly entries)."""
-    return {lam: c.poly_coeffs() for lam, c in f.convert("h").coeffs.items()}
+    return search(target.convert("h").polys, None, 0)
 
 
 def verify_decomposition(w: Perm, decomposition: dict) -> bool:
@@ -395,18 +389,13 @@ class Report:
 def _check_cor44(n: int) -> Report:
     ms = enumerate_hessenberg(n)
     batch = csf_batch(n)
-    parts = partitions(n)
-    # omega(s_lam) = s_lam', whose m coefficients are the row lam' of the
-    # s-to-m matrix
-    to_m = _matrix_to_m("s", n)
-    omega_m = {lam: to_m[parts.index(conjugate(lam))] for lam in parts}
+    s_to_m = _transition("s", "m", n)  # omega(s_lam) = s_lam'
     witnesses = []
     for m in ms:
         got = {}
         for lam, p in _frobenius_coeffs(codominant_of_hessenberg(m)).items():
-            for mu, k in zip(parts, omega_m[lam]):
-                if k:
-                    got[mu] = poly_add_scaled(got.get(mu, ()), p, k, 0)
+            for mu, k in s_to_m[conjugate(lam)]:
+                got[mu] = poly_add_scaled(got.get(mu, ()), p, k, 0)
         if csf_key(got) != csf_key(batch[m]):
             witnesses.append(hessenberg_to_str(m))
     return Report("cor44", n, "fail" if witnesses else "pass", witnesses,

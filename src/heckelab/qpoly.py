@@ -20,11 +20,11 @@ q^(-1/2) + q^(1/2)
 
 The ``poly_*`` functions are the internal kernel: a polynomial in q is a
 plain int tuple of coefficients ascending from q^0, with no trailing
-zeros, so () is zero.  KL rows, class polynomials, characters and csf
-coefficients are computed in this form and wrapped into LaurentQ
-(``LaurentQ.from_poly_coeffs``) only at the API boundary; the S_8
-computations walk tens of thousands of interval elements and dict-of-tuple
-rows keep that affordable.
+zeros, so () is zero.  KL rows, class polynomials, characters, csf and
+symmetric functions (with one half-power shift each) are computed in this
+form and wrapped into LaurentQ (``LaurentQ.from_poly_coeffs``) only at the
+API boundary; the S_8 computations walk tens of thousands of interval
+elements and dict-of-tuple rows keep that affordable.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from fractions import Fraction
 class LaurentQ:
     """Sparse Laurent polynomial in q^(1/2) with exact coefficients.
 
-    Coefficients are Python ints; the ring also tolerates exact Fractions
-    (needed only when converting symmetric functions into the power-sum
-    basis, which is a Q-basis, not a Z-basis), normalizing any integral
-    Fraction back to int.  Everything the recursions produce stays integer.
+    Coefficients are Python ints; the ring also tolerates exact Fractions,
+    normalizing any integral Fraction back to int.  Fractions reach it only
+    when a power-sum (p) coefficient of a symmetric function is shown or
+    serialized.  Everything the recursions produce stays integer.
 
     Immutable; canonical form (no zero coefficients) is enforced on
     construction, so equality and hashing are structural.

@@ -2,16 +2,33 @@
 Symmetric functions of homogeneous degree n over the Laurent ring in q^(1/2),
 in the five classical bases m, e, h, p, s.
 
-All conversions go through the monomial basis with exact integer transition
-matrices, computed once per degree by direct combinatorial counting:
+A function stores {partition: tuple polynomial in q} (heckelab.qpoly's
+``poly_*`` form) and one shift, in half powers of q: the coefficient of
+basis_lam is q^(shift/2) polys[lam](q).  The shift is canonical, so equal
+functions in one basis store equal data: the least half exponent if it is
+negative, otherwise its parity.  So the polynomials in q that the package
+makes (ch(B_w), csf_q(G_m)) are stored as given, with shift 0; a function
+mixing integer and half-integer powers of q is refused with ValueError.
+LaurentQ is only parsed on input and built on output.
 
-* e_lambda -> m: 0-1 matrices with prescribed row and column sums,
-* h_lambda -> m: natural-number matrices with prescribed row and column sums,
-* p_lambda -> m: assignments of whole parts to columns,
-* s_lambda -> m: Kostka numbers, counted over semistandard tableaux.
+>>> from heckelab.characters import frobenius_cprime
+>>> from heckelab.permutations import Perm
+>>> f = frobenius_cprime(Perm((2, 1, 3)))  # ch(B_s) = (1 + q)(s_3 + s_21)
+>>> f.polys, f.shift
+({(3,): (1, 1), (2, 1): (1, 1)}, 0)
+>>> print(f.convert("h"))
+(1 + q)*h[2,1]
+>>> g = f.scale(LaurentQ.q_half(-3))
+>>> g.polys[(3,)], g.shift
+((1, 1), -3)
 
-The inverse matrices are computed by exact Gaussian elimination and checked
-to be integral, so every round trip is exact.
+A conversion is one pass over a transition matrix per (source, target,
+degree): source-to-m times m-to-target.  Into m, s_lambda has the Kostka
+numbers K_{lambda,mu}, h_lambda = sum_nu K_{nu,lambda} s_nu and e_lambda =
+sum_nu K_{nu',lambda} s_nu go through s, and p_lambda counts assignments of
+whole parts to columns.  The inverses come from exact Gaussian elimination
+and are checked integral, except into p, a Q-basis only: Fractions appear
+in the p basis alone.
 """
 
 from __future__ import annotations
@@ -19,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
 
-from .qpoly import LaurentQ, q_factorial
+from .qpoly import LaurentQ, poly_add_scaled, poly_mul, q_factorial
 
 __all__ = [
     "Partition", "partitions", "conjugate", "hook_lengths", "num_syt",
@@ -76,10 +92,10 @@ def num_syt(lam: Partition) -> int:
 
 def q_factorial_partition(lam: Partition) -> LaurentQ:
     """lambda!_q = product of [lambda_i]!_q."""
-    out = LaurentQ.one()
+    out = (1,)
     for part in lam:
-        out = out * q_factorial(part)
-    return out
+        out = poly_mul(out, q_factorial(part).poly_coeffs())
+    return LaurentQ.from_poly_coeffs(out)
 
 
 # -- transition coefficients into the monomial basis -------------------------
@@ -120,47 +136,6 @@ def _strip_predecessors(lam: Partition, size: int):
 
 
 @lru_cache(maxsize=None)
-def _count_01_matrices(rows: Partition, cols: tuple) -> int:
-    """0-1 matrices with row sums `rows` and column sums `cols`."""
-    if not rows:
-        return int(all(c == 0 for c in cols))
-    r = rows[0]
-    avail = [j for j, c in enumerate(cols) if c > 0]
-    if r > len(avail):
-        return 0
-    total = 0
-    for chosen in combinations(avail, r):
-        new = list(cols)
-        for j in chosen:
-            new[j] -= 1
-        total += _count_01_matrices(rows[1:], tuple(new))
-    return total
-
-
-@lru_cache(maxsize=None)
-def _count_nat_matrices(rows: Partition, cols: tuple) -> int:
-    """Natural-number matrices with row sums `rows` and column sums `cols`."""
-    if not rows:
-        return int(all(c == 0 for c in cols))
-    r = rows[0]
-    total = 0
-
-    def place(j, remaining, new_cols):
-        nonlocal total
-        if j == len(cols):
-            if remaining == 0:
-                total += _count_nat_matrices(rows[1:], tuple(new_cols))
-            return
-        for amt in range(min(remaining, cols[j]) + 1):
-            new_cols[j] = cols[j] - amt
-            place(j + 1, remaining - amt, new_cols)
-        new_cols[j] = cols[j]
-
-    place(0, r, list(cols))
-    return total
-
-
-@lru_cache(maxsize=None)
 def _count_part_assignments(parts: Partition, cols: tuple) -> int:
     """Ways to send each part wholly to one column, hitting the column sums."""
     if not parts:
@@ -176,10 +151,12 @@ def _count_part_assignments(parts: Partition, cols: tuple) -> int:
 
 
 def _to_monomial_coefficient(basis: str, lam: Partition, mu: Partition) -> int:
-    if basis == "e":
-        return _count_01_matrices(lam, mu)
-    if basis == "h":
-        return _count_nat_matrices(lam, mu)
+    if basis == "m":
+        return int(lam == mu)
+    if basis in ("e", "h"):
+        # h_lam = sum_nu K_{nu,lam} s_nu and e_lam = sum_nu K_{nu',lam} s_nu
+        return sum(kostka(conjugate(nu) if basis == "e" else nu, lam)
+                   * kostka(nu, mu) for nu in partitions(sum(lam)))
     if basis == "p":
         return _count_part_assignments(lam, mu)
     if basis == "s":
@@ -204,54 +181,99 @@ def _matrix_from_m(basis: str, n: int) -> tuple:
     The inverses for e, h, s are integer matrices (those are Z-bases); the
     power sums are only a Q-basis, so the p inverse keeps exact Fractions.
     """
-    mat = [[Fraction(v) for v in row] for row in _matrix_to_m(basis, n)]
-    size = len(mat)
-    inv = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    size = len(partitions(n))
+    # the rows of [_matrix_to_m | identity], reduced to [identity | inverse]
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j))
+                                          for j in range(size)]
+            for i, row in enumerate(_matrix_to_m(basis, n))]
     for col in range(size):
-        pivot = next(r for r in range(col, size) if mat[r][col] != 0)
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = mat[col][col]
-        mat[col] = [v / scale for v in mat[col]]
-        inv[col] = [v / scale for v in inv[col]]
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = rows[col][col]
+        rows[col] = [v / scale for v in rows[col]]
         for r in range(size):
-            if r != col and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-                inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
-    if basis != "p":
-        for row in inv:
-            for v in row:
-                if v.denominator != 1:
-                    raise AssertionError(
-                        f"{basis}-basis transition inverse not integral")
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    inv = [row[size:] for row in rows]
+    if basis != "p" and any(v.denominator != 1 for row in inv for v in row):
+        raise AssertionError(f"{basis}-basis transition inverse not integral")
     # row mu, column lam: coefficient of basis_lam in m_mu
     return tuple(tuple(int(v) if v.denominator == 1 else v for v in row)
                  for row in inv)
 
 
+@lru_cache(maxsize=None)
+def _transition(src: str, dst: str, n: int) -> dict:
+    """{lam: ((nu, coefficient of dst_nu in src_lam), ...)} over the nonzero
+    coefficients: _matrix_to_m(src) times _matrix_from_m(dst), in ints, with
+    Fractions only into p."""
+    parts = partitions(n)
+    inv = _matrix_from_m(dst, n)
+    rows = {}
+    for lam, row in zip(parts, _matrix_to_m(src, n)):
+        entries = []
+        for j, nu in enumerate(parts):
+            v = sum(a * inv[i][j] for i, a in enumerate(row) if a)
+            if v:
+                entries.append((nu, int(v) if v.denominator == 1 else v))
+        rows[lam] = tuple(entries)
+    return rows
+
+
 # -- the symmetric function container ----------------------------------------
 
-class SymmetricFunction:
-    """Homogeneous symmetric function with LaurentQ coefficients."""
+def _low(p: tuple) -> int:
+    """Index of the first nonzero coefficient of a nonzero tuple poly."""
+    return next(i for i, v in enumerate(p) if v)
 
-    __slots__ = ("basis", "n", "coeffs")
+
+class SymmetricFunction:
+    """Homogeneous symmetric function of degree n in one basis: the sum of
+    q^(shift/2) polys[lam](q) basis_lam, with tuple polynomials in q and
+    one canonical shift per function (see the module docstring)."""
+
+    __slots__ = ("basis", "n", "shift", "polys")
 
     def __init__(self, basis: str, n: int, coeffs: dict):
+        """Coefficients {partition: int or LaurentQ}; raises ValueError for
+        an unknown basis, a partition of the wrong size, or coefficients
+        that mix integer and half-integer powers of q."""
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        self.n = n
-        clean = {}
+        terms = {}
         for lam, c in coeffs.items():
             lam = tuple(lam)
             if sum(lam) != n:
                 raise ValueError(f"partition {lam} has size != {n}")
-            if not isinstance(c, LaurentQ):
-                c = LaurentQ.integer(c)
-            if c:
-                clean[lam] = clean.get(lam, LaurentQ.zero()) + c
-        self.coeffs = {k: v for k, v in clean.items() if v}
+            terms[lam] = c if isinstance(c, LaurentQ) else LaurentQ({0: c})
+        shift = min((c.min_half_exponent() for c in terms.values() if c),
+                    default=0)
+        # poly_coeffs raises ValueError on a half power left after the shift
+        self._store(basis, n, {lam: c.shift(-shift).poly_coeffs()
+                               for lam, c in terms.items()}, shift)
+
+    @classmethod
+    def from_polys(cls, basis: str, n: int, polys: dict,
+                   shift: int = 0) -> "SymmetricFunction":
+        """sum_lam q^(shift/2) polys[lam](q) basis_lam, from tuple
+        polynomials in q; zero polynomials are left out."""
+        f = cls.__new__(cls)
+        f._store(basis, n, polys, shift)
+        return f
+
+    def _store(self, basis, n, polys, shift):
+        """Keep the nonzero polys, moved to the canonical shift: the least
+        half exponent if it is negative, otherwise its parity."""
+        polys = {lam: p for lam, p in polys.items() if p}
+        lo = shift + 2 * min(map(_low, polys.values())) if polys else 0
+        canonical = lo if lo < 0 else lo & 1
+        step = (shift - canonical) // 2
+        if step > 0:
+            polys = {lam: (0,) * step + p for lam, p in polys.items()}
+        elif step < 0:
+            polys = {lam: p[-step:] for lam, p in polys.items()}
+        self.basis, self.n, self.shift, self.polys = basis, n, canonical, polys
 
     @classmethod
     def zero(cls, basis: str, n: int) -> "SymmetricFunction":
@@ -262,62 +284,52 @@ class SymmetricFunction:
         lam = tuple(lam)
         return cls(basis, sum(lam), {lam: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, lam) -> LaurentQ:
-        return self.coeffs.get(tuple(lam), LaurentQ.zero())
+        p = self.polys.get(tuple(lam), ())
+        return LaurentQ.from_poly_coeffs(p).shift(self.shift)
+
+    @property
+    def coeffs(self) -> dict:
+        """{partition: LaurentQ} over the nonzero coefficients."""
+        return {lam: self.coefficient(lam) for lam in self.polys}
 
     def convert(self, target: str) -> "SymmetricFunction":
-        """Exact change of basis."""
+        """Exact change of basis, one pass over the transition matrix."""
         if target == self.basis:
             return self
-        if self.basis == "m":
-            mat = _matrix_from_m(target, self.n)
-        else:
-            f_in_m = self._to_m()
-            return f_in_m if target == "m" else f_in_m.convert(target)
-        parts = partitions(self.n)
-        index = {lam: i for i, lam in enumerate(parts)}
+        rows = _transition(self.basis, target, self.n)
         out = {}
-        for mu, c in self.coeffs.items():
-            row = mat[index[mu]]
-            for i, entry in enumerate(row):
-                if entry:
-                    lam = parts[i]
-                    out[lam] = out.get(lam, LaurentQ.zero()) + c * entry
-        return SymmetricFunction(target, self.n, out)
-
-    def _to_m(self) -> "SymmetricFunction":
-        mat = _matrix_to_m(self.basis, self.n)
-        parts = partitions(self.n)
-        index = {lam: i for i, lam in enumerate(parts)}
-        out = {}
-        for lam, c in self.coeffs.items():
-            row = mat[index[lam]]
-            for i, entry in enumerate(row):
-                if entry:
-                    mu = parts[i]
-                    out[mu] = out.get(mu, LaurentQ.zero()) + c * entry
-        return SymmetricFunction("m", self.n, out)
+        for lam, p in self.polys.items():
+            for nu, k in rows[lam]:
+                out[nu] = poly_add_scaled(out.get(nu, ()), p, k, 0)
+        return SymmetricFunction.from_polys(target, self.n, out, self.shift)
 
     def __add__(self, other: "SymmetricFunction") -> "SymmetricFunction":
         if self.n != other.n:
             raise ValueError("degree mismatch")
         other = other.convert(self.basis)
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            out[lam] = out.get(lam, LaurentQ.zero()) + c
-        return SymmetricFunction(self.basis, self.n, out)
+        nonzero = [f for f in (self, other) if f.polys]
+        if len({f.shift & 1 for f in nonzero}) > 1:
+            raise ValueError("sum mixes integer and half-integer powers of q")
+        lo = min((f.shift for f in nonzero), default=0)
+        out = {}
+        for f in nonzero:
+            for lam, p in f.polys.items():
+                out[lam] = poly_add_scaled(out.get(lam, ()), p, 1,
+                                           (f.shift - lo) // 2)
+        return SymmetricFunction.from_polys(self.basis, self.n, out, lo)
 
     def __sub__(self, other: "SymmetricFunction") -> "SymmetricFunction":
-        return self + other.scale(LaurentQ.integer(-1))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "SymmetricFunction":
-        if not isinstance(c, LaurentQ):
-            c = LaurentQ.integer(c)
-        return SymmetricFunction(
-            self.basis, self.n, {lam: v * c for lam, v in self.coeffs.items()})
+        """c times self, for an int or a LaurentQ c."""
+        unit = SymmetricFunction("m", 0, {(): c})  # q^(unit.shift/2) p(q)
+        p = unit.polys.get((), ())
+        return SymmetricFunction.from_polys(
+            self.basis, self.n,
+            {lam: poly_mul(v, p) for lam, v in self.polys.items()},
+            self.shift + unit.shift)
 
     def __eq__(self, other):
         """Mathematical equality, compared in the basis of self."""
@@ -325,15 +337,16 @@ class SymmetricFunction:
             return NotImplemented
         if self.n != other.n:
             return False
-        return self.coeffs == other.convert(self.basis).coeffs
+        other = other.convert(self.basis)
+        return (self.shift, self.polys) == (other.shift, other.polys)
 
     def __hash__(self):
         m = self.convert("m")
-        return hash((m.n, frozenset(m.coeffs.items())))
+        return hash((m.n, m.shift, frozenset(m.polys.items())))
 
     def at_q1(self) -> dict:
         """Specialize q := 1; returns partition -> int in the same basis."""
-        return {lam: c.at_q1() for lam, c in self.coeffs.items()}
+        return {lam: sum(p) for lam, p in self.polys.items()}
 
     # -- serialization ----------------------------------------------------
 
@@ -341,7 +354,7 @@ class SymmetricFunction:
         return sorted(self.coeffs.items(), reverse=True)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.polys:
             return "0"
         parts = []
         for lam, c in self.sorted_items():
@@ -353,7 +366,7 @@ class SymmetricFunction:
         return f"SymmetricFunction({self.basis!r}, {self.n}, {self.coeffs!r})"
 
     def latex(self) -> str:
-        if not self.coeffs:
+        if not self.polys:
             return "0"
         parts = []
         for lam, c in self.sorted_items():
@@ -383,21 +396,17 @@ class SymmetricFunction:
 def omega(f: SymmetricFunction) -> SymmetricFunction:
     """The involution with omega(h) = e, omega(e) = h, omega(s_lam) = s_lam',
     omega(p_k) = (-1)^(k-1) p_k."""
-    if f.basis == "e":
-        return SymmetricFunction("h", f.n, f.coeffs)
-    if f.basis == "h":
-        return SymmetricFunction("e", f.n, f.coeffs)
-    if f.basis == "s":
-        return SymmetricFunction(
-            "s", f.n, {conjugate(lam): c for lam, c in f.coeffs.items()})
-    if f.basis == "p":
-        out = {}
-        for lam, c in f.coeffs.items():
-            sign = (-1) ** (sum(lam) - len(lam))
-            out[lam] = c * sign
-        return SymmetricFunction("p", f.n, out)
-    # monomial basis: route through e and come back
-    return omega(f.convert("e")).convert("m")
+    if f.basis in ("e", "h"):
+        polys = f.polys
+    elif f.basis == "s":
+        polys = {conjugate(lam): p for lam, p in f.polys.items()}
+    elif f.basis == "p":
+        polys = {lam: p if (f.n - len(lam)) % 2 == 0 else tuple(-v for v in p)
+                 for lam, p in f.polys.items()}
+    else:  # monomial basis: route through e and come back
+        return omega(f.convert("e")).convert("m")
+    basis = {"e": "h", "h": "e"}.get(f.basis, f.basis)
+    return SymmetricFunction.from_polys(basis, f.n, polys, f.shift)
 
 
 @dataclass(frozen=True)
@@ -411,9 +420,8 @@ def positivity(f: SymmetricFunction, basis: str) -> PositivityReport:
     """Check that every coefficient in the target basis is a polynomial in
     q^(1/2) with nonnegative integer coefficients; witness on failure."""
     g = f.convert(basis)
-    for lam, c in g.sorted_items():
-        lo = c.min_half_exponent()
-        bad = (lo is not None and lo < 0) or any(v < 0 for _, v in c.items())
-        if bad:
-            return PositivityReport(False, lam, c)
+    for lam in sorted(g.polys, reverse=True):
+        p = g.polys[lam]
+        if g.shift + 2 * _low(p) < 0 or any(v < 0 for v in p):
+            return PositivityReport(False, lam, g.coefficient(lam))
     return PositivityReport(True)

@@ -4,10 +4,11 @@ import doctest
 
 import pytest
 
-from heckelab import characters, hecke, permutations, qpoly
+from heckelab import characters, hecke, permutations, qpoly, symfunc
 
 
-@pytest.mark.parametrize("module", [characters, hecke, qpoly, permutations],
+@pytest.mark.parametrize("module",
+                         [characters, hecke, qpoly, permutations, symfunc],
                          ids=lambda module: module.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)

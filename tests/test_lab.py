@@ -232,6 +232,10 @@ def test_counterexample_general_excludes_degenerate():
     # the trivial (a, m0, m2) = (1, m1, m1) solution must not be reported
     res = counterexample_search((1, 2, 3), general=True)
     assert res is None or (res.m0, res.m2) != ((1, 2, 3), (1, 2, 3))
+    # nor one whose m0 at a = 1 is another function with the csf of m1:
+    # (1, 3, 3) is the reversal of (2, 2, 3)
+    assert counterexample_search((2, 2, 3), general=True) is None
+    assert counterexample_search((1, 3, 3), general=True) is None
 
 
 def test_decompose_smooth():
@@ -241,8 +245,9 @@ def test_decompose_smooth():
     assert decompose_codominant(e) == {e: LaurentQ.one()}
 
 
-def test_decompose_singular_s4():
-    for w in all_perms(4):
+@pytest.mark.parametrize("n", [4, 5])
+def test_decompose_singular(n):
+    for w in all_perms(n):
         if w.is_smooth():
             continue
         d = decompose_codominant(w)

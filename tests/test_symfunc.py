@@ -51,9 +51,13 @@ def brute_monomial_expand(basis, lam, nvars):
 
 
 def random_symfunc(rng, n, basis):
+    """Random monomial coefficients, with negative and half powers of q, all
+    of one parity."""
+    parity = rng.randint(0, 1)
     coeffs = {}
     for lam in rng.sample(partitions(n), k=min(3, len(partitions(n)))):
-        coeffs[lam] = LaurentQ({rng.randint(-2, 4): rng.randint(-5, 5)})
+        coeffs[lam] = LaurentQ({2 * rng.randint(-1, 2) + parity:
+                                rng.randint(-5, 5)})
     return SymmetricFunction(basis, n, coeffs)
 
 
@@ -197,7 +201,9 @@ def test_q_factorial_partition():
 
 
 def test_serialization():
-    f = SymmetricFunction("s", 3, {(2, 1): 1 + Q, (3,): LaurentQ.q_half(1)})
+    half = LaurentQ.q_half(1)
+    f = SymmetricFunction("s", 3, {(2, 1): half ** -1 + half,
+                                   (3,): half ** 3})
     assert SymmetricFunction.from_json(f.to_json()) == f
     assert "s_{21}" in f.latex()
     assert "s[2,1]" in str(f)
@@ -210,3 +216,15 @@ def test_add_mixed_basis():
     total = h2 + e2
     assert total.convert("m").coeffs == {(2,): LaurentQ.one(),
                                          (1, 1): LaurentQ.integer(2)}
+
+
+def test_one_parity_of_powers_per_function():
+    half = LaurentQ.q_half(1)
+    with pytest.raises(ValueError):
+        SymmetricFunction("s", 3, {(2, 1): 1 + Q, (3,): half})
+    with pytest.raises(ValueError):
+        SymmetricFunction.basis_element("h", (2,), 1 + half)
+    f = SymmetricFunction.basis_element("s", (3,), half)
+    assert SymmetricFunction.zero("s", 3) + f == f
+    with pytest.raises(ValueError):
+        f + SymmetricFunction.basis_element("s", (3,))
