@@ -56,7 +56,7 @@ packed at the least width W with 2^(W-1) > T A.
 
 Two independent oracles check this: the q-deformed Young seminormal form,
 evaluated at integer points and interpolated, in tests/seminormal_oracle.py,
-and, at q := 1, the classical Murnaghan-Nakayama rule below.
+and, at q := 1, the classical Murnaghan-Nakayama rule of heckelab.symfunc.
 """
 
 from __future__ import annotations
@@ -66,9 +66,10 @@ from math import factorial, prod
 
 from .hecke import _coset, _runs, row_store
 from .permutations import Perm, all_perms
-from .qpoly import (LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_shift,
-                    poly_trim)
-from .symfunc import SymmetricFunction, kostka, partitions
+from .qpoly import (LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_pack,
+                    poly_shift, poly_trim, poly_unpack_balanced)
+from .symfunc import (SymmetricFunction, _transition, murnaghan_nakayama,
+                      partitions)
 
 __all__ = [
     "chi", "frobenius_cprime",
@@ -148,19 +149,6 @@ def _class_number(w: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
-def _e_in_h(m: int) -> tuple:
-    """e_m = sum_{lambda |- m} (-1)^(m - l(lambda)) l(lambda)! /
-    prod_i m_i(lambda)! h_lambda, as ((lambda, integer coefficient), ...)."""
-    out = []
-    for lam in partitions(m):
-        c = factorial(len(lam))
-        for part in set(lam):
-            c //= factorial(lam.count(part))
-        out.append((lam, (-1) ** (m - len(lam)) * c))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _coxeter_h(k: int) -> tuple:
     """sum_r (-1)^r q^(k-1-r) s_(k-r, 1^r), the Frobenius character of
     T_{s_1 ... s_(k-1)} in H(S_k), as ((h-partition, tuple poly), ...), in
@@ -168,7 +156,8 @@ def _coxeter_h(k: int) -> tuple:
     acc = {}
     for r in range(k):
         for j in range(r + 1):
-            for lam, c in _e_in_h(r - j):
+            # e_m in the h basis, m = r - j; partitions(m)[0] is (m), or ()
+            for lam, c in _transition("e", "h", r - j)[partitions(r - j)[0]]:
                 nu = tuple(sorted((k - r + j,) + lam, reverse=True))
                 coeffs = acc.setdefault(nu, [0] * k)
                 coeffs[k - 1 - r] += (-1) ** (r + j) * c
@@ -187,17 +176,11 @@ def _class_values(mu: tuple) -> dict:
                 key = tuple(sorted(nu + rho, reverse=True))
                 nxt[key] = poly_add(nxt.get(key, ()), poly_mul(p, c))
         prod = nxt
-    # h_nu = sum_lambda K_{lambda, nu} s_lambda
-    values = {}
-    for lam in partitions(sum(mu)):
-        acc = ()
-        for nu, p in prod.items():
-            k = kostka(lam, nu)
-            if k:
-                acc = poly_add_scaled(acc, p, k, 0)
-        if acc:
-            values[lam] = acc
-    return values
+    values = {}  # h_nu = sum_lambda K_{lambda,nu} s_lambda
+    for nu, p in prod.items():
+        for lam, k in _transition("h", "s", sum(mu))[nu]:
+            values[lam] = poly_add_scaled(values.get(lam, ()), p, k, 0)
+    return {lam: v for lam, v in values.items() if v}
 
 
 def _chi_poly(lam: tuple, f: dict) -> tuple:
@@ -242,26 +225,6 @@ def character_table(n: int) -> dict:
             for lam in partitions(n)}
 
 
-def _packed(coeffs, width: int) -> int:
-    """p(2^width) for the polynomial p with these coefficients, ascending."""
-    return sum(a << width * k for k, a in enumerate(coeffs))
-
-
-def _unpacked(p: int, width: int) -> tuple:
-    """The tuple polynomial with value p at 2^width whose coefficients all
-    lie in (-2^(width-1), 2^(width-1)): the balanced base-2^width digits
-    of p."""
-    mask, half, full = (1 << width) - 1, 1 << width - 1, 1 << width
-    out = []
-    while p:
-        d = p & mask
-        if d >= half:
-            d -= full
-        out.append(d)
-        p = (p - d) >> width
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _values_bound(mu: tuple) -> int:
     """max_lambda |V_{mu,lambda}|_1, the part of A_c that depends on mu
@@ -283,7 +246,7 @@ def _wide_class(c: int, width: int) -> tuple:
     width, as ((index of mu in partitions(|mu|), f_{c,mu}(2^width)), ...)."""
     f = _classes[c]
     parts = partitions(sum(next(iter(f))))
-    return tuple((parts.index(mu), _packed(p, width)) for mu, p in f.items())
+    return tuple((parts.index(mu), poly_pack(p, width)) for mu, p in f.items())
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +255,7 @@ def _wide_values(mu: tuple, width: int) -> tuple:
     partitions(|mu|), V_{mu,lambda}(2^width)), ...) over the lambda with a
     nonzero value."""
     parts = partitions(sum(mu))
-    return tuple((parts.index(lam), _packed(v, width))
+    return tuple((parts.index(lam), poly_pack(v, width))
                  for lam, v in _class_values(mu).items())
 
 
@@ -329,7 +292,7 @@ def _frobenius_coeffs(w: Perm) -> dict:
     bound = (size * sum(sum(polys[p]) for p in stored.values())
              * max(_class_bound(c) for hist in counts for c, _ in hist))
     width = bound.bit_length() + 1  # 2^(width-1) > T A
-    wide = {p: _packed(coeffs, width) for p, coeffs in polys.items()}
+    wide = {p: poly_pack(coeffs, width) for p, coeffs in polys.items()}
 
     sums = {}  # S_c(2^W) by class number
     get = sums.get
@@ -347,7 +310,7 @@ def _frobenius_coeffs(w: Perm) -> dict:
         if f:
             for j, v in _wide_values(mu, width):
                 chi_w[j] += f * v
-    return {lam: _unpacked(x, width)
+    return {lam: poly_unpack_balanced(x, width)
             for lam, x in zip(parts, chi_w) if x}
 
 
@@ -389,29 +352,3 @@ def min_class_rep(mu) -> Perm:
         word.extend(block)
         start += k
     return Perm(word)
-
-
-@lru_cache(maxsize=None)
-def murnaghan_nakayama(lam: tuple, mu: tuple) -> int:
-    """Classical S_n character chi^lambda on the class of cycle type mu,
-    by border-strip removal on beta numbers."""
-    lam, mu = tuple(lam), tuple(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("size mismatch")
-    if not mu:
-        return 1
-    k = mu[0]
-    m = len(lam)
-    betas = [lam[i] + (m - 1 - i) for i in range(m)]
-    beta_set = set(betas)
-    total = 0
-    for i, b in enumerate(betas):
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for c in betas if nb < c < b)
-        new_betas = sorted((beta_set - {b}) | {nb}, reverse=True)
-        new_lam = tuple(v - (m - 1 - j) for j, v in enumerate(new_betas))
-        new_lam = tuple(v for v in new_lam if v > 0)
-        total += (-1) ** height * murnaghan_nakayama(new_lam, mu[1:])
-    return total

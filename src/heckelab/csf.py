@@ -51,6 +51,7 @@ from math import factorial
 from .cache import int_poly
 from .permutations import (enumerate_hessenberg, hessenberg_edges,
                            hessenberg_to_str, is_hessenberg, parse_hessenberg)
+from .qpoly import poly_unpack
 from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
@@ -133,7 +134,6 @@ def _csf_coeffs(ms) -> dict:
     and reused for all its partitions.
     """
     width = factorial(len(ms[0])).bit_length()  # B in the module docstring
-    slot = (1 << width) - 1
     memo = {(): {(): 1}}  # the empty graph has one coloring with no class
     out = {}
     for m in ms:
@@ -143,12 +143,8 @@ def _csf_coeffs(ms) -> dict:
         coeffs = out[m] = {}
         for lam in partitions(len(m)):
             packed = _total(by_size.get(lam[0], ()), lam[1:], memo, width)
-            poly = []
-            while packed:
-                poly.append(packed & slot)
-                packed >>= width
-            if poly:
-                coeffs[lam] = tuple(poly)
+            if packed:
+                coeffs[lam] = poly_unpack(packed, width)
     return out
 
 

@@ -91,19 +91,11 @@ from itertools import permutations, zip_longest
 from math import factorial
 
 from .permutations import Perm, _trusted, all_perms, bruhat_leq, perm_to_str
-from .qpoly import LaurentQ
+from .qpoly import LaurentQ, poly_pack, poly_unpack
 
 __all__ = [
     "KLTable", "kl_table", "kl_polynomial", "mu", "row_store", "KLRowStore",
 ]
-
-
-def _unpack(p: int, width: int) -> list:
-    """Coefficient list, ascending from q^0, of a packed int p >= 0 whose
-    coefficients all lie in [0, 2^width)."""
-    mask = (1 << width) - 1
-    return [p >> width * k & mask
-            for k in range((p.bit_length() + width - 1) // width)]
 
 
 def _runs(w) -> tuple:
@@ -185,10 +177,10 @@ class KLRowStore:
     >>> store.row(y)[parse_perm("1234")]
     (1, 1)
     >>> stored = store._packed[y]
-    >>> sorted((perm_to_str(z), _unpack(p, store._width))
+    >>> sorted((perm_to_str(z), poly_unpack(p, store._width))
     ...        for z, p in stored.items())  # doctest: +NORMALIZE_WHITESPACE
-    [('1234', [1, 1]), ('1243', [1]), ('1342', [1]), ('2134', [1]),
-     ('2143', [1]), ('3124', [1]), ('3142', [1])]
+    [('1234', (1, 1)), ('1243', (1,)), ('1342', (1,)), ('2134', (1,)),
+     ('2143', (1,)), ('3124', (1,)), ('3142', (1,))]
     >>> len(stored), len(store.row(y))
     (7, 14)
     """
@@ -237,7 +229,7 @@ class KLRowStore:
         if p < 0:
             raise AssertionError(
                 f"negative KL coefficient in row {perm_to_str(y)}")
-        return poly_out(_unpack(p, self._width))
+        return poly_out(poly_unpack(p, self._width))
 
     def _distinct(self, y: Perm, poly_out) -> dict:
         """{packed P: poly_out(coefficient list of P)} over the distinct
@@ -382,8 +374,7 @@ class KLRowStore:
             polys.update(self._distinct(w, tuple))
         top = max(map(sum, polys.values()))
         width = (factorial(n) * top * top + 1).bit_length()
-        wide = {p: sum(a << width * k for k, a in enumerate(c))
-                for p, c in polys.items()}
+        wide = {p: poly_pack(c, width) for p, c in polys.items()}
         members = {}  # (r, runs) -> the indices of r W_J; rows share cosets
         rows = []
         for w in perms:
@@ -410,7 +401,7 @@ class KLRowStore:
                 if pos != neg + (x == w):
                     failures.append((perms[w], perms[x], [
                         a - b for a, b in zip_longest(
-                            _unpack(pos, width), _unpack(neg, width),
+                            poly_unpack(pos, width), poly_unpack(neg, width),
                             fillvalue=0)]))
         return failures
 

@@ -17,7 +17,8 @@ from .permutations import (Perm, all_perms, codominant_of_hessenberg,
                            enumerate_hessenberg, hessenberg_edges,
                            hessenberg_of_smooth, hessenberg_to_str,
                            perm_to_str, transpositions_below)
-from .qpoly import ONE_PLUS_Q, LaurentQ, poly_add_scaled, poly_mul
+from .qpoly import (ONE_PLUS_Q, LaurentQ, poly_add_scaled, poly_mul,
+                    poly_shape)
 from .symfunc import (SymmetricFunction, _transition, conjugate, partitions,
                       positivity)
 
@@ -512,9 +513,8 @@ def _check_unimodal(n: int) -> Report:
     for w in all_perms(n):
         ch = frobenius_cprime(w)
         for lam in partitions(n):
-            props = ch.coefficient(lam).props()
             checked += 1
-            if not (props.nonnegative and props.palindromic and props.unimodal):
+            if not all(poly_shape(ch.polys.get(lam, ()))):
                 witnesses.append({"w": perm_to_str(w), "lambda": list(lam)})
     return Report("unimodal", n, "fail" if witnesses else "pass", witnesses,
                   f"chi^lam(q^(l/2) C'_w) nonnegative, palindromic, unimodal "

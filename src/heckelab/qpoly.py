@@ -241,12 +241,7 @@ class LaurentQ:
         lo, hi = min(self._c), max(self._c)
         step = 2 if all((k - lo) % 2 == 0 for k in self._c) else 1
         vec = [self._c.get(k, 0) for k in range(lo, hi + 1, step)]
-        nonneg = all(v >= 0 for v in vec)
-        palindromic = vec == vec[::-1]
-        peak = vec.index(max(vec))
-        rising = all(vec[i] <= vec[i + 1] for i in range(peak))
-        falling = all(vec[i] >= vec[i + 1] for i in range(peak, len(vec) - 1))
-        return PolyProps(lo, hi, nonneg, palindromic, rising and falling)
+        return PolyProps(lo, hi, *poly_shape(vec))
 
     # -- serialization -------------------------------------------------------
 
@@ -433,3 +428,52 @@ def poly_add_scaled(a: tuple, b: tuple, c: int, k: int) -> tuple:
     for i, v in enumerate(b):
         out[k + i] += c * v
     return poly_trim(out)
+
+
+def poly_shape(p) -> tuple:
+    """(nonnegative, palindromic, unimodal) for the coefficients of p, a
+    sequence with no trailing zeros, read from its first nonzero one; zero
+    is vacuously all three."""
+    lo = next((i for i, v in enumerate(p) if v), len(p))
+    vec = p[lo:]
+    if not vec:
+        return True, True, True
+    peak = vec.index(max(vec))
+    rising = all(vec[i] <= vec[i + 1] for i in range(peak))
+    falling = all(vec[i] >= vec[i + 1] for i in range(peak, len(vec) - 1))
+    return (all(v >= 0 for v in vec), vec == vec[::-1], rising and falling)
+
+
+# -- packed ints: a polynomial p as the one int p(2^width) -------------------
+# Evaluation at q = 2^width is a ring homomorphism, so sums and products of
+# packed ints are exact; each caller proves the bound its decoder needs.
+
+def poly_pack(coeffs, width: int) -> int:
+    """p(2^width) for the polynomial p with these coefficients, ascending."""
+    return sum(a << width * k for k, a in enumerate(coeffs))
+
+
+def poly_unpack(p: int, width: int) -> tuple:
+    """The tuple polynomial with value p >= 0 at 2^width whose coefficients
+    all lie in [0, 2^width): the base-2^width digits of p."""
+    mask = (1 << width) - 1
+    out = []
+    while p:
+        out.append(p & mask)
+        p >>= width
+    return tuple(out)
+
+
+def poly_unpack_balanced(p: int, width: int) -> tuple:
+    """The tuple polynomial with value p at 2^width whose coefficients all
+    lie in (-2^(width-1), 2^(width-1)): the balanced base-2^width digits
+    of p."""
+    mask, half, full = (1 << width) - 1, 1 << width - 1, 1 << width
+    out = []
+    while p:
+        d = p & mask
+        if d >= half:
+            d -= full
+        out.append(d)
+        p = (p - d) >> width
+    return tuple(out)

@@ -23,12 +23,22 @@ LaurentQ is only parsed on input and built on output.
 ((1, 1), -3)
 
 A conversion is one pass over a transition matrix per (source, target,
-degree): source-to-m times m-to-target.  Into m, s_lambda has the Kostka
-numbers K_{lambda,mu}, h_lambda = sum_nu K_{nu,lambda} s_nu and e_lambda =
-sum_nu K_{nu',lambda} s_nu go through s, and p_lambda counts assignments of
-whole parts to columns.  The inverses come from exact Gaussian elimination
-and are checked integral, except into p, a Q-basis only: Fractions appear
-in the p basis alone.
+degree), the product of source-to-s and s-to-target.  Every factor comes
+from the Kostka matrix K, upper unitriangular over partitions(n) in
+their order, or from the S_n character table:
+
+* into s: h_lambda = sum_nu K_{nu,lambda} s_nu, e_lambda is the same with
+  nu conjugated, p_mu = sum_lambda chi^lambda(mu) s_lambda
+  (Murnaghan-Nakayama), and m = K^-1 s;
+* out of s: s -> m is K, s -> h is (K^-1)^T, s -> e is (K^-1)^T with its
+  rows conjugated, and s_lambda = sum_mu chi^lambda(mu) / z_mu p_mu by
+  column orthogonality.
+
+K^-1 is integral, by back substitution, and is the only inverse taken.
+The p basis is a Q-basis only, and Fractions appear there alone:
+
+>>> _transition("s", "p", 3)[(2, 1)]  # s_21 = (p_111 - p_3) / 3
+(((3,), Fraction(-1, 3)), ((1, 1, 1), Fraction(1, 3)))
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from .qpoly import LaurentQ, poly_add_scaled, poly_mul, q_factorial
 
 __all__ = [
     "Partition", "partitions", "conjugate", "hook_lengths", "num_syt",
-    "SymmetricFunction", "kostka",
+    "SymmetricFunction", "kostka", "murnaghan_nakayama",
     "omega", "positivity", "PositivityReport", "q_factorial_partition",
 ]
 
@@ -98,7 +108,7 @@ def q_factorial_partition(lam: Partition) -> LaurentQ:
     return LaurentQ.from_poly_coeffs(out)
 
 
-# -- transition coefficients into the monomial basis -------------------------
+# -- transition matrices, all through the Schur basis -----------------------
 
 @lru_cache(maxsize=None)
 def kostka(lam: Partition, mu: Partition) -> int:
@@ -136,88 +146,105 @@ def _strip_predecessors(lam: Partition, size: int):
 
 
 @lru_cache(maxsize=None)
-def _count_part_assignments(parts: Partition, cols: tuple) -> int:
-    """Ways to send each part wholly to one column, hitting the column sums."""
-    if not parts:
-        return int(all(c == 0 for c in cols))
-    p = parts[0]
+def murnaghan_nakayama(lam: tuple, mu: tuple) -> int:
+    """Classical S_n character chi^lambda on the class of cycle type mu,
+    by border-strip removal on beta numbers."""
+    lam, mu = tuple(lam), tuple(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError("size mismatch")
+    if not mu:
+        return 1
+    k = mu[0]
+    m = len(lam)
+    betas = [lam[i] + (m - 1 - i) for i in range(m)]
+    beta_set = set(betas)
     total = 0
-    for j, c in enumerate(cols):
-        if c >= p:
-            new = list(cols)
-            new[j] -= p
-            total += _count_part_assignments(parts[1:], tuple(new))
+    for i, b in enumerate(betas):
+        nb = b - k
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for c in betas if nb < c < b)
+        new_betas = sorted((beta_set - {b}) | {nb}, reverse=True)
+        new_lam = tuple(v - (m - 1 - j) for j, v in enumerate(new_betas))
+        new_lam = tuple(v for v in new_lam if v > 0)
+        total += (-1) ** height * murnaghan_nakayama(new_lam, mu[1:])
     return total
 
 
-def _to_monomial_coefficient(basis: str, lam: Partition, mu: Partition) -> int:
-    if basis == "m":
-        return int(lam == mu)
-    if basis in ("e", "h"):
-        # h_lam = sum_nu K_{nu,lam} s_nu and e_lam = sum_nu K_{nu',lam} s_nu
-        return sum(kostka(conjugate(nu) if basis == "e" else nu, lam)
-                   * kostka(nu, mu) for nu in partitions(sum(lam)))
-    if basis == "p":
-        return _count_part_assignments(lam, mu)
-    if basis == "s":
-        return kostka(lam, mu)
-    raise ValueError(f"unknown basis {basis!r}")
+def _z(mu: Partition) -> int:
+    """z_mu = prod_i i^(m_i) m_i!, the order of the centralizer of a
+    permutation of cycle type mu."""
+    out = 1
+    for part in set(mu):
+        k = mu.count(part)
+        out *= part ** k * factorial(k)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _matrix_to_m(basis: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Row lam, column mu: coefficient of m_mu in basis_lam."""
+def _kostka_matrix(n: int, inverse: bool) -> tuple:
+    """K[i][j] = K_{lam_i, lam_j} over lam = partitions(n), or its inverse:
+    both upper unitriangular and integral.  K^-1 comes from back
+    substitution, row by row from the bottom."""
     parts = partitions(n)
-    return tuple(
-        tuple(_to_monomial_coefficient(basis, lam, mu) for mu in parts)
-        for lam in parts
-    )
+    if not inverse:
+        return tuple(tuple(kostka(lam, mu) for mu in parts) for lam in parts)
+    k, size = _kostka_matrix(n, False), len(parts)
+    inv = [None] * size
+    for i in range(size - 1, -1, -1):
+        row = [0] * size
+        row[i] = 1
+        for j in range(i + 1, size):
+            if k[i][j]:
+                row = [a - k[i][j] * b for a, b in zip(row, inv[j])]
+        inv[i] = row
+    return tuple(map(tuple, inv))
 
 
 @lru_cache(maxsize=None)
-def _matrix_from_m(basis: str, n: int) -> tuple:
-    """Exact inverse of _matrix_to_m, by rational Gaussian elimination.
-
-    The inverses for e, h, s are integer matrices (those are Z-bases); the
-    power sums are only a Q-basis, so the p inverse keeps exact Fractions.
-    """
-    size = len(partitions(n))
-    # the rows of [_matrix_to_m | identity], reduced to [identity | inverse]
-    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j))
-                                          for j in range(size)]
-            for i, row in enumerate(_matrix_to_m(basis, n))]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        scale = rows[col][col]
-        rows[col] = [v / scale for v in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    inv = [row[size:] for row in rows]
-    if basis != "p" and any(v.denominator != 1 for row in inv for v in row):
-        raise AssertionError(f"{basis}-basis transition inverse not integral")
-    # row mu, column lam: coefficient of basis_lam in m_mu
-    return tuple(tuple(int(v) if v.denominator == 1 else v for v in row)
-                 for row in inv)
+def _schur_matrix(basis: str, n: int, into: bool) -> tuple:
+    """Integer matrix over partitions(n): row lam, column nu holds the
+    coefficient of s_nu in basis_lam (into s) or of basis_nu in s_lam (out
+    of s), except that out of s into p the column of mu still wants
+    dividing by z_mu."""
+    parts = partitions(n)
+    if basis == "s":
+        return tuple(tuple(int(lam == nu) for nu in parts) for lam in parts)
+    if basis == "m":  # s_lam = sum_mu K_{lam,mu} m_mu
+        return _kostka_matrix(n, into)
+    if basis == "p":  # p_mu = sum_lam chi^lam(mu) s_lam
+        table = [[murnaghan_nakayama(lam, mu) for mu in parts]
+                 for lam in parts]
+        return tuple(zip(*table)) if into else tuple(map(tuple, table))
+    # h_lam = sum_nu K_{nu,lam} s_nu, so s_lam = sum_nu K^-1_{nu,lam} h_nu;
+    # omega turns both into e, with nu (into s) or lam (out of s) conjugated
+    k = tuple(zip(*_kostka_matrix(n, not into)))
+    if basis == "h":
+        return k
+    index = {lam: i for i, lam in enumerate(parts)}
+    conj = [index[conjugate(lam)] for lam in parts]
+    if into:
+        return tuple(tuple(row[c] for c in conj) for row in k)
+    return tuple(k[c] for c in conj)
 
 
 @lru_cache(maxsize=None)
 def _transition(src: str, dst: str, n: int) -> dict:
     """{lam: ((nu, coefficient of dst_nu in src_lam), ...)} over the nonzero
-    coefficients: _matrix_to_m(src) times _matrix_from_m(dst), in ints, with
-    Fractions only into p."""
+    coefficients: the product of the matrices src -> s and s -> dst, in
+    ints, with Fractions only into p."""
     parts = partitions(n)
-    inv = _matrix_from_m(dst, n)
+    into, out = _schur_matrix(src, n, True), _schur_matrix(dst, n, False)
+    z = [_z(mu) if dst == "p" else 1 for mu in parts]
     rows = {}
-    for lam, row in zip(parts, _matrix_to_m(src, n)):
-        entries = []
-        for j, nu in enumerate(parts):
-            v = sum(a * inv[i][j] for i, a in enumerate(row) if a)
-            if v:
-                entries.append((nu, int(v) if v.denominator == 1 else v))
-        rows[lam] = tuple(entries)
+    for lam, row in zip(parts, into):
+        acc = [0] * len(parts)
+        for a, b in zip(row, out):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, b)]
+        rows[lam] = tuple(
+            (nu, v // d if v % d == 0 else Fraction(v, d))
+            for nu, v, d in zip(parts, acc, z) if v)
     return rows
 
 
@@ -422,6 +449,7 @@ def positivity(f: SymmetricFunction, basis: str) -> PositivityReport:
     g = f.convert(basis)
     for lam in sorted(g.polys, reverse=True):
         p = g.polys[lam]
-        if g.shift + 2 * _low(p) < 0 or any(v < 0 for v in p):
+        if g.shift + 2 * _low(p) < 0 or any(v < 0 or v.denominator != 1
+                                             for v in p):
             return PositivityReport(False, lam, g.coefficient(lam))
     return PositivityReport(True)

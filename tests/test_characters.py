@@ -3,13 +3,14 @@ import random
 import pytest
 
 from heckelab.characters import (MAX_CHARACTER_N, _coxeter_h,
-                                 _frobenius_coeffs, _packed, _unpacked, chi, character_table,
+                                 _frobenius_coeffs, chi, character_table,
                                  cycle_type, frobenius_cprime, min_class_rep,
                                  murnaghan_nakayama)
 from heckelab import hecke
 from heckelab.hecke import KLRowStore, row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
-from heckelab.qpoly import LaurentQ, poly_add, poly_mul, q_factorial
+from heckelab.qpoly import (LaurentQ, poly_add, poly_mul, poly_pack,
+                            poly_unpack_balanced, q_factorial)
 from heckelab.symfunc import (SymmetricFunction, num_syt, partitions,
                               q_factorial_partition)
 from hecke_oracle import (HeckeElement, chi_element, cprime,
@@ -198,8 +199,8 @@ def test_balanced_decode_at_the_edge_of_the_width(width):
     top = (1 << width - 1) - 1
     for coeffs in [(top, 0, -top), (-top, 0, top), (top, 0, 0, top),
                    (0, -top, 0, -top), (1, 0, -1)]:
-        assert _unpacked(_packed(coeffs, width), width) == coeffs
-    assert _unpacked(0, width) == ()
+        assert poly_unpack_balanced(poly_pack(coeffs, width), width) == coeffs
+    assert poly_unpack_balanced(0, width) == ()
 
 
 def test_interpolation_spare_point_guard():
@@ -276,7 +277,7 @@ def test_partition_size_guard():
 @pytest.mark.parametrize("k", range(1, 9))
 def test_coxeter_h_matches_the_s_to_h_conversion(k):
     # the integer hook sums equal sum_r (-1)^r q^(k-1-r) s_(k-r, 1^r)
-    # converted to the h basis by the Fraction elimination of symfunc
+    # converted to the h basis through the inverse Kostka matrix of symfunc
     hooks = {(k - r,) + (1,) * r: LaurentQ.q(k - 1 - r) * (-1) ** r
              for r in range(k)}
     h = SymmetricFunction("s", k, hooks).convert("h")

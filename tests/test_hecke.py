@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab.cli import main
-from heckelab.hecke import (KLRowStore, KLTable, _unpack, kl_table,
-                            kl_polynomial, mu, row_store)
+from heckelab.hecke import (KLRowStore, KLTable, kl_table, kl_polynomial, mu,
+                            row_store)
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
                                    simple_reflection)
-from heckelab.qpoly import LaurentQ, poly_add_scaled, poly_mul
+from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
+                            poly_unpack)
 from hecke_oracle import (HeckeElement, cprime, cprime_normalized,
                           cprime_times_cs, hecke_multiply, iota)
 
@@ -275,7 +276,7 @@ def test_stored_rows_are_descent_cosets():
             for arranged in product(*(permutations([r[k] for k in run])
                                       for run in runs)):
                 z = Perm(v for part in arranged for v in part)
-                full[z] = tuple(_unpack(p, store._width))
+                full[z] = poly_unpack(p, store._width)
         assert full == row, y
         for i in y.descents():
             for z, p in row.items():
@@ -291,9 +292,9 @@ def test_unpack_reads_coefficients_above_the_store_width():
     b = KLRowStore(4)._width
     coeffs = [2 ** b + 3, 0, 1]
     width = sum(coeffs).bit_length()
-    packed = sum(c << width * k for k, c in enumerate(coeffs))
-    assert _unpack(packed, width) == coeffs
-    assert _unpack(packed, b) != coeffs
+    packed = poly_pack(coeffs, width)
+    assert poly_unpack(packed, width) == tuple(coeffs)
+    assert poly_unpack(packed, b) != tuple(coeffs)
 
 
 def test_single_entry_reads_match_the_row():

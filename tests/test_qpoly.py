@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from heckelab.qpoly import (LaurentQ, poly_add, poly_add_scaled, poly_mul,
-                            poly_shift, poly_trim, q_factorial, q_integer)
+                            poly_shape, poly_shift, poly_trim, q_factorial,
+                            q_integer)
 
 Q = LaurentQ.q()
 ONE = LaurentQ.one()
@@ -175,3 +176,15 @@ def test_poly_coeffs_rejects_half_and_negative_powers(f):
 @given(laurents)
 def test_parse_inverts_str(f):
     assert LaurentQ.parse(str(f)) == f
+
+
+@seeded
+@given(polys)
+@example(())
+@example((0, 0, 1, 2, 1))
+@example((0, 1, 0, 1))
+def test_poly_shape_matches_props(a):
+    # props reads the support of a polynomial in q from its lowest term
+    p = as_laurent(a).props()
+    assert poly_shape(a) == (p.nonnegative, p.palindromic, p.unimodal)
+

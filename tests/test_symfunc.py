@@ -1,13 +1,15 @@
+import hashlib
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab.qpoly import LaurentQ
-from heckelab.symfunc import (BASES, SymmetricFunction, conjugate, kostka,
-                              num_syt, omega, partitions, positivity,
-                              q_factorial_partition)
+from heckelab.symfunc import (BASES, SymmetricFunction, _transition,
+                              conjugate, kostka, num_syt, omega, partitions,
+                              positivity, q_factorial_partition)
 
 Q = LaurentQ.q()
 
@@ -98,7 +100,7 @@ def test_basis_conversion_examples():
 
 
 @pytest.mark.parametrize("basis", ["e", "h", "p"])
-@pytest.mark.parametrize("lam", [(2,), (2, 1), (3, 2), (2, 2, 1)])
+@pytest.mark.parametrize("lam", [(2,), (2, 1), (3, 2), (2, 2, 1), (3, 2, 1)])
 def test_monomial_expansion_vs_brute(basis, lam):
     n = sum(lam)
     f = SymmetricFunction.basis_element(basis, lam).convert("m")
@@ -107,7 +109,7 @@ def test_monomial_expansion_vs_brute(basis, lam):
     assert got == {p: LaurentQ.integer(c) for p, c in expected.items() if c}
 
 
-@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("n", [2, 5, 8, 10])
 def test_all_conversions_round_trip(n):
     rng = random.Random(100 + n)
     for src in BASES:
@@ -115,6 +117,32 @@ def test_all_conversions_round_trip(n):
         for dst in BASES:
             g = f.convert(dst).convert(src)
             assert g.coeffs == f.coeffs, (src, dst)
+
+
+# sha256 of the 20 tables _transition(src, dst, n), src != dst, as the
+# rational Gauss-Jordan inverse of each basis-to-m matrix gave them
+TRANSITION_DIGESTS = {
+    1: "0152d75161184b5b61d50c1b0ed2dc5baf42490a734d02c49c1a54ca5be7b9c0",
+    2: "fd96ca41e67c7511cef71086fa36d3622234d66980b0332e50f32bb91df4a23b",
+    3: "33ffcef04996cd4cf10de8913f204780fbe23eea5f1380671ce5ab983cde8ca0",
+    4: "7d27ec24b9d63a1c7958c21f771c88e2a57033acafd3aeab82564ac5aa81a912",
+    5: "2d5a178abef7eb78614aa45c17c02565f233602a8a2a0f39b9a77f28020fa974",
+    6: "b7e67c85541d8dfcc8768677171603eb654105d3867be13d89a20788894f124d",
+    7: "05060e9e204d1b42bbef3827388b26d06321dc719a71376d20460ee8804f3bff",
+    8: "c4793d8b1db834b94848fe55ab5756276559e3d35057fec79237585837d3c996",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TRANSITION_DIGESTS))
+def test_transition_tables_match_the_recorded_digest(n):
+    # repr keeps int and Fraction apart, so an integral Fraction fails too
+    h = hashlib.sha256()
+    for src in BASES:
+        for dst in BASES:
+            if src != dst:
+                rows = sorted(_transition(src, dst, n).items())
+                h.update(repr((src, dst, rows)).encode())
+    assert h.hexdigest() == TRANSITION_DIGESTS[n]
 
 
 def test_omega():
@@ -192,6 +220,14 @@ def test_positivity():
     # negative powers of q are not positive either
     f = SymmetricFunction.basis_element("h", (2,)).scale(LaurentQ.q_half(-1))
     assert not positivity(f, "h").positive
+    # s_2 = 1/2 p_2 + 1/2 p_11 is nonnegative, but not integral
+    rep = positivity(SymmetricFunction.basis_element("s", (2,)), "p")
+    assert not rep.positive
+    assert rep.witness_partition == (2,)
+    assert rep.witness_coefficient == LaurentQ({0: Fraction(1, 2)})
+    # p_2 + p_11 = 2 h_2 is integral in p
+    f = SymmetricFunction.basis_element("h", (2,), 2)
+    assert positivity(f, "p").positive
 
 
 def test_q_factorial_partition():
