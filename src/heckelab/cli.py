@@ -102,7 +102,8 @@ def _cmd_kl(args, fmt) -> int:
         _emit(_poly_out(p, fmt), fmt)
         return 0
     if fmt == "json":
-        _emit(table.to_json(), fmt)
+        table.write_json(sys.stdout)
+        print()
         return 0
     ws = perm_to_str(w)
     entries = table.store.export(

@@ -40,7 +40,15 @@ constant on each right coset z W_J, and the set {z <= y} is a union of
 such cosets.  The store keeps one packed value per coset, keyed by its
 minimal element, the z increasing on every descent run of y; equal
 polynomials share one int object.  Readers expand each coset on read, at
-length l(r) plus the inversions inside the runs.
+length l(r) plus the inversions inside the runs.  The tuple readers
+expand r as a tuple.  ``export``, which the printers read, expands it as
+the string of chr(48 + v) over its values v (``_text``), so each z is
+joined from characters rather than built as a tuple and then printed.
+Such strings of one length sort like the tuples, so they are sorted as
+they are; for n <= 9 they are the printed digit strings, and above that
+each is rendered in the comma form once, after the sort.
+``KLTable.write_json`` writes the sorted entries as JSON text in chunks,
+with each distinct polynomial rendered once.
 
 A row is built from the row of y' = ys, s the first descent of y, by
 
@@ -85,6 +93,7 @@ packed int, and the two ints are equal exactly when the decoded sums are.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect
 from functools import lru_cache
 from itertools import permutations, zip_longest
@@ -140,10 +149,11 @@ def _longest(runs) -> int:
     return sum((hi - lo) * (hi - lo - 1) // 2 for lo, hi in runs)
 
 
-def _coset(r: tuple, runs: tuple):
+def _coset(r, runs: tuple):
     """(l(z) - l(r), z) over the right coset r W_J of its minimal element
     r, J given by its descent runs: z is r with the values inside each run
-    permuted, one at a time."""
+    permuted, one at a time.  r is a tuple, or a string of one character
+    per value (see `_text`); each z is of the same type."""
     ends = [lo for lo, _ in runs[1:]] + [len(r)]
     out = iter([(0, r[:runs[0][0]] if runs else r)])
     for (lo, hi), end in zip(runs, ends):
@@ -156,8 +166,18 @@ def _arranged(prefixes, block, tail):
     each arrangement a of the sorted block."""
     inv = _inversions(len(block))
     for dx, x in prefixes:
-        for d, a in zip(inv, permutations(block)):
+        arranged = permutations(block)
+        if isinstance(block, str):
+            arranged = map("".join, arranged)
+        for d, a in zip(inv, arranged):
             yield dx + d, x + a + tail
+
+
+def _text(r: tuple) -> str:
+    """r as the string of chr(48 + v) over its values v.  Such strings of
+    one length sort like the tuples, and for n <= 9 they are the digit
+    strings that perm_to_str prints."""
+    return "".join([chr(48 + v) for v in r])
 
 
 class KLRowStore:
@@ -168,8 +188,8 @@ class KLRowStore:
     minimal element of each right W_J-coset of [e, y], J = D_R(y), to its
     packed P_{z,y} (see the module docstring); every key is interned with
     its length.  Reads expand the cosets: to a dict Perm -> int tuple by
-    `row` (memoised), or to sorted output by `export`; `polynomial` reads
-    the one value at the coset of z.
+    `row` (memoised), or as strings to the sorted output of `export`, which
+    the printers read; `polynomial` reads the one value at the coset of z.
 
     >>> from heckelab.permutations import parse_perm
     >>> store = KLRowStore(4)
@@ -216,13 +236,27 @@ class KLRowStore:
         return () if p is None else self._decode(y, p, tuple)
 
     def export(self, y: Perm, poly_out) -> list:
-        """[(z as string, poly_out(coefficients of P_{z,y}))] over the row of
-        y in (length, z) order, expanded from the stored cosets without
-        building `row(y)`."""
+        """[(z as perm_to_str prints it, poly_out(coefficients of P_{z,y}))]
+        over the row of y in (length, z) order, without building `row(y)`.
+
+        Each stored coset r W_J is expanded as strings of `_text`, whose
+        order is that of the tuples, into one list per length, and each list
+        is sorted on its own; above rank 9 the sorted strings are rendered
+        in the comma form once."""
         polys = self._distinct(y, poly_out)
-        out = sorted(self._items(y))
-        for k, (_, z, p) in enumerate(out):  # in place: each z is freed
-            out[k] = perm_to_str(z), polys[p]
+        lengths, runs = self._lengths, _runs(y)
+        by_length = [[] for _ in range(y.length() + 1)]
+        for r, p in self._packed_row(y).items():
+            v, lr = polys[p], lengths[r]
+            for d, z in _coset(_text(r), runs):
+                by_length[lr + d].append((z, v))
+        out = []
+        for group in by_length:
+            group.sort()  # the strings differ, so v is never compared
+            out += group
+        if len(y) > 9:
+            commas = {48 + v: f"{v}," for v in range(1, len(y) + 1)}
+            out = [(z.translate(commas)[:-1], v) for z, v in out]
         return out
 
     def _decode(self, y: Perm, p: int, poly_out):
@@ -408,6 +442,9 @@ class KLRowStore:
 
 _stores: dict[int, KLRowStore] = {}
 
+# entries per write of KLTable.write_json: about 150 kB of text in S_8
+_CHUNK = 1 << 12
+
 
 def reset_row_store(n: int | None = None) -> None:
     """Drop the in-memory row store(s)."""
@@ -430,6 +467,8 @@ class KLTable:
 
     Rows are materialized lazily: every query below w is answerable, and
     only the recursion closure of the queried rows is ever computed.
+    `write_json` streams rows to a text stream as JSON, from
+    `KLRowStore.export`, without building the JSON object.
     """
 
     def __init__(self, w: Perm, store: KLRowStore | None = None):
@@ -461,21 +500,43 @@ class KLTable:
         return {z: LaurentQ.from_poly_coeffs(p)
                 for z, p in self.store.row(y).items()}
 
-    def to_json(self, rows=None) -> dict:
-        """Versioned JSON {n, entries: [[z, y, poly]]}, deterministic order.
+    def write_json(self, out, rows=None) -> None:
+        """Write the JSON object {"entries": [[z, y, poly]], "n": n} to the
+        text stream `out`, as json.dumps(..., sort_keys=True) would print it,
+        without a final newline; poly maps each power of q (as a string) to
+        its nonzero coefficient.
 
-        `rows` selects which rows to export (default: just the top row).
-        Entries with equal polynomials in one row share one dict.
+        `rows` selects the rows (default: just the top row), written in
+        (length, y) order, each in the (length, z) order of
+        `KLRowStore.export`.  Each distinct polynomial of a row is rendered
+        once, and the entries are written `_CHUNK` at a time.
+
+        >>> import io
+        >>> from heckelab.permutations import parse_perm
+        >>> out = io.StringIO()
+        >>> KLTable(parse_perm("3412")).write_json(out)
+        >>> text = out.getvalue()
+        >>> text[:77]
+        '{"entries": [["1234", "3412", {"0": 1, "1": 1}], ["1243", "3412", {"0": 1}], '
+        >>> text[-36:]
+        '["3412", "3412", {"0": 1}]], "n": 4}'
+        >>> len(json.loads(text)["entries"])
+        14
         """
         if rows is None:
             rows = [self.w]
-        store = self.store
-        entries = []
+        out.write('{"entries": [')
+        sep = '["'
         for y in sorted(rows, key=lambda y: (y.length(), y)):
-            ys = perm_to_str(y)
-            entries += ([z, ys, p] for z, p in store.export(
-                y, lambda c: {str(k): v for k, v in enumerate(c) if v}))
-        return {"n": self.n, "entries": entries}
+            tail = '", "%s", ' % perm_to_str(y)
+            entries = self.store.export(y, lambda c: tail + json.dumps(
+                {str(k): v for k, v in enumerate(c) if v},
+                sort_keys=True) + "]")
+            for k in range(0, len(entries), _CHUNK):
+                out.write(sep + ', ["'.join(map("".join,
+                                                entries[k:k + _CHUNK])))
+                sep = ', ["'
+        out.write('], "n": %d}' % self.n)
 
 
 def kl_table(w: Perm) -> KLTable:

@@ -329,6 +329,10 @@ class SymmetricFunction:
         for lam, p in self.polys.items():
             for nu, k in rows[lam]:
                 out[nu] = poly_add_scaled(out.get(nu, ()), p, k, 0)
+        # only p brings in Fractions: keep the integral ones as int
+        if "p" in (self.basis, target):
+            out = {nu: tuple(v.numerator if v.denominator == 1 else v
+                             for v in p) for nu, p in out.items()}
         return SymmetricFunction.from_polys(target, self.n, out, self.shift)
 
     def __add__(self, other: "SymmetricFunction") -> "SymmetricFunction":

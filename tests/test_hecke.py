@@ -12,7 +12,7 @@ from heckelab.cli import main
 from heckelab.hecke import (KLRowStore, KLTable, kl_table, kl_polynomial, mu,
                             row_store)
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
-                                   simple_reflection)
+                                   perm_to_str, simple_reflection)
 from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
                             poly_unpack)
 from hecke_oracle import (HeckeElement, cprime, cprime_normalized,
@@ -188,7 +188,9 @@ def test_kl_row_properties_s7_s8(w):
 # two), from the export that decoded rows into {Perm: tuple} (the next two;
 # the coset permutations the benchmark draws from seeds) and from the store
 # of lower half rows (78563412, singular, whose closure has
-# mu-corrections with nonconstant polynomials)
+# mu-corrections with nonconstant polynomials); the rank 10 row, whose
+# comma strings do not sort like the permutations, from the store of
+# descent cosets with tuple keys
 KL_JSON_SHA256 = {
     "87654321":
         "8463083f1b346cc1b13388ba02aa5326a0ce44a8c2247d6c724775c49fdd1a02",
@@ -200,6 +202,8 @@ KL_JSON_SHA256 = {
         "9e465b31892c65d8d8cdff6642d3df082d5dea7321d1893425013f2fddd95f05",
     "78563412":
         "0705acc4ba7fc73edecc0e34d393f336b813e9700abb1e60724138f6cb39d73d",
+    "1,10,3,4,5,6,7,8,9,2":
+        "31d035ef910a415906bb8118c6d27a735e10097a417259a28d479e9e727a1bd0",
 }
 # the same for `hecke-lab --format text kl --w <w>`
 KL_TEXT_SHA256 = {
@@ -207,24 +211,56 @@ KL_TEXT_SHA256 = {
         "9f1fff4fb3f309b9bb96e7b4dfff2c4bd765c0b56e403e61dcb82c47be9e8ebd",
     "78563412":
         "5f00a4fd0ef5e6f93a3ab4c2f2197f101d84c15cfefb8a7a9ba9e7a32c0b87cc",
+    "1,10,3,4,5,6,7,8,9,2":
+        "2796a027cc2b8b1a658e140281f1c09be00b4d30a9f68fbcafc9ef42a0cd0dcd",
+}
+# sha256 of `hecke-lab --format <fmt> cprime --w 7563412` stdout, recorded
+# from the store of descent cosets with tuple keys: a row of 4 048 entries
+# on many small cosets
+CPRIME_SHA256 = {
+    "json": "149c6ed400d2951928ff802e319029887877e77b5c6bbee42d5825924555caf4",
+    "text": "8714b2146e38a6fa01b14db006f81408f80eacaca83886bafed00b913ed1ecb5",
 }
 
 
-def kl_stdout_sha256(fmt, w):
+def stdout_sha256(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(["--no-cache", "--format", fmt, "kl", "--w", w])
+        main(["--no-cache", *argv])
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("w", sorted(KL_JSON_SHA256))
 def test_kl_json_golden_digest(w):
-    assert kl_stdout_sha256("json", w) == KL_JSON_SHA256[w]
+    assert stdout_sha256("--format", "json", "kl", "--w", w) == \
+        KL_JSON_SHA256[w]
 
 
 @pytest.mark.parametrize("w", sorted(KL_TEXT_SHA256))
 def test_kl_text_golden_digest(w):
-    assert kl_stdout_sha256("text", w) == KL_TEXT_SHA256[w]
+    assert stdout_sha256("--format", "text", "kl", "--w", w) == \
+        KL_TEXT_SHA256[w]
+
+
+@pytest.mark.parametrize("fmt", sorted(CPRIME_SHA256))
+def test_cprime_golden_digest(fmt):
+    assert stdout_sha256("--format", fmt, "cprime", "--w", "7563412") == \
+        CPRIME_SHA256[fmt]
+
+
+@pytest.mark.parametrize("ys", [
+    list(all_perms(5)),
+    random.Random(18).sample(list(all_perms(7)), 10),
+    [parse_perm("1,10,3,4,5,6,7,8,9,2")],
+], ids=["s5", "s7-sample", "rank10"])
+def test_export_matches_the_sorted_row(ys):
+    # export expands the cosets as strings, row as tuples: the two agree
+    store = KLRowStore(len(ys[0]))
+    for y in ys:
+        expected = [(perm_to_str(z), p) for z, p in sorted(
+            store.row(y).items(), key=lambda item: (item[0].length(),
+                                                    item[0]))]
+        assert store.export(y, tuple) == expected, y
 
 
 def test_kl_table_json_multi_row_golden_digest():
@@ -232,10 +268,10 @@ def test_kl_table_json_multi_row_golden_digest():
     table = kl_table(parse_perm("62754381"))
     rows = [parse_perm(y) for y in ("62754381", "12345678", "61754382",
                                      "62753481", "26754381")]
-    data = table.to_json(rows=rows)
-    assert len(data["entries"]) == 13153
-    digest = hashlib.sha256(
-        json.dumps(data, sort_keys=True).encode()).hexdigest()
+    out = io.StringIO()
+    table.write_json(out, rows=rows)
+    assert len(json.loads(out.getvalue())["entries"]) == 13153
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == \
         "b2f7038e8355db8dec309095a7fc04d59b9214c614d938d94588b1e71e33c3bb"
 
@@ -389,7 +425,9 @@ def test_s8_counterexample_polynomial():
 def test_kl_table_json():
     w = parse_perm("3412")
     table = kl_table(w)
-    data = table.to_json()
+    out = io.StringIO()
+    table.write_json(out)
+    data = json.loads(out.getvalue())
     assert data["n"] == 4
     entries = data["entries"]
     assert entries[0][:2] == ["1234", "3412"]

@@ -208,6 +208,18 @@ def test_q1_commutes_with_conversion():
                 assert converted_then_spec == spec_then_converted
 
 
+def test_integral_values_through_p_are_ints():
+    # s -> p and h -> p carry Fractions; the integral ones are kept as int
+    f = SymmetricFunction.basis_element("h", (2,), 2).convert("p")
+    assert f.at_q1() == {(2,): 1, (1, 1): 1}
+    assert all(type(v) is int for v in f.at_q1().values())
+    g = SymmetricFunction.basis_element("s", (2, 1)).convert("p").convert("h")
+    assert g.polys == {(3,): (-1,), (2, 1): (1,)}
+    assert all(type(c) is int for p in g.polys.values() for c in p)
+    third = SymmetricFunction.basis_element("s", (2, 1)).convert("p")
+    assert third.polys[(3,)] == (Fraction(-1, 3),)
+
+
 def test_positivity():
     h2 = SymmetricFunction.basis_element("h", (2,)).scale(1 + Q)
     assert positivity(h2, "h").positive
