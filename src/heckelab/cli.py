@@ -4,6 +4,13 @@ Command-line front end.
 Exit codes: 0 on success, 1 for a mathematical negative that the caller
 asked to treat as failure (--expect, or a failing check), 2 for
 usage/input errors.
+
+Every command is a fresh process, so a command loads only the layers it
+runs.  The imports at the top of this module are the ones parsing needs
+(argparse, json, sys, permutations and the cache directory's default);
+each ``_cmd_*`` handler imports the layers it calls when it is called,
+by name, so that a function rebound on its module is the one it calls.
+Parsing and ``--help`` import no layer beyond these.
 """
 
 from __future__ import annotations
@@ -12,17 +19,10 @@ import argparse
 import json
 import sys
 
-from .cache import DEFAULT_DIR, Cache
-from .characters import MAX_CHARACTER_N, chi, frobenius_cprime
-from .csf import csf
-from .hecke import kl_table, row_store
-from .lab import (CHECK_BOUNDS, CHECKS, check_suite, counterexample_search,
-                  decompose_codominant, modular_relation, moment_graph,
-                  smooth_reduce)
+from .cache import DEFAULT_DIR
 from .permutations import (NotSmoothError, Perm, hessenberg_to_str,
                            enumerate_hessenberg, parse_hessenberg, parse_perm,
                            perm_to_str)
-from .qpoly import LaurentQ
 
 
 # hessenberg lists all Catalan(n) functions: 208 012 at n = 12; the csf
@@ -68,7 +68,7 @@ def _parse_partition(text: str, n: int):
     return lam
 
 
-def _poly_out(p: LaurentQ, fmt: str):
+def _poly_out(p, fmt: str):
     if fmt == "json":
         return {"polynomial": p.to_json()}
     if fmt == "latex":
@@ -94,6 +94,10 @@ def _emit(payload, fmt: str) -> None:
 # -- subcommand handlers (return exit codes) ----------------------------------
 
 def _cmd_kl(args, fmt) -> int:
+    from itertools import starmap
+
+    from .hecke import kl_table, write_joined
+    from .qpoly import LaurentQ
     w = _parse_w(args.w)
     table = kl_table(w)
     if args.z is not None:
@@ -105,32 +109,39 @@ def _cmd_kl(args, fmt) -> int:
         table.write_json(sys.stdout)
         print()
         return 0
-    ws = perm_to_str(w)
+    line = "P[{}, %s] = {}" % perm_to_str(w)
     entries = table.store.export(
         w, lambda coeffs: str(LaurentQ.from_poly_coeffs(coeffs)))
-    print("\n".join(f"P[{z}, {ws}] = {p}" for z, p in entries))
+    write_joined(sys.stdout, starmap(line.format, entries), "\n")
+    print()
     return 0
 
 
 def _cmd_cprime(args, fmt) -> int:
+    from itertools import starmap
+
+    from .hecke import poly_json, row_store, write_joined
+    from .qpoly import LaurentQ
     w = _parse_w(args.w)
-    store = row_store(len(w))
+    store, ws, out = row_store(len(w)), perm_to_str(w), sys.stdout
     if fmt == "json":
-        _emit({
-            "n": len(w),
-            "w": perm_to_str(w),
-            "scaling": f"q^({w.length()}/2) * C'_w",
-            "terms": store.export(
-                w, lambda c: LaurentQ.from_poly_coeffs(c).to_json()),
-        }, fmt)
+        # json.dumps({"n", "scaling", "terms": [[z, poly]], "w"},
+        # sort_keys=True), written term by term
+        out.write('{"n": %d, "scaling": %s, "terms": [' % (
+            len(w), json.dumps(f"q^({w.length()}/2) * C'_w")))
+        write_joined(out, starmap('["{}", {}]'.format,
+                                  store.export(w, poly_json)), ", ")
+        out.write('], "w": "%s"}\n' % ws)
         return 0
+    out.write(f"q^({w.length()}/2)*C'[{ws}] = ")
     terms = store.export(w, lambda c: str(LaurentQ.from_poly_coeffs(c)))
-    print(f"q^({w.length()}/2)*C'[{perm_to_str(w)}] = "
-          + " + ".join(f"({c})*T[{z}]" for z, c in terms))
+    write_joined(out, starmap("({1})*T[{0}]".format, terms), " + ")
+    print()
     return 0
 
 
 def _cmd_chi(args, fmt) -> int:
+    from .characters import chi
     w = _parse_w(args.w)
     lam = _parse_partition(args.lam, len(w))
     _emit(_poly_out(chi(lam, w), fmt), fmt)
@@ -138,6 +149,7 @@ def _cmd_chi(args, fmt) -> int:
 
 
 def _cmd_ch(args, fmt) -> int:
+    from .characters import frobenius_cprime
     w = _parse_w(args.w)
     try:
         f = frobenius_cprime(w).convert(args.basis)
@@ -148,6 +160,7 @@ def _cmd_ch(args, fmt) -> int:
 
 
 def _cmd_csf(args, fmt) -> int:
+    from .csf import csf
     m = _parse_m(args.m)
     if len(m) > MAX_HESSENBERG_N:
         raise InputError(f"--m must have rank at most {MAX_HESSENBERG_N}")
@@ -157,6 +170,7 @@ def _cmd_csf(args, fmt) -> int:
 
 
 def _cmd_smooth_reduce(args, fmt) -> int:
+    from .lab import smooth_reduce
     w = _parse_w(args.w)
     try:
         out = smooth_reduce(w)
@@ -170,6 +184,7 @@ def _cmd_smooth_reduce(args, fmt) -> int:
 
 
 def _cmd_moment_graph(args, fmt) -> int:
+    from .lab import moment_graph
     w = _parse_w(args.w)
     graph = moment_graph(w)
     ts = sorted(graph.transpositions)
@@ -182,6 +197,7 @@ def _cmd_moment_graph(args, fmt) -> int:
 
 
 def _cmd_modular(args, fmt) -> int:
+    from .lab import modular_relation
     w = _parse_w(args.w)
     if not 1 <= args.s <= len(w) - 1:
         raise InputError(f"--s must be in 1..{len(w) - 1}")
@@ -202,6 +218,8 @@ def _cmd_modular(args, fmt) -> int:
 
 
 def _cmd_counterexample(args, fmt) -> int:
+    from .cache import Cache
+    from .lab import counterexample_search
     m = _parse_m(args.m)
     if len(m) > MAX_SEARCH_N:
         raise InputError(f"--m must have rank at most {MAX_SEARCH_N}")
@@ -234,6 +252,8 @@ def _cmd_counterexample(args, fmt) -> int:
 
 
 def _cmd_decompose(args, fmt) -> int:
+    from .characters import MAX_CHARACTER_N
+    from .lab import decompose_codominant
     w = _parse_w(args.w)
     if args.max_n > MAX_CHARACTER_N:
         raise InputError(f"--max-n must be at most {MAX_CHARACTER_N}")
@@ -257,6 +277,7 @@ def _cmd_decompose(args, fmt) -> int:
 
 
 def _cmd_check(args, fmt) -> int:
+    from .lab import CHECK_BOUNDS, CHECKS, check_suite
     if args.name != "all" and args.name not in CHECKS:
         raise InputError(f"unknown check {args.name!r}; known: "
                          + ", ".join(sorted(CHECKS)) + ", all")
@@ -375,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 if the decomposition is Unknown")
 
     p = command("check", _cmd_check, help="run a named exhaustive check")
-    p.add_argument("--name", required=True,
-                   help=", ".join(sorted(CHECKS)) + ", or all")
+    p.add_argument("--name", required=True, help="a check name, or all")
     p.add_argument("--n", type=int, required=True)
 
     p = command("hessenberg", _cmd_hessenberg,

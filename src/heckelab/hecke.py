@@ -96,7 +96,7 @@ from __future__ import annotations
 import json
 from bisect import bisect
 from functools import lru_cache
-from itertools import permutations, zip_longest
+from itertools import islice, permutations, zip_longest
 from math import factorial
 
 from .permutations import Perm, _trusted, all_perms, bruhat_leq, perm_to_str
@@ -442,7 +442,7 @@ class KLRowStore:
 
 _stores: dict[int, KLRowStore] = {}
 
-# entries per write of KLTable.write_json: about 150 kB of text in S_8
+# pieces per write of write_joined: about 150 kB of KL row JSON in S_8
 _CHUNK = 1 << 12
 
 
@@ -525,18 +525,34 @@ class KLTable:
         """
         if rows is None:
             rows = [self.w]
+
+        def pieces():
+            for y in sorted(rows, key=lambda y: (y.length(), y)):
+                tail = '", "%s", ' % perm_to_str(y)
+                entries = self.store.export(
+                    y, lambda c: tail + poly_json(c) + "]")
+                yield from map('["'.__add__, map("".join, entries))
+
         out.write('{"entries": [')
-        sep = '["'
-        for y in sorted(rows, key=lambda y: (y.length(), y)):
-            tail = '", "%s", ' % perm_to_str(y)
-            entries = self.store.export(y, lambda c: tail + json.dumps(
-                {str(k): v for k, v in enumerate(c) if v},
-                sort_keys=True) + "]")
-            for k in range(0, len(entries), _CHUNK):
-                out.write(sep + ', ["'.join(map("".join,
-                                                entries[k:k + _CHUNK])))
-                sep = ', ["'
+        write_joined(out, pieces(), ", ")
         out.write('], "n": %d}' % self.n)
+
+
+def poly_json(coeffs) -> str:
+    """The polynomial in q with these coefficients, ascending from q^0, as
+    json.dumps(LaurentQ.to_json(), sort_keys=True) prints it."""
+    return json.dumps({str(k): v for k, v in enumerate(coeffs) if v},
+                      sort_keys=True)
+
+
+def write_joined(out, pieces, sep: str) -> None:
+    """Write sep.join(pieces) to the text stream `out`, `_CHUNK` pieces at
+    a time: a lazy `pieces` is rendered one chunk at a time, and the whole
+    text is never held at once."""
+    pieces, lead = iter(pieces), ""
+    while chunk := list(islice(pieces, _CHUNK)):
+        out.write(lead + sep.join(chunk))
+        lead = sep
 
 
 def kl_table(w: Perm) -> KLTable:

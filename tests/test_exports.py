@@ -1,8 +1,11 @@
 """Every name a heckelab module lists in __all__ exists, and the package
-star-imports: a name moved out of the library must leave no stale entry."""
+star-imports: a name moved out of the library must leave no stale entry.
+The package's own exports load on first use and are the objects of their
+home modules."""
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -12,6 +15,27 @@ import heckelab
 MODULES = [importlib.import_module(f"heckelab.{info.name}")
            for info in pkgutil.iter_modules(heckelab.__path__)
            if info.name != "__main__"]
+
+# the package's public names: `from heckelab import *` binds exactly these
+PUBLIC = {
+    "LaurentQ", "PolyProps", "q_factorial", "q_integer",
+    "Perm", "NotSmoothError", "bruhat_leq", "coessential_set",
+    "hessenberg_of_smooth", "codominant_of_hessenberg", "transpositions_below",
+    "is_hessenberg", "enumerate_hessenberg", "parse_perm", "perm_to_str",
+    "parse_hessenberg", "hessenberg_to_str", "all_perms",
+    "KLTable", "kl_table", "kl_polynomial", "mu",
+    "SymmetricFunction", "partitions", "conjugate", "num_syt", "kostka",
+    "omega", "positivity", "q_factorial_partition", "murnaghan_nakayama",
+    "chi", "frobenius_cprime", "character_table", "min_class_rep",
+    "cycle_type",
+    "IndifferenceGraph", "indifference_graph", "csf", "csf_oracle",
+    "csf_batch", "csf_index", "edge_count",
+    "MomentGraph", "moment_graph", "smooth_reduce", "ModularRelation",
+    "modular_relation", "modular_triples", "counterexample_search",
+    "CounterexampleResult", "decompose_codominant", "verify_decomposition",
+    "check_suite", "Report", "smooth_perms",
+    "Cache",
+}
 
 
 @pytest.mark.parametrize("module",
@@ -24,4 +48,23 @@ def test_every_name_in_all_resolves(module):
 def test_star_import():
     namespace = {}
     exec("from heckelab import *", namespace)
-    assert {"KLTable", "frobenius_cprime", "check_suite"} <= namespace.keys()
+    del namespace["__builtins__"]
+    assert namespace.keys() == PUBLIC
+    assert not any(isinstance(v, types.ModuleType) for v in namespace.values())
+
+
+def test_exports_are_the_objects_of_their_home_modules():
+    assert set(heckelab.__all__) == PUBLIC
+    assert set(dir(heckelab)) >= PUBLIC
+    for name in heckelab.__all__:
+        home = heckelab._EXPORTS[name]
+        value = getattr(heckelab, name)
+        assert value is getattr(
+            importlib.import_module(f"heckelab.{home}"), name), name
+        assert getattr(value, "__module__", "heckelab." + home) == \
+            "heckelab." + home, name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        heckelab.no_such_name  # noqa: B018

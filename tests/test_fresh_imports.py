@@ -1,0 +1,85 @@
+"""What a fresh interpreter loads: importing heckelab loads none of its
+modules, each hecke-lab command loads only the layers it runs, the export
+csf stays the function once its module loads, and every --help works."""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import heckelab
+from heckelab.cli import build_parser
+
+SRC = os.path.dirname(os.path.dirname(heckelab.__file__))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+# runs main(argv) with its output discarded, then prints the exit code and
+# the heckelab modules it loaded
+PROBE = """
+import contextlib, io, json, sys
+from heckelab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("heckelab."))]))
+"""
+
+LAYERS = {"heckelab." + name for name in
+          ("hecke", "qpoly", "symfunc", "characters", "csf", "lab")}
+
+
+def python(*argv) -> str:
+    """The stdout of a new interpreter run with argv, importing heckelab
+    from this source tree; it must exit 0 with nothing on stderr."""
+    proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+def loaded(*argv) -> set:
+    code, modules = json.loads(python("-c", PROBE, "--no-cache", *argv))
+    assert code == 0, argv
+    return set(modules)
+
+
+def test_import_loads_no_module():
+    assert python("-c", "import sys, heckelab\n"
+                        "print([m for m in sys.modules if 'heckelab' in m])"
+                  ) == "['heckelab']\n"
+
+
+def test_csf_stays_the_function_once_its_module_loads():
+    # lab imports heckelab.csf, and the import system binds each submodule
+    # it loads on the package
+    assert python("-c", "import sys, heckelab, heckelab.lab\n"
+                        "assert 'heckelab.csf' in sys.modules\n"
+                        "print(heckelab.csf is "
+                        "heckelab.csf.__globals__['csf'])") == "True\n"
+
+
+def test_hessenberg_loads_no_layer():
+    assert loaded("hessenberg", "--n", "2") & LAYERS == set()
+
+
+@pytest.mark.parametrize("command", ["kl", "cprime"])
+def test_kl_rows_load_only_hecke_and_qpoly(command):
+    modules = loaded(command, "--w", "321")
+    assert modules & LAYERS == {"heckelab.hecke", "heckelab.qpoly"}
+
+
+def _subcommands() -> list:
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return sorted(action.choices)
+
+
+@pytest.mark.parametrize("command", [""] + _subcommands(),
+                         ids=lambda command: command or "top")
+def test_help(command):
+    argv = [command, "--help"] if command else ["--help"]
+    assert python("-m", "heckelab", *argv).startswith("usage: hecke-lab")
