@@ -34,11 +34,10 @@ _EXPORTS = {name: module for module, names in [
     ("characters", "chi frobenius_cprime character_table min_class_rep "
                    "cycle_type"),
     ("csf", "IndifferenceGraph indifference_graph csf csf_oracle csf_batch "
-            "csf_index edge_count"),
+            "csf_index edge_count counterexample_search CounterexampleResult"),
     ("lab", "MomentGraph moment_graph smooth_reduce ModularRelation "
-            "modular_relation modular_triples counterexample_search "
-            "CounterexampleResult decompose_codominant verify_decomposition "
-            "check_suite Report smooth_perms"),
+            "modular_relation modular_triples decompose_codominant "
+            "verify_decomposition check_suite Report smooth_perms"),
     ("cache", "Cache"),
 ] for name in names.split()}
 

@@ -11,6 +11,9 @@ runs.  The imports at the top of this module are the ones parsing needs
 each ``_cmd_*`` handler imports the layers it calls when it is called,
 by name, so that a function rebound on its module is the one it calls.
 Parsing and ``--help`` import no layer beyond these.
+
+``kl`` and ``cprime`` print a KL row through one writer, ``_write_row``,
+which lays out and streams the sorted row that heckelab.hecke exports.
 """
 
 from __future__ import annotations
@@ -91,52 +94,68 @@ def _emit(payload, fmt: str) -> None:
         print(payload)
 
 
+# entries per write of _write_row: about 150 kB of KL row JSON in S_8
+_CHUNK = 1 << 12
+
+
+def _poly_json(coeffs) -> str:
+    """The polynomial in q with these coefficients, ascending from q^0, as
+    json.dumps(LaurentQ.to_json(), sort_keys=True) prints it."""
+    return json.dumps({str(k): v for k, v in enumerate(coeffs) if v},
+                      sort_keys=True)
+
+
+def _write_row(w, head: str, sep: str, tail: str, render) -> None:
+    """Print head + sep.join(before + z + after) + tail over the row of w
+    in (length, z) order, z as perm_to_str prints it and (before, after) =
+    render(coefficients of P_{z,w}), once per distinct polynomial.  The
+    entries are written `_CHUNK` at a time, never all joined at once."""
+    from .hecke import row_store
+    entries = row_store(len(w)).export(w, render)
+    out = sys.stdout
+    out.write(head)
+    for k in range(0, len(entries), _CHUNK):
+        out.write((sep if k else "") + sep.join(
+            [before + z + after
+             for z, (before, after) in entries[k:k + _CHUNK]]))
+    out.write(tail)
+
+
 # -- subcommand handlers (return exit codes) ----------------------------------
 
 def _cmd_kl(args, fmt) -> int:
-    from itertools import starmap
-
-    from .hecke import kl_table, write_joined
     from .qpoly import LaurentQ
     w = _parse_w(args.w)
-    table = kl_table(w)
     if args.z is not None:
+        from .hecke import kl_table
         z = _parse_z(args.z, len(w))
-        p = table.polynomial(z)
-        _emit(_poly_out(p, fmt), fmt)
+        _emit(_poly_out(kl_table(w).polynomial(z), fmt), fmt)
         return 0
+    ws = perm_to_str(w)
     if fmt == "json":
-        table.write_json(sys.stdout)
-        print()
-        return 0
-    line = "P[{}, %s] = {}" % perm_to_str(w)
-    entries = table.store.export(
-        w, lambda coeffs: str(LaurentQ.from_poly_coeffs(coeffs)))
-    write_joined(sys.stdout, starmap(line.format, entries), "\n")
-    print()
+        # json.dumps({"entries": [[z, w, poly]], "n"}, sort_keys=True)
+        _write_row(w, '{"entries": [', ", ", '], "n": %d}\n' % len(w),
+                   lambda c: ('["', f'", "{ws}", {_poly_json(c)}]'))
+    else:
+        _write_row(w, "", "\n", "\n", lambda c: (
+            "P[", f", {ws}] = {LaurentQ.from_poly_coeffs(c)}"))
     return 0
 
 
 def _cmd_cprime(args, fmt) -> int:
-    from itertools import starmap
-
-    from .hecke import poly_json, row_store, write_joined
     from .qpoly import LaurentQ
     w = _parse_w(args.w)
-    store, ws, out = row_store(len(w)), perm_to_str(w), sys.stdout
+    ws = perm_to_str(w)
     if fmt == "json":
         # json.dumps({"n", "scaling", "terms": [[z, poly]], "w"},
-        # sort_keys=True), written term by term
-        out.write('{"n": %d, "scaling": %s, "terms": [' % (
-            len(w), json.dumps(f"q^({w.length()}/2) * C'_w")))
-        write_joined(out, starmap('["{}", {}]'.format,
-                                  store.export(w, poly_json)), ", ")
-        out.write('], "w": "%s"}\n' % ws)
-        return 0
-    out.write(f"q^({w.length()}/2)*C'[{ws}] = ")
-    terms = store.export(w, lambda c: str(LaurentQ.from_poly_coeffs(c)))
-    write_joined(out, starmap("({1})*T[{0}]".format, terms), " + ")
-    print()
+        # sort_keys=True)
+        head = '{"n": %d, "scaling": %s, "terms": [' % (
+            len(w), json.dumps(f"q^({w.length()}/2) * C'_w"))
+        _write_row(w, head, ", ", '], "w": "%s"}\n' % ws,
+                   lambda c: ('["', f'", {_poly_json(c)}]'))
+    else:
+        _write_row(w, f"q^({w.length()}/2)*C'[{ws}] = ", " + ", "\n",
+                   lambda c: (f"({LaurentQ.from_poly_coeffs(c)})*T[", "]"))
     return 0
 
 
@@ -219,7 +238,7 @@ def _cmd_modular(args, fmt) -> int:
 
 def _cmd_counterexample(args, fmt) -> int:
     from .cache import Cache
-    from .lab import counterexample_search
+    from .csf import counterexample_search
     m = _parse_m(args.m)
     if len(m) > MAX_SEARCH_N:
         raise InputError(f"--m must have rank at most {MAX_SEARCH_N}")

@@ -1,7 +1,7 @@
 """
 Indifference graphs of Hessenberg functions and their chromatic
 quasisymmetric functions, collapsed to symmetric functions with q
-coefficients.
+coefficients, and the counterexample search over a batch of them.
 
 csf_q(G) = sum over proper colorings kappa of q^(asc(kappa)) x_kappa, where
 asc counts edges {i, j} with i < j and kappa(i) < kappa(j), with the natural
@@ -51,12 +51,13 @@ from math import factorial
 from .cache import int_poly
 from .permutations import (enumerate_hessenberg, hessenberg_edges,
                            hessenberg_to_str, is_hessenberg, parse_hessenberg)
-from .qpoly import poly_unpack
+from .qpoly import poly_add_scaled, poly_mul, poly_unpack
 from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
     "IndifferenceGraph", "indifference_graph", "edge_count",
     "csf", "csf_oracle", "csf_batch", "csf_index", "csf_key",
+    "CounterexampleResult", "counterexample_search",
 ]
 
 
@@ -302,3 +303,65 @@ def csf_index(batch: dict) -> dict:
     for m, coeffs in batch.items():
         index.setdefault(csf_key(coeffs), []).append(m)
     return index
+
+
+# -- the counterexample search ------------------------------------------------
+
+@dataclass(frozen=True)
+class CounterexampleResult:
+    m0: tuple
+    m2: tuple
+    shift: int  # the exponent a in (1+q) csf(m1) = q^a csf(m0) + csf(m2)
+
+
+def counterexample_search(m1, general: bool = False, cache=None,
+                          threads: int = 1) -> CounterexampleResult | None:
+    """Search for (m0, m2) with (1+q) csf(G_m1) = csf(G_m2) + q csf(G_m0).
+
+    The default search fixes edge counts E(m0) = E(m1) - 1 and
+    E(m2) = E(m1) + 1 (the lengths any character-level solution must have,
+    since P_{e,w} = 1 + q pins the length gaps).  With general=True the
+    equation (1+q) csf(m1) = q^a csf(m0) + csf(m2) is scanned for every
+    a in 0..E(m1)+1 with no length filter.  At a = 1 every m0 with
+    csf(m0) = csf(m1), as m1 and its reversal (csf_q is reversal-invariant;
+    Shareshian & Wachs, Adv. Math. 295 (2016)), is skipped: it gives the
+    trivial csf(m2) = csf(m1), which the character equation does not admit.
+
+    Returns the first solution in scan order, or None (NotFound).
+    """
+    m1 = tuple(m1)
+    n = len(m1)
+    batch = csf_batch(n, cache=cache, threads=threads)
+    index = csf_index(batch)
+    target = {lam: poly_mul((1, 1), p) for lam, p in batch[m1].items()}
+    e1 = edge_count(m1)
+
+    def residual_key(m0_coeffs, a):
+        out = {}
+        for lam in set(target) | set(m0_coeffs):
+            diff = poly_add_scaled(target.get(lam, ()),
+                                   m0_coeffs.get(lam, ()), -1, a)
+            if diff:
+                out[lam] = diff
+        return csf_key(out)
+
+    if not general:
+        for m0, coeffs in batch.items():
+            if edge_count(m0) != e1 - 1:
+                continue
+            hits = index.get(residual_key(coeffs, 1))
+            if not hits:
+                continue
+            for m2 in hits:
+                if edge_count(m2) == e1 + 1:
+                    return CounterexampleResult(m0, m2, 1)
+        return None
+
+    for a in range(0, e1 + 2):
+        for m0, coeffs in batch.items():
+            if a == 1 and coeffs == batch[m1]:
+                continue
+            hits = index.get(residual_key(coeffs, a))
+            if hits:
+                return CounterexampleResult(m0, hits[0], a)
+    return None

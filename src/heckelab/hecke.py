@@ -28,9 +28,9 @@ coefficientwise.  The store keeps a subset of the same values, built by
 the same recursion, so neither B nor this bound depends on the layout
 below.  Packed ints leave the store only decoded: as tuple polynomials of
 heckelab.qpoly from ``KLRowStore.row`` and ``KLRowStore.polynomial``
-(wrapped into LaurentQ only at the API boundary), as JSON or text from
-``KLRowStore.export``, or repacked at a width of its own by the Frobenius
-character kernel of heckelab.characters.
+(wrapped into LaurentQ only at the API boundary), as the sorted (z,
+rendered polynomial) pairs of ``KLRowStore.export``, or repacked at a
+width of its own by the Frobenius character kernel of heckelab.characters.
 
 Each row is stored once per descent coset.  Let J = D_R(y), the right
 descents of y; W_J permutes the positions inside each descent run of y
@@ -46,9 +46,8 @@ the string of chr(48 + v) over its values v (``_text``), so each z is
 joined from characters rather than built as a tuple and then printed.
 Such strings of one length sort like the tuples, so they are sorted as
 they are; for n <= 9 they are the printed digit strings, and above that
-each is rendered in the comma form once, after the sort.
-``KLTable.write_json`` writes the sorted entries as JSON text in chunks,
-with each distinct polynomial rendered once.
+each is rendered in the comma form once, after the sort.  The module
+writes nothing: heckelab.cli lays out and streams what ``export`` returns.
 
 A row is built from the row of y' = ys, s the first descent of y, by
 
@@ -93,10 +92,9 @@ packed int, and the two ints are equal exactly when the decoded sums are.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect
 from functools import lru_cache
-from itertools import islice, permutations, zip_longest
+from itertools import permutations, zip_longest
 from math import factorial
 
 from .permutations import Perm, _trusted, all_perms, bruhat_leq, perm_to_str
@@ -237,7 +235,8 @@ class KLRowStore:
 
     def export(self, y: Perm, poly_out) -> list:
         """[(z as perm_to_str prints it, poly_out(coefficients of P_{z,y}))]
-        over the row of y in (length, z) order, without building `row(y)`.
+        over the row of y in (length, z) order, without building `row(y)`;
+        poly_out runs once per distinct polynomial.
 
         Each stored coset r W_J is expanded as strings of `_text`, whose
         order is that of the tuples, into one list per length, and each list
@@ -442,9 +441,6 @@ class KLRowStore:
 
 _stores: dict[int, KLRowStore] = {}
 
-# pieces per write of write_joined: about 150 kB of KL row JSON in S_8
-_CHUNK = 1 << 12
-
 
 def reset_row_store(n: int | None = None) -> None:
     """Drop the in-memory row store(s)."""
@@ -466,9 +462,8 @@ class KLTable:
     """Kazhdan-Lusztig polynomials P_{z,y} for z <= y <= w.
 
     Rows are materialized lazily: every query below w is answerable, and
-    only the recursion closure of the queried rows is ever computed.
-    `write_json` streams rows to a text stream as JSON, from
-    `KLRowStore.export`, without building the JSON object.
+    only the recursion closure of the queried rows is ever computed; a
+    row y not below w raises ValueError.  The table writes nothing.
     """
 
     def __init__(self, w: Perm, store: KLRowStore | None = None):
@@ -476,15 +471,19 @@ class KLTable:
         self.n = len(w)
         self.store = store if store is not None else row_store(self.n)
 
+    def _below_top(self, y: Perm | None) -> Perm:
+        """y (default w), checked to lie below w."""
+        if y is not None and not bruhat_leq(y, self.w):
+            raise ValueError("y is not below the table's top element")
+        return self.w if y is None else y
+
     def polynomial(self, z: Perm, y: Perm | None = None) -> LaurentQ:
         """P_{z,y} (default y = w); zero unless z <= y."""
-        y = self.w if y is None else y
-        if not bruhat_leq(y, self.w):
-            raise ValueError("y is not below the table's top element")
+        y = self._below_top(y)
         return LaurentQ.from_poly_coeffs(self.store.polynomial(z, y))
 
     def mu(self, z: Perm, y: Perm | None = None) -> int:
-        y = self.w if y is None else y
+        y = self._below_top(y)
         p = self.store.polynomial(z, y)
         if not p:
             return 0
@@ -496,63 +495,8 @@ class KLTable:
 
     def row(self, y: Perm | None = None) -> dict:
         """{z: P_{z,y} as LaurentQ} for the requested row."""
-        y = self.w if y is None else y
         return {z: LaurentQ.from_poly_coeffs(p)
-                for z, p in self.store.row(y).items()}
-
-    def write_json(self, out, rows=None) -> None:
-        """Write the JSON object {"entries": [[z, y, poly]], "n": n} to the
-        text stream `out`, as json.dumps(..., sort_keys=True) would print it,
-        without a final newline; poly maps each power of q (as a string) to
-        its nonzero coefficient.
-
-        `rows` selects the rows (default: just the top row), written in
-        (length, y) order, each in the (length, z) order of
-        `KLRowStore.export`.  Each distinct polynomial of a row is rendered
-        once, and the entries are written `_CHUNK` at a time.
-
-        >>> import io
-        >>> from heckelab.permutations import parse_perm
-        >>> out = io.StringIO()
-        >>> KLTable(parse_perm("3412")).write_json(out)
-        >>> text = out.getvalue()
-        >>> text[:77]
-        '{"entries": [["1234", "3412", {"0": 1, "1": 1}], ["1243", "3412", {"0": 1}], '
-        >>> text[-36:]
-        '["3412", "3412", {"0": 1}]], "n": 4}'
-        >>> len(json.loads(text)["entries"])
-        14
-        """
-        if rows is None:
-            rows = [self.w]
-
-        def pieces():
-            for y in sorted(rows, key=lambda y: (y.length(), y)):
-                tail = '", "%s", ' % perm_to_str(y)
-                entries = self.store.export(
-                    y, lambda c: tail + poly_json(c) + "]")
-                yield from map('["'.__add__, map("".join, entries))
-
-        out.write('{"entries": [')
-        write_joined(out, pieces(), ", ")
-        out.write('], "n": %d}' % self.n)
-
-
-def poly_json(coeffs) -> str:
-    """The polynomial in q with these coefficients, ascending from q^0, as
-    json.dumps(LaurentQ.to_json(), sort_keys=True) prints it."""
-    return json.dumps({str(k): v for k, v in enumerate(coeffs) if v},
-                      sort_keys=True)
-
-
-def write_joined(out, pieces, sep: str) -> None:
-    """Write sep.join(pieces) to the text stream `out`, `_CHUNK` pieces at
-    a time: a lazy `pieces` is rendered one chunk at a time, and the whole
-    text is never held at once."""
-    pieces, lead = iter(pieces), ""
-    while chunk := list(islice(pieces, _CHUNK)):
-        out.write(lead + sep.join(chunk))
-        lead = sep
+                for z, p in self.store.row(self._below_top(y)).items()}
 
 
 def kl_table(w: Perm) -> KLTable:

@@ -1,7 +1,8 @@
 """
 Theorem drivers: smooth-to-codominant reduction, moment graphs, the modular
 relation dichotomy, the codominant-decomposition search and its S_8
-counterexample, and the named exhaustive check suite.
+counterexample, and the named exhaustive check suite.  The counterexample
+search reads only csf batches, so it lives in heckelab.csf.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ from functools import lru_cache
 
 from .characters import (MAX_CHARACTER_N, _frobenius_coeffs, chi,
                          frobenius_cprime, min_class_rep, murnaghan_nakayama)
-from .csf import _oracle_coeffs, csf_batch, csf_index, csf_key, edge_count
+from .csf import (CounterexampleResult, _oracle_coeffs, csf_batch, csf_key,
+                  counterexample_search)
 from .hecke import row_store
 from .permutations import (Perm, all_perms, codominant_of_hessenberg,
                            enumerate_hessenberg, hessenberg_edges,
                            hessenberg_of_smooth, hessenberg_to_str,
                            perm_to_str, transpositions_below)
-from .qpoly import (ONE_PLUS_Q, LaurentQ, poly_add_scaled, poly_mul,
-                    poly_shape)
+from .qpoly import ONE_PLUS_Q, LaurentQ, poly_add_scaled, poly_shape
 from .symfunc import (SymmetricFunction, _transition, conjugate, partitions,
                       positivity)
 
@@ -182,68 +183,6 @@ def modular_triples(n: int) -> list[tuple]:
             m2 = m1[:i - 1] + (l + 1,) + m1[i:]
             out.append((m0, m1, m2, i))
     return out
-
-
-# -- the counterexample search ------------------------------------------------
-
-@dataclass(frozen=True)
-class CounterexampleResult:
-    m0: tuple
-    m2: tuple
-    shift: int  # the exponent a in (1+q) csf(m1) = q^a csf(m0) + csf(m2)
-
-
-def counterexample_search(m1, general: bool = False, cache=None,
-                          threads: int = 1) -> CounterexampleResult | None:
-    """Search for (m0, m2) with (1+q) csf(G_m1) = csf(G_m2) + q csf(G_m0).
-
-    The default search fixes edge counts E(m0) = E(m1) - 1 and
-    E(m2) = E(m1) + 1 (the lengths any character-level solution must have,
-    since P_{e,w} = 1 + q pins the length gaps).  With general=True the
-    equation (1+q) csf(m1) = q^a csf(m0) + csf(m2) is scanned for every
-    a in 0..E(m1)+1 with no length filter.  At a = 1 every m0 with
-    csf(m0) = csf(m1), as m1 and its reversal (csf_q is reversal-invariant;
-    Shareshian & Wachs, Adv. Math. 295 (2016)), is skipped: it gives the
-    trivial csf(m2) = csf(m1), which the character equation does not admit.
-
-    Returns the first solution in scan order, or None (NotFound).
-    """
-    m1 = tuple(m1)
-    n = len(m1)
-    batch = csf_batch(n, cache=cache, threads=threads)
-    index = csf_index(batch)
-    target = {lam: poly_mul((1, 1), p) for lam, p in batch[m1].items()}
-    e1 = edge_count(m1)
-
-    def residual_key(m0_coeffs, a):
-        out = {}
-        for lam in set(target) | set(m0_coeffs):
-            diff = poly_add_scaled(target.get(lam, ()),
-                                   m0_coeffs.get(lam, ()), -1, a)
-            if diff:
-                out[lam] = diff
-        return csf_key(out)
-
-    if not general:
-        for m0, coeffs in batch.items():
-            if edge_count(m0) != e1 - 1:
-                continue
-            hits = index.get(residual_key(coeffs, 1))
-            if not hits:
-                continue
-            for m2 in hits:
-                if edge_count(m2) == e1 + 1:
-                    return CounterexampleResult(m0, m2, 1)
-        return None
-
-    for a in range(0, e1 + 2):
-        for m0, coeffs in batch.items():
-            if a == 1 and coeffs == batch[m1]:
-                continue
-            hits = index.get(residual_key(coeffs, a))
-            if hits:
-                return CounterexampleResult(m0, hits[0], a)
-    return None
 
 
 # -- decomposition into codominant characters ---------------------------------

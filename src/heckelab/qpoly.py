@@ -29,8 +29,8 @@ elements and dict-of-tuple rows keep that affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class LaurentQ:
@@ -353,8 +353,7 @@ class LaurentQ:
         return cls(out)
 
 
-@dataclass(frozen=True)
-class PolyProps:
+class PolyProps(NamedTuple):
     """Shape report for a Laurent polynomial; exponents in half units."""
     min_half_exponent: int | None
     max_half_exponent: int | None

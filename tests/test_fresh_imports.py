@@ -25,7 +25,8 @@ from heckelab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("heckelab."))]))
+                               if m.startswith("heckelab.")
+                               or m in ("dataclasses", "inspect"))]))
 """
 
 LAYERS = {"heckelab." + name for name in
@@ -42,6 +43,8 @@ def python(*argv) -> str:
 
 
 def loaded(*argv) -> set:
+    """The heckelab modules, and dataclasses and inspect if loaded, that
+    main(argv) leaves in sys.modules."""
     code, modules = json.loads(python("-c", PROBE, "--no-cache", *argv))
     assert code == 0, argv
     return set(modules)
@@ -70,6 +73,14 @@ def test_hessenberg_loads_no_layer():
 def test_kl_rows_load_only_hecke_and_qpoly(command):
     modules = loaded(command, "--w", "321")
     assert modules & LAYERS == {"heckelab.hecke", "heckelab.qpoly"}
+    # dataclasses imports inspect, which neither command needs
+    assert modules & {"dataclasses", "inspect"} == set()
+
+
+def test_counterexample_loads_no_kl_or_character_layer():
+    modules = loaded("counterexample", "--m", "2,3,3")
+    assert modules & {"heckelab.hecke", "heckelab.characters",
+                      "heckelab.lab"} == set()
 
 
 def _subcommands() -> list:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab.cli import main
-from heckelab.hecke import (KLRowStore, KLTable, kl_table, kl_polynomial, mu,
+from heckelab.hecke import (KLRowStore, KLTable, kl_polynomial, mu,
                             row_store)
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
                                    perm_to_str, simple_reflection)
@@ -214,12 +214,27 @@ KL_TEXT_SHA256 = {
     "1,10,3,4,5,6,7,8,9,2":
         "2796a027cc2b8b1a658e140281f1c09be00b4d30a9f68fbcafc9ef42a0cd0dcd",
 }
-# sha256 of `hecke-lab --format <fmt> cprime --w 7563412` stdout, recorded
-# from the store of descent cosets with tuple keys: a row of 4 048 entries
-# on many small cosets
+# sha256 of `hecke-lab --format <fmt> cprime --w <w>` stdout: 7563412,
+# recorded from the store of descent cosets with tuple keys, a row of 4 048
+# entries on many small cosets; w0 of S_8, whose row is more than one
+# chunk of the writer; the rank 10 row, in the comma form
 CPRIME_SHA256 = {
-    "json": "149c6ed400d2951928ff802e319029887877e77b5c6bbee42d5825924555caf4",
-    "text": "8714b2146e38a6fa01b14db006f81408f80eacaca83886bafed00b913ed1ecb5",
+    "json": {
+        "7563412":
+            "149c6ed400d2951928ff802e319029887877e77b5c6bbee42d5825924555caf4",
+        "87654321":
+            "d4082bb2e12960e84887cdd43292493e899db254a2af41eaac236a8b37d2de95",
+        "1,10,3,4,5,6,7,8,9,2":
+            "75a44059f48042361e12f6f7e1b3b7330959f72c8436fd4585af67637d09e1a3",
+    },
+    "text": {
+        "7563412":
+            "8714b2146e38a6fa01b14db006f81408f80eacaca83886bafed00b913ed1ecb5",
+        "87654321":
+            "22de1fa528b745847d75103a1ee41540a3530c70f322e9b0fcbc3615de053fc6",
+        "1,10,3,4,5,6,7,8,9,2":
+            "10c13b8a908a879bc353eda149770ea197a24fb9ee1342d0dc29224e1e9e2e5a",
+    },
 }
 
 
@@ -244,8 +259,8 @@ def test_kl_text_golden_digest(w):
 
 @pytest.mark.parametrize("fmt", sorted(CPRIME_SHA256))
 def test_cprime_golden_digest(fmt):
-    assert stdout_sha256("--format", fmt, "cprime", "--w", "7563412") == \
-        CPRIME_SHA256[fmt]
+    assert {w: stdout_sha256("--format", fmt, "cprime", "--w", w)
+            for w in CPRIME_SHA256[fmt]} == CPRIME_SHA256[fmt]
 
 
 @pytest.mark.parametrize("ys", [
@@ -261,19 +276,6 @@ def test_export_matches_the_sorted_row(ys):
             store.row(y).items(), key=lambda item: (item[0].length(),
                                                     item[0]))]
         assert store.export(y, tuple) == expected, y
-
-
-def test_kl_table_json_multi_row_golden_digest():
-    # rows out of order, three of one length: pins the order across rows
-    table = kl_table(parse_perm("62754381"))
-    rows = [parse_perm(y) for y in ("62754381", "12345678", "61754382",
-                                     "62753481", "26754381")]
-    out = io.StringIO()
-    table.write_json(out, rows=rows)
-    assert len(json.loads(out.getvalue())["entries"]) == 13153
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert digest == \
-        "b2f7038e8355db8dec309095a7fc04d59b9214c614d938d94588b1e71e33c3bb"
 
 
 def test_negative_packed_coefficient_raises():
@@ -347,6 +349,21 @@ def test_single_entry_reads_match_the_row():
                 LaurentQ.from_poly_coeffs(expected[z]), (z, y)
             assert table.mu(z) == mu(z, y), (z, y)
     assert store._rows == {}
+
+
+def test_table_reads_only_rows_below_its_top():
+    # 4321 is above 2143, and 1342 is not comparable with it
+    table = KLTable(parse_perm("2143"))
+    e = Perm.identity(4)
+    for y in ("4321", "1342"):
+        y = parse_perm(y)
+        for read in (lambda: table.row(y), lambda: table.mu(e, y),
+                     lambda: table.polynomial(e, y)):
+            with pytest.raises(ValueError, match="below the table's top"):
+                read()
+    y = parse_perm("2134")
+    assert table.row(y) == {e: LaurentQ.one(), y: LaurentQ.one()}
+    assert table.mu(e, y) == 1 and table.polynomial(e, y) == LaurentQ.one()
 
 
 def test_mu():
@@ -423,10 +440,10 @@ def test_s8_counterexample_polynomial():
 
 
 def test_kl_table_json():
-    w = parse_perm("3412")
-    table = kl_table(w)
     out = io.StringIO()
-    table.write_json(out)
+    with contextlib.redirect_stdout(out):
+        assert main(["--no-cache", "--format", "json", "kl", "--w", "3412"]) \
+            == 0
     data = json.loads(out.getvalue())
     assert data["n"] == 4
     entries = data["entries"]
