@@ -1,7 +1,10 @@
 """
 Indifference graphs of Hessenberg functions and their chromatic
 quasisymmetric functions, collapsed to symmetric functions with q
-coefficients, and the counterexample search over a batch of them.
+coefficients, and the counterexample search among them.  The default
+search computes only m1 and the functions one edge either side of it;
+only the general search reads the batch of the whole rank (csf_batch),
+and with it the disk cache.
 
 csf_q(G) = sum over proper colorings kappa of q^(asc(kappa)) x_kappa, where
 asc counts edges {i, j} with i < j and kappa(i) < kappa(j), with the natural
@@ -45,8 +48,8 @@ tuple polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .cache import int_poly
 from .permutations import (enumerate_hessenberg, hessenberg_edges,
@@ -61,8 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IndifferenceGraph:
+class IndifferenceGraph(NamedTuple):
     n: int
     edges: frozenset
 
@@ -307,8 +309,7 @@ def csf_index(batch: dict) -> dict:
 
 # -- the counterexample search ------------------------------------------------
 
-@dataclass(frozen=True)
-class CounterexampleResult:
+class CounterexampleResult(NamedTuple):
     m0: tuple
     m2: tuple
     shift: int  # the exponent a in (1+q) csf(m1) = q^a csf(m0) + csf(m2)
@@ -320,21 +321,34 @@ def counterexample_search(m1, general: bool = False, cache=None,
 
     The default search fixes edge counts E(m0) = E(m1) - 1 and
     E(m2) = E(m1) + 1 (the lengths any character-level solution must have,
-    since P_{e,w} = 1 + q pins the length gaps).  With general=True the
-    equation (1+q) csf(m1) = q^a csf(m0) + csf(m2) is scanned for every
-    a in 0..E(m1)+1 with no length filter.  At a = 1 every m0 with
-    csf(m0) = csf(m1), as m1 and its reversal (csf_q is reversal-invariant;
-    Shareshian & Wachs, Adv. Math. 295 (2016)), is skipped: it gives the
-    trivial csf(m2) = csf(m1), which the character equation does not admit.
+    since P_{e,w} = 1 + q pins the length gaps), so it computes the csf of
+    m1 and of the functions with E(m1) - 1 or E(m1) + 1 edges only, in one
+    memo and in lexicographic order (read from the in-process batch of the
+    rank instead, when there is one); it reads and writes no disk cache.
+    With general=True the equation (1+q) csf(m1) = q^a csf(m0) + csf(m2) is
+    scanned over csf_batch(n, cache, threads) for every a in 0..E(m1)+1
+    with no length filter; `cache` and `threads` apply to it alone.  At
+    a = 1 every m0 with csf(m0) = csf(m1), as m1 and its reversal (csf_q is
+    reversal-invariant; Shareshian & Wachs, Adv. Math. 295 (2016)), is
+    skipped: it gives the trivial csf(m2) = csf(m1), which the character
+    equation does not admit.
 
     Returns the first solution in scan order, or None (NotFound).
     """
     m1 = tuple(m1)
+    if not is_hessenberg(m1):
+        raise ValueError(f"not a Hessenberg function: {m1}")
     n = len(m1)
-    batch = csf_batch(n, cache=cache, threads=threads)
-    index = csf_index(batch)
-    target = {lam: poly_mul((1, 1), p) for lam, p in batch[m1].items()}
     e1 = edge_count(m1)
+    if general:
+        batch = csf_batch(n, cache=cache, threads=threads)
+    else:
+        ms = [m for m in enumerate_hessenberg(n)
+              if m == m1 or abs(edge_count(m) - e1) == 1]
+        known = _batches.get(n)
+        batch = ({m: known[m] for m in ms} if known is not None
+                 else _csf_coeffs(ms))
+    target = {lam: poly_mul((1, 1), p) for lam, p in batch[m1].items()}
 
     def residual_key(m0_coeffs, a):
         out = {}
@@ -346,17 +360,16 @@ def counterexample_search(m1, general: bool = False, cache=None,
         return csf_key(out)
 
     if not general:
+        index = csf_index({m: coeffs for m, coeffs in batch.items()
+                           if edge_count(m) == e1 + 1})
         for m0, coeffs in batch.items():
-            if edge_count(m0) != e1 - 1:
-                continue
-            hits = index.get(residual_key(coeffs, 1))
-            if not hits:
-                continue
-            for m2 in hits:
-                if edge_count(m2) == e1 + 1:
-                    return CounterexampleResult(m0, m2, 1)
+            if edge_count(m0) == e1 - 1:
+                hits = index.get(residual_key(coeffs, 1))
+                if hits:
+                    return CounterexampleResult(m0, hits[0], 1)
         return None
 
+    index = csf_index(batch)
     for a in range(0, e1 + 2):
         for m0, coeffs in batch.items():
             if a == 1 and coeffs == batch[m1]:

@@ -43,10 +43,10 @@ The p basis is a Q-basis only, and Fractions appear there alone:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .qpoly import LaurentQ, poly_add_scaled, poly_mul, q_factorial
 
@@ -440,8 +440,7 @@ def omega(f: SymmetricFunction) -> SymmetricFunction:
     return SymmetricFunction.from_polys(basis, f.n, polys, f.shift)
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     positive: bool
     witness_partition: tuple | None = None
     witness_coefficient: LaurentQ | None = None

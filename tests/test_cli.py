@@ -186,12 +186,21 @@ def test_cache_dir_made_only_by_counterexample(tmp_path, capsys,
     assert main(["--cache-dir", str(cache_dir), "kl", "--w", "321"]) == 0
     assert not cache_dir.exists()
     assert main(["--cache-dir", str(cache_dir),
-                 "counterexample", "--m", "2,3,3"]) == 0
+                 "counterexample", "--general", "--m", "2,3,3"]) == 0
     assert (cache_dir / "csf-n3.json").exists()
 
 
+def test_default_search_makes_no_cache_dir(tmp_path, capsys, monkeypatch):
+    # it computes only the functions one edge from m1, faster than a load
+    cache_dir = tmp_path / "c"
+    _fresh_memos(monkeypatch)
+    assert main(["--cache-dir", str(cache_dir),
+                 "counterexample", "--m", "2,3,3"]) == 0
+    assert not cache_dir.exists()
+
+
 def test_counterexample_rank_capped(capsys):
-    # a batch at rank 11 would build the csf of 58 786 functions
+    # a general search at rank 11 would build the csf of 58 786 functions
     code = main(["--no-cache", "counterexample",
                  "--m", "2,3,4,5,6,7,8,9,10,11,11"])
     out = capsys.readouterr()
@@ -212,7 +221,8 @@ def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
     _fresh_memos(monkeypatch)
     path = tmp_path / "f"
     path.write_text("")
-    code = main(["--cache-dir", str(path), "counterexample", "--m", "2,3,3"])
+    code = main(["--cache-dir", str(path),
+                 "counterexample", "--general", "--m", "2,3,3"])
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err.startswith("error:") and out.err.count("\n") == 1
@@ -344,7 +354,7 @@ def _damaged_cache_rebuilt(tmp_path, capsys, monkeypatch, name, damage, argv):
 def test_damaged_csf_file_is_rebuilt(tmp_path, capsys, monkeypatch, damage):
     _damaged_cache_rebuilt(tmp_path, capsys, monkeypatch, "csf-n3",
                            CSF_DAMAGE[damage],
-                           ["counterexample", "--m", "2,3,3"])
+                           ["counterexample", "--general", "--m", "2,3,3"])
 
 
 # files of kinds the cache no longer holds (KL rows, character tables),

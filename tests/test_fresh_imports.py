@@ -81,6 +81,7 @@ def test_counterexample_loads_no_kl_or_character_layer():
     modules = loaded("counterexample", "--m", "2,3,3")
     assert modules & {"heckelab.hecke", "heckelab.characters",
                       "heckelab.lab"} == set()
+    assert modules & {"dataclasses", "inspect"} == set()
 
 
 def _subcommands() -> list:

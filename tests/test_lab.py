@@ -7,7 +7,7 @@ import pytest
 
 from heckelab.characters import frobenius_cprime
 from heckelab.cli import main
-from heckelab.csf import csf, edge_count
+from heckelab.csf import csf, csf_batch, csf_index, csf_key, edge_count
 from heckelab.hecke import KLRowStore
 from heckelab.lab import (InternalContradictionError, MomentGraph,
                           PreconditionError, _check_kl_selfdual, check_suite,
@@ -18,7 +18,7 @@ from heckelab.permutations import (NotSmoothError, Perm, all_perms,
                                    codominant_of_hessenberg,
                                    enumerate_hessenberg, hessenberg_to_str,
                                    parse_perm, perm_to_str)
-from heckelab.qpoly import LaurentQ
+from heckelab.qpoly import LaurentQ, poly_add_scaled, poly_mul
 from heckelab.symfunc import omega
 
 Q = LaurentQ.q()
@@ -222,10 +222,80 @@ def test_counterexample_edgeless():
     assert counterexample_search((1, 2, 3)) is None
 
 
+@pytest.mark.parametrize("m1", [(2, 1, 3), (4, 4, 4)])
+def test_counterexample_rejects_a_non_hessenberg_m1(m1):
+    with pytest.raises(ValueError):
+        counterexample_search(m1)
+
+
 def test_counterexample_every_triple_found():
     for n in (4, 5, 6):
         for m0, m1, m2, i in modular_triples(n):
             assert counterexample_search(m1) is not None, m1
+
+
+def _scan_whole_batch(m1):
+    """The default search as a scan of the whole rank: csf_batch(n),
+    csf_index over all of it, then the edge-count filter on m0 and m2."""
+    batch = csf_batch(len(m1))
+    index = csf_index(batch)
+    e1 = edge_count(m1)
+    target = {lam: poly_mul((1, 1), p) for lam, p in batch[m1].items()}
+    for m0, coeffs in batch.items():
+        if edge_count(m0) != e1 - 1:
+            continue
+        residual = {lam: poly_add_scaled(target.get(lam, ()),
+                                         coeffs.get(lam, ()), -1, 1)
+                    for lam in target.keys() | coeffs.keys()}
+        for m2 in index.get(csf_key(residual), ()):
+            if edge_count(m2) == e1 + 1:
+                return m0, m2
+    return None
+
+
+def _pair(res):
+    return None if res is None else (res.m0, res.m2)
+
+
+def test_counterexample_matches_the_whole_batch_scan(monkeypatch):
+    csf_module = importlib.import_module("heckelab.csf")
+    monkeypatch.setattr(csf_module, "_batches", {})
+    ranks = [enumerate_hessenberg(n) for n in range(1, 7)]
+    # from an empty memo the search computes its slices and keeps nothing
+    cold = [[_pair(counterexample_search(m1)) for m1 in ms] for ms in ranks]
+    assert csf_module._batches == {}
+    assert cold == [[_scan_whole_batch(m1) for m1 in ms] for ms in ranks]
+    # with every rank in memory it reads the batches instead
+    assert sorted(csf_module._batches) == list(range(1, 7))
+    assert [[_pair(counterexample_search(m1)) for m1 in ms]
+            for ms in ranks] == cold
+
+
+def test_counterexample_reads_the_rank_in_memory(monkeypatch):
+    # csf(2,3,3) damaged in the memo hides the solution of the control
+    csf_module = importlib.import_module("heckelab.csf")
+    batch = dict(csf_batch(3))
+    broken = dict(batch[(2, 3, 3)])
+    lam = max(broken)
+    broken[lam] = broken[lam] + (1,)
+    monkeypatch.setattr(csf_module, "_batches",
+                        {3: {**batch, (2, 3, 3): broken}})
+    assert counterexample_search((2, 3, 3)) is None
+
+
+@pytest.mark.parametrize("m1", [(2, 6, 7, 7, 7, 7, 8, 8, 9),
+                                (1, 3, 7, 8, 8, 8, 8, 9, 9),
+                                (2, 7, 8, 8, 8, 8, 8, 9, 9)])
+def test_counterexample_rank9_census_has_no_solution(m1):
+    assert counterexample_search(m1) is None
+
+
+def test_counterexample_rank9_positive_control():
+    m0, m1, m2, _ = modular_triples(9)[0]
+    res = counterexample_search(m1)
+    assert res is not None and res.shift == 1
+    # the modular triple is the first solution the scan meets
+    assert (res.m0, res.m2) == (m0, m2)
 
 
 def test_counterexample_general_excludes_degenerate():
