@@ -323,8 +323,8 @@ def counterexample_search(m1, general: bool = False, cache=None,
     E(m2) = E(m1) + 1 (the lengths any character-level solution must have,
     since P_{e,w} = 1 + q pins the length gaps), so it computes the csf of
     m1 and of the functions with E(m1) - 1 or E(m1) + 1 edges only, in one
-    memo and in lexicographic order (read from the in-process batch of the
-    rank instead, when there is one); it reads and writes no disk cache.
+    memo and in lexicographic order; it neither reads nor fills the batch
+    of the rank, in memory or on disk.
     With general=True the equation (1+q) csf(m1) = q^a csf(m0) + csf(m2) is
     scanned over csf_batch(n, cache, threads) for every a in 0..E(m1)+1
     with no length filter; `cache` and `threads` apply to it alone.  At
@@ -343,11 +343,8 @@ def counterexample_search(m1, general: bool = False, cache=None,
     if general:
         batch = csf_batch(n, cache=cache, threads=threads)
     else:
-        ms = [m for m in enumerate_hessenberg(n)
-              if m == m1 or abs(edge_count(m) - e1) == 1]
-        known = _batches.get(n)
-        batch = ({m: known[m] for m in ms} if known is not None
-                 else _csf_coeffs(ms))
+        batch = _csf_coeffs([m for m in enumerate_hessenberg(n)
+                             if m == m1 or abs(edge_count(m) - e1) == 1])
     target = {lam: poly_mul((1, 1), p) for lam, p in batch[m1].items()}
 
     def residual_key(m0_coeffs, a):
