@@ -27,7 +27,7 @@ _EXPORTS = {name: module for module, names in [
                      "hessenberg_of_smooth codominant_of_hessenberg "
                      "transpositions_below is_hessenberg enumerate_hessenberg "
                      "parse_perm perm_to_str parse_hessenberg "
-                     "hessenberg_to_str all_perms"),
+                     "hessenberg_to_str all_perms smooth_perms"),
     ("hecke", "KLTable kl_table kl_polynomial mu"),
     ("symfunc", "SymmetricFunction partitions conjugate num_syt kostka omega "
                 "positivity q_factorial_partition murnaghan_nakayama"),
@@ -37,7 +37,7 @@ _EXPORTS = {name: module for module, names in [
             "csf_index edge_count counterexample_search CounterexampleResult"),
     ("lab", "MomentGraph moment_graph smooth_reduce ModularRelation "
             "modular_relation modular_triples decompose_codominant "
-            "verify_decomposition check_suite Report smooth_perms"),
+            "verify_decomposition check_suite Report"),
     ("cache", "Cache"),
 ] for name in names.split()}
 

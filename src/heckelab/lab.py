@@ -7,8 +7,7 @@ search reads only csf batches, so it lives in heckelab.csf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from typing import NamedTuple
 
 from .characters import (MAX_CHARACTER_N, _frobenius_coeffs, chi,
                          frobenius_cprime, min_class_rep, murnaghan_nakayama)
@@ -18,7 +17,7 @@ from .hecke import row_store
 from .permutations import (Perm, all_perms, codominant_of_hessenberg,
                            enumerate_hessenberg, hessenberg_edges,
                            hessenberg_of_smooth, hessenberg_to_str,
-                           perm_to_str, transpositions_below)
+                           perm_to_str, smooth_perms, transpositions_below)
 from .qpoly import ONE_PLUS_Q, LaurentQ, poly_add_scaled, poly_shape
 from .symfunc import (SymmetricFunction, _transition, conjugate, partitions,
                       positivity)
@@ -41,20 +40,13 @@ class InternalContradictionError(RuntimeError):
     """A proved dichotomy failed; should be unreachable."""
 
 
-@lru_cache(maxsize=None)
-def smooth_perms(n: int) -> tuple:
-    """All smooth permutations of [n], found once per rank."""
-    return tuple(w for w in all_perms(n) if w.is_smooth())
-
-
 def smooth_reduce(w: Perm) -> Perm:
     """The codominant permutation w' with the same moment graph (and
     Frobenius character) as the smooth permutation w."""
     return codominant_of_hessenberg(hessenberg_of_smooth(w))
 
 
-@dataclass(frozen=True)
-class MomentGraph:
+class MomentGraph(NamedTuple):
     """Vertex set all of S_n; edges {u, ut} for the listed transpositions.
 
     Equality of moment graphs is equality of the transposition sets.
@@ -77,8 +69,7 @@ def moment_graph(w: Perm, use_hessenberg: bool | None = None) -> MomentGraph:
 
 # -- the modular relation ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ModularRelation:
+class ModularRelation(NamedTuple):
     """One instance of the character dichotomy for (smooth w, simple s) with
     sw < w < ws.
 
@@ -305,12 +296,11 @@ def verify_decomposition(w: Perm, decomposition: dict) -> bool:
 
 # -- named exhaustive checks ---------------------------------------------------
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     check: str
     n: int
     status: str  # "pass" | "fail"
-    witnesses: list = field(default_factory=list)
+    witnesses: list
     details: str = ""
 
     def to_json(self) -> dict:
@@ -399,11 +389,13 @@ def _check_thm15(n: int) -> Report:
 def _check_momentgraph(n: int) -> Report:
     witnesses = []
     count = 0
+    reduced = {}  # the brute-force moment graph of each codominant w' met
     for w in smooth_perms(n):
         count += 1
-        left = moment_graph(w, use_hessenberg=False)
-        right = moment_graph(smooth_reduce(w), use_hessenberg=False)
-        if left != right:
+        wr = smooth_reduce(w)
+        if wr not in reduced:
+            reduced[wr] = moment_graph(wr, use_hessenberg=False)
+        if moment_graph(w, use_hessenberg=False) != reduced[wr]:
             witnesses.append(perm_to_str(w))
     return Report("momentgraph", n, "fail" if witnesses else "pass", witnesses,
                   f"brute-force moment graphs agree for all {count} smooth w")

@@ -10,6 +10,19 @@ Conventions, fixed once for the whole package:
   ``w * s_i`` swaps the *positions* i, i+1 of w, while ``s_i * w`` swaps
   the *values* i, i+1.
 
+Smooth permutations (those avoiding 3412 and 4231) are generated rank by
+rank: ``smooth_perms(n)`` inserts n into each smooth permutation of [n - 1]
+at every slot and keeps the results that stay smooth.  This is exact.
+Deleting the value n from a smooth word leaves a smooth word, because a
+subsequence of a pattern-avoiding word avoids the pattern, so every smooth
+permutation of [n] arises from exactly one smooth permutation of [n - 1].
+A new occurrence of 3412 or 4231 must use n, and n, the largest value, can
+only play the "4".  So inserting n before w[p] keeps w smooth iff w[p:]
+holds no 231 (no 4231 starting at n) and there is no i < p <= k < l with
+w[k] < w[l] < w[i] (no 3412 with n second).  Once a rank is tabulated,
+``Perm.is_smooth`` answers by lookup; otherwise it scans every choice of
+four positions.
+
 >>> w = Perm((2, 4, 5, 3, 6, 1))
 >>> w.length()
 7
@@ -21,14 +34,15 @@ True
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import accumulate, combinations
 
 __all__ = [
     "Perm", "NotSmoothError",
     "bruhat_leq", "coessential_set", "hessenberg_of_smooth",
     "codominant_of_hessenberg", "transpositions_below",
     "is_hessenberg", "hessenberg_edges", "enumerate_hessenberg", "catalan",
-    "all_perms", "simple_reflection",
+    "all_perms", "smooth_perms", "simple_reflection",
     "parse_perm", "perm_to_str", "parse_hessenberg", "hessenberg_to_str",
 ]
 
@@ -161,9 +175,10 @@ class Perm(tuple):
         return extend([], 0)
 
     def is_smooth(self) -> bool:
-        """Avoids 3412 and 4231."""
-        return not any(c < d < a < b or d < b < c < a
-                       for a, b, c, d in combinations(self, 4))
+        """Avoids 3412 and 4231.  A lookup once ``smooth_perms`` has
+        tabulated the rank; otherwise a scan that tabulates nothing."""
+        table = _smooth_sets.get(len(self))
+        return _avoids_3412_4231(self) if table is None else self in table
 
     def is_codominant(self) -> bool:
         """Avoids 312."""
@@ -179,6 +194,56 @@ class Perm(tuple):
 def _trusted(word) -> Perm:
     """A Perm from a word that is a permutation by construction, unchecked."""
     return tuple.__new__(Perm, word)
+
+
+def _avoids_3412_4231(word) -> bool:
+    """The definition of smoothness: no four positions read 3412 or 4231."""
+    return not any(c < d < a < b or d < b < c < a
+                   for a, b, c, d in combinations(word, 4))
+
+
+# rank -> frozenset of its smooth permutations, filled by smooth_perms
+_smooth_sets: dict[int, frozenset] = {}
+
+
+@lru_cache(maxsize=None)
+def smooth_perms(n: int) -> tuple:
+    """All smooth permutations of [n] in lexicographic order, generated from
+    those of [n - 1] (see the module docstring) once per rank.
+
+    >>> [len(smooth_perms(n)) for n in range(1, 9)]
+    [1, 2, 6, 22, 88, 366, 1552, 6652]
+    """
+    if n < 1:
+        perms = (_trusted(()),)
+    else:
+        perms = tuple(map(_trusted, sorted(w[:p] + (n,) + w[p:]
+                                           for w in smooth_perms(n - 1)
+                                           for p in _smooth_slots(w))))
+    _smooth_sets[n] = frozenset(perms)
+    return perms
+
+
+def _smooth_slots(w) -> list[int]:
+    """The slots p at which inserting n = len(w) + 1 into the smooth word w
+    keeps it smooth: w[p:] holds no 231 (else n makes a 4231), and no value
+    of w[:p] exceeds the larger end of an ascent in w[p:] (else a 3412)."""
+    n = len(w) + 1
+    highest = list(accumulate(w, max, initial=0))  # highest[p] = max(w[:p])
+    least_top = n  # the least larger end of an ascent in w[p:]; n if none
+    slots = [n - 1]  # n last is always smooth
+    for p in range(n - 2, -1, -1):
+        v, rest = w[p], w[p + 1:]
+        above = [u for u in rest if u > v]
+        if above:
+            least_top = min(least_top, *above)
+            # a 231 from v: a smaller value after the first larger one;
+            # then every slot left of p holds it too
+            if min(rest[rest.index(above[0]):]) < v:
+                break
+        if highest[p] < least_top:
+            slots.append(p)
+    return slots
 
 
 def simple_reflection(i: int, n: int) -> Perm:

@@ -84,6 +84,12 @@ def test_counterexample_loads_no_kl_or_character_layer():
     assert modules & {"dataclasses", "inspect"} == set()
 
 
+def test_check_loads_no_dataclasses():
+    modules = loaded("check", "--name", "mn", "--n", "3")
+    assert "heckelab.lab" in modules
+    assert modules & {"dataclasses", "inspect"} == set()
+
+
 def _subcommands() -> list:
     (action,) = [a for a in build_parser()._actions
                  if isinstance(a, argparse._SubParsersAction)]

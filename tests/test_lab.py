@@ -88,6 +88,33 @@ def test_prop31_dichotomy_n7():
     assert rep.status == "pass"
 
 
+def test_lemma22_reports_a_missing_edge(monkeypatch):
+    # w0 is the only smooth w of S_4 with m_w = (4, 4, 4, 4)
+    lab = importlib.import_module("heckelab.lab")
+    edges = lab.hessenberg_edges
+    monkeypatch.setattr(lab, "hessenberg_edges", lambda m: (
+        edges(m) - {(1, 4)} if m == (4, 4, 4, 4) else edges(m)))
+    (rep,) = check_suite(4, ["lemma22"])
+    assert (rep.status, rep.witnesses) == ("fail", ["4321"])
+    monkeypatch.undo()
+    (rep,) = check_suite(4, ["lemma22"])
+    assert (rep.status, rep.witnesses) == ("pass", [])
+
+
+def test_momentgraph_reports_a_wrong_reduction(monkeypatch):
+    # 4321 is reduced last, to the identity, whose moment graph the check
+    # has already built for 1234
+    lab = importlib.import_module("heckelab.lab")
+    reduce = lab.smooth_reduce
+    monkeypatch.setattr(lab, "smooth_reduce", lambda w: (
+        Perm.identity(4) if w == parse_perm("4321") else reduce(w)))
+    (rep,) = check_suite(4, ["momentgraph"])
+    assert (rep.status, rep.witnesses) == ("fail", ["4321"])
+    monkeypatch.undo()
+    (rep,) = check_suite(4, ["momentgraph"])
+    assert (rep.status, rep.witnesses) == ("pass", [])
+
+
 def test_modular_triples():
     triples = modular_triples(3)
     assert ((1, 3, 3), (2, 3, 3), (3, 3, 3), 1) in triples

@@ -4,13 +4,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heckelab import permutations
 from heckelab.permutations import (NotSmoothError, Perm, all_perms, bruhat_leq,
                                    catalan, codominant_of_hessenberg,
                                    coessential_set, enumerate_hessenberg,
                                    hessenberg_edges, hessenberg_of_smooth,
                                    is_hessenberg,
                                    parse_hessenberg, parse_perm, perm_to_str,
-                                   simple_reflection, transpositions_below)
+                                   simple_reflection, smooth_perms,
+                                   transpositions_below)
 
 
 def brute_length(w):
@@ -208,6 +210,31 @@ def test_smooth_counts_to_n8():
     counts = [sum(1 for w in all_perms(n) if w.is_smooth())
               for n in range(1, 9)]
     assert counts == [1, 2, 6, 22, 88, 366, 1552, 6652]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_smooth_table_is_the_pattern_scan_filter(n):
+    # same permutations in the same (lexicographic) order
+    perms = smooth_perms(n)
+    assert perms == tuple(w for w in all_perms(n)
+                          if permutations._avoids_3412_4231(w))
+    assert all(type(w) is Perm for w in perms)
+    assert permutations._smooth_sets[n] == frozenset(perms)
+
+
+def test_is_smooth_agrees_with_and_without_the_table(monkeypatch):
+    smooth_perms(7)
+    with_table = [w.is_smooth() for w in all_perms(7)]
+    monkeypatch.delitem(permutations._smooth_sets, 7)
+    assert [w.is_smooth() for w in all_perms(7)] == with_table
+    assert sum(with_table) == 1552
+
+
+def test_is_smooth_at_an_untabulated_rank_builds_no_table():
+    assert parse_perm("2,1,4,3,6,5,8,7,10,9").is_smooth()
+    assert not parse_perm("3,4,1,2,5,6,7,8,9,10").is_smooth()
+    assert not parse_perm("1,2,3,4,5,6,10,8,9,7").is_smooth()
+    assert 10 not in permutations._smooth_sets
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
