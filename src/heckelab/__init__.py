@@ -22,13 +22,13 @@ __version__ = "0.1.0"
 
 # each exported name -> the module that defines it
 _EXPORTS = {name: module for module, names in [
-    ("qpoly", "LaurentQ PolyProps q_factorial q_integer"),
+    ("qpoly", "LaurentQ q_factorial q_integer"),
     ("permutations", "Perm NotSmoothError bruhat_leq coessential_set "
                      "hessenberg_of_smooth codominant_of_hessenberg "
                      "transpositions_below is_hessenberg enumerate_hessenberg "
                      "parse_perm perm_to_str parse_hessenberg "
                      "hessenberg_to_str all_perms smooth_perms"),
-    ("hecke", "KLTable kl_table kl_polynomial mu"),
+    ("hecke", "kl_polynomial"),
     ("symfunc", "SymmetricFunction partitions conjugate num_syt kostka omega "
                 "positivity q_factorial_partition murnaghan_nakayama"),
     ("characters", "chi frobenius_cprime character_table min_class_rep "

@@ -23,7 +23,7 @@ import json
 import sys
 
 from .cache import DEFAULT_DIR
-from .permutations import (NotSmoothError, Perm, hessenberg_to_str,
+from .permutations import (NotSmoothError, hessenberg_to_str,
                            enumerate_hessenberg, parse_hessenberg, parse_perm,
                            perm_to_str)
 
@@ -41,23 +41,10 @@ class InputError(ValueError):
     """Malformed command-line input; maps to exit code 2."""
 
 
-def _parse_w(text: str) -> Perm:
+def _parsed(parse, text: str, *args):
+    """parse(text, *args), its ValueError raised as InputError."""
     try:
-        return parse_perm(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _parse_z(text: str, n: int) -> Perm:
-    try:
-        return parse_perm(text, n)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _parse_m(text: str):
-    try:
-        return parse_hessenberg(text)
+        return parse(text, *args)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -127,11 +114,11 @@ def _write_row(w, head: str, sep: str, tail: str, render) -> None:
 
 def _cmd_kl(args, fmt) -> int:
     from .qpoly import LaurentQ
-    w = _parse_w(args.w)
+    w = _parsed(parse_perm, args.w)
     if args.z is not None:
-        from .hecke import kl_table
-        z = _parse_z(args.z, len(w))
-        _emit(_poly_out(kl_table(w).polynomial(z), fmt), fmt)
+        from .hecke import kl_polynomial
+        z = _parsed(parse_perm, args.z, len(w))
+        _emit(_poly_out(kl_polynomial(z, w), fmt), fmt)
         return 0
     ws = perm_to_str(w)
     if fmt == "json":
@@ -146,7 +133,7 @@ def _cmd_kl(args, fmt) -> int:
 
 def _cmd_cprime(args, fmt) -> int:
     from .qpoly import LaurentQ
-    w = _parse_w(args.w)
+    w = _parsed(parse_perm, args.w)
     ws = perm_to_str(w)
     if fmt == "json":
         # json.dumps({"n", "scaling", "terms": [[z, poly]], "w"},
@@ -163,7 +150,7 @@ def _cmd_cprime(args, fmt) -> int:
 
 def _cmd_chi(args, fmt) -> int:
     from .characters import chi
-    w = _parse_w(args.w)
+    w = _parsed(parse_perm, args.w)
     lam = _parse_partition(args.lam, len(w))
     _emit(_poly_out(chi(lam, w), fmt), fmt)
     return 0
@@ -171,7 +158,7 @@ def _cmd_chi(args, fmt) -> int:
 
 def _cmd_ch(args, fmt) -> int:
     from .characters import frobenius_cprime
-    w = _parse_w(args.w)
+    w = _parsed(parse_perm, args.w)
     try:
         f = frobenius_cprime(w).convert(args.basis)
     except ValueError as exc:
@@ -182,7 +169,7 @@ def _cmd_ch(args, fmt) -> int:
 
 def _cmd_csf(args, fmt) -> int:
     from .csf import csf
-    m = _parse_m(args.m)
+    m = _parsed(parse_hessenberg, args.m)
     if len(m) > MAX_HESSENBERG_N:
         raise InputError(f"--m must have rank at most {MAX_HESSENBERG_N}")
     f = csf(m).convert(args.basis)
@@ -192,7 +179,7 @@ def _cmd_csf(args, fmt) -> int:
 
 def _cmd_smooth_reduce(args, fmt) -> int:
     from .lab import smooth_reduce
-    w = _parse_w(args.w)
+    w = _parsed(parse_perm, args.w)
     try:
         out = smooth_reduce(w)
     except NotSmoothError as exc:
@@ -206,7 +193,7 @@ def _cmd_smooth_reduce(args, fmt) -> int:
 
 def _cmd_moment_graph(args, fmt) -> int:
     from .lab import moment_graph
-    w = _parse_w(args.w)
+    w = _parsed(parse_perm, args.w)
     graph = moment_graph(w)
     ts = sorted(graph.transpositions)
     if fmt == "json":
@@ -219,7 +206,7 @@ def _cmd_moment_graph(args, fmt) -> int:
 
 def _cmd_modular(args, fmt) -> int:
     from .lab import modular_relation
-    w = _parse_w(args.w)
+    w = _parsed(parse_perm, args.w)
     if not 1 <= args.s <= len(w) - 1:
         raise InputError(f"--s must be in 1..{len(w) - 1}")
     try:
@@ -239,19 +226,21 @@ def _cmd_modular(args, fmt) -> int:
 
 
 def _cmd_counterexample(args, fmt) -> int:
-    from .cache import Cache
     from .csf import counterexample_search
-    m = _parse_m(args.m)
+    m = _parsed(parse_hessenberg, args.m)
     if len(m) > MAX_SEARCH_N:
         raise InputError(f"--m must have rank at most {MAX_SEARCH_N}")
-    try:
-        cache = (Cache(args.cache_dir)
-                 if args.general and not args.no_cache else None)
-    except OSError as exc:
-        raise InputError(f"cannot use --cache-dir {args.cache_dir!r}: "
-                         f"{exc.strerror or exc}") from exc
-    result = counterexample_search(m, general=args.general, cache=cache,
-                                   threads=args.threads)
+    batch = None
+    if args.general:
+        from .cache import Cache
+        from .csf import csf_batch
+        try:
+            cache = None if args.no_cache else Cache(args.cache_dir)
+        except OSError as exc:
+            raise InputError(f"cannot use --cache-dir {args.cache_dir!r}: "
+                             f"{exc.strerror or exc}") from exc
+        batch = csf_batch(len(m), cache, args.threads)
+    result = counterexample_search(m, batch)
     if fmt == "json":
         payload = {"m1": hessenberg_to_str(m), "general": args.general,
                    "found": result is not None}
@@ -276,7 +265,7 @@ def _cmd_counterexample(args, fmt) -> int:
 def _cmd_decompose(args, fmt) -> int:
     from .characters import MAX_CHARACTER_N
     from .lab import decompose_codominant
-    w = _parse_w(args.w)
+    w = _parsed(parse_perm, args.w)
     if args.max_n > MAX_CHARACTER_N:
         raise InputError(f"--max-n must be at most {MAX_CHARACTER_N}")
     result = decompose_codominant(w, max_n=args.max_n)

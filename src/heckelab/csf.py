@@ -3,8 +3,8 @@ Indifference graphs of Hessenberg functions and their chromatic
 quasisymmetric functions, collapsed to symmetric functions with q
 coefficients, and the counterexample search among them.  The default
 search computes only m1 and the functions one edge either side of it;
-only the general search reads the batch of the whole rank (csf_batch),
-and with it the disk cache.
+only the general search scans the batch of the whole rank (csf_batch),
+which alone reads and writes the disk cache.
 
 csf_q(G) = sum over proper colorings kappa of q^(asc(kappa)) x_kappa, where
 asc counts edges {i, j} with i < j and kappa(i) < kappa(j), with the natural
@@ -315,35 +315,32 @@ class CounterexampleResult(NamedTuple):
     shift: int  # the exponent a in (1+q) csf(m1) = q^a csf(m0) + csf(m2)
 
 
-def counterexample_search(m1, general: bool = False, cache=None,
-                          threads: int = 1) -> CounterexampleResult | None:
+def counterexample_search(m1, batch: dict | None = None
+                          ) -> CounterexampleResult | None:
     """Search for (m0, m2) with (1+q) csf(G_m1) = csf(G_m2) + q csf(G_m0).
 
-    The default search fixes edge counts E(m0) = E(m1) - 1 and
+    With no batch the search fixes edge counts E(m0) = E(m1) - 1 and
     E(m2) = E(m1) + 1 (the lengths any character-level solution must have,
     since P_{e,w} = 1 + q pins the length gaps), so it computes the csf of
     m1 and of the functions with E(m1) - 1 or E(m1) + 1 edges only, in one
     memo and in lexicographic order; it neither reads nor fills the batch
     of the rank, in memory or on disk.
-    With general=True the equation (1+q) csf(m1) = q^a csf(m0) + csf(m2) is
-    scanned over csf_batch(n, cache, threads) for every a in 0..E(m1)+1
-    with no length filter; `cache` and `threads` apply to it alone.  At
-    a = 1 every m0 with csf(m0) = csf(m1), as m1 and its reversal (csf_q is
-    reversal-invariant; Shareshian & Wachs, Adv. Math. 295 (2016)), is
-    skipped: it gives the trivial csf(m2) = csf(m1), which the character
-    equation does not admit.
+    Given the batch of m1's rank (csf_batch), the equation
+    (1+q) csf(m1) = q^a csf(m0) + csf(m2) is scanned over it for every a in
+    0..E(m1)+1 with no length filter.  At a = 1 every m0 with
+    csf(m0) = csf(m1), as m1 and its reversal (csf_q is reversal-invariant;
+    Shareshian & Wachs, Adv. Math. 295 (2016)), is skipped: it gives the
+    trivial csf(m2) = csf(m1), which the character equation does not admit.
 
     Returns the first solution in scan order, or None (NotFound).
     """
     m1 = tuple(m1)
     if not is_hessenberg(m1):
         raise ValueError(f"not a Hessenberg function: {m1}")
-    n = len(m1)
     e1 = edge_count(m1)
-    if general:
-        batch = csf_batch(n, cache=cache, threads=threads)
-    else:
-        batch = _csf_coeffs([m for m in enumerate_hessenberg(n)
+    general = batch is not None
+    if not general:
+        batch = _csf_coeffs([m for m in enumerate_hessenberg(len(m1))
                              if m == m1 or abs(edge_count(m) - e1) == 1])
     target = {lam: poly_mul((1, 1), p) for lam, p in batch[m1].items()}
 

@@ -28,7 +28,7 @@ coefficientwise.  The store keeps a subset of the same values, built by
 the same recursion, so neither B nor this bound depends on the layout
 below.  Packed ints leave the store only decoded: as tuple polynomials of
 heckelab.qpoly from ``KLRowStore.row`` and ``KLRowStore.polynomial``
-(wrapped into LaurentQ only at the API boundary), as the sorted (z,
+(wrapped into LaurentQ only by ``kl_polynomial``), as the sorted (z,
 rendered polynomial) pairs of ``KLRowStore.export``, or repacked at a
 width of its own by the Frobenius character kernel of heckelab.characters.
 
@@ -97,12 +97,10 @@ from functools import lru_cache
 from itertools import permutations, zip_longest
 from math import factorial
 
-from .permutations import Perm, _trusted, all_perms, bruhat_leq, perm_to_str
+from .permutations import Perm, _trusted, all_perms, perm_to_str
 from .qpoly import LaurentQ, poly_pack, poly_unpack
 
-__all__ = [
-    "KLTable", "kl_table", "kl_polynomial", "mu", "row_store", "KLRowStore",
-]
+__all__ = ["kl_polynomial", "row_store", "KLRowStore"]
 
 
 def _runs(w) -> tuple:
@@ -458,68 +456,9 @@ def row_store(n: int) -> KLRowStore:
     return store
 
 
-class KLTable:
-    """Kazhdan-Lusztig polynomials P_{z,y} for z <= y <= w.
-
-    Rows are materialized lazily: every query below w is answerable, and
-    only the recursion closure of the queried rows is ever computed; a
-    row y not below w raises ValueError.  The table writes nothing.
-    """
-
-    def __init__(self, w: Perm, store: KLRowStore | None = None):
-        self.w = w
-        self.n = len(w)
-        self.store = store if store is not None else row_store(self.n)
-
-    def _below_top(self, y: Perm | None) -> Perm:
-        """y (default w), checked to lie below w."""
-        if y is not None and not bruhat_leq(y, self.w):
-            raise ValueError("y is not below the table's top element")
-        return self.w if y is None else y
-
-    def polynomial(self, z: Perm, y: Perm | None = None) -> LaurentQ:
-        """P_{z,y} (default y = w); zero unless z <= y."""
-        y = self._below_top(y)
-        return LaurentQ.from_poly_coeffs(self.store.polynomial(z, y))
-
-    def mu(self, z: Perm, y: Perm | None = None) -> int:
-        y = self._below_top(y)
-        p = self.store.polynomial(z, y)
-        if not p:
-            return 0
-        gap = y.length() - z.length()
-        if not gap & 1:
-            return 0
-        k = (gap - 1) >> 1
-        return p[k] if k < len(p) else 0
-
-    def row(self, y: Perm | None = None) -> dict:
-        """{z: P_{z,y} as LaurentQ} for the requested row."""
-        return {z: LaurentQ.from_poly_coeffs(p)
-                for z, p in self.store.row(self._below_top(y)).items()}
-
-
-def kl_table(w: Perm) -> KLTable:
-    return KLTable(w)
-
-
 def kl_polynomial(z: Perm, w: Perm) -> LaurentQ:
-    """P_{z,w}; zero when z is not below w."""
+    """P_{z,w}; zero when z is not below w, as [e, w] is a union of the
+    right W_J-cosets, J = D_R(w), that `KLRowStore.polynomial` reads."""
     if len(z) != len(w):
         raise ValueError("size mismatch")
-    if not bruhat_leq(z, w):
-        return LaurentQ.zero()
-    return kl_table(w).polynomial(z)
-
-
-def mu(z: Perm, w: Perm) -> int:
-    """Coefficient of q^((l(w)-l(z)-1)/2) in P_{z,w}; 0 for incomparable pairs.
-
-    Returning 0 (rather than raising) for incomparable pairs lets the
-    C'_w C'_s product rule sum over all z without a comparability prefilter.
-    """
-    if len(z) != len(w):
-        raise ValueError("size mismatch")
-    if not bruhat_leq(z, w):
-        return 0
-    return kl_table(w).mu(z)
+    return LaurentQ.from_poly_coeffs(row_store(len(w)).polynomial(z, w))

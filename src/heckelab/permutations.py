@@ -184,9 +184,6 @@ class Perm(tuple):
         """Avoids 312."""
         return not any(b < c < a for a, b, c in combinations(self, 3))
 
-    def classify(self) -> dict:
-        return {"smooth": self.is_smooth(), "codominant": self.is_codominant()}
-
     def __repr__(self):
         return f"Perm({perm_to_str(self)!r})"
 

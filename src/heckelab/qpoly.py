@@ -30,7 +30,6 @@ elements and dict-of-tuple rows keep that affordable.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 
 class LaurentQ:
@@ -149,24 +148,6 @@ class LaurentQ:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            # only unit monomials are invertible in this ring
-            if len(self._c) != 1:
-                raise ValueError("can only invert monomials")
-            ((k, v),) = self._c.items()
-            if v * v != 1:
-                raise ValueError("can only invert unit monomials")
-            return LaurentQ({k * n: v ** (n & 1)})
-        result = LaurentQ.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -187,61 +168,23 @@ class LaurentQ:
 
     # -- inspection ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def min_half_exponent(self):
         return min(self._c) if self._c else None
 
-    def max_half_exponent(self):
-        return max(self._c) if self._c else None
-
     def coefficient(self, half_exponent: int) -> int:
         return self._c.get(half_exponent, 0)
-
-    def coefficient_q(self, power: int) -> int:
-        """Coefficient of q**power (integer power)."""
-        return self._c.get(2 * power, 0)
 
     def items(self):
         """(half_exponent, coefficient) pairs, sorted by exponent."""
         return sorted(self._c.items())
 
-    def is_integer_powers(self) -> bool:
-        return all(k % 2 == 0 for k in self._c)
-
     def at_q1(self) -> int:
         """Specialize q^(1/2) := 1."""
         return sum(self._c.values())
 
-    def evaluate(self, q0) -> Fraction:
-        """Exact value at q = q0; requires integer powers of q."""
-        if not self.is_integer_powers():
-            raise ValueError("half powers of q do not evaluate to a rational")
-        q0 = Fraction(q0)
-        return sum((Fraction(v) * q0 ** (k // 2) for k, v in self._c.items()),
-                   Fraction(0))
-
     def shift(self, half_power: int) -> "LaurentQ":
         """Multiply by q^(half_power/2)."""
         return LaurentQ({k + half_power: v for k, v in self._c.items()})
-
-    # -- polynomial shape reports -----------------------------------------
-
-    def props(self) -> "PolyProps":
-        """Degree bounds, nonnegativity, palindromicity, unimodality.
-
-        The coefficient vector is read along the arithmetic progression of
-        the support: step 1 in q (not q^(1/2)) when every exponent has the
-        same parity, so that 1 + q counts as palindromic and unimodal.
-        Zero is vacuously all three.
-        """
-        if not self._c:
-            return PolyProps(None, None, True, True, True)
-        lo, hi = min(self._c), max(self._c)
-        step = 2 if all((k - lo) % 2 == 0 for k in self._c) else 1
-        vec = [self._c.get(k, 0) for k in range(lo, hi + 1, step)]
-        return PolyProps(lo, hi, *poly_shape(vec))
 
     # -- serialization -------------------------------------------------------
 
@@ -310,57 +253,6 @@ class LaurentQ:
             else:
                 c[2 * int(key)] = v
         return cls(c)
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentQ":
-        """Inverse of str(); accepts e.g. '1 + q', '2*q^2 - q^(-1/2)'."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        out = {}
-        # normalize into signed terms
-        text = text.replace("- ", "+ -").replace("+ ", "+")
-        if text.startswith("-"):
-            text = "-" + text[1:].lstrip()
-        terms = [t.strip() for t in text.split("+") if t.strip()]
-        for term in terms:
-            sign = 1
-            if term.startswith("-"):
-                sign = -1
-                term = term[1:].strip()
-            if "*" in term:
-                coeff_s, head = term.split("*")
-                coeff = Fraction(coeff_s)
-            elif term.startswith("q"):
-                coeff, head = 1, term
-            else:
-                coeff, head = Fraction(term), None
-            if head is None:
-                k = 0
-            elif head == "q":
-                k = 2
-            else:
-                exp = head[2:]  # strip 'q^'
-                exp = exp.strip("()")
-                if "/" in exp:
-                    num, den = exp.split("/")
-                    if int(den) != 2:
-                        raise ValueError(f"bad exponent in {term!r}")
-                    k = int(num)
-                else:
-                    k = 2 * int(exp)
-            out[k] = out.get(k, 0) + sign * coeff
-        return cls(out)
-
-
-class PolyProps(NamedTuple):
-    """Shape report for a Laurent polynomial; exponents in half units."""
-    min_half_exponent: int | None
-    max_half_exponent: int | None
-    nonnegative: bool
-    palindromic: bool
-    unimodal: bool
-
 
 Q = LaurentQ.q()
 ONE_PLUS_Q = 1 + Q

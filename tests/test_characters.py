@@ -10,7 +10,7 @@ from heckelab import hecke
 from heckelab.hecke import KLRowStore, row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
 from heckelab.qpoly import (LaurentQ, poly_add, poly_mul, poly_pack,
-                            poly_unpack_balanced, q_factorial)
+                            poly_shape, poly_unpack_balanced, q_factorial)
 from heckelab.symfunc import (SymmetricFunction, num_syt, partitions,
                               q_factorial_partition)
 from hecke_oracle import (HeckeElement, chi_element, cprime,
@@ -48,7 +48,7 @@ def test_one_dimensional_characters():
     for n in (3, 4, 5):
         for _ in range(5):
             w = Perm(rng.sample(range(1, n + 1), n))
-            assert chi((n,), w) == Q ** w.length()
+            assert chi((n,), w) == LaurentQ.q(w.length())
             assert chi((1,) * n, w) == LaurentQ.integer((-1) ** w.length())
 
 
@@ -70,10 +70,8 @@ def test_degree_bound():
     for _ in range(10):
         w = Perm(rng.sample(range(1, 6), 5))
         for lam in partitions(5):
-            c = chi(lam, w)
-            hi = c.max_half_exponent()
-            assert hi is None or hi <= 2 * w.length()
-            assert c.is_integer_powers()
+            # poly_coeffs raises on half or negative powers of q
+            assert len(chi(lam, w).poly_coeffs()) <= w.length() + 1
 
 
 def test_reduced_word_independence():
@@ -265,8 +263,7 @@ def test_haiman_unimodality_spot():
     for w in all_perms(4):
         b = cprime(w)
         for lam in partitions(4):
-            props = chi_element(lam, b).props()
-            assert props.nonnegative and props.palindromic and props.unimodal
+            assert all(poly_shape(chi_element(lam, b).poly_coeffs()))
 
 
 def test_partition_size_guard():

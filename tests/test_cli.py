@@ -29,6 +29,15 @@ def test_kl_single(capsys):
     assert code == 0 and out.strip() == "1 + q"
 
 
+def test_kl_single_incomparable_is_zero(capsys):
+    # 1342 and 2143 both have length 2, so neither is below the other
+    code, out = run(capsys, "kl", "--w", "2143", "--z", "1342")
+    assert (code, out) == (0, "0\n")
+    code, out = run(capsys, "--format", "json", "kl", "--w", "2143",
+                    "--z", "1342")
+    assert (code, out) == (0, '{"polynomial": {}}\n')
+
+
 def test_kl_row(capsys):
     code, out = run(capsys, "kl", "--w", "3412")
     assert code == 0

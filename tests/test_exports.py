@@ -18,12 +18,12 @@ MODULES = [importlib.import_module(f"heckelab.{info.name}")
 
 # the package's public names: `from heckelab import *` binds exactly these
 PUBLIC = {
-    "LaurentQ", "PolyProps", "q_factorial", "q_integer",
+    "LaurentQ", "q_factorial", "q_integer",
     "Perm", "NotSmoothError", "bruhat_leq", "coessential_set",
     "hessenberg_of_smooth", "codominant_of_hessenberg", "transpositions_below",
     "is_hessenberg", "enumerate_hessenberg", "parse_perm", "perm_to_str",
     "parse_hessenberg", "hessenberg_to_str", "all_perms",
-    "KLTable", "kl_table", "kl_polynomial", "mu",
+    "kl_polynomial",
     "SymmetricFunction", "partitions", "conjugate", "num_syt", "kostka",
     "omega", "positivity", "q_factorial_partition", "murnaghan_nakayama",
     "chi", "frobenius_cprime", "character_table", "min_class_rep",

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab.cli import main
-from heckelab.hecke import (KLRowStore, KLTable, kl_polynomial, mu,
-                            row_store)
+from heckelab.hecke import KLRowStore, kl_polynomial, row_store
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
                                    perm_to_str, simple_reflection)
 from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
@@ -336,49 +335,35 @@ def test_unpack_reads_coefficients_above_the_store_width():
 
 
 def test_single_entry_reads_match_the_row():
-    # polynomial and mu read the one stored value at the coset of z,
-    # without decoding a row into the memo of `row`
+    # polynomial reads the one stored value at the coset of z, without
+    # decoding a row into the memo of `row`; the row holds exactly the
+    # z <= y, so it is () for every other z
     store = KLRowStore(5)
     perms = list(all_perms(5))
     for y in random.Random(3).sample(perms, 12):
-        table = KLTable(y, store)
-        expected = {z: row_store(5).row(y).get(z, ()) for z in perms}
+        row = row_store(5).row(y)
         for z in perms:
-            assert store.polynomial(z, y) == expected[z], (z, y)
-            assert table.polynomial(z) == \
-                LaurentQ.from_poly_coeffs(expected[z]), (z, y)
-            assert table.mu(z) == mu(z, y), (z, y)
+            assert (z in row) == bruhat_leq(z, y), (z, y)
+            assert store.polynomial(z, y) == row.get(z, ()), (z, y)
+            assert kl_polynomial(z, y) == \
+                LaurentQ.from_poly_coeffs(row.get(z, ())), (z, y)
     assert store._rows == {}
 
 
-def test_table_reads_only_rows_below_its_top():
-    # 4321 is above 2143, and 1342 is not comparable with it
-    table = KLTable(parse_perm("2143"))
-    e = Perm.identity(4)
-    for y in ("4321", "1342"):
-        y = parse_perm(y)
-        for read in (lambda: table.row(y), lambda: table.mu(e, y),
-                     lambda: table.polynomial(e, y)):
-            with pytest.raises(ValueError, match="below the table's top"):
-                read()
-    y = parse_perm("2134")
-    assert table.row(y) == {e: LaurentQ.one(), y: LaurentQ.one()}
-    assert table.mu(e, y) == 1 and table.polynomial(e, y) == LaurentQ.one()
-
-
 def test_mu():
-    assert mu(Perm.identity(2), Perm((2, 1))) == 1
-    assert mu(Perm.identity(3), Perm((3, 2, 1))) == 0
-    # incomparable pairs give 0 by convention
-    assert mu(parse_perm("2134"), parse_perm("1243")) == 0
-    # smooth w: mu(z, w) = 1 exactly on lower covers
+    # smooth w: mu(z, w), the coefficient of q^((l(w) - l(z) - 1)/2) in
+    # P_{z,w}, is 1 exactly on the lower covers of w
+    store = row_store(4)
     for w in all_perms(4):
         if not w.is_smooth():
             continue
         covers = w.lower_covers()
         for z in all_perms(4):
             if bruhat_leq(z, w) and z != w:
-                assert mu(z, w) == (1 if z in covers else 0), (z, w)
+                gap = w.length() - z.length()
+                p = store.polynomial(z, w)
+                mu = p[gap // 2] if gap & 1 and gap // 2 < len(p) else 0
+                assert mu == (1 if z in covers else 0), (z, w)
 
 
 def test_cprime():

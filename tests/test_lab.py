@@ -18,7 +18,7 @@ from heckelab.permutations import (NotSmoothError, Perm, all_perms,
                                    codominant_of_hessenberg,
                                    enumerate_hessenberg, hessenberg_to_str,
                                    parse_perm, perm_to_str)
-from heckelab.qpoly import LaurentQ, poly_add_scaled, poly_mul
+from heckelab.qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul
 from heckelab.symfunc import omega
 
 Q = LaurentQ.q()
@@ -112,6 +112,26 @@ def test_momentgraph_reports_a_wrong_reduction(monkeypatch):
     assert (rep.status, rep.witnesses) == ("fail", ["4321"])
     monkeypatch.undo()
     (rep,) = check_suite(4, ["momentgraph"])
+    assert (rep.status, rep.witnesses) == ("pass", [])
+
+
+def test_mn_reports_an_altered_character_value(monkeypatch):
+    # chi^(2,1) on the class (2,1) is q - 1; adding 1 breaks it at q = 1
+    characters = importlib.import_module("heckelab.characters")
+    values = characters._class_values
+
+    def altered(mu):
+        out = dict(values(mu))
+        if mu == (2, 1):
+            out[(2, 1)] = poly_add(out[(2, 1)], (1,))
+        return out
+
+    monkeypatch.setattr(characters, "_class_values", altered)
+    (rep,) = check_suite(3, ["mn"])
+    assert (rep.status, rep.witnesses) == (
+        "fail", [{"lambda": [2, 1], "class": [2, 1]}])
+    monkeypatch.undo()
+    (rep,) = check_suite(3, ["mn"])
     assert (rep.status, rep.witnesses) == ("pass", [])
 
 
@@ -311,12 +331,12 @@ def test_counterexample_rank9_positive_control():
 
 def test_counterexample_general_excludes_degenerate():
     # the trivial (a, m0, m2) = (1, m1, m1) solution must not be reported
-    res = counterexample_search((1, 2, 3), general=True)
+    res = counterexample_search((1, 2, 3), batch=csf_batch(3))
     assert res is None or (res.m0, res.m2) != ((1, 2, 3), (1, 2, 3))
     # nor one whose m0 at a = 1 is another function with the csf of m1:
     # (1, 3, 3) is the reversal of (2, 2, 3)
-    assert counterexample_search((2, 2, 3), general=True) is None
-    assert counterexample_search((1, 3, 3), general=True) is None
+    assert counterexample_search((2, 2, 3), batch=csf_batch(3)) is None
+    assert counterexample_search((1, 3, 3), batch=csf_batch(3)) is None
 
 
 def test_decompose_smooth():

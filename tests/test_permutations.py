@@ -192,12 +192,6 @@ def test_patterns_vs_brute():
             assert w.contains_pattern(p) == brute, (w, p)
 
 
-def test_classify():
-    assert parse_perm("245361").classify() == {"smooth": True, "codominant": True}
-    assert parse_perm("62754381").classify() == {"smooth": False, "codominant": False}
-    assert parse_perm("3142").classify() == {"smooth": True, "codominant": False}
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_smooth_and_codominant_scans_match_contains_pattern(n):
     for w in all_perms(n):

@@ -17,7 +17,7 @@ def random_laurent(rng, terms=4, span=6, coeff=9):
 
 
 def test_arith_examples():
-    assert (1 + Q) * (1 + Q) == 1 + 2 * Q + Q ** 2
+    assert (1 + Q) * (1 + Q) == 1 + 2 * Q + LaurentQ.q(2)
     half = LaurentQ.q_half(1)
     assert (LaurentQ.q_half(-1) + half) * half == 1 + Q
     a = LaurentQ({3: 2, -1: 5})
@@ -45,41 +45,29 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
 
 
-def test_pow():
-    assert (1 + Q) ** 0 == ONE
-    assert (1 + Q) ** 3 == 1 + 3 * Q + 3 * Q ** 2 + Q ** 3
-    assert LaurentQ.q_half(1) ** -2 == LaurentQ.q(-1)
-    assert (-ONE) ** -3 == -ONE
-
-
 def test_props_examples():
-    p = (1 + Q).props()
-    assert p.palindromic and p.unimodal and p.nonnegative
-    p = (1 + 3 * Q + Q ** 2).props()
-    assert p.palindromic and p.unimodal
-    assert not (1 - Q).props().nonnegative
+    assert poly_shape((1 + Q).poly_coeffs()) == (True, True, True)
+    assert poly_shape((1 + 3 * Q + LaurentQ.q(2)).poly_coeffs()) == \
+        (True, True, True)
+    assert not poly_shape((1 - Q).poly_coeffs())[0]
     # 1 + q^2 has an internal zero: palindromic but not unimodal
-    p = (1 + Q ** 2).props()
-    assert p.palindromic and not p.unimodal
+    assert poly_shape((1 + LaurentQ.q(2)).poly_coeffs()) == (True, True, False)
     # zero is vacuously everything
-    z = LaurentQ.zero().props()
-    assert z.nonnegative and z.palindromic and z.unimodal
-    assert z.min_half_exponent is None
-    # mixed parity support falls back to half steps
-    p = (1 + LaurentQ.q_half(1)).props()
-    assert p.palindromic and p.unimodal
+    assert poly_shape(LaurentQ.zero().poly_coeffs()) == (True, True, True)
+    # the shape is read from the lowest term
+    assert poly_shape((0, 0, 1, 2, 1)) == (True, True, True)
+    assert poly_shape((0, 1, 0, 1)) == (True, True, False)
 
 
 def test_props_degree_bounds():
     a = LaurentQ({-3: 1, 4: 2})
-    p = a.props()
-    assert p.min_half_exponent == -3 and p.max_half_exponent == 4
+    assert a.min_half_exponent() == -3 and a.items()[-1][0] == 4
 
 
 def test_q_integers():
     assert q_integer(1) == ONE
-    assert q_integer(3) == 1 + Q + Q ** 2
-    assert q_factorial(3) == 1 + 2 * Q + 2 * Q ** 2 + Q ** 3
+    assert q_integer(3) == LaurentQ.from_poly_coeffs((1, 1, 1))
+    assert q_factorial(3) == LaurentQ.from_poly_coeffs((1, 2, 2, 1))
     assert q_factorial(0) == ONE
 
 
@@ -87,18 +75,15 @@ def test_serialization_roundtrip():
     rng = random.Random(23)
     for _ in range(60):
         a = random_laurent(rng)
-        assert LaurentQ.parse(str(a)) == a
         assert LaurentQ.from_json(a.to_json()) == a
     assert str(1 + Q) == "1 + q"
     assert str(LaurentQ.zero()) == "0"
     assert str(LaurentQ.q_half(-1) + LaurentQ.q_half(1)) == "q^(-1/2) + q^(1/2)"
-    assert str(2 * Q ** 2 - ONE) == "-1 + 2*q^2"
+    assert str(2 * LaurentQ.q(2) - ONE) == "-1 + 2*q^2"
 
 
 def test_evaluate_and_specialize():
-    a = 1 + 2 * Q + Q ** 3
-    assert a.evaluate(2) == 13
-    assert a.at_q1() == 4
+    assert LaurentQ.from_poly_coeffs((1, 2, 0, 1)).at_q1() == 4
     assert (Q - 1).at_q1() == 0
 
 
@@ -133,7 +118,7 @@ def test_poly_add_matches_laurent(a, b):
 @example((0, 0, 1), (1,), -1, 2)
 def test_poly_add_scaled_matches_laurent(a, b, c, k):
     got = poly_add_scaled(a, b, c, k)
-    assert as_laurent(got) == as_laurent(a) + c * Q ** k * as_laurent(b)
+    assert as_laurent(got) == as_laurent(a) + c * LaurentQ.q(k) * as_laurent(b)
 
 
 @seeded
@@ -145,7 +130,7 @@ def test_poly_mul_matches_laurent(a, b):
 @seeded
 @given(polys, shifts)
 def test_poly_shift_matches_laurent(a, k):
-    assert as_laurent(poly_shift(a, k)) == as_laurent(a) * Q ** k
+    assert as_laurent(poly_shift(a, k)) == as_laurent(a) * LaurentQ.q(k)
 
 
 @seeded
@@ -173,18 +158,18 @@ def test_poly_coeffs_rejects_half_and_negative_powers(f):
 
 
 @seeded
-@given(laurents)
-def test_parse_inverts_str(f):
-    assert LaurentQ.parse(str(f)) == f
-
-
-@seeded
 @given(polys)
 @example(())
 @example((0, 0, 1, 2, 1))
 @example((0, 1, 0, 1))
+@example((2, 1, 2))
 def test_poly_shape_matches_props(a):
-    # props reads the support of a polynomial in q from its lowest term
-    p = as_laurent(a).props()
-    assert poly_shape(a) == (p.nonnegative, p.palindromic, p.unimodal)
-
+    # the three properties from their definitions, on the coefficients
+    # from the lowest term up: unimodal if some peak k has them rising
+    # up to k and falling after it
+    vec = list(a[next((i for i, v in enumerate(a) if v), len(a)):])
+    unimodal = any(vec[:k + 1] == sorted(vec[:k + 1])
+                   and vec[k:] == sorted(vec[k:], reverse=True)
+                   for k in range(len(vec))) or not vec
+    assert poly_shape(a) == (min(vec, default=0) >= 0, vec == vec[::-1],
+                             unimodal)
