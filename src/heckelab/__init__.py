@@ -3,8 +3,8 @@ heckelab: exact computations with Kazhdan-Lusztig elements of the Hecke
 algebra of S_n, their Frobenius characters, and chromatic quasisymmetric
 functions of indifference graphs.
 
-Everything is exact: integer Laurent polynomials in q^(1/2), arbitrary
-precision throughout.  The lab module bundles the exhaustive checkers
+Everything is exact: integer polynomials in q, arbitrary precision
+throughout.  The lab module bundles the exhaustive checkers
 (smooth-to-codominant reduction, the modular relation dichotomy, the S_8
 counterexample search) behind a small API, and the same operations are
 exposed on the command line as ``hecke-lab``.
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 # each exported name -> the module that defines it
 _EXPORTS = {name: module for module, names in [
-    ("qpoly", "LaurentQ q_factorial q_integer"),
+    ("qpoly", "LaurentQ"),
     ("permutations", "Perm NotSmoothError bruhat_leq coessential_set "
                      "hessenberg_of_smooth codominant_of_hessenberg "
                      "transpositions_below is_hessenberg enumerate_hessenberg "

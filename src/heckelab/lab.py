@@ -18,7 +18,7 @@ from .permutations import (Perm, all_perms, codominant_of_hessenberg,
                            enumerate_hessenberg, hessenberg_edges,
                            hessenberg_of_smooth, hessenberg_to_str,
                            perm_to_str, smooth_perms, transpositions_below)
-from .qpoly import ONE_PLUS_Q, LaurentQ, poly_add_scaled, poly_shape
+from .qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_shape
 from .symfunc import (SymmetricFunction, _transition, conjugate, partitions,
                       positivity)
 
@@ -203,26 +203,31 @@ def decompose_codominant(w: Perm, max_n: int = 6):
     reduced by ch(B_w) = (1+q) ch(B_{ws}) whenever a simple s makes ws
     smooth one step down with sws two steps down.  Whatever remains is
     handed to an exact leading-term search over all codominant characters,
-    which requires n <= max_n.  Returns {codominant: coefficient} or None
-    for Unknown (search exhausted or out of reach).
+    which requires n <= max_n.  Returns {codominant: LaurentQ coefficient}
+    or None for Unknown (search exhausted or out of reach).
     """
+    factor = (1,)  # (1+q)^k after k steps of Thm 1.6
+    while not w.is_smooth():
+        v = _thm16_step(w)
+        if v is None:
+            break
+        w, factor = v, poly_mul(factor, (1, 1))
     if w.is_smooth():
-        return {smooth_reduce(w): LaurentQ.one()}
-    v = _thm16_step(w)
-    if v is not None:
-        sub = decompose_codominant(v, max_n=max_n)
-        if sub is None:
-            return None
-        return {u: c * ONE_PLUS_Q for u, c in sub.items()}
-    n = len(w)
-    if n > max_n:
+        coeffs = {smooth_reduce(w): (1,)}
+    elif len(w) > max_n:
         return None
-    return _positive_solve(frobenius_cprime(w), n)
+    else:
+        coeffs = _positive_solve(frobenius_cprime(w), len(w))
+        if coeffs is None:
+            return None
+    return {u: LaurentQ.from_poly_coeffs(poly_mul(c, factor))
+            for u, c in coeffs.items()}
 
 
 def _positive_solve(target: SymmetricFunction, n: int, node_budget: int = 200000):
     """Exact search for an N[q]-combination of codominant characters equal
-    to the target, by leading-term peeling in the h-basis."""
+    to the target, by leading-term peeling in the h-basis; returns
+    {codominant: tuple polynomial} or None."""
     candidates = []
     for m in enumerate_hessenberg(n):
         wm = codominant_of_hessenberg(m)
@@ -278,8 +283,8 @@ def _positive_solve(target: SymmetricFunction, n: int, node_budget: int = 200000
                 rest = search(subtract(vec, cvec, k, deg - lw), lead, idx + 1)
                 if rest is not None:
                     rest = dict(rest)
-                    prev = rest.get(wm, LaurentQ.zero())
-                    rest[wm] = prev + LaurentQ({2 * (deg - lw): k})
+                    rest[wm] = poly_add_scaled(rest.get(wm, ()), (1,), k,
+                                               deg - lw)
                     return rest
         return None
 
@@ -287,11 +292,15 @@ def _positive_solve(target: SymmetricFunction, n: int, node_budget: int = 200000
 
 
 def verify_decomposition(w: Perm, decomposition: dict) -> bool:
-    """Check ch(B_w) = sum c_i ch(B_{w_i}) exactly (small n only)."""
-    total = SymmetricFunction.zero("s", len(w))
+    """Check ch(B_w) = sum c_i ch(B_{w_i}) exactly, in the s basis, for
+    LaurentQ coefficients c_i in integer powers of q (small n only)."""
+    total = {}
     for wi, c in decomposition.items():
-        total = total + frobenius_cprime(wi).scale(c)
-    return total == frobenius_cprime(w)
+        p = c.poly_coeffs()
+        for lam, v in frobenius_cprime(wi).polys.items():
+            total[lam] = poly_add(total.get(lam, ()), poly_mul(v, p))
+    return {lam: p for lam, p in total.items() if p} == \
+        frobenius_cprime(w).polys
 
 
 # -- named exhaustive checks ---------------------------------------------------

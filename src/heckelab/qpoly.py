@@ -1,30 +1,27 @@
 """
-Exact polynomials in q over the integers, in two representations.
+Exact polynomials in q over the integers: one arithmetic, one value type.
 
-``LaurentQ`` is the API type: a Laurent polynomial in a formal half-power
-of q.  Every quantity the package compares is an integer polynomial in q
-(Kazhdan-Lusztig polynomials, the characters of B_w = q^(l(w)/2) C'_w,
-the coefficients of csf_q(G_m)); half powers appear only in the normalised
-C'_w and in the (q^(-1/2) + q^(1/2)) identity.  Exponents are stored as
-integer multiples of 1/2, so ``q`` itself sits at internal exponent 2 and
-``q**(1/2)`` at exponent 1.  Coefficients are plain Python ints, so
-arithmetic never overflows.
+The ``poly_*`` functions are the arithmetic.  A polynomial in q is a plain
+int tuple of coefficients ascending from q^0, with no trailing zeros, so
+() is zero.  Every quantity the package compares is such a polynomial:
+Kazhdan-Lusztig polynomials, the characters of B_w = q^(l(w)/2) C'_w, the
+coefficients of csf_q(G_m) and of the codominant decompositions.  The S_8
+computations walk tens of thousands of interval elements, and dict-of-tuple
+rows keep that affordable.
 
->>> q = LaurentQ.q()
->>> print((1 + q) * (1 + q))
+``LaurentQ`` is the value type of the API.  It is built from a tuple
+(``LaurentQ.from_poly_coeffs``) at the API boundary, compared, printed and
+serialized, and it does no arithmetic.  Its exponents are stored as integer
+multiples of 1/2, so ``q`` itself sits at internal exponent 2.
+
+>>> square = poly_mul((1, 1), (1, 1))
+>>> square
+(1, 2, 1)
+>>> f = LaurentQ.from_poly_coeffs(square)
+>>> print(f)
 1 + 2*q + q^2
->>> print(LaurentQ.q_half(-1) + LaurentQ.q_half(1))
-q^(-1/2) + q^(1/2)
->>> print((LaurentQ.q_half(-1) + LaurentQ.q_half(1)) * LaurentQ.q_half(1))
-1 + q
-
-The ``poly_*`` functions are the internal kernel: a polynomial in q is a
-plain int tuple of coefficients ascending from q^0, with no trailing
-zeros, so () is zero.  KL rows, class polynomials, characters, csf and
-symmetric functions (with one half-power shift each) are computed in this
-form and wrapped into LaurentQ (``LaurentQ.from_poly_coeffs``) only at the
-API boundary; the S_8 computations walk tens of thousands of interval
-elements and dict-of-tuple rows keep that affordable.
+>>> f.at_q1(), f.poly_coeffs() == square
+(4, True)
 """
 
 from __future__ import annotations
@@ -33,12 +30,13 @@ from fractions import Fraction
 
 
 class LaurentQ:
-    """Sparse Laurent polynomial in q^(1/2) with exact coefficients.
+    """Sparse Laurent polynomial in q^(1/2) with exact coefficients, as a
+    value: built, compared with other LaurentQ, printed and serialized.
 
-    Coefficients are Python ints; the ring also tolerates exact Fractions,
-    normalizing any integral Fraction back to int.  Fractions reach it only
+    Coefficients are Python ints; exact Fractions are tolerated, and any
+    integral Fraction is normalized back to int.  Fractions reach it only
     when a power-sum (p) coefficient of a symmetric function is shown or
-    serialized.  Everything the recursions produce stays integer.
+    serialized.
 
     Immutable; canonical form (no zero coefficients) is enforced on
     construction, so equality and hashing are structural.
@@ -78,11 +76,6 @@ class LaurentQ:
         return cls({2 * power: 1})
 
     @classmethod
-    def q_half(cls, half_power: int) -> "LaurentQ":
-        """q raised to half_power/2."""
-        return cls({half_power: 1})
-
-    @classmethod
     def from_poly_coeffs(cls, coeffs) -> "LaurentQ":
         """Polynomial in q from a coefficient sequence, ascending from q^0."""
         return cls({2 * k: c for k, c in enumerate(coeffs)})
@@ -99,58 +92,10 @@ class LaurentQ:
             out[k // 2] = v
         return tuple(out)
 
-    # -- ring structure ---------------------------------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, LaurentQ):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentQ({0: other})
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0) + v
-        return LaurentQ(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentQ({k: -v for k, v in self._c.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._c, other._c
-        if len(a) > len(b):
-            a, b = b, a
-        c = {}
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = k1 + k2
-                c[k] = c.get(k, 0) + v1 * v2
-        return LaurentQ(c)
-
-    __rmul__ = __mul__
+    # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, LaurentQ):
             return NotImplemented
         return self._c == other._c
 
@@ -160,16 +105,7 @@ class LaurentQ:
     def __bool__(self):
         return bool(self._c)
 
-    # -- the bar involution -----------------------------------------------
-
-    def bar(self) -> "LaurentQ":
-        """The involution sending q^(1/2) to q^(-1/2)."""
-        return LaurentQ({-k: v for k, v in self._c.items()})
-
     # -- inspection ---------------------------------------------------------
-
-    def min_half_exponent(self):
-        return min(self._c) if self._c else None
 
     def coefficient(self, half_exponent: int) -> int:
         return self._c.get(half_exponent, 0)
@@ -181,10 +117,6 @@ class LaurentQ:
     def at_q1(self) -> int:
         """Specialize q^(1/2) := 1."""
         return sum(self._c.values())
-
-    def shift(self, half_power: int) -> "LaurentQ":
-        """Multiply by q^(half_power/2)."""
-        return LaurentQ({k + half_power: v for k, v in self._c.items()})
 
     # -- serialization -------------------------------------------------------
 
@@ -238,37 +170,6 @@ class LaurentQ:
             key = str(k // 2) if k % 2 == 0 else f"{k}/2"
             out[key] = v if isinstance(v, int) else str(v)
         return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentQ":
-        c = {}
-        for key, v in data.items():
-            if isinstance(v, str):
-                v = Fraction(v)
-            if "/" in key:
-                num, den = key.split("/")
-                if int(den) != 2:
-                    raise ValueError(f"bad exponent {key!r}")
-                c[int(num)] = v
-            else:
-                c[2 * int(key)] = v
-        return cls(c)
-
-Q = LaurentQ.q()
-ONE_PLUS_Q = 1 + Q
-
-
-def q_integer(k: int) -> LaurentQ:
-    """The q-integer [k]_q = 1 + q + ... + q^(k-1)."""
-    return LaurentQ({2 * i: 1 for i in range(k)})
-
-
-def q_factorial(k: int) -> LaurentQ:
-    """[k]!_q = [1]_q [2]_q ... [k]_q."""
-    out = LaurentQ.one()
-    for i in range(1, k + 1):
-        out = out * q_integer(i)
-    return out
 
 
 # -- tuple polynomials in q (ascending coefficients, () is zero) -------------

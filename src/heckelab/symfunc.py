@@ -1,26 +1,23 @@
 """
-Symmetric functions of homogeneous degree n over the Laurent ring in q^(1/2),
-in the five classical bases m, e, h, p, s.
+Symmetric functions of homogeneous degree n with coefficients in Z[q], in
+the five classical bases m, e, h, p, s.
 
 A function stores {partition: tuple polynomial in q} (heckelab.qpoly's
-``poly_*`` form) and one shift, in half powers of q: the coefficient of
-basis_lam is q^(shift/2) polys[lam](q).  The shift is canonical, so equal
-functions in one basis store equal data: the least half exponent if it is
-negative, otherwise its parity.  So the polynomials in q that the package
-makes (ch(B_w), csf_q(G_m)) are stored as given, with shift 0; a function
-mixing integer and half-integer powers of q is refused with ValueError.
-LaurentQ is only parsed on input and built on output.
+``poly_*`` form) over its nonzero coefficients, so equal functions in one
+basis store equal data.  The polynomials the package makes (ch(B_w),
+csf_q(G_m)) are stored as given.  LaurentQ is only read on input, through
+``poly_coeffs``, which refuses half and negative powers of q with
+ValueError, and built on output.
 
 >>> from heckelab.characters import frobenius_cprime
 >>> from heckelab.permutations import Perm
 >>> f = frobenius_cprime(Perm((2, 1, 3)))  # ch(B_s) = (1 + q)(s_3 + s_21)
->>> f.polys, f.shift
-({(3,): (1, 1), (2, 1): (1, 1)}, 0)
+>>> f.polys
+{(3,): (1, 1), (2, 1): (1, 1)}
 >>> print(f.convert("h"))
 (1 + q)*h[2,1]
->>> g = f.scale(LaurentQ.q_half(-3))
->>> g.polys[(3,)], g.shift
-((1, 1), -3)
+>>> f.scale(LaurentQ.q(2)).polys[(3,)]
+(0, 0, 1, 1)
 
 A conversion is one pass over a transition matrix per (source, target,
 degree), the product of source-to-s and s-to-target.  Every factor comes
@@ -48,7 +45,7 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .qpoly import LaurentQ, poly_add_scaled, poly_mul, q_factorial
+from .qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul
 
 __all__ = [
     "Partition", "partitions", "conjugate", "hook_lengths", "num_syt",
@@ -101,10 +98,12 @@ def num_syt(lam: Partition) -> int:
 
 
 def q_factorial_partition(lam: Partition) -> LaurentQ:
-    """lambda!_q = product of [lambda_i]!_q."""
+    """lambda!_q = product of [lambda_i]!_q, where
+    [k]!_q = [1]_q [2]_q ... [k]_q and [i]_q = 1 + q + ... + q^(i-1)."""
     out = (1,)
     for part in lam:
-        out = poly_mul(out, q_factorial(part).poly_coeffs())
+        for i in range(2, part + 1):
+            out = poly_mul(out, (1,) * i)
     return LaurentQ.from_poly_coeffs(out)
 
 
@@ -250,57 +249,47 @@ def _transition(src: str, dst: str, n: int) -> dict:
 
 # -- the symmetric function container ----------------------------------------
 
-def _low(p: tuple) -> int:
-    """Index of the first nonzero coefficient of a nonzero tuple poly."""
-    return next(i for i, v in enumerate(p) if v)
+def _poly(c) -> tuple:
+    """The tuple polynomial of an int or a LaurentQ in integer powers of
+    q; ValueError for a half or negative power."""
+    if isinstance(c, LaurentQ):
+        return c.poly_coeffs()
+    return (c,) if c else ()
 
 
 class SymmetricFunction:
     """Homogeneous symmetric function of degree n in one basis: the sum of
-    q^(shift/2) polys[lam](q) basis_lam, with tuple polynomials in q and
-    one canonical shift per function (see the module docstring)."""
+    polys[lam](q) basis_lam over tuple polynomials in q (see the module
+    docstring)."""
 
-    __slots__ = ("basis", "n", "shift", "polys")
+    __slots__ = ("basis", "n", "polys")
 
     def __init__(self, basis: str, n: int, coeffs: dict):
         """Coefficients {partition: int or LaurentQ}; raises ValueError for
-        an unknown basis, a partition of the wrong size, or coefficients
-        that mix integer and half-integer powers of q."""
+        an unknown basis, a partition of the wrong size, or a coefficient
+        with a half or negative power of q."""
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        terms = {}
+        polys = {}
         for lam, c in coeffs.items():
             lam = tuple(lam)
             if sum(lam) != n:
                 raise ValueError(f"partition {lam} has size != {n}")
-            terms[lam] = c if isinstance(c, LaurentQ) else LaurentQ({0: c})
-        shift = min((c.min_half_exponent() for c in terms.values() if c),
-                    default=0)
-        # poly_coeffs raises ValueError on a half power left after the shift
-        self._store(basis, n, {lam: c.shift(-shift).poly_coeffs()
-                               for lam, c in terms.items()}, shift)
+            polys[lam] = _poly(c)
+        self._store(basis, n, polys)
 
     @classmethod
-    def from_polys(cls, basis: str, n: int, polys: dict,
-                   shift: int = 0) -> "SymmetricFunction":
-        """sum_lam q^(shift/2) polys[lam](q) basis_lam, from tuple
-        polynomials in q; zero polynomials are left out."""
+    def from_polys(cls, basis: str, n: int,
+                   polys: dict) -> "SymmetricFunction":
+        """sum_lam polys[lam](q) basis_lam, from tuple polynomials in q;
+        zero polynomials are left out."""
         f = cls.__new__(cls)
-        f._store(basis, n, polys, shift)
+        f._store(basis, n, polys)
         return f
 
-    def _store(self, basis, n, polys, shift):
-        """Keep the nonzero polys, moved to the canonical shift: the least
-        half exponent if it is negative, otherwise its parity."""
-        polys = {lam: p for lam, p in polys.items() if p}
-        lo = shift + 2 * min(map(_low, polys.values())) if polys else 0
-        canonical = lo if lo < 0 else lo & 1
-        step = (shift - canonical) // 2
-        if step > 0:
-            polys = {lam: (0,) * step + p for lam, p in polys.items()}
-        elif step < 0:
-            polys = {lam: p[-step:] for lam, p in polys.items()}
-        self.basis, self.n, self.shift, self.polys = basis, n, canonical, polys
+    def _store(self, basis, n, polys):
+        self.basis, self.n = basis, n
+        self.polys = {lam: p for lam, p in polys.items() if p}
 
     @classmethod
     def zero(cls, basis: str, n: int) -> "SymmetricFunction":
@@ -312,8 +301,7 @@ class SymmetricFunction:
         return cls(basis, sum(lam), {lam: coeff})
 
     def coefficient(self, lam) -> LaurentQ:
-        p = self.polys.get(tuple(lam), ())
-        return LaurentQ.from_poly_coeffs(p).shift(self.shift)
+        return LaurentQ.from_poly_coeffs(self.polys.get(tuple(lam), ()))
 
     @property
     def coeffs(self) -> dict:
@@ -333,34 +321,23 @@ class SymmetricFunction:
         if "p" in (self.basis, target):
             out = {nu: tuple(v.numerator if v.denominator == 1 else v
                              for v in p) for nu, p in out.items()}
-        return SymmetricFunction.from_polys(target, self.n, out, self.shift)
+        return SymmetricFunction.from_polys(target, self.n, out)
 
     def __add__(self, other: "SymmetricFunction") -> "SymmetricFunction":
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        other = other.convert(self.basis)
-        nonzero = [f for f in (self, other) if f.polys]
-        if len({f.shift & 1 for f in nonzero}) > 1:
-            raise ValueError("sum mixes integer and half-integer powers of q")
-        lo = min((f.shift for f in nonzero), default=0)
-        out = {}
-        for f in nonzero:
-            for lam, p in f.polys.items():
-                out[lam] = poly_add_scaled(out.get(lam, ()), p, 1,
-                                           (f.shift - lo) // 2)
-        return SymmetricFunction.from_polys(self.basis, self.n, out, lo)
-
-    def __sub__(self, other: "SymmetricFunction") -> "SymmetricFunction":
-        return self + other.scale(-1)
+        out = dict(self.polys)
+        for lam, p in other.convert(self.basis).polys.items():
+            out[lam] = poly_add(out.get(lam, ()), p)
+        return SymmetricFunction.from_polys(self.basis, self.n, out)
 
     def scale(self, c) -> "SymmetricFunction":
-        """c times self, for an int or a LaurentQ c."""
-        unit = SymmetricFunction("m", 0, {(): c})  # q^(unit.shift/2) p(q)
-        p = unit.polys.get((), ())
+        """c times self, for an int or a LaurentQ c in integer powers of q;
+        ValueError for a half or negative power."""
+        p = _poly(c)
         return SymmetricFunction.from_polys(
             self.basis, self.n,
-            {lam: poly_mul(v, p) for lam, v in self.polys.items()},
-            self.shift + unit.shift)
+            {lam: poly_mul(v, p) for lam, v in self.polys.items()})
 
     def __eq__(self, other):
         """Mathematical equality, compared in the basis of self."""
@@ -368,12 +345,7 @@ class SymmetricFunction:
             return NotImplemented
         if self.n != other.n:
             return False
-        other = other.convert(self.basis)
-        return (self.shift, self.polys) == (other.shift, other.polys)
-
-    def __hash__(self):
-        m = self.convert("m")
-        return hash((m.n, m.shift, frozenset(m.polys.items())))
+        return self.polys == other.convert(self.basis).polys
 
     def at_q1(self) -> dict:
         """Specialize q := 1; returns partition -> int in the same basis."""
@@ -415,14 +387,6 @@ class SymmetricFunction:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SymmetricFunction":
-        coeffs = {
-            tuple(t["partition"]): LaurentQ.from_json(t["coeff"])
-            for t in data["terms"]
-        }
-        return cls(data["basis"], data["degree"], coeffs)
-
 
 def omega(f: SymmetricFunction) -> SymmetricFunction:
     """The involution with omega(h) = e, omega(e) = h, omega(s_lam) = s_lam',
@@ -437,7 +401,7 @@ def omega(f: SymmetricFunction) -> SymmetricFunction:
     else:  # monomial basis: route through e and come back
         return omega(f.convert("e")).convert("m")
     basis = {"e": "h", "h": "e"}.get(f.basis, f.basis)
-    return SymmetricFunction.from_polys(basis, f.n, polys, f.shift)
+    return SymmetricFunction.from_polys(basis, f.n, polys)
 
 
 class PositivityReport(NamedTuple):
@@ -448,11 +412,9 @@ class PositivityReport(NamedTuple):
 
 def positivity(f: SymmetricFunction, basis: str) -> PositivityReport:
     """Check that every coefficient in the target basis is a polynomial in
-    q^(1/2) with nonnegative integer coefficients; witness on failure."""
+    q with nonnegative integer coefficients; witness on failure."""
     g = f.convert(basis)
     for lam in sorted(g.polys, reverse=True):
-        p = g.polys[lam]
-        if g.shift + 2 * _low(p) < 0 or any(v < 0 or v.denominator != 1
-                                             for v in p):
+        if any(v < 0 or v.denominator != 1 for v in g.polys[lam]):
             return PositivityReport(False, lam, g.coefficient(lam))
     return PositivityReport(True)

@@ -18,7 +18,7 @@ MODULES = [importlib.import_module(f"heckelab.{info.name}")
 
 # the package's public names: `from heckelab import *` binds exactly these
 PUBLIC = {
-    "LaurentQ", "q_factorial", "q_integer",
+    "LaurentQ",
     "Perm", "NotSmoothError", "bruhat_leq", "coessential_set",
     "hessenberg_of_smooth", "codominant_of_hessenberg", "transpositions_below",
     "is_hessenberg", "enumerate_hessenberg", "parse_perm", "perm_to_str",

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -8,20 +9,21 @@ import pytest
 from heckelab.characters import frobenius_cprime
 from heckelab.cli import main
 from heckelab.csf import csf, csf_batch, csf_index, csf_key, edge_count
-from heckelab.hecke import KLRowStore
-from heckelab.lab import (InternalContradictionError, MomentGraph,
-                          PreconditionError, _check_kl_selfdual, check_suite,
-                          counterexample_search, decompose_codominant,
-                          modular_relation, modular_triples, moment_graph,
-                          smooth_perms, smooth_reduce, verify_decomposition)
+from heckelab.hecke import KLRowStore, row_store
+from heckelab.lab import (MomentGraph, PreconditionError, _check_kl_selfdual,
+                          check_suite, counterexample_search,
+                          decompose_codominant, modular_relation,
+                          modular_triples, moment_graph, smooth_perms,
+                          smooth_reduce, verify_decomposition)
 from heckelab.permutations import (NotSmoothError, Perm, all_perms,
                                    codominant_of_hessenberg,
                                    enumerate_hessenberg, hessenberg_to_str,
                                    parse_perm, perm_to_str)
 from heckelab.qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul
-from heckelab.symfunc import omega
+from heckelab.symfunc import partitions
 
 Q = LaurentQ.q()
+ONE_PLUS_Q = LaurentQ.from_poly_coeffs((1, 1))
 
 
 def test_smooth_reduce_examples():
@@ -139,7 +141,7 @@ def test_modular_triples():
     triples = modular_triples(3)
     assert ((1, 3, 3), (2, 3, 3), (3, 3, 3), 1) in triples
     for m0, m1, m2, i in modular_triples(5):
-        lhs = csf(m1).scale(1 + Q)
+        lhs = csf(m1).scale(ONE_PLUS_Q)
         rhs = csf(m2) + csf(m0).scale(Q)
         assert lhs == rhs, (m0, m1, m2)
 
@@ -239,6 +241,46 @@ def test_prop31_reports_a_perturbed_character_identity(monkeypatch):
         in rep.witnesses
 
 
+def test_hpos_reports_a_character_that_is_not_h_positive():
+    # ch(B_e) = s_3 + 2 s_21 + s_111 = h_111; a second s_111 = e_3 adds
+    # h_111 - 2 h_21 + h_3, so the h_21 coefficient becomes -2
+    e = Perm.identity(3)
+    frobenius_cprime.cache_clear()
+    ch = frobenius_cprime(e)  # the memoised value the check reads
+    assert ch.polys[(1, 1, 1)] == (1,)
+    ch.polys[(1, 1, 1)] = (2,)
+    try:
+        (rep,) = check_suite(3, ["hpos"])
+        assert (rep.status, rep.witnesses) == ("fail", [
+            {"w": "123", "partition": [2, 1], "coefficient": "-2"}])
+    finally:
+        ch.polys[(1, 1, 1)] = (1,)
+    (rep,) = check_suite(3, ["hpos"])
+    assert (rep.status, rep.witnesses) == ("pass", [])
+    frobenius_cprime.cache_clear()
+
+
+def test_unimodal_reports_a_perturbed_kl_polynomial():
+    # P_{e,e} = 1 becomes 1 + q^2, so ch(B_e) becomes
+    # (1 + q^2)(s_3 + 2 s_21 + s_111): every coefficient has an internal zero
+    store = row_store(3)
+    for u in all_perms(3):  # build every row before the one they start from
+        store._packed_row(u)
+    e = Perm.identity(3)
+    q2 = 1 << 2 * store._width
+    frobenius_cprime.cache_clear()
+    _add_to_stored_value(store, e, e, q2)
+    try:
+        (rep,) = check_suite(3, ["unimodal"])
+        assert (rep.status, rep.witnesses) == ("fail", [
+            {"w": "123", "lambda": list(lam)} for lam in partitions(3)])
+    finally:
+        _add_to_stored_value(store, e, e, -q2)
+        frobenius_cprime.cache_clear()
+    (rep,) = check_suite(3, ["unimodal"])
+    assert (rep.status, rep.witnesses) == ("pass", [])
+
+
 def test_csf_oracle_reports_a_perturbed_batch_entry():
     from heckelab.csf import clear_batch_cache, csf_batch
     batch = csf_batch(4)
@@ -261,7 +303,7 @@ def test_counterexample_positive_control():
     assert res is not None
     assert res.m0 == (1, 3, 3) and res.m2 == (3, 3, 3) and res.shift == 1
     # the found pair really satisfies the modular identity
-    lhs = csf((2, 3, 3)).scale(1 + Q)
+    lhs = csf((2, 3, 3)).scale(ONE_PLUS_Q)
     assert lhs == csf(res.m2) + csf(res.m0).scale(Q)
 
 
@@ -356,14 +398,15 @@ def test_decompose_singular(n):
         assert verify_decomposition(w, d), (w, d)
         assert all(u.is_codominant() for u in d)
         for c in d.values():
-            assert all(v > 0 for _, v in c.items())
-            assert c.min_half_exponent() >= 0
+            # a nonzero polynomial in q with positive coefficients
+            assert c and all(k >= 0 and k % 2 == 0 and v > 0
+                             for k, v in c.items())
 
 
 def test_decompose_s8_counterexample_w():
     w = parse_perm("62754381")
     d = decompose_codominant(w)
-    assert d == {parse_perm("26754381"): 1 + Q}
+    assert d == {parse_perm("26754381"): ONE_PLUS_Q}
 
 
 def test_decompose_honest_solver_matches():
@@ -371,7 +414,32 @@ def test_decompose_honest_solver_matches():
     for w in all_perms(4):
         if not w.is_smooth():
             sol = _positive_solve(frobenius_cprime(w), 4)
-            assert sol is not None and verify_decomposition(w, sol), w
+            assert sol is not None, w
+            assert verify_decomposition(w, {
+                u: LaurentQ.from_poly_coeffs(c) for u, c in sol.items()}), w
+
+
+# sha256 of `hecke-lab --format <fmt> decompose --w W` stdout over all 120 W
+# of S_5 in all_perms order, recorded from the decomposer that carried its
+# coefficients as LaurentQ; 6 of the 32 singular W have no Thm 1.6 step and
+# are decided by _positive_solve
+DECOMPOSE_S5_SHA256 = {
+    "text":
+        "f471726134c31b352b3917a2b3227397cc9032e3837ca9427ccecf93bafd55d8",
+    "json":
+        "566da96db7eeb1994e5acc49fd20f5d618bcaf5e83111a2edf8f9ac72593ccdf",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DECOMPOSE_S5_SHA256))
+def test_decompose_s5_golden_digest(fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes = {main(["--no-cache", "--format", fmt, "decompose", "--w",
+                       perm_to_str(w)]) for w in all_perms(5)}
+    assert codes == {0}
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        DECOMPOSE_S5_SHA256[fmt]
 
 
 @pytest.mark.parametrize("n", [3, 4])

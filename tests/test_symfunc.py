@@ -11,7 +11,7 @@ from heckelab.symfunc import (BASES, SymmetricFunction, _transition,
                               conjugate, kostka, num_syt, omega, partitions,
                               positivity, q_factorial_partition)
 
-Q = LaurentQ.q()
+ONE_PLUS_Q = LaurentQ.from_poly_coeffs((1, 1))
 
 
 def brute_monomial_expand(basis, lam, nvars):
@@ -53,13 +53,10 @@ def brute_monomial_expand(basis, lam, nvars):
 
 
 def random_symfunc(rng, n, basis):
-    """Random monomial coefficients, with negative and half powers of q, all
-    of one parity."""
-    parity = rng.randint(0, 1)
+    """Random coefficients, each one term c q^k with 0 <= k <= 3."""
     coeffs = {}
     for lam in rng.sample(partitions(n), k=min(3, len(partitions(n)))):
-        coeffs[lam] = LaurentQ({2 * rng.randint(-1, 2) + parity:
-                                rng.randint(-5, 5)})
+        coeffs[lam] = LaurentQ({2 * rng.randint(0, 3): rng.randint(-5, 5)})
     return SymmetricFunction(basis, n, coeffs)
 
 
@@ -221,7 +218,7 @@ def test_integral_values_through_p_are_ints():
 
 
 def test_positivity():
-    h2 = SymmetricFunction.basis_element("h", (2,)).scale(1 + Q)
+    h2 = SymmetricFunction.basis_element("h", (2,)).scale(ONE_PLUS_Q)
     assert positivity(h2, "h").positive
     s11 = SymmetricFunction.basis_element("s", (1, 1))
     rep = positivity(s11, "h")  # s11 = h11 - h2
@@ -229,9 +226,6 @@ def test_positivity():
     assert rep.witness_partition == (2,)
     assert rep.witness_coefficient == LaurentQ.integer(-1)
     assert positivity(SymmetricFunction.zero("m", 3), "h").positive
-    # negative powers of q are not positive either
-    f = SymmetricFunction.basis_element("h", (2,)).scale(LaurentQ.q_half(-1))
-    assert not positivity(f, "h").positive
     # s_2 = 1/2 p_2 + 1/2 p_11 is nonnegative, but not integral
     rep = positivity(SymmetricFunction.basis_element("s", (2,)), "p")
     assert not rep.positive
@@ -245,17 +239,18 @@ def test_positivity():
 def test_q_factorial_partition():
     assert q_factorial_partition((3,)) == \
         LaurentQ.from_poly_coeffs((1, 2, 2, 1))
-    assert q_factorial_partition((2, 1)) == 1 + Q
+    assert q_factorial_partition((2, 1)) == ONE_PLUS_Q
     assert q_factorial_partition((1, 1, 1, 1)) == LaurentQ.one()
 
 
 def test_serialization():
-    f = SymmetricFunction("s", 3, {
-        (2, 1): LaurentQ.q_half(-1) + LaurentQ.q_half(1),
-        (3,): LaurentQ.q_half(3)})
-    assert SymmetricFunction.from_json(f.to_json()) == f
-    assert "s_{21}" in f.latex()
-    assert "s[2,1]" in str(f)
+    f = SymmetricFunction.from_polys("s", 3, {(2, 1): (0, 1, 1), (3,): (2,)})
+    assert f.to_json() == {"basis": "s", "degree": 3, "terms": [
+        {"partition": [3], "coeff": {"0": 2}},
+        {"partition": [2, 1], "coeff": {"1": 1, "2": 1}}]}
+    assert f.latex() == \
+        "\\left(2\\right) s_{3} + \\left(q + q^{2}\\right) s_{21}"
+    assert str(f) == "(2)*s[3] + (q + q^2)*s[2,1]"
 
 
 def test_add_mixed_basis():
@@ -267,13 +262,16 @@ def test_add_mixed_basis():
                                          (1, 1): LaurentQ.integer(2)}
 
 
-def test_one_parity_of_powers_per_function():
-    half = LaurentQ.q_half(1)
+def test_half_and_negative_powers_are_refused():
+    half = LaurentQ({1: 1})
     with pytest.raises(ValueError):
-        SymmetricFunction("s", 3, {(2, 1): 1 + Q, (3,): half})
+        SymmetricFunction("s", 3, {(2, 1): ONE_PLUS_Q, (3,): half})
     with pytest.raises(ValueError):
-        SymmetricFunction.basis_element("h", (2,), 1 + half)
-    f = SymmetricFunction.basis_element("s", (3,), half)
-    assert SymmetricFunction.zero("s", 3) + f == f
+        SymmetricFunction.basis_element("h", (2,), LaurentQ({0: 1, 1: 1}))
     with pytest.raises(ValueError):
-        f + SymmetricFunction.basis_element("s", (3,))
+        SymmetricFunction.basis_element("h", (2,), LaurentQ.q(-1))
+    s3 = SymmetricFunction.basis_element("s", (3,))
+    for c in (half, LaurentQ.q(-1)):
+        with pytest.raises(ValueError):
+            s3.scale(c)
+    assert s3.scale(LaurentQ.q(2)).polys == {(3,): (0, 0, 1)}
