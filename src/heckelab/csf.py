@@ -24,17 +24,31 @@ left to color with the later classes.  That subproblem depends only on
   an edge exactly when v_s <= h(v_t), that is s <= h'(t);
 - asc compares colors along the vertex order only, which relabelling
   v_1 < ... < v_r as 1 < ... < r keeps.
-The oracle lists every proper coloring of each content lambda in turn,
-vertex by vertex, on one preallocated color list.  The earlier neighbours
-of vertex j are the interval first(j), ..., j - 1 (i < j is an edge
-exactly when j <= h(i), and h is non-decreasing), and they form a clique,
-so their colors are distinct.  Scanning the colors of j in increasing
-order and adding one ascent at each color an earlier neighbour holds thus
-keeps a running ascent count, and the last vertex, whose color lambda
-forces, is counted in place: a flat list indexed by the ascent count
-gains 1.  The oracle visits every coloring and reads only the edges of
-G_h; it shares no memo, no packing and neither the class weights nor the
-induced functions with the DP, so the DP's reductions are what it checks.
+The oracle lists the proper colorings of each content lambda in turn,
+vertex by vertex, on one preallocated color list, for every function of
+a call in the same walk.  The earlier neighbours of vertex j are the
+interval first(j), ..., j - 1 (i < j is an edge exactly when j <= h(i),
+and h is non-decreasing), so h is fixed by first(1), ..., first(n), and
+the functions of a call form a trie keyed by these sequences.  Graphs
+with the same first(1), ..., first(k) have the same edges among vertices
+1..k, so the walk lists each proper coloring of those vertices once for
+all of them.  At vertex j, for each color c with room left, the walk
+takes the node's children by decreasing first(j), so the window
+first(j), ..., j - 1 of earlier neighbours grows one vertex at a time.
+A vertex entering it with a smaller color adds one ascent.  A vertex
+entering it with color c ends the children of c: it lies in the window
+of every child with a smaller first(j) too, and would be a neighbour of
+the same color there; the walk knows it as the last vertex colored c so
+far.  The last vertex, whose color lambda forces, is counted in place:
+for each child still open, the flat list of its function, indexed by
+the ascent count, gains 1.  So each (graph, proper coloring) pair is
+counted exactly once: the graph fixes one root-to-leaf path, the
+coloring fixes the color taken at each vertex on it, and the walk goes
+down that path with that coloring exactly when every window it meets is
+free of the vertex's color, that is when the coloring is proper.  The
+oracle reads only the edges of each G_h; it shares no memo, no packing
+and neither the class weights nor the induced functions with the DP, so
+the DP's reductions are what it checks.
 
 Inside the DP a q-polynomial is packed into one int (Kronecker
 substitution): the coefficient of q^i sits in bits [i*B, (i+1)*B) with
@@ -54,7 +68,7 @@ from typing import NamedTuple
 from .cache import int_poly
 from .permutations import (enumerate_hessenberg, hessenberg_edges,
                            hessenberg_to_str, is_hessenberg, parse_hessenberg)
-from .qpoly import poly_add_scaled, poly_mul, poly_unpack
+from .qpoly import poly_add_scaled, poly_mul, poly_trim, poly_unpack
 from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
@@ -159,45 +173,78 @@ def csf(m) -> SymmetricFunction:
     return SymmetricFunction.from_polys("m", len(m), _csf_coeffs([m])[m])
 
 
-def _oracle_coeffs(m) -> dict:
-    """{lambda: tuple polynomial} of csf_q(G_m) in the monomial basis, by
-    listing every proper coloring (the module docstring has the method)."""
-    m = tuple(m)
-    if not is_hessenberg(m):
-        raise ValueError(f"not a Hessenberg function: {m}")
-    n = len(m)
+def _oracle_coeffs(ms) -> dict:
+    """{m: monomial coefficients of csf_q(G_m) as tuple polynomials} for
+    Hessenberg functions ms of one rank, by listing every proper coloring
+    of every G_m in one walk per lambda over the trie of their neighbour
+    prefixes (the module docstring has the method)."""
+    ms = [tuple(m) for m in ms]
+    n = len(ms[0])
     if n > 6:
         raise ValueError("the coloring oracle is capped at n = 6")
-    edges = hessenberg_edges(m)
-    # vertex v + 1 has the earlier neighbours first[v] + 1, ..., v
-    first = [min((i - 1 for i, j in edges if j == v + 1), default=v)
-             for v in range(n)]
+    trie: dict = {}  # first[0] -> first[1] -> ... -> first[n - 1] -> weights
+    weights = {}  # weights[m][a]: colorings of G_m with a ascents
+    for m in ms:
+        if not is_hessenberg(m):
+            raise ValueError(f"not a Hessenberg function: {m}")
+        if len(m) != n:
+            raise ValueError(f"{m} is not of rank {n}")
+        edges = hessenberg_edges(m)
+        # vertex v + 1 has the earlier neighbours first[v] + 1, ..., v
+        first = [min((i - 1 for i, j in edges if j == v + 1), default=v)
+                 for v in range(n)]
+        node = trie
+        for f in first[:-1]:
+            node = node.setdefault(f, {})
+        weights[m] = node[first[-1]] = [0] * (len(edges) + 1)
+
+    def children(node: dict) -> list:
+        """A trie node's (first[v], child) pairs by decreasing first[v]."""
+        return [(f, sub if isinstance(sub, list) else children(sub))
+                for f, sub in sorted(node.items(), reverse=True)]
+
+    root, last = children(trie), n - 1
     kappa = [0] * n  # kappa[v]: color of vertex v + 1, for v below the depth
-    coeffs = {}
+    out = {m: {} for m in ms}
     for lam in partitions(n):
         room, colors = list(lam), range(len(lam))  # room[c]: uses left of c
-        weight = [0] * (len(edges) + 1)  # weight[a]: colorings with a ascents
+        latest = [-1] * len(lam)  # latest[c]: last vertex colored c so far
 
-        def extend(v: int, asc: int) -> None:
-            taken = kappa[first[v]:v]
+        def walk(node: list, v: int, asc: int) -> None:
             for c in colors:
-                if c in taken:  # an ascent into every later color of v
-                    asc += 1
-                elif room[c]:
-                    if v == n - 1:  # the one color with room left
-                        weight[asc] += 1
-                        return
-                    room[c] -= 1
-                    kappa[v] = c
-                    extend(v + 1, asc)
-                    room[c] += 1
+                if not room[c]:
+                    continue
+                stop = latest[c]  # a child with first[v] <= stop clashes
+                a, u = asc, v  # kappa[u:v]: v's earlier neighbours in child u
+                if v == last:  # the one color with room left, counted
+                    # here rather than in a call per coloring
+                    for f, weight in node:
+                        if f <= stop:
+                            break
+                        while u > f:
+                            u -= 1
+                            a += kappa[u] < c
+                        weight[a] += 1
+                    return
+                room[c] -= 1
+                kappa[v], latest[c] = c, v
+                for f, sub in node:
+                    if f <= stop:
+                        break
+                    while u > f:
+                        u -= 1
+                        a += kappa[u] < c
+                    walk(sub, v + 1, a)
+                room[c] += 1
+                latest[c] = stop
 
-        extend(0, 0)
-        while weight and not weight[-1]:
-            weight.pop()
-        if weight:
-            coeffs[lam] = tuple(weight)
-    return coeffs
+        walk(root, 0, 0)
+        for m, weight in weights.items():
+            p = poly_trim(weight[:])
+            if p:
+                out[m][lam] = p
+            weight[:] = [0] * len(weight)
+    return out
 
 
 def csf_oracle(m) -> SymmetricFunction:
@@ -205,12 +252,13 @@ def csf_oracle(m) -> SymmetricFunction:
 
     By symmetry the coefficient of m_lambda is the weight of the proper
     colorings that use color c exactly lambda_c times.  Those are listed
-    vertex by vertex, 1 to n, skipping any color that an earlier neighbour
-    already has; each complete coloring adds q^(asc), with asc counted as
-    the module docstring describes.  Capped at n = 6.
+    vertex by vertex, 1 to n, and each adds q^(asc), as the module
+    docstring describes; here the trie of the walk is the single path of
+    m, so each vertex has one window of earlier neighbours.  Capped at
+    n = 6.
     """
     m = tuple(m)
-    return SymmetricFunction.from_polys("m", len(m), _oracle_coeffs(m))
+    return SymmetricFunction.from_polys("m", len(m), _oracle_coeffs([m])[m])
 
 
 # -- batch computation over all Hessenberg functions of a rank ---------------

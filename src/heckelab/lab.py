@@ -332,7 +332,8 @@ def _check_cor44(n: int) -> Report:
     witnesses = []
     for m in ms:
         got = {}
-        for lam, p in _frobenius_coeffs(codominant_of_hessenberg(m)).items():
+        ch = frobenius_cprime(codominant_of_hessenberg(m))  # thm15 reads it
+        for lam, p in ch.polys.items():
             for mu, k in s_to_m[conjugate(lam)]:
                 got[mu] = poly_add_scaled(got.get(mu, ()), p, k, 0)
         if csf_key(got) != csf_key(batch[m]):
@@ -380,15 +381,14 @@ def _check_prop31(n: int, verify_limit: int = 5) -> Report:
 def _check_thm15(n: int) -> Report:
     witnesses = []
     count = 0
-    reduced = {}  # ch(B_w') of each codominant w' met
     for w in smooth_perms(n):
         count += 1
         wr = smooth_reduce(w)
         if wr == w:  # w is codominant, and the identity is trivial
             continue
-        if wr not in reduced:
-            reduced[wr] = _frobenius_coeffs(wr)
-        if _frobenius_coeffs(w) != reduced[wr]:
+        # ch(B_w') from the memo cor44 fills; ch(B_w) is not memoised, so
+        # the memo holds only codominant characters
+        if _frobenius_coeffs(w) != frobenius_cprime(wr).polys:
             witnesses.append(perm_to_str(w))
     return Report("thm15", n, "fail" if witnesses else "pass", witnesses,
                   f"ch(q^(l/2) C'_w) = ch(q^(l/2) C'_w') for all {count} "
@@ -425,8 +425,8 @@ def _check_modular_law(n: int) -> Report:
 def _check_csf_oracle(n: int) -> Report:
     ms = enumerate_hessenberg(n)
     batch = csf_batch(n)
-    witnesses = [hessenberg_to_str(m) for m in ms
-                 if _oracle_coeffs(m) != batch[m]]
+    oracle = _oracle_coeffs(ms)
+    witnesses = [hessenberg_to_str(m) for m in ms if oracle[m] != batch[m]]
     return Report("csf-oracle", n, "fail" if witnesses else "pass", witnesses,
                   f"partition enumeration matches the per-class-size coloring "
                   f"oracle on {len(ms)} graphs")

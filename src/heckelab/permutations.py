@@ -463,7 +463,10 @@ def hessenberg_to_str(m) -> str:
 
 
 def parse_hessenberg(text: str) -> tuple[int, ...]:
-    m = tuple(int(t) for t in text.strip().split(","))
+    try:
+        m = tuple(int(t) for t in text.strip().split(","))
+    except ValueError:  # not a list of integers, so no Hessenberg function
+        m = ()
     if not is_hessenberg(m):
         raise ValueError(f"not a Hessenberg function: {text!r}")
     return m

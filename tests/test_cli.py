@@ -247,6 +247,14 @@ def test_bad_inputs_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("m", [",,", "1,x", ""])
+def test_csf_non_integer_m_exits_2(capsys, m):
+    code = main(["--no-cache", "csf", "--m", m])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: not a Hessenberg function: {m!r}\n"
+
+
 def test_determinism_and_cache(tmp_path, capsys):
     from heckelab.hecke import reset_row_store
     cache_dir = str(tmp_path / "cache")

@@ -83,8 +83,8 @@ def test_oracle_distinct_colors_coefficient(n):
     # the m_{1^n} coefficient weighs the n! bijective colorings; its top
     # degree puts every edge in ascent, and reversing colors swaps ascents
     # and descents
-    for m in enumerate_hessenberg(n):
-        p = _oracle_coeffs(m)[(1,) * n]
+    for m, coeffs in _oracle_coeffs(enumerate_hessenberg(n)).items():
+        p = coeffs[(1,) * n]
         assert sum(p) == factorial(n), m
         assert len(p) - 1 == edge_count(m), m
         assert p == p[::-1], m
@@ -94,6 +94,40 @@ def test_oracle_distinct_colors_coefficient(n):
 def test_csf_matches_oracle_exhaustive(n):
     for m in enumerate_hessenberg(n):
         assert csf(m) == csf_oracle(m), m
+
+
+# sha256 of the canonical JSON of the coloring oracle over every function
+# of rank 6, recorded with the per-function oracle the trie walk replaced
+ORACLE6_SHA256 = \
+    "bbd346572bab939c94f93b017eb09b8dfe66696c3886c37197358dba6b029b4f"
+
+
+def test_oracle6_golden_digest_and_coloring_count():
+    oracle = _oracle_coeffs(enumerate_hessenberg(6))
+    assert len(oracle) == 132
+    canon = {hessenberg_to_str(m): {",".join(map(str, lam)): list(p)
+                                    for lam, p in coeffs.items()}
+             for m, coeffs in oracle.items()}
+    text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE6_SHA256
+    # p(1) counts colorings: every (graph, proper coloring) pair of the rank
+    assert sum(sum(p) for coeffs in oracle.values()
+               for p in coeffs.values()) == 141121
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_oracle_rank_walk_matches_one_function_walks(n):
+    # the trie of the whole rank against the one-path trie of each function
+    ms = enumerate_hessenberg(n)
+    oracle = _oracle_coeffs(ms)
+    assert list(oracle) == ms
+    for m in ms:
+        assert oracle[m] == _oracle_coeffs([m])[m], m
+
+
+def test_oracle_rejects_mixed_ranks():
+    with pytest.raises(ValueError, match="not of rank 2"):
+        _oracle_coeffs([(1, 2), (3, 3, 3)])
 
 
 def test_csf_top_degree_and_constant_term():
