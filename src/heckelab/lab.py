@@ -14,10 +14,11 @@ from .characters import (MAX_CHARACTER_N, _frobenius_coeffs, chi,
 from .csf import (CounterexampleResult, _oracle_coeffs, csf_batch, csf_key,
                   counterexample_search)
 from .hecke import row_store
-from .permutations import (Perm, all_perms, codominant_of_hessenberg,
-                           enumerate_hessenberg, hessenberg_edges,
-                           hessenberg_of_smooth, hessenberg_to_str,
-                           perm_to_str, smooth_perms, transpositions_below)
+from .permutations import (Perm, _descending_covers, all_perms,
+                           codominant_of_hessenberg, enumerate_hessenberg,
+                           hessenberg_edges, hessenberg_of_smooth,
+                           hessenberg_to_str, perm_to_str, smooth_perms,
+                           transpositions_below)
 from .qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_shape
 from .symfunc import (SymmetricFunction, _transition, conjugate, partitions,
                       positivity)
@@ -57,7 +58,7 @@ class MomentGraph(NamedTuple):
 
 def moment_graph(w: Perm, use_hessenberg: bool | None = None) -> MomentGraph:
     """Transpositions t <= w; fast path {(i,j): j <= m_w(i)} for smooth w,
-    slow path via Bruhat comparisons for arbitrary w."""
+    slow path by the rank criterion (``transpositions_below``) for any w."""
     if use_hessenberg is None:
         use_hessenberg = w.is_smooth()
     if use_hessenberg:
@@ -123,7 +124,7 @@ def modular_relation(w: Perm, i: int,
     if not (w[i - 1] < w[i] and winv[i - 1] > winv[i]):
         raise PreconditionError("requires s w < w < w s")
     ws = w.times_simple(i)
-    candidates = sorted(z for z in w.lower_covers() if z[i - 1] > z[i])
+    candidates = _descending_covers(w, i)
     ws_smooth = ws.is_smooth()
     if ws_smooth and len(candidates) != 1:
         raise InternalContradictionError(
@@ -503,9 +504,9 @@ CHECKS = {
 
 # checks that would be prohibitively slow past these ranks
 CHECK_BOUNDS = {
-    "cor44": 6, "hpos": 5, "prop31": 7, "thm15": 6, "momentgraph": 6,
+    "cor44": 6, "hpos": 5, "prop31": 9, "thm15": 6, "momentgraph": 6,
     "modular-law": 9, "csf-oracle": 6, "kl-selfdual": 5, "unimodal": 5,
-    "mn": 7, "lemma22": 7,
+    "mn": 9, "lemma22": 9,
 }
 
 

@@ -23,6 +23,29 @@ w[k] < w[l] < w[i] (no 3412 with n second).  Once a rank is tabulated,
 ``Perm.is_smooth`` answers by lookup; otherwise it scans every choice of
 four positions.
 
+Two Bruhat questions the checks ask have closed forms.  By the rank
+criterion (Bjorner & Brenti, Combinatorics of Coxeter Groups, Thm 2.1.5),
+z <= w iff r_{a,b}(z) >= r_{a,b}(w) for all a, b, where
+r_{a,b}(w) = #{k <= a : w(k) <= b}.  A transposition t = (i j), i < j, has
+r_{a,b}(t) = min(a, b) - 1 on the square i <= a, b < j and min(a, b)
+elsewhere, so t <= w iff r_{a,b}(w) < min(a, b) on that square.  For
+a <= b this says some w(k), k <= a, exceeds b, i.e. max w(1..a) > b; for
+a >= b it says some value <= b sits right of position a, i.e.
+max w^-1(1..b) > a.  Prefix maxima grow with the prefix, so the binding
+cells are (i, j - 1) and (j - 1, i), and
+
+    (i j) <= w  iff  j <= max w(1..i)  and  j <= max w^-1(1..i).
+
+The modular relation of Prop 3.1 asks, at an ascent w(i) < w(i+1), for the
+lower covers z = w (a b) (a < b, w(a) > w(b)) with z(i) > z(i+1).  A swap
+that moves neither position keeps z(i) < z(i+1); swapping i with i + 1
+needs w(i) > w(i+1); moving position i rightward puts the smaller w(b) at
+i, and moving position i + 1 leftward puts the larger w(a) at i + 1, and
+each keeps the ascent.  So only two families remain: position i + 1 with a
+later b where w(b) < w(i), and position i with an earlier a where w(a) >
+w(i+1), each a cover when no position between the two holds a value
+between theirs.
+
 >>> w = Perm((2, 4, 5, 3, 6, 1))
 >>> w.length()
 7
@@ -279,20 +302,11 @@ def coessential_set(w: Perm) -> frozenset[tuple[int, int]]:
     Coess(245361) = {(1,2), (2,4), (4,5), (6,6)}).
     """
     n = len(w)
-    winv = w.inverse()
-
-    def wv(i):
-        return w[i - 1] if i <= n else n + 1
-
-    def wi(j):
-        return winv[j - 1] if j <= n else n + 1
-
-    out = set()
-    for i in range(1, n + 1):
-        for j in range(w[i - 1], min(wv(i + 1) - 1, n) + 1):
-            if wi(j) <= i < wi(j + 1):
-                out.add((i, j))
-    return frozenset(out)
+    wp = [*w, n + 1]  # wp[i - 1] = w(i), with w(n+1) = n + 1
+    ip = [*w.inverse(), n + 1]
+    return frozenset((i, j) for i in range(1, n + 1)
+                     for j in range(wp[i - 1], wp[i])
+                     if ip[j - 1] <= i < ip[j])
 
 
 def hessenberg_of_smooth(w: Perm) -> tuple[int, ...]:
@@ -354,29 +368,43 @@ def codominant_of_hessenberg(m) -> Perm:
 
 
 def transpositions_below(w: Perm) -> frozenset[tuple[int, int]]:
-    """All transpositions t = (i j), i < j, with t <= w in Bruhat order.
+    """All transpositions t = (i j), i < j, with t <= w in Bruhat order:
+    those with j <= max w(1..i) and j <= max w^-1(1..i), the rank criterion
+    read on its two binding cells (see the module docstring).
 
-    By the rank criterion: r_{a,b}(t) = min(a, b) - 1 on the square
-    i <= a, b < j and min(a, b) elsewhere, so t <= w iff
-    r_{a,b}(w) < min(a, b) on that square.  Callers wanting the smooth fast
-    path should go through ``heckelab.lab.moment_graph``.
+    >>> sorted(transpositions_below(Perm((3, 1, 2))))
+    [(1, 2), (2, 3)]
     """
-    n = len(w)
-    # low[a][b]: r_{a,b}(w) < min(a, b), for 1 <= a, b < n
-    low = [[False] * n]
-    rank = [0] * (n + 1)
-    for a in range(1, n):
-        for v in range(w[a - 1], n + 1):
-            rank[v] += 1
-        low.append([rank[b] < min(a, b) for b in range(n)])
-    out = set()
-    for i in range(1, n):
-        # grow the square [i, j - 1]^2 while it stays low
-        j = i
-        while j < n and all(low[j][b] and low[b][j] for b in range(i, j + 1)):
-            j += 1
-            out.add((i, j))
-    return frozenset(out)
+    tops = map(min, accumulate(w, max), accumulate(w.inverse(), max))
+    return frozenset((i, j) for i, top in enumerate(tops, start=1)
+                     for j in range(i + 1, top + 1))
+
+
+def _descending_covers(w: Perm, i: int) -> list[Perm]:
+    """The lower covers z of w with z(i) > z(i+1), for an ascent
+    w(i) < w(i+1): only swaps of position i + 1 with a later b, w(b) < w(i),
+    and of position i with an earlier a, w(a) > w(i+1), qualify (see the
+    module docstring).  Each family is one scan that keeps the nearest value
+    between, as ``Perm.lower_covers`` does.
+
+    >>> _descending_covers(Perm((1, 3, 4, 2)), 2)
+    [Perm('1324')]
+    """
+    lo, hi = w[i - 1], w[i]
+    out = []
+    top = 0  # the largest w(k) < w(i+1) right of position i + 1 so far
+    for b in range(i + 2, len(w) + 1):
+        if top < w[b - 1] < hi:
+            top = w[b - 1]
+            if top < lo:
+                out.append(w.times_transposition(i + 1, b))
+    bottom = len(w) + 1  # the least w(k) > w(i) left of position i so far
+    for a in range(i - 1, 0, -1):
+        if lo < w[a - 1] < bottom:
+            bottom = w[a - 1]
+            if bottom > hi:
+                out.append(w.times_transposition(a, i))
+    return out
 
 
 def is_hessenberg(m) -> bool:

@@ -241,6 +241,22 @@ def test_prop31_reports_a_perturbed_character_identity(monkeypatch):
         in rep.witnesses
 
 
+def test_prop31_reports_a_missing_distinguished_cover(monkeypatch):
+    # w s_3 = 2431 is smooth, so w has exactly one cover z with z s_3 < z
+    w, i = parse_perm("2413"), 3
+    lab = importlib.import_module("heckelab.lab")
+    covers = lab._descending_covers
+    assert covers(w, i) == [parse_perm("2143")]
+    monkeypatch.setattr(lab, "_descending_covers", lambda v, j: (
+        [] if (v, j) == (w, i) else covers(v, j)))
+    (rep,) = check_suite(4, ["prop31"])
+    assert (rep.status, rep.witnesses) == ("fail", [
+        f"smooth ws but 0 covers with zs < z at w={perm_to_str(w)}, s={i}"])
+    monkeypatch.undo()
+    (rep,) = check_suite(4, ["prop31"])
+    assert (rep.status, rep.witnesses) == ("pass", [])
+
+
 def test_hpos_reports_a_character_that_is_not_h_positive():
     # ch(B_e) = s_3 + 2 s_21 + s_111 = h_111; a second s_111 = e_3 adds
     # h_111 - 2 h_21 + h_3, so the h_21 coefficient becomes -2
@@ -449,21 +465,39 @@ def test_thm15_and_cor44_small(n):
         assert rep.status == "pass", rep
 
 
+# sha256 of `hecke-lab --format json check --name all --n N` stdout, recorded
+# from the rank-table transpositions_below and the filtered lower covers
+CHECK_ALL_JSON_SHA256 = {
+    6: "cded209e1bb0861386102b70400c4bda1f3cc30a68cab844b738e3c8193d46d0",
+    7: "710a182daaa7da2b6149b71dcc98481d2ede69ad7cd050111a513017064c463b",
+}
+
+
+def check_all_json(n):
+    """The reports printed by `--format json check --name all --n n`, whose
+    stdout must match its recorded digest."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--no-cache", "--format", "json", "check", "--name",
+                     "all", "--n", str(n)]) == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CHECK_ALL_JSON_SHA256[n]
+    return [json.loads(line) for line in text.splitlines()]
+
+
 def test_cor44_and_csf_oracle_exhaustive_n6():
     # every one of the 132 Hessenberg functions of rank 6, none sampled
-    cor44, oracle = check_suite(6, ["cor44", "csf-oracle"])
-    assert (cor44.status, oracle.status) == ("pass", "pass")
-    assert "on 132 Hessenberg functions" in cor44.details
-    assert "on 132 graphs" in oracle.details
+    printed = {r["check"]: r for r in check_all_json(6)}
+    cor44, oracle = printed["cor44"], printed["csf-oracle"]
+    assert (cor44["status"], oracle["status"]) == ("pass", "pass")
+    assert "on 132 Hessenberg functions" in cor44["details"]
+    assert "on 132 graphs" in oracle["details"]
 
 
 def test_check_suite_default_runs_the_checks_the_cli_prints_n7():
     # every check whose bound is >= 7, and nothing raises on the others
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        main(["--no-cache", "--format", "json", "check", "--name", "all",
-              "--n", "7"])
-    printed = [json.loads(line) for line in out.getvalue().splitlines()]
+    printed = check_all_json(7)
     reports = check_suite(7)
     assert [r.check for r in reports] == \
         ["prop31", "modular-law", "mn", "lemma22"]

@@ -171,6 +171,19 @@ def test_lower_covers_match_length_definition_s6():
         assert w.lower_covers() == by_length, w
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_descending_covers_match_the_filtered_lower_covers(n):
+    # every w of S_n, smooth or not, at every ascent i
+    for w in all_perms(n):
+        covers = w.lower_covers()
+        for i in range(1, n):
+            if w[i - 1] < w[i]:
+                got = permutations._descending_covers(w, i)
+                assert len(got) == len(set(got)), (w, i)
+                assert set(got) == {z for z in covers if z[i - 1] > z[i]}, \
+                    (w, i)
+
+
 def test_patterns():
     assert parse_perm("3412").contains_pattern((3, 4, 1, 2))
     assert parse_perm("62754381").contains_pattern((4, 2, 3, 1))
@@ -303,6 +316,33 @@ def test_transpositions_below_matches_bruhat_leq_s6():
             (i, j) for i in range(1, 6) for j in range(i + 1, 7)
             if bruhat_leq(e.times_transposition(i, j), w))
         assert transpositions_below(w) == expected, w
+
+
+def transpositions_below_by_rank_table(w):
+    """(i j) <= w iff r_{a,b}(w) < min(a, b) on the square [i, j - 1]^2,
+    read off a table of that test for every cell."""
+    n = len(w)
+    # low[a][b]: r_{a,b}(w) < min(a, b), for 1 <= a, b < n
+    low = [[False] * n]
+    rank = [0] * (n + 1)
+    for a in range(1, n):
+        for v in range(w[a - 1], n + 1):
+            rank[v] += 1
+        low.append([rank[b] < min(a, b) for b in range(n)])
+    out = set()
+    for i in range(1, n):
+        # grow the square [i, j - 1]^2 while it stays low
+        j = i
+        while j < n and all(low[j][b] and low[b][j] for b in range(i, j + 1)):
+            j += 1
+            out.add((i, j))
+    return frozenset(out)
+
+
+def test_transpositions_below_matches_the_rank_table_s7():
+    for w in all_perms(7):
+        assert transpositions_below(w) == \
+            transpositions_below_by_rank_table(w), w
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
