@@ -35,9 +35,11 @@ class of z, and mapped to the s basis once:
     ch(B_w) = sum_lambda (sum_mu F_{w,mu} V_{mu,lambda}) s_lambda,
 
 with V_{mu,lambda} = chi^lambda(T_{w_mu}); no character table is built.
-heckelab.hecke stores a row once per right coset of W_J, J = D_R(w), on
-which P_{z,w} is constant, so S_c adds each coset's P times the number
-of its elements in c, counted once per coset.
+heckelab.hecke stores a row once per double coset W_I z W_J, I = D_L(w)
+and J = D_R(w), on which P_{z,w} is constant.  Each double coset is read
+as its right cosets z W_J, whose class counts are computed once per
+right coset and shared by the rows of a rank; the counts are added per
+distinct P, and S_c adds each P times its count in c.
 All of it runs on packed ints, as heckelab.hecke packs its rows: a
 polynomial p is the int p(2^W), so each sum and product above is one int
 operation.  Evaluation at q = 2^W is a ring homomorphism, so the packed
@@ -52,7 +54,8 @@ most its l1 norm |.|, and
 with A_c = sum_mu |f_{c,mu}| max_lambda |V_{mu,lambda}| and A its largest
 value over the classes c of the row, and T = sum_z P_{z,w}(1), which is
 sum_c |S_c| because KL polynomials are nonnegative.  So each row is
-packed at the least width W with 2^(W-1) > T A.
+packed at the least multiple W of 8 with 2^(W-1) > T A; rows of about
+the same T A share W, and with it their packed class polynomials.
 
 Two independent oracles check this: the q-deformed Young seminormal form,
 evaluated at integer points and interpolated, in tests/seminormal_oracle.py,
@@ -62,9 +65,9 @@ and, at q := 1, the classical Murnaghan-Nakayama rule of heckelab.symfunc.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, prod
+from itertools import chain
 
-from .hecke import _coset, _runs, row_store
+from .hecke import _coset, _right_cosets, _shape, row_store
 from .permutations import Perm, all_perms
 from .qpoly import (LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_pack,
                     poly_shift, poly_trim, poly_unpack_balanced)
@@ -78,8 +81,8 @@ __all__ = [
 ]
 
 # the rank cap of ch(B_w) and of character tables, set by KL-row memory:
-# ch(B_w0) in S_8 builds 578 KL rows (17 402 stored cosets) and takes
-# 0.8-1.0 s, and the process peaks at 34 MB (Python 3.11, one core)
+# ch(B_w0) in S_8 builds 578 KL rows (2 368 stored double cosets) and
+# takes 0.7-0.8 s, and the process peaks at 31 MB (Python 3.11, one core)
 MAX_CHARACTER_N = 8
 
 # each cyclic-shift class met gets a number: the class number of each
@@ -262,8 +265,9 @@ def _wide_values(mu: tuple, width: int) -> tuple:
 @lru_cache(maxsize=1 << 16)
 def _coset_classes(r: tuple, runs: tuple) -> tuple:
     """((class number, count), ...) over the right coset r W_J of its
-    minimal element r, J given by its descent runs; the rows of one rank
-    share their cosets, so each is expanded about once."""
+    minimal element r, J given by its descent runs; the double cosets of
+    the rows of one rank share their right cosets, so each is expanded
+    about once."""
     counts = {}
     for _, z in _coset(r, runs):
         c = _class_number(z)
@@ -283,22 +287,27 @@ def _frobenius_coeffs(w: Perm) -> dict:
     n = len(w)
     _check_rank(n)
     store = row_store(n)
-    # the stored row: one packed P_{z,w} per right coset of W_J, J = D_R(w)
-    stored = store._packed_row(w)
-    runs = _runs(w)
-    counts = [_coset_classes(r, runs) for r in stored]
+    # the stored row: one packed P_{z,w} per double coset W_I z W_J,
+    # I = D_L(w) and J = D_R(w), each read as its right cosets z W_J
+    runs, blocks = _shape(w)[:2]
+    by_value = {}  # packed P -> {class number c: the z in c with that P}
+    for d, p in store._packed_row(w).items():
+        counts = by_value.setdefault(p, {})
+        get = counts.get
+        for _, r in _right_cosets(d, runs, blocks):
+            for c, k in _coset_classes(r, runs):
+                counts[c] = get(c, 0) + k
     polys = store._distinct(w, list)
-    size = prod(factorial(hi - lo) for lo, hi in runs)  # |W_J|
-    bound = (size * sum(sum(polys[p]) for p in stored.values())
-             * max(_class_bound(c) for hist in counts for c, _ in hist))
-    width = bound.bit_length() + 1  # 2^(width-1) > T A
-    wide = {p: poly_pack(coeffs, width) for p, coeffs in polys.items()}
+    bound = (sum(sum(polys[p]) * sum(counts.values())  # T A
+                 for p, counts in by_value.items())
+             * max(map(_class_bound, chain.from_iterable(by_value.values()))))
+    width = (bound.bit_length() | 7) + 1  # 2^(width-1) > T A
 
     sums = {}  # S_c(2^W) by class number
     get = sums.get
-    for hist, p in zip(counts, stored.values()):
-        wp = wide[p]
-        for c, k in hist:
+    for p, counts in by_value.items():
+        wp = poly_pack(polys[p], width)
+        for c, k in counts.items():
             sums[c] = get(c, 0) + k * wp
     parts = partitions(n)
     f_w = [0] * len(parts)  # F_{w,mu}(2^W) by index of mu

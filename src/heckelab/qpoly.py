@@ -26,8 +26,6 @@ multiples of 1/2, so ``q`` itself sits at internal exponent 2.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class LaurentQ:
     """Sparse Laurent polynomial in q^(1/2) with exact coefficients, as a
@@ -50,7 +48,9 @@ class LaurentQ:
         c = {}
         if coeffs:
             for k, v in coeffs.items():
-                if type(v) is Fraction and v.denominator == 1:
+                # a Fraction, tested without importing fractions, which a
+                # kl or cprime process never needs
+                if type(v) is not int and v.denominator == 1:
                     v = int(v)
                 if v:
                     c[int(k)] = v

@@ -26,7 +26,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.startswith("heckelab.")
-                               or m in ("dataclasses", "inspect"))]))
+                               or m in ("dataclasses", "inspect",
+                                        "fractions", "decimal"))]))
 """
 
 LAYERS = {"heckelab." + name for name in
@@ -43,8 +44,8 @@ def python(*argv) -> str:
 
 
 def loaded(*argv) -> set:
-    """The heckelab modules, and dataclasses and inspect if loaded, that
-    main(argv) leaves in sys.modules."""
+    """The heckelab modules, and dataclasses, inspect, fractions and decimal
+    if loaded, that main(argv) leaves in sys.modules."""
     code, modules = json.loads(python("-c", PROBE, "--no-cache", *argv))
     assert code == 0, argv
     return set(modules)
@@ -75,6 +76,8 @@ def test_kl_rows_load_only_hecke_and_qpoly(command):
     assert modules & LAYERS == {"heckelab.hecke", "heckelab.qpoly"}
     # dataclasses imports inspect, which neither command needs
     assert modules & {"dataclasses", "inspect"} == set()
+    # fractions imports decimal; no KL row or its printing holds a Fraction
+    assert modules & {"fractions", "decimal"} == set()
 
 
 def test_counterexample_loads_no_kl_or_character_layer():

@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import random
-from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,6 +277,23 @@ def test_export_matches_the_sorted_row(ys):
         assert store.export(y, tuple) == expected, y
 
 
+# sha256 over n = 1..7 and every w of S_n in lexicographic order of
+# repr(export(w, tuple)), one fresh store per rank: every row of S_7 and
+# below, entry by entry, in the order the printers read; recorded from the
+# store of right descent cosets
+ALL_ROWS_SHA256 = \
+    "897e1c56f506e42cef708c55c46324a1d5b5437d26b17643fc4b5239b8372a57"
+
+
+def test_every_row_of_rank_at_most_7_golden_digest():
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        store = KLRowStore(n)
+        for w in all_perms(n):
+            digest.update(repr(store.export(w, tuple)).encode())
+    assert digest.hexdigest() == ALL_ROWS_SHA256
+
+
 def test_negative_packed_coefficient_raises():
     w = parse_perm("3412")
     for read in (lambda s: s.row(w), lambda s: s.export(w, tuple)):
@@ -290,10 +306,21 @@ def test_negative_packed_coefficient_raises():
             read(store)
 
 
+def _left_times_simple(k, z):
+    """s_k z as a tuple: the values k and k + 1 of z exchanged."""
+    return tuple(k + 1 if v == k else k if v == k + 1 else v for v in z)
+
+
+def _times_simple(z, i):
+    """z s_i as a tuple: the positions i and i + 1 of z exchanged."""
+    return z[:i - 1] + (z[i], z[i - 1]) + z[i + 1:]
+
+
 def test_stored_rows_are_descent_cosets():
-    # a row keeps one value per right W_J-coset of [e, y], J = D_R(y),
-    # keyed by the coset's minimal element; P_{z,y} = P_{zt,y} for every
-    # descent t of y gives back the rest
+    # a row keeps one value per double coset W_I z W_J of [e, y], I = D_L(y)
+    # and J = D_R(y), keyed by the coset's minimal element; P_{z,y} =
+    # P_{tz,y} = P_{zt',y} for every left descent t and right descent t' of
+    # y (Kazhdan and Lusztig 1979, 2.3) gives back the rest
     store = KLRowStore(6)
     shared = {}
     pairs = 0
@@ -301,24 +328,35 @@ def test_stored_rows_are_descent_cosets():
         row = store.row(y)
         pairs += len(row)
         stored = store._packed[y]
-        runs = []  # the descent runs of y as lists of 0-based positions
-        for k in range(6):
-            if k and y[k - 1] > y[k]:
-                runs[-1].append(k)
-            else:
-                runs.append([k])
+        left, right = y.inverse().descents(), y.descents()
         full = {}
         for r, p in stored.items():
-            assert all(r[a] < r[b] for run in runs
-                       for a, b in zip(run, run[1:])), (r, y)
-            for arranged in product(*(permutations([r[k] for k in run])
-                                      for run in runs)):
-                z = Perm(v for part in arranged for v in part)
+            # the double coset of r, each z with l(z) - l(r): s_k z is
+            # longer than z when k comes before k + 1 in z, z s_i when
+            # z(i) < z(i+1)
+            coset, todo = {r: 0}, [r]
+            while todo:
+                z = todo.pop()
+                steps = [(_left_times_simple(k, z),
+                          z.index(k) < z.index(k + 1)) for k in left]
+                steps += [(_times_simple(z, i), z[i - 1] < z[i])
+                          for i in right]
+                for x, up in steps:
+                    if x not in coset:
+                        coset[x] = coset[z] + (1 if up else -1)
+                        todo.append(x)
+            # the key is the one shortest element of its double coset
+            assert all(d > 0 for z, d in coset.items() if z != r), (r, y)
+            for z in coset:
+                # the double cosets of the keys cover the row once
+                assert z not in full, (z, y)
                 full[z] = poly_unpack(p, store._width)
         assert full == row, y
-        for i in y.descents():
-            for z, p in row.items():
-                assert row[z.times_simple(i)] == p, (z, y, i)
+        for z, p in row.items():
+            for k in left:
+                assert row[_left_times_simple(k, z)] == p, (z, y, k)
+            for i in right:
+                assert row[_times_simple(z, i)] == p, (z, y, i)
         for p in stored.values():
             assert shared.setdefault(p, p) is p, (y, p)
     assert pairs == 98407  # the Bruhat-comparable pairs z <= y of S_6

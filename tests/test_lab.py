@@ -168,8 +168,8 @@ def test_kl_selfdual_passes_n5():
 
 def _add_to_stored_value(store, y, z, delta):
     """Add the packed delta to the stored value of P_{z,y}, z a stored key
-    of the row of y (the minimal element of its coset); every z of the
-    coset reads the same value."""
+    of the row of y (the minimal element of its double coset); every z of
+    the double coset reads the same value."""
     stored = store._packed_row(y)
     stored[z] += delta
 
