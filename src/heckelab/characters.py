@@ -67,7 +67,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
-from .hecke import _coset, _right_cosets, _shape, row_store
+from .hecke import _coset, _runs, row_store
 from .permutations import Perm, all_perms
 from .qpoly import (LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_pack,
                     poly_shift, poly_trim, poly_unpack_balanced)
@@ -288,15 +288,15 @@ def _frobenius_coeffs(w: Perm) -> dict:
     _check_rank(n)
     store = row_store(n)
     # the stored row: one packed P_{z,w} per double coset W_I z W_J,
-    # I = D_L(w) and J = D_R(w), each read as its right cosets z W_J
-    runs, blocks = _shape(w)[:2]
+    # I = D_L(w) and J = D_R(w), read as its right cosets r W_J
+    runs = _runs(w)
     by_value = {}  # packed P -> {class number c: the z in c with that P}
-    for d, p in store._packed_row(w).items():
-        counts = by_value.setdefault(p, {})
-        get = counts.get
-        for _, r in _right_cosets(d, runs, blocks):
-            for c, k in _coset_classes(r, runs):
-                counts[c] = get(c, 0) + k
+    for _, r, p in store._cosets(w):
+        counts = by_value.get(p)
+        if counts is None:
+            counts = by_value[p] = {}
+        for c, k in _coset_classes(r, runs):
+            counts[c] = counts.get(c, 0) + k
     polys = store._distinct(w, list)
     bound = (sum(sum(polys[p]) * sum(counts.values())  # T A
                  for p, counts in by_value.items())

@@ -51,11 +51,12 @@ one pass: the result lists each block in order, it is z times an element
 of W_I on the left, and it stays increasing on the runs, since blocks
 are intervals of values and keep their order against each other.
 
-Readers expand each double coset d into its right cosets r W_J
-(``_right_cosets``): r is d with the values of each block dealt to the
-block's positions, increasing on every run, at length l(d) plus the pairs
-of one block's values dealt out of order.  Each right coset expands in
-turn at l(r) plus the inversions inside the runs.  The tuple readers
+Readers see the row only through ``KLRowStore._cosets``, which expands
+each double coset d into its right cosets r W_J (``_right_cosets``): r
+is d with the values of each block dealt to the block's positions,
+increasing on every run, at length l(d) plus the pairs of one block's
+values dealt out of order.  Each right coset expands in turn at l(r)
+plus the inversions inside the runs.  The tuple readers
 expand r as a tuple.  ``export``, which the printers read, expands it as
 the string of chr(48 + v) over its values v (``_text``), so each z is
 joined from characters rather than built as a tuple and then printed.
@@ -362,9 +363,10 @@ class KLRowStore:
         """The full row {z: P_{z,y} as tuple} over z <= y (memoised)."""
         got = self._rows.get(y)
         if got is None:
-            polys = self._distinct(y, tuple)
+            polys, runs = self._distinct(y, tuple), _runs(y)
             got = self._rows[y] = {_trusted(z): polys[p]
-                                   for _, z, p in self._items(y)}
+                                   for _, r, p in self._cosets(y)
+                                   for _, z in _coset(r, runs)}
         return got
 
     def polynomial(self, z: Perm, y: Perm) -> tuple:
@@ -384,23 +386,20 @@ class KLRowStore:
         list per length, and each list is sorted on its own; above rank 9
         the sorted strings are rendered in the comma form once."""
         polys = self._distinct(y, poly_out)
-        lengths, (runs, blocks) = self._lengths, _shape(y)[:2]
+        runs = _runs(y)
         by_length = [[] for _ in range(y.length() + 1)]
         # the last run is arranged in place, after each arrangement of the
         # runs before it
         lo, hi = runs[-1] if runs else (len(y), len(y))
         inv, first = _inversions(hi - lo), runs[:-1]
-        for d, p in self._packed_row(y).items():
-            v, ld = polys[p], lengths[d]
-            for dl, r in _right_cosets(d, runs, blocks):
-                r = _text(r)
-                tail = r[hi:]
-                ends = [a + tail for a in map("".join, permutations(r[lo:hi]))]
-                for dx, x in (_coset(r[:lo], first) if first else
-                              ((0, r[:lo]),)):
-                    at = ld + dl + dx
-                    for dz, z in zip(inv, ends):
-                        by_length[at + dz].append((x + z, v))
+        for lr, r, p in self._cosets(y):
+            v, r = polys[p], _text(r)
+            tail = r[hi:]
+            ends = [a + tail for a in map("".join, permutations(r[lo:hi]))]
+            for dx, x in (_coset(r[:lo], first) if first else ((0, r[:lo]),)):
+                at = lr + dx
+                for dz, z in zip(inv, ends):
+                    by_length[at + dz].append((x + z, v))
         out = []
         for group in by_length:
             group.sort()  # the strings differ, so v is never compared
@@ -424,29 +423,27 @@ class KLRowStore:
 
     def degree_failures(self, y: Perm) -> list:
         """[z] for every z != y in the row of y whose P_{z,y} is nonzero of
-        degree at least (l(y) - l(z)) / 2, double coset by double coset."""
-        runs, blocks, _, top = _shape(y)
-        ly, lengths = y.length(), self._lengths
+        degree at least (l(y) - l(z)) / 2, right coset by right coset."""
+        runs = _runs(y)
+        ly, top = y.length(), _longest(runs)
         sizes = self._distinct(y, len)
         out = []
-        for d, p in self._packed_row(y).items():
-            twice, ld = 2 * (sizes[p] - 1), lengths[d]
-            if sizes[p] and twice >= ly - ld - top:  # else no z of d fails
-                out += (_trusted(z) for dl, r in _right_cosets(d, runs, blocks)
-                        for dz, z in _coset(r, runs)
-                        if z != y and twice >= ly - ld - dl - dz)
+        for lr, r, p in self._cosets(y):
+            twice = 2 * (sizes[p] - 1)
+            if sizes[p] and twice >= ly - lr - top:  # else no z of r fails
+                out += (_trusted(z) for dz, z in _coset(r, runs)
+                        if z != y and twice >= ly - lr - dz)
         return out
 
-    def _items(self, y: Perm):
-        """The full row of y as (l(z), z, packed P_{z,y}) triples, which
-        sort in (length, z) order: each stored double coset expanded to its
-        right cosets r W_J, and each of those to its elements."""
+    def _cosets(self, y: Perm) -> list:
+        """The stored row of y as [(l(r), r, packed P_{r,y})] over the
+        minimal elements r of the right cosets r W_J in [e, y], J = D_R(y):
+        each stored double coset expanded by `_right_cosets`, in turn.  The
+        readers of the row read it here and nowhere else."""
         lengths, (runs, blocks) = self._lengths, _shape(y)[:2]
-        for d, p in self._packed_row(y).items():
-            ld = lengths[d]
-            for dl, r in _right_cosets(d, runs, blocks):
-                for dz, z in _coset(r, runs):
-                    yield ld + dl + dz, z, p
+        return [(lengths[d] + dl, r, p)
+                for d, p in self._packed_row(y).items()
+                for dl, r in _right_cosets(d, runs, blocks)]
 
     def _packed_row(self, y: tuple) -> dict:
         got = self._packed.get(y)
@@ -454,7 +451,7 @@ class KLRowStore:
             return got
         n, width = self.n, self._width
         mask = (1 << width) - 1
-        runs_y, _, block_y, _ = _shape(y)
+        runs_y, blocks_y, block_y, _ = _shape(y)
         i = runs_y[0][0]  # the first descent of y
         yp = y[:i] + (y[i + 1], y[i]) + y[i + 2:]  # y' = ys, s = s_(i+1)
         prev = self._packed_row(yp)
@@ -553,6 +550,10 @@ class KLRowStore:
                     for z in zs:
                         out[z] -= d
 
+        # P_{z,y} = P_{y,y} = 1 on the double coset of y
+        if out.get(_relabel(_coset_min(y, runs_y), blocks_y)) != 1:
+            raise AssertionError(
+                f"KL recursion failed at {perm_to_str(y)}: P_ww != 1")
         row = {}
         polys = self._polys
         for (z, v), lz in zip(out.items(), out_lengths):
@@ -584,14 +585,13 @@ class KLRowStore:
         members = {}  # (r, runs) -> the indices of r W_J; rows share cosets
         rows = []
         for w in perms:
-            (runs, blocks), row = _shape(w)[:2], {}
-            for d, p in self._packed_row(w).items():
-                for _, r in _right_cosets(d, runs, blocks):
-                    ks = members.get((r, runs))
-                    if ks is None:
-                        ks = members[r, runs] = [index[z] for _, z in
-                                                 _coset(r, runs)]
-                    row.update(dict.fromkeys(ks, wide[p]))
+            runs, row = _runs(w), {}
+            for _, r, p in self._cosets(w):
+                ks = members.get((r, runs))
+                if ks is None:
+                    ks = members[r, runs] = [index[z] for _, z in
+                                             _coset(r, runs)]
+                row.update(dict.fromkeys(ks, wide[p]))
             rows.append(row)
         failures = []
         for w, dw in enumerate(dual):
@@ -634,7 +634,8 @@ def row_store(n: int) -> KLRowStore:
 
 def kl_polynomial(z: Perm, w: Perm) -> LaurentQ:
     """P_{z,w}; zero when z is not below w, as [e, w] is a union of the
-    right W_J-cosets, J = D_R(w), that `KLRowStore.polynomial` reads."""
+    double cosets W_I z W_J, I = D_L(w) and J = D_R(w), that
+    `KLRowStore.polynomial` reads."""
     if len(z) != len(w):
         raise ValueError("size mismatch")
     return LaurentQ.from_poly_coeffs(row_store(len(w)).polynomial(z, w))

@@ -189,8 +189,12 @@ def test_kl_selfdual_reports_a_perturbed_kl_polynomial(monkeypatch):
 
 
 def test_kl_selfdual_reports_a_kl_polynomial_of_too_high_degree(monkeypatch):
-    # P_{e,3412} = 1 + q becomes 1 + q + q^2, of degree 2 >= l(3412) / 2
+    # P_{e,3412} = 1 + q becomes 1 + q + q^2, of degree 2 >= l(3412) / 2;
+    # every row is built first, as a row built on the perturbed one (4312,
+    # whose double coset of itself has the key e) fails its P_ww check
     store = KLRowStore(4)
+    for u in all_perms(4):
+        store._packed_row(u)
     w = parse_perm("3412")
     assert store.degree_failures(w) == []
     _add_to_stored_value(store, w, Perm.identity(4), 1 << 2 * store._width)
