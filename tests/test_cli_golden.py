@@ -36,7 +36,7 @@ COMMANDS = [
     ["check", "--name", "all", "--n", "4"],
 ]
 CASES = [["--format", fmt, *argv] for argv in COMMANDS
-         for fmt in ("text", "json")]
+         for fmt in ("text", "json", "latex")]
 
 
 def stdout_of(argv) -> str:
