@@ -206,7 +206,7 @@ def chi(lam, w: Perm) -> LaurentQ:
     lam = tuple(lam)
     if lam not in partitions(len(w)):
         raise ValueError(f"{lam} is not a partition of the rank {len(w)}")
-    return LaurentQ.from_poly_coeffs(_chi_poly(lam, class_poly(w)))
+    return LaurentQ(_chi_poly(lam, class_poly(w)))
 
 
 def _check_rank(n: int) -> None:
@@ -329,7 +329,7 @@ def frobenius_cprime(w: Perm) -> SymmetricFunction:
     packed kernel `_frobenius_coeffs`, memoised here and nowhere else; the
     T-basis oracle in tests/hecke_oracle.py checks it term by term.
     Raises ValueError above MAX_CHARACTER_N."""
-    return SymmetricFunction.from_polys("s", len(w), _frobenius_coeffs(w))
+    return SymmetricFunction("s", len(w), _frobenius_coeffs(w))
 
 
 # -- the q := 1 oracle --------------------------------------------------------

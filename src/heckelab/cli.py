@@ -127,7 +127,7 @@ def _cmd_kl(args, fmt) -> int:
                    lambda c: ('["', f'", "{ws}", {_poly_json(c)}]'))
     else:
         _write_row(w, "", "\n", "\n", lambda c: (
-            "P[", f", {ws}] = {LaurentQ.from_poly_coeffs(c)}"))
+            "P[", f", {ws}] = {LaurentQ(c)}"))
     return 0
 
 
@@ -144,7 +144,7 @@ def _cmd_cprime(args, fmt) -> int:
                    lambda c: ('["', f'", {_poly_json(c)}]'))
     else:
         _write_row(w, f"q^({w.length()}/2)*C'[{ws}] = ", " + ", "\n",
-                   lambda c: (f"({LaurentQ.from_poly_coeffs(c)})*T[", "]"))
+                   lambda c: (f"({LaurentQ(c)})*T[", "]"))
     return 0
 
 

@@ -170,7 +170,7 @@ def csf(m) -> SymmetricFunction:
     m = tuple(m)
     if not is_hessenberg(m):
         raise ValueError(f"not a Hessenberg function: {m}")
-    return SymmetricFunction.from_polys("m", len(m), _csf_coeffs([m])[m])
+    return SymmetricFunction("m", len(m), _csf_coeffs([m])[m])
 
 
 def _oracle_coeffs(ms) -> dict:
@@ -258,7 +258,7 @@ def csf_oracle(m) -> SymmetricFunction:
     n = 6.
     """
     m = tuple(m)
-    return SymmetricFunction.from_polys("m", len(m), _oracle_coeffs([m])[m])
+    return SymmetricFunction("m", len(m), _oracle_coeffs([m])[m])
 
 
 # -- batch computation over all Hessenberg functions of a rank ---------------

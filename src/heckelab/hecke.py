@@ -638,4 +638,4 @@ def kl_polynomial(z: Perm, w: Perm) -> LaurentQ:
     `KLRowStore.polynomial` reads."""
     if len(z) != len(w):
         raise ValueError("size mismatch")
-    return LaurentQ.from_poly_coeffs(row_store(len(w)).polynomial(z, w))
+    return LaurentQ(row_store(len(w)).polynomial(z, w))

@@ -221,8 +221,7 @@ def decompose_codominant(w: Perm, max_n: int = 6):
         coeffs = _positive_solve(frobenius_cprime(w), len(w))
         if coeffs is None:
             return None
-    return {u: LaurentQ.from_poly_coeffs(poly_mul(c, factor))
-            for u, c in coeffs.items()}
+    return {u: LaurentQ(poly_mul(c, factor)) for u, c in coeffs.items()}
 
 
 def _positive_solve(target: SymmetricFunction, n: int, node_budget: int = 200000):
@@ -294,12 +293,11 @@ def _positive_solve(target: SymmetricFunction, n: int, node_budget: int = 200000
 
 def verify_decomposition(w: Perm, decomposition: dict) -> bool:
     """Check ch(B_w) = sum c_i ch(B_{w_i}) exactly, in the s basis, for
-    LaurentQ coefficients c_i in integer powers of q (small n only)."""
+    polynomial coefficients c_i in q, LaurentQ or tuple (small n only)."""
     total = {}
     for wi, c in decomposition.items():
-        p = c.poly_coeffs()
         for lam, v in frobenius_cprime(wi).polys.items():
-            total[lam] = poly_add(total.get(lam, ()), poly_mul(v, p))
+            total[lam] = poly_add(total.get(lam, ()), poly_mul(v, c))
     return {lam: p for lam, p in total.items() if p} == \
         frobenius_cprime(w).polys
 
@@ -437,7 +435,7 @@ def _check_kl_selfdual(n: int) -> Report:
     store = row_store(n)
     witnesses = [
         f"inversion formula at x = {perm_to_str(x)}, w = {perm_to_str(w)}: "
-        f"sum = {LaurentQ.from_poly_coeffs(c)}"
+        f"sum = {LaurentQ(c)}"
         for w, x, c in store.inversion_failures()]
     count = 0
     for w in all_perms(n):

@@ -9,167 +9,75 @@ coefficients of csf_q(G_m) and of the codominant decompositions.  The S_8
 computations walk tens of thousands of interval elements, and dict-of-tuple
 rows keep that affordable.
 
-``LaurentQ`` is the value type of the API.  It is built from a tuple
-(``LaurentQ.from_poly_coeffs``) at the API boundary, compared, printed and
-serialized, and it does no arithmetic.  Its exponents are stored as integer
-multiples of 1/2, so ``q`` itself sits at internal exponent 2.
+``LaurentQ`` is the value type of the API: the same tuple, canonicalised,
+which the API returns, compares, prints and serializes.
 
 >>> square = poly_mul((1, 1), (1, 1))
 >>> square
 (1, 2, 1)
->>> f = LaurentQ.from_poly_coeffs(square)
+>>> f = LaurentQ(square + (0,))
 >>> print(f)
 1 + 2*q + q^2
->>> f.at_q1(), f.poly_coeffs() == square
+>>> f.at_q1(), f == square
 (4, True)
 """
 
 from __future__ import annotations
 
 
-class LaurentQ:
-    """Sparse Laurent polynomial in q^(1/2) with exact coefficients, as a
-    value: built, compared with other LaurentQ, printed and serialized.
+class LaurentQ(tuple):
+    """A polynomial in q as a value: the tuple of its coefficients,
+    ascending from q^0, with no trailing zeros, so LaurentQ(()) is zero.
+    It compares and hashes as that tuple and does no arithmetic (on a
+    tuple, + and * concatenate; the ``poly_*`` functions compute).
 
-    Coefficients are Python ints; exact Fractions are tolerated, and any
-    integral Fraction is normalized back to int.  Fractions reach it only
-    when a power-sum (p) coefficient of a symmetric function is shown or
-    serialized.
-
-    Immutable; canonical form (no zero coefficients) is enforced on
-    construction, so equality and hashing are structural.
+    Coefficients are ints, or exact Fractions in the p basis of a symmetric
+    function; an integral Fraction becomes an int.
     """
 
-    __slots__ = ("_c",)
+    def __new__(cls, coeffs=()):
+        # a Fraction, tested without importing fractions, which a kl or
+        # cprime process never needs
+        return super().__new__(cls, poly_trim([
+            v if type(v) is int or v.denominator != 1 else int(v)
+            for v in coeffs]))
 
-    def __init__(self, coeffs=None):
-        # coeffs maps *half-exponents* (int, counting powers of q^(1/2))
-        # to nonzero coefficients
-        c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                # a Fraction, tested without importing fractions, which a
-                # kl or cprime process never needs
-                if type(v) is not int and v.denominator == 1:
-                    v = int(v)
-                if v:
-                    c[int(k)] = v
-        self._c = c
+    def at_q1(self):
+        """Specialize q := 1."""
+        return sum(self)
 
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentQ":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentQ":
-        return cls({0: 1})
-
-    @classmethod
-    def integer(cls, c: int) -> "LaurentQ":
-        return cls({0: c})
-
-    @classmethod
-    def q(cls, power: int = 1) -> "LaurentQ":
-        """q raised to an integer power."""
-        return cls({2 * power: 1})
-
-    @classmethod
-    def from_poly_coeffs(cls, coeffs) -> "LaurentQ":
-        """Polynomial in q from a coefficient sequence, ascending from q^0."""
-        return cls({2 * k: c for k, c in enumerate(coeffs)})
-
-    def poly_coeffs(self) -> tuple:
-        """Inverse of from_poly_coeffs: the tuple polynomial, () for zero.
-
-        Raises ValueError for negative or half powers of q.
-        """
-        if any(k < 0 or k & 1 for k in self._c):
-            raise ValueError("not a polynomial in q")
-        out = [0] * (max(self._c, default=-2) // 2 + 1)
-        for k, v in self._c.items():
-            out[k // 2] = v
-        return tuple(out)
-
-    # -- comparison --------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __bool__(self):
-        return bool(self._c)
-
-    # -- inspection ---------------------------------------------------------
-
-    def coefficient(self, half_exponent: int) -> int:
-        return self._c.get(half_exponent, 0)
-
-    def items(self):
-        """(half_exponent, coefficient) pairs, sorted by exponent."""
-        return sorted(self._c.items())
-
-    def at_q1(self) -> int:
-        """Specialize q^(1/2) := 1."""
-        return sum(self._c.values())
-
-    # -- serialization -------------------------------------------------------
+    def _show(self, power: str, times: str) -> str:
+        """The nonzero terms, lowest power first, joined by + and -: q^k
+        for k > 1 as power % k, and a coefficient c other than 1 in front
+        of a power of q as c + times."""
+        parts = []
+        for k, v in enumerate(self):
+            if not v:
+                continue
+            c = abs(v)
+            if k == 0:
+                term = str(c)
+            else:
+                head = "q" if k == 1 else power % k
+                term = head if c == 1 else f"{c}{times}{head}"
+            sign = "-" if v < 0 else "+" if parts else ""
+            parts.append(f"{sign} {term}" if parts else sign + term)
+        return " ".join(parts) or "0"
 
     def __str__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for k, v in self.items():
-            if k == 0:
-                term = str(abs(v))
-            else:
-                if k % 2 == 0:
-                    e = k // 2
-                    head = "q" if e == 1 else f"q^{e}" if e > 0 else f"q^({e})"
-                else:
-                    head = f"q^({k}/2)"
-                term = head if abs(v) == 1 else f"{abs(v)}*{head}"
-            if not parts:
-                parts.append(term if v > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if v > 0 else f"- {term}")
-        return " ".join(parts)
+        return self._show("q^%d", "*")
 
     def __repr__(self):
-        return f"LaurentQ({self._c!r})"
+        return f"LaurentQ({tuple(self)!r})"
 
     def latex(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for k, v in self.items():
-            if k == 0:
-                term = str(abs(v))
-            else:
-                num = f"q^{{{k // 2}}}" if k % 2 == 0 else f"q^{{{k}/2}}"
-                num = "q" if k == 2 else num
-                term = num if abs(v) == 1 else f"{abs(v)}{num}"
-            if not parts:
-                parts.append(term if v > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if v > 0 else f"- {term}")
-        return " ".join(parts)
+        return self._show("q^{%d}", "")
 
     def to_json(self) -> dict:
-        """Exponent -> coefficient map; keys are reduced fractions.
-
-        Fraction coefficients serialize as 'num/den' strings.
-        """
-        out = {}
-        for k, v in self.items():
-            key = str(k // 2) if k % 2 == 0 else f"{k}/2"
-            out[key] = v if isinstance(v, int) else str(v)
-        return out
+        """Exponent -> coefficient over the nonzero terms, keys as strings;
+        Fraction coefficients serialize as 'num/den' strings."""
+        return {str(k): v if isinstance(v, int) else str(v)
+                for k, v in enumerate(self) if v}
 
 
 # -- tuple polynomials in q (ascending coefficients, () is zero) -------------

@@ -2,12 +2,11 @@
 Symmetric functions of homogeneous degree n with coefficients in Z[q], in
 the five classical bases m, e, h, p, s.
 
-A function stores {partition: tuple polynomial in q} (heckelab.qpoly's
-``poly_*`` form) over its nonzero coefficients, so equal functions in one
-basis store equal data.  The polynomials the package makes (ch(B_w),
-csf_q(G_m)) are stored as given.  LaurentQ is only read on input, through
-``poly_coeffs``, which refuses half and negative powers of q with
-ValueError, and built on output.
+A function is built from, and stores, {partition: tuple polynomial in q}
+(heckelab.qpoly's ``poly_*`` form) over its nonzero coefficients, so equal
+functions in one basis store equal data.  The polynomials the package makes
+(ch(B_w), csf_q(G_m)) are stored as given; a coefficient is read out as a
+LaurentQ, which is the same tuple, for printing.
 
 >>> from heckelab.characters import frobenius_cprime
 >>> from heckelab.permutations import Perm
@@ -16,8 +15,8 @@ ValueError, and built on output.
 {(3,): (1, 1), (2, 1): (1, 1)}
 >>> print(f.convert("h"))
 (1 + q)*h[2,1]
->>> f.scale(LaurentQ.q(2)).polys[(3,)]
-(0, 0, 1, 1)
+>>> print(SymmetricFunction("s", 2, {(2,): (0, 0, 1)}).convert("e"))
+(-q^2)*e[2] + (q^2)*e[1,1]
 
 A conversion is one pass over a transition matrix per (source, target,
 degree), the product of source-to-s and s-to-target.  Every factor comes
@@ -32,7 +31,9 @@ their order, or from the S_n character table:
   column orthogonality.
 
 K^-1 is integral, by back substitution, and is the only inverse taken.
-The p basis is a Q-basis only, and Fractions appear there alone:
+The p basis is a Q-basis only.  Fractions appear only in the matrices
+into p, so only in the coefficients of a function converted into or out of
+p, and LaurentQ prints an integral one as an int:
 
 >>> _transition("s", "p", 3)[(2, 1)]  # s_21 = (p_111 - p_3) / 3
 (((3,), Fraction(-1, 3)), ((1, 1, 1), Fraction(1, 3)))
@@ -45,7 +46,7 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul
+from .qpoly import LaurentQ, poly_add_scaled, poly_mul
 
 __all__ = [
     "Partition", "partitions", "conjugate", "hook_lengths", "num_syt",
@@ -104,7 +105,7 @@ def q_factorial_partition(lam: Partition) -> LaurentQ:
     for part in lam:
         for i in range(2, part + 1):
             out = poly_mul(out, (1,) * i)
-    return LaurentQ.from_poly_coeffs(out)
+    return LaurentQ(out)
 
 
 # -- transition matrices, all through the Schur basis -----------------------
@@ -249,14 +250,6 @@ def _transition(src: str, dst: str, n: int) -> dict:
 
 # -- the symmetric function container ----------------------------------------
 
-def _poly(c) -> tuple:
-    """The tuple polynomial of an int or a LaurentQ in integer powers of
-    q; ValueError for a half or negative power."""
-    if isinstance(c, LaurentQ):
-        return c.poly_coeffs()
-    return (c,) if c else ()
-
-
 class SymmetricFunction:
     """Homogeneous symmetric function of degree n in one basis: the sum of
     polys[lam](q) basis_lam over tuple polynomials in q (see the module
@@ -264,49 +257,25 @@ class SymmetricFunction:
 
     __slots__ = ("basis", "n", "polys")
 
-    def __init__(self, basis: str, n: int, coeffs: dict):
-        """Coefficients {partition: int or LaurentQ}; raises ValueError for
-        an unknown basis, a partition of the wrong size, or a coefficient
-        with a half or negative power of q."""
+    def __init__(self, basis: str, n: int, polys: dict):
+        """sum_lam polys[lam](q) basis_lam; zero polynomials are left out.
+        Raises ValueError for an unknown basis or a partition whose size is
+        not n."""
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        polys = {}
-        for lam, c in coeffs.items():
-            lam = tuple(lam)
+        for lam in polys:
             if sum(lam) != n:
                 raise ValueError(f"partition {lam} has size != {n}")
-            polys[lam] = _poly(c)
-        self._store(basis, n, polys)
-
-    @classmethod
-    def from_polys(cls, basis: str, n: int,
-                   polys: dict) -> "SymmetricFunction":
-        """sum_lam polys[lam](q) basis_lam, from tuple polynomials in q;
-        zero polynomials are left out."""
-        f = cls.__new__(cls)
-        f._store(basis, n, polys)
-        return f
-
-    def _store(self, basis, n, polys):
         self.basis, self.n = basis, n
         self.polys = {lam: p for lam, p in polys.items() if p}
 
-    @classmethod
-    def zero(cls, basis: str, n: int) -> "SymmetricFunction":
-        return cls(basis, n, {})
-
-    @classmethod
-    def basis_element(cls, basis: str, lam, coeff=1) -> "SymmetricFunction":
-        lam = tuple(lam)
-        return cls(basis, sum(lam), {lam: coeff})
-
     def coefficient(self, lam) -> LaurentQ:
-        return LaurentQ.from_poly_coeffs(self.polys.get(tuple(lam), ()))
+        return LaurentQ(self.polys.get(tuple(lam), ()))
 
     @property
     def coeffs(self) -> dict:
         """{partition: LaurentQ} over the nonzero coefficients."""
-        return {lam: self.coefficient(lam) for lam in self.polys}
+        return {lam: LaurentQ(p) for lam, p in self.polys.items()}
 
     def convert(self, target: str) -> "SymmetricFunction":
         """Exact change of basis, one pass over the transition matrix."""
@@ -317,27 +286,7 @@ class SymmetricFunction:
         for lam, p in self.polys.items():
             for nu, k in rows[lam]:
                 out[nu] = poly_add_scaled(out.get(nu, ()), p, k, 0)
-        # only p brings in Fractions: keep the integral ones as int
-        if "p" in (self.basis, target):
-            out = {nu: tuple(v.numerator if v.denominator == 1 else v
-                             for v in p) for nu, p in out.items()}
-        return SymmetricFunction.from_polys(target, self.n, out)
-
-    def __add__(self, other: "SymmetricFunction") -> "SymmetricFunction":
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        out = dict(self.polys)
-        for lam, p in other.convert(self.basis).polys.items():
-            out[lam] = poly_add(out.get(lam, ()), p)
-        return SymmetricFunction.from_polys(self.basis, self.n, out)
-
-    def scale(self, c) -> "SymmetricFunction":
-        """c times self, for an int or a LaurentQ c in integer powers of q;
-        ValueError for a half or negative power."""
-        p = _poly(c)
-        return SymmetricFunction.from_polys(
-            self.basis, self.n,
-            {lam: poly_mul(v, p) for lam, v in self.polys.items()})
+        return SymmetricFunction(target, self.n, out)
 
     def __eq__(self, other):
         """Mathematical equality, compared in the basis of self."""
@@ -346,10 +295,6 @@ class SymmetricFunction:
         if self.n != other.n:
             return False
         return self.polys == other.convert(self.basis).polys
-
-    def at_q1(self) -> dict:
-        """Specialize q := 1; returns partition -> int in the same basis."""
-        return {lam: sum(p) for lam, p in self.polys.items()}
 
     # -- serialization ----------------------------------------------------
 
@@ -366,7 +311,7 @@ class SymmetricFunction:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"SymmetricFunction({self.basis!r}, {self.n}, {self.coeffs!r})"
+        return f"SymmetricFunction({self.basis!r}, {self.n}, {self.polys!r})"
 
     def latex(self) -> str:
         if not self.polys:
@@ -401,7 +346,7 @@ def omega(f: SymmetricFunction) -> SymmetricFunction:
     else:  # monomial basis: route through e and come back
         return omega(f.convert("e")).convert("m")
     basis = {"e": "h", "h": "e"}.get(f.basis, f.basis)
-    return SymmetricFunction.from_polys(basis, f.n, polys)
+    return SymmetricFunction(basis, f.n, polys)
 
 
 class PositivityReport(NamedTuple):

@@ -97,8 +97,13 @@ class Laurent:
         return sum(self.c.values())
 
     def value(self) -> LaurentQ:
-        """The same polynomial as heckelab's value type."""
-        return LaurentQ(self.c)
+        """The same polynomial as heckelab's value type, which holds
+        integer powers of q only: AssertionError for any other power."""
+        assert all(k >= 0 and k % 2 == 0 for k in self.c), self
+        out = [0] * (max(self.c, default=-2) // 2 + 1)
+        for k, v in self.c.items():
+            out[k // 2] = v
+        return LaurentQ(out)
 
     def __str__(self):
         return str(self.value())
@@ -289,7 +294,7 @@ def chi_element(lam, a: HeckeElement) -> Laurent:
     lam = tuple(lam)
     out = Laurent()
     for w, c in a.terms.items():
-        out = out + c * Laurent.from_poly(chi(lam, w).poly_coeffs())
+        out = out + c * Laurent.from_poly(chi(lam, w))
     return out
 
 

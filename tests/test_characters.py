@@ -19,7 +19,7 @@ from seminormal_oracle import (InterpolationError, chi_poly_from_word,
                                interpolate, interpolate_checked, poly_eval,
                                seminormal_table, standard_tableaux)
 
-Q = LaurentQ.q()
+Q = LaurentQ((0, 1))
 
 
 def alternate_word(w):
@@ -48,21 +48,21 @@ def test_one_dimensional_characters():
     for n in (3, 4, 5):
         for _ in range(5):
             w = Perm(rng.sample(range(1, n + 1), n))
-            assert chi((n,), w) == LaurentQ.q(w.length())
-            assert chi((1,) * n, w) == LaurentQ.integer((-1) ** w.length())
+            assert chi((n,), w) == (0,) * w.length() + (1,)
+            assert chi((1,) * n, w) == LaurentQ(((-1) ** w.length(),))
 
 
 def test_n2_explicit():
     s = Perm((2, 1))
     assert chi((2,), s) == Q
-    assert chi((1, 1), s) == LaurentQ.integer(-1)
+    assert chi((1, 1), s) == LaurentQ((-1,))
 
 
 def test_trace_of_identity():
     for n in (3, 4, 5):
         e = Perm.identity(n)
         for lam in partitions(n):
-            assert chi(lam, e) == LaurentQ.integer(num_syt(lam))
+            assert chi(lam, e) == LaurentQ((num_syt(lam),))
 
 
 def test_degree_bound():
@@ -70,8 +70,7 @@ def test_degree_bound():
     for _ in range(10):
         w = Perm(rng.sample(range(1, 6), 5))
         for lam in partitions(5):
-            # poly_coeffs raises on half or negative powers of q
-            assert len(chi(lam, w).poly_coeffs()) <= w.length() + 1
+            assert len(chi(lam, w)) <= w.length() + 1
 
 
 def test_reduced_word_independence():
@@ -109,13 +108,11 @@ def test_chi_element_examples():
 
 def test_frobenius_examples():
     assert frobenius_ch(HeckeElement.unit(3)) == \
-        SymmetricFunction.basis_element("h", (1, 1, 1))
+        SymmetricFunction("h", 3, {(1, 1, 1): (1,)})
     assert frobenius_ch(cprime(Perm((2, 1)))) == \
-        SymmetricFunction.basis_element("h", (2,)).scale(
-            LaurentQ.from_poly_coeffs((1, 1)))
+        SymmetricFunction("h", 2, {(2,): (1, 1)})
     assert frobenius_ch(cprime(Perm((3, 2, 1)))) == \
-        SymmetricFunction.basis_element("h", (3,)).scale(
-            q_factorial_partition((3,)))
+        SymmetricFunction("h", 3, {(3,): q_factorial_partition((3,))})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -128,7 +125,7 @@ def test_character_table_consistency():
     table = character_table(4)
     for lam in partitions(4):
         for w in all_perms(4):
-            assert LaurentQ.from_poly_coeffs(table[lam][w]) == chi(lam, w)
+            assert LaurentQ(table[lam][w]) == chi(lam, w)
 
 
 def test_character_table_cap():
@@ -147,7 +144,7 @@ def test_frobenius_cprime_matches_seminormal_oracle_s5():
             acc = ()
             for z, p in row.items():
                 acc = poly_add(acc, poly_mul(p, oracle[lam][z]))
-            assert got.coefficient(lam) == LaurentQ.from_poly_coeffs(acc), \
+            assert got.coefficient(lam) == LaurentQ(acc), \
                 (w, lam)
 
 
@@ -169,7 +166,7 @@ def test_frobenius_of_w0_is_the_q_factorial(monkeypatch, n):
     monkeypatch.setitem(hecke._stores, n, KLRowStore(n))
     w0 = Perm(range(n, 0, -1))
     assert _frobenius_coeffs(w0) == \
-        {(n,): q_factorial_partition((n,)).poly_coeffs()}
+        {(n,): q_factorial_partition((n,))}
 
 
 @pytest.mark.parametrize("w", ["54231", "645231"])
@@ -265,7 +262,7 @@ def test_haiman_unimodality_spot():
     for w in all_perms(4):
         b = cprime(w)
         for lam in partitions(4):
-            assert all(poly_shape(chi_element(lam, b).value().poly_coeffs()))
+            assert all(poly_shape(chi_element(lam, b).value()))
 
 
 def test_partition_size_guard():
@@ -277,8 +274,7 @@ def test_partition_size_guard():
 def test_coxeter_h_matches_the_s_to_h_conversion(k):
     # the integer hook sums equal sum_r (-1)^r q^(k-1-r) s_(k-r, 1^r)
     # converted to the h basis through the inverse Kostka matrix of symfunc
-    hooks = {(k - r,) + (1,) * r: LaurentQ({2 * (k - 1 - r): (-1) ** r})
+    hooks = {(k - r,) + (1,) * r: (0,) * (k - 1 - r) + ((-1) ** r,)
              for r in range(k)}
     h = SymmetricFunction("s", k, hooks).convert("h")
-    assert dict(_coxeter_h(k)) == {nu: c.poly_coeffs()
-                                   for nu, c in h.coeffs.items()}
+    assert dict(_coxeter_h(k)) == h.polys

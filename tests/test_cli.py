@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from heckelab.cli import main
 from heckelab.lab import CHECKS
 from heckelab.permutations import all_perms, perm_to_str
-from heckelab.qpoly import LaurentQ
 from heckelab.symfunc import SymmetricFunction
 from hecke_oracle import cprime
 
@@ -97,8 +96,7 @@ def test_ch(capsys):
     assert out.strip() == "(1 + 2*q + 2*q^2 + q^3)*h[3]"
     code, out = run(capsys, "--format", "json", "ch", "--w", "21")
     data = json.loads(out)
-    f = SymmetricFunction.basis_element("h", (2,)).scale(
-        LaurentQ.from_poly_coeffs((1, 1)))
+    f = SymmetricFunction("h", 2, {(2,): (1, 1)})
     assert data == f.convert(data["basis"]).to_json()
 
 

@@ -13,7 +13,7 @@ from heckelab.qpoly import LaurentQ
 from heckelab.symfunc import (SymmetricFunction, partitions,
                               q_factorial_partition)
 
-ONE_PLUS_Q = LaurentQ.from_poly_coeffs((1, 1))
+ONE_PLUS_Q = LaurentQ((1, 1))
 
 
 def test_indifference_graph():
@@ -41,20 +41,19 @@ def test_edges_match_length_of_codominant(n):
 
 def test_csf_examples():
     f = csf((1, 2, 3))
-    assert f.coeffs == {(1, 1, 1): LaurentQ.integer(6),
-                        (2, 1): LaurentQ.integer(3),
-                        (3,): LaurentQ.one()}
-    assert csf((2, 2)) == \
-        SymmetricFunction.basis_element("e", (2,)).scale(ONE_PLUS_Q)
-    assert csf((3, 3, 3)) == SymmetricFunction.basis_element("e", (3,)).scale(
-        q_factorial_partition((3,)))
+    assert f.coeffs == {(1, 1, 1): LaurentQ((6,)),
+                        (2, 1): LaurentQ((3,)),
+                        (3,): LaurentQ((1,))}
+    assert csf((2, 2)) == SymmetricFunction("e", 2, {(2,): ONE_PLUS_Q})
+    assert csf((3, 3, 3)) == SymmetricFunction(
+        "e", 3, {(3,): q_factorial_partition((3,))})
     assert csf((2, 2)).basis == "m"
 
 
 def test_csf_oracle_examples():
     assert csf_oracle((2, 2)).coeffs == {(1, 1): ONE_PLUS_Q}
-    assert csf_oracle((1, 2)).coeffs == {(2,): LaurentQ.one(),
-                                         (1, 1): LaurentQ.integer(2)}
+    assert csf_oracle((1, 2)).coeffs == {(2,): LaurentQ((1,)),
+                                         (1, 1): LaurentQ((2,))}
     with pytest.raises(ValueError):
         csf_oracle((1,) + tuple(range(2, 8)))  # n = 7 beyond the oracle cap
 
@@ -63,7 +62,7 @@ def test_csf_oracle_extremes_n6():
     # the empty graph: every coloring is proper and has no ascent
     f = csf_oracle((1, 2, 3, 4, 5, 6))
     assert f.coeffs == {
-        lam: LaurentQ.integer(factorial(6) // prod(map(factorial, lam)))
+        lam: LaurentQ((factorial(6) // prod(map(factorial, lam)),))
         for lam in partitions(6)}
     # the complete graph: only six distinct colors, in all 6! orders
     assert csf_oracle((6,) * 6).coeffs == \
@@ -133,9 +132,8 @@ def test_oracle_rejects_mixed_ranks():
 def test_csf_top_degree_and_constant_term():
     for m in enumerate_hessenberg(5):
         f = csf(m)
-        top = max(c.items()[-1][0] for c in f.coeffs.values())
-        assert top == 2 * edge_count(m)
-        assert any(c.coefficient(0) for c in f.coeffs.values())
+        assert max(map(len, f.polys.values())) - 1 == edge_count(m)
+        assert any(p[0] for p in f.polys.values())
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
@@ -148,8 +146,7 @@ def test_disjoint_cliques_factorial(n):
             m.extend([start + part - 1] * part)
             start += part
         m = tuple(m)
-        expected = SymmetricFunction.basis_element("e", lam).scale(
-            q_factorial_partition(lam))
+        expected = SymmetricFunction("e", n, {lam: q_factorial_partition(lam)})
         assert csf(m) == expected, lam
 
 
@@ -160,9 +157,9 @@ def test_empty_graph_multinomials():
     n = 10
     f = csf(tuple(range(1, n + 1)))
     assert f.coeffs == {
-        lam: LaurentQ.integer(factorial(n) // prod(map(factorial, lam)))
+        lam: LaurentQ((factorial(n) // prod(map(factorial, lam)),))
         for lam in partitions(n)}
-    assert f.coeffs[(1,) * n] == LaurentQ.integer(3628800)
+    assert f.coeffs[(1,) * n] == LaurentQ((3628800,))
 
 
 # sha256 of the canonical JSON of csf_batch(7): pins all 429 functions,
@@ -208,7 +205,7 @@ def test_single_csf_matches_batch6():
     batch = csf_batch(6)
     assert len(batch) == 132
     for m, coeffs in batch.items():
-        assert csf(m).coeffs == {lam: LaurentQ.from_poly_coeffs(p)
+        assert csf(m).coeffs == {lam: LaurentQ(p)
                                  for lam, p in coeffs.items()}, m
 
 
@@ -220,7 +217,7 @@ def test_batch_and_index(tmp_path):
     assert len(batch) == 14
     for m, coeffs in batch.items():
         assert SymmetricFunction("m", 4, {
-            lam: LaurentQ.from_poly_coeffs(p) for lam, p in coeffs.items()}) \
+            lam: LaurentQ(p) for lam, p in coeffs.items()}) \
             == csf(m)
     # reload through the disk cache
     clear_batch_cache(4)

@@ -1,9 +1,12 @@
 """Every name a heckelab module lists in __all__ exists, and the package
 star-imports: a name moved out of the library must leave no stale entry.
 The package's own exports load on first use and are the objects of their
-home modules."""
+home modules.  No function or method is kept only for the tests unless it
+is pinned below with its reason."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 import types
 
@@ -68,3 +71,51 @@ def test_exports_are_the_objects_of_their_home_modules():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         heckelab.no_such_name  # noqa: B018
+
+
+# functions and methods that no code of heckelab names, each with its reason
+UNNAMED_IN_SRC = {
+    "csf.clear_batch_cache": "reset helper that tests call",
+    "hecke.reset_row_store": "reset helper that tests call",
+    "permutations.Perm.contains_pattern": "test reference for smoothness "
+                                          "and codominance",
+    "permutations.Perm.descents": "test reference for the descent cosets",
+    "permutations.Perm.reduced_word": "test reference for the T-basis and "
+                                      "seminormal oracles",
+    "permutations.Perm.is_codominant": "test reference for the codominant "
+                                       "decompositions",
+    "permutations.Perm.lower_covers": "bench/tracer.py wraps it",
+    "permutations.Perm.rank": "public export: the rank function r_w(i, j) "
+                              "of the exported Perm",
+}
+
+
+def test_no_function_is_kept_only_for_the_tests():
+    # a name counts as used when the code of some module refers to it: as
+    # a variable, an attribute, an import or a string such as an __all__
+    # entry; dunders are called by Python, not by name
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in pathlib.Path(heckelab.__file__).parent.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str):
+                used.add(node.value)
+    unnamed = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            is_class = isinstance(node, ast.ClassDef)
+            prefix = f"{module}.{node.name}." if is_class else f"{module}."
+            unnamed |= {prefix + f.name
+                        for f in (node.body if is_class else [node])
+                        if isinstance(f, ast.FunctionDef)
+                        and not f.name.startswith("__")
+                        and f.name not in used}
+    assert unnamed == set(UNNAMED_IN_SRC)
