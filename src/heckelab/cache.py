@@ -59,8 +59,8 @@ class Cache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # one piece per item of the payload's lists
-                fh.writelines(_json_pieces(data, 3))
+                fh.write(json.dumps(data, sort_keys=True,
+                                    separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -68,22 +68,6 @@ class Cache:
             except OSError:
                 pass
             raise
-
-
-def _json_pieces(value, depth: int):
-    """json.dumps(value, sort_keys=True, separators=(",", ":")) in pieces:
-    the dicts and lists of the top `depth` levels are opened here, and each
-    value below them is one json.dumps.  json.dump would hand the file
-    every token separately, from the slower pure-Python encoder."""
-    if not depth or not isinstance(value, (dict, list)):
-        yield json.dumps(value, sort_keys=True, separators=(",", ":"))
-        return
-    is_dict = isinstance(value, dict)
-    yield "{" if is_dict else "["
-    for k, key in enumerate(sorted(value) if is_dict else range(len(value))):
-        yield ("," if k else "") + (json.dumps(key) + ":" if is_dict else "")
-        yield from _json_pieces(value[key], depth - 1)
-    yield "}" if is_dict else "]"
 
 
 def int_poly(value) -> tuple:

@@ -12,8 +12,15 @@ each ``_cmd_*`` handler imports the layers it calls when it is called,
 by name, so that a function rebound on its module is the one it calls.
 Parsing and ``--help`` import no layer beyond these.
 
-``kl`` and ``cprime`` print a KL row through one writer, ``_write_row``,
-which lays out and streams the sorted row that heckelab.hecke exports.
+Every command prints through one emitter, ``_emit``, which picks the form
+that --format names.  Every command has a text and a JSON form.  Only
+polynomials and symmetric functions have a LaTeX form: ``chi``,
+``kl --z``, ``ch`` and ``csf``.  Every other command (``kl`` without
+``--z``, ``cprime``, ``smooth-reduce``, ``moment-graph``, ``modular``,
+``decompose``, ``counterexample``, ``check``, ``hessenberg``) refuses
+--format latex with exit 2 before it computes anything.  ``kl`` and
+``cprime`` lay out and stream the sorted KL row that heckelab.hecke
+exports through ``_row``.
 """
 
 from __future__ import annotations
@@ -60,30 +67,28 @@ def _parse_partition(text: str, n: int):
     return lam
 
 
-def _poly_out(p, fmt: str):
+def _has_latex(args) -> bool:
+    """Whether the command prints a LaTeX form (see the module docstring)."""
+    return args.command in ("chi", "ch", "csf") or \
+        args.command == "kl" and args.z is not None
+
+
+def _emit(fmt: str, text, data, latex=None) -> None:
+    """Print one output, and a newline, in the form --format names: text,
+    latex, or data as JSON with sorted keys.  The forms of a KL row are
+    generators of pieces (see _row), written one at a time, never joined."""
     if fmt == "json":
-        return {"polynomial": p.to_json()}
-    if fmt == "latex":
-        return p.latex()
-    return str(p)
-
-
-def _symfunc_out(f, fmt: str):
-    if fmt == "json":
-        return f.to_json()
-    if fmt == "latex":
-        return f.latex()
-    return str(f)
-
-
-def _emit(payload, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
+        form = json.dumps(data, sort_keys=True) if isinstance(data, dict) \
+            else data
     else:
-        print(payload)
+        form = latex if fmt == "latex" else text
+    out = sys.stdout
+    for piece in (form,) if isinstance(form, str) else form:
+        out.write(piece)
+    out.write("\n")
 
 
-# entries per write of _write_row: about 150 kB of KL row JSON in S_8
+# entries per piece of _row: about 150 kB of KL row JSON in S_8
 _CHUNK = 1 << 12
 
 
@@ -94,20 +99,20 @@ def _poly_json(coeffs) -> str:
                       sort_keys=True)
 
 
-def _write_row(w, head: str, sep: str, tail: str, render) -> None:
-    """Print head + sep.join(before + z + after) + tail over the row of w
-    in (length, z) order, z as perm_to_str prints it and (before, after) =
-    render(coefficients of P_{z,w}), once per distinct polynomial.  The
-    entries are written `_CHUNK` at a time, never all joined at once."""
+def _row(w, head: str, sep: str, tail: str, render):
+    """The pieces of head + sep.join(before + z + after) + tail over the
+    row of w in (length, z) order, z as perm_to_str prints it and
+    (before, after) = render(coefficients of P_{z,w}), once per distinct
+    polynomial.  The row is exported when the first piece is asked for,
+    and joined `_CHUNK` entries at a time."""
     from .hecke import row_store
     entries = row_store(len(w)).export(w, render)
-    out = sys.stdout
-    out.write(head)
+    yield head
     for k in range(0, len(entries), _CHUNK):
-        out.write((sep if k else "") + sep.join(
+        yield (sep if k else "") + sep.join(
             [before + z + after
-             for z, (before, after) in entries[k:k + _CHUNK]]))
-    out.write(tail)
+             for z, (before, after) in entries[k:k + _CHUNK]])
+    yield tail
 
 
 # -- subcommand handlers (return exit codes) ----------------------------------
@@ -118,16 +123,15 @@ def _cmd_kl(args, fmt) -> int:
     if args.z is not None:
         from .hecke import kl_polynomial
         z = _parsed(parse_perm, args.z, len(w))
-        _emit(_poly_out(kl_polynomial(z, w), fmt), fmt)
+        p = kl_polynomial(z, w)
+        _emit(fmt, str(p), {"polynomial": p.to_json()}, p.latex())
         return 0
     ws = perm_to_str(w)
-    if fmt == "json":
-        # json.dumps({"entries": [[z, w, poly]], "n"}, sort_keys=True)
-        _write_row(w, '{"entries": [', ", ", '], "n": %d}\n' % len(w),
-                   lambda c: ('["', f'", "{ws}", {_poly_json(c)}]'))
-    else:
-        _write_row(w, "", "\n", "\n", lambda c: (
-            "P[", f", {ws}] = {LaurentQ(c)}"))
+    _emit(fmt, _row(w, "", "\n", "", lambda c: (
+              "P[", f", {ws}] = {LaurentQ(c)}")),
+          # json.dumps({"entries": [[z, w, poly]], "n"}, sort_keys=True)
+          _row(w, '{"entries": [', ", ", '], "n": %d}' % len(w),
+               lambda c: ('["', f'", "{ws}", {_poly_json(c)}]')))
     return 0
 
 
@@ -135,16 +139,14 @@ def _cmd_cprime(args, fmt) -> int:
     from .qpoly import LaurentQ
     w = _parsed(parse_perm, args.w)
     ws = perm_to_str(w)
-    if fmt == "json":
-        # json.dumps({"n", "scaling", "terms": [[z, poly]], "w"},
-        # sort_keys=True)
-        head = '{"n": %d, "scaling": %s, "terms": [' % (
-            len(w), json.dumps(f"q^({w.length()}/2) * C'_w"))
-        _write_row(w, head, ", ", '], "w": "%s"}\n' % ws,
-                   lambda c: ('["', f'", {_poly_json(c)}]'))
-    else:
-        _write_row(w, f"q^({w.length()}/2)*C'[{ws}] = ", " + ", "\n",
-                   lambda c: (f"({LaurentQ(c)})*T[", "]"))
+    _emit(fmt, _row(w, f"q^({w.length()}/2)*C'[{ws}] = ", " + ", "",
+                    lambda c: (f"({LaurentQ(c)})*T[", "]")),
+          # json.dumps({"n", "scaling", "terms": [[z, poly]], "w"},
+          # sort_keys=True)
+          _row(w, '{"n": %d, "scaling": %s, "terms": [' % (
+                   len(w), json.dumps(f"q^({w.length()}/2) * C'_w")),
+               ", ", '], "w": "%s"}' % ws,
+               lambda c: ('["', f'", {_poly_json(c)}]')))
     return 0
 
 
@@ -152,7 +154,8 @@ def _cmd_chi(args, fmt) -> int:
     from .characters import chi
     w = _parsed(parse_perm, args.w)
     lam = _parse_partition(args.lam, len(w))
-    _emit(_poly_out(chi(lam, w), fmt), fmt)
+    p = chi(lam, w)
+    _emit(fmt, str(p), {"polynomial": p.to_json()}, p.latex())
     return 0
 
 
@@ -163,7 +166,7 @@ def _cmd_ch(args, fmt) -> int:
         f = frobenius_cprime(w).convert(args.basis)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit(_symfunc_out(f, fmt), fmt)
+    _emit(fmt, str(f), f.to_json(), f.latex())
     return 0
 
 
@@ -173,7 +176,7 @@ def _cmd_csf(args, fmt) -> int:
     if len(m) > MAX_HESSENBERG_N:
         raise InputError(f"--m must have rank at most {MAX_HESSENBERG_N}")
     f = csf(m).convert(args.basis)
-    _emit(_symfunc_out(f, fmt), fmt)
+    _emit(fmt, str(f), f.to_json(), f.latex())
     return 0
 
 
@@ -184,10 +187,8 @@ def _cmd_smooth_reduce(args, fmt) -> int:
         out = smooth_reduce(w)
     except NotSmoothError as exc:
         raise InputError(str(exc)) from exc
-    if fmt == "json":
-        _emit({"w": perm_to_str(w), "codominant": perm_to_str(out)}, fmt)
-    else:
-        print(perm_to_str(out))
+    _emit(fmt, perm_to_str(out),
+          {"w": perm_to_str(w), "codominant": perm_to_str(out)})
     return 0
 
 
@@ -196,11 +197,9 @@ def _cmd_moment_graph(args, fmt) -> int:
     w = _parsed(parse_perm, args.w)
     graph = moment_graph(w)
     ts = sorted(graph.transpositions)
-    if fmt == "json":
-        _emit({"n": graph.n, "w": perm_to_str(w),
-               "transpositions": [list(t) for t in ts]}, fmt)
-    else:
-        print(" ".join(f"({i},{j})" for i, j in ts) if ts else "(empty)")
+    _emit(fmt, " ".join(f"({i},{j})" for i, j in ts) if ts else "(empty)",
+          {"n": graph.n, "w": perm_to_str(w),
+           "transpositions": [list(t) for t in ts]})
     return 0
 
 
@@ -213,15 +212,12 @@ def _cmd_modular(args, fmt) -> int:
         rel = modular_relation(w, args.s)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if fmt == "json":
-        _emit(rel.to_json(), fmt)
-    else:
-        print(f"case: {rel.case}")
-        print(f"identity: {rel.identity()}")
-        if rel.z is not None:
-            print(f"z = {perm_to_str(rel.z)}")
-        print("verified: " + ("yes (exact character computation)"
-                              if rel.verified else "asserted by theorem"))
+    lines = [f"case: {rel.case}", f"identity: {rel.identity()}"]
+    if rel.z is not None:
+        lines.append(f"z = {perm_to_str(rel.z)}")
+    lines.append("verified: " + ("yes (exact character computation)"
+                                 if rel.verified else "asserted by theorem"))
+    _emit(fmt, "\n".join(lines), rel.to_json())
     return 0
 
 
@@ -241,20 +237,16 @@ def _cmd_counterexample(args, fmt) -> int:
                              f"{exc.strerror or exc}") from exc
         batch = csf_batch(len(m), cache, args.threads)
     result = counterexample_search(m, batch)
-    if fmt == "json":
-        payload = {"m1": hessenberg_to_str(m), "general": args.general,
-                   "found": result is not None}
-        if result is not None:
-            payload.update(m0=hessenberg_to_str(result.m0),
-                           m2=hessenberg_to_str(result.m2),
-                           shift=result.shift)
-        _emit(payload, fmt)
-    elif result is None:
-        print("NOT FOUND")
+    payload = {"m1": hessenberg_to_str(m), "general": args.general,
+               "found": result is not None}
+    if result is None:
+        text = "NOT FOUND"
     else:
+        payload.update(m0=hessenberg_to_str(result.m0),
+                       m2=hessenberg_to_str(result.m2), shift=result.shift)
         extra = f" (shift a={result.shift})" if args.general else ""
-        print(f"FOUND m0={hessenberg_to_str(result.m0)} "
-              f"m2={hessenberg_to_str(result.m2)}{extra}")
+        text = f"FOUND m0={payload['m0']} m2={payload['m2']}{extra}"
+    _emit(fmt, text, payload)
     if args.expect == "found" and result is None:
         return 1
     if args.expect == "notfound" and result is not None:
@@ -269,29 +261,21 @@ def _cmd_decompose(args, fmt) -> int:
     if args.max_n > MAX_CHARACTER_N:
         raise InputError(f"--max-n must be at most {MAX_CHARACTER_N}")
     result = decompose_codominant(w, max_n=args.max_n)
-    if fmt == "json":
-        payload = {"w": perm_to_str(w), "known": result is not None}
-        if result is not None:
-            payload["terms"] = [
-                [perm_to_str(u), c.to_json()]
-                for u, c in sorted(result.items(),
-                                   key=lambda it: (it[0].length(), it[0]))]
-        _emit(payload, fmt)
-    elif result is None:
-        print("UNKNOWN")
+    payload = {"w": perm_to_str(w), "known": result is not None}
+    if result is None:
+        text = "UNKNOWN"
     else:
-        for u, c in sorted(result.items(), key=lambda it: (it[0].length(), it[0])):
-            print(f"C'[{perm_to_str(u)}]: {c}")
+        terms = sorted(result.items(), key=lambda it: (it[0].length(), it[0]))
+        payload["terms"] = [[perm_to_str(u), c.to_json()] for u, c in terms]
+        text = "\n".join(f"C'[{perm_to_str(u)}]: {c}" for u, c in terms)
+    _emit(fmt, text, payload)
     if args.expect == "found" and result is None:
         return 1
     return 0
 
 
 def _cmd_check(args, fmt) -> int:
-    from .lab import CHECK_BOUNDS, CHECKS, check_suite
-    if args.name != "all" and args.name not in CHECKS:
-        raise InputError(f"unknown check {args.name!r}; known: "
-                         + ", ".join(sorted(CHECKS)) + ", all")
+    from .lab import CHECK_BOUNDS, check_suite
     try:
         reports = check_suite(args.n,
                               None if args.name == "all" else [args.name])
@@ -300,26 +284,17 @@ def _cmd_check(args, fmt) -> int:
     if not reports:
         raise InputError(f"--n must be at most {max(CHECK_BOUNDS.values())}"
                          " for some check to run")
-    failed = False
     for rep in reports:
-        if fmt == "json":
-            _emit(rep.to_json(), fmt)
-        else:
-            print(rep)
-        failed = failed or rep.status != "pass"
-    return 1 if failed else 0
+        _emit(fmt, str(rep), rep.to_json())
+    return 0 if all(rep.status == "pass" for rep in reports) else 1
 
 
 def _cmd_hessenberg(args, fmt) -> int:
     if not 1 <= args.n <= MAX_HESSENBERG_N:
         raise InputError(f"--n must be in 1..{MAX_HESSENBERG_N}")
-    ms = enumerate_hessenberg(args.n)
-    if fmt == "json":
-        _emit({"n": args.n, "count": len(ms),
-               "functions": [hessenberg_to_str(m) for m in ms]}, fmt)
-    else:
-        for m in ms:
-            print(hessenberg_to_str(m))
+    functions = [hessenberg_to_str(m) for m in enumerate_hessenberg(args.n)]
+    _emit(fmt, "\n".join(functions),
+          {"n": args.n, "count": len(functions), "functions": functions})
     return 0
 
 
@@ -422,6 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.format == "latex" and not _has_latex(args):
+            what = "kl without --z" if args.command == "kl" else args.command
+            raise InputError(f"{what} has no LaTeX form; "
+                             "use --format text or json")
         return args.handler(args, args.format)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

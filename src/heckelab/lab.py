@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .characters import (MAX_CHARACTER_N, _frobenius_coeffs, chi,
                          frobenius_cprime, min_class_rep, murnaghan_nakayama)
-from .csf import (CounterexampleResult, _oracle_coeffs, csf_batch, csf_key,
+from .csf import (CounterexampleResult, _oracle_coeffs, csf_batch,
                   counterexample_search)
 from .hecke import row_store
 from .permutations import (Perm, _descending_covers, all_perms,
@@ -20,8 +20,7 @@ from .permutations import (Perm, _descending_covers, all_perms,
                            hessenberg_to_str, perm_to_str, smooth_perms,
                            transpositions_below)
 from .qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_shape
-from .symfunc import (SymmetricFunction, _transition, conjugate, partitions,
-                      positivity)
+from .symfunc import SymmetricFunction, omega, partitions, positivity
 
 __all__ = [
     "PreconditionError", "InternalContradictionError",
@@ -303,6 +302,9 @@ def verify_decomposition(w: Perm, decomposition: dict) -> bool:
 
 
 # -- named exhaustive checks ---------------------------------------------------
+#
+# Each check maps a rank n to (witnesses, details): the counterexamples it
+# found, JSON-ready, and what it checked; check_suite makes the Report.
 
 class Report(NamedTuple):
     check: str
@@ -324,25 +326,19 @@ class Report(NamedTuple):
         return head
 
 
-def _check_cor44(n: int) -> Report:
+def _check_cor44(n: int) -> tuple:
     ms = enumerate_hessenberg(n)
     batch = csf_batch(n)
-    s_to_m = _transition("s", "m", n)  # omega(s_lam) = s_lam'
     witnesses = []
     for m in ms:
-        got = {}
         ch = frobenius_cprime(codominant_of_hessenberg(m))  # thm15 reads it
-        for lam, p in ch.polys.items():
-            for mu, k in s_to_m[conjugate(lam)]:
-                got[mu] = poly_add_scaled(got.get(mu, ()), p, k, 0)
-        if csf_key(got) != csf_key(batch[m]):
+        if omega(ch).convert("m").polys != batch[m]:
             witnesses.append(hessenberg_to_str(m))
-    return Report("cor44", n, "fail" if witnesses else "pass", witnesses,
-                  f"ch(q^(l/2) C'_wm) = omega(csf(G_m)) on {len(ms)} "
-                  "Hessenberg functions")
+    return witnesses, (f"ch(q^(l/2) C'_wm) = omega(csf(G_m)) on {len(ms)} "
+                       "Hessenberg functions")
 
 
-def _check_hpos(n: int) -> Report:
+def _check_hpos(n: int) -> tuple:
     witnesses = []
     count = 0
     for w in all_perms(n):
@@ -354,12 +350,11 @@ def _check_hpos(n: int) -> Report:
                 "partition": list(rep.witness_partition),
                 "coefficient": str(rep.witness_coefficient),
             })
-    return Report("hpos", n, "fail" if witnesses else "pass", witnesses,
-                  f"h-positivity of ch(q^(l/2) C'_w) over all {count} "
-                  "permutations (conjecture-level)")
+    return witnesses, (f"h-positivity of ch(q^(l/2) C'_w) over all {count} "
+                       "permutations (conjecture-level)")
 
 
-def _check_prop31(n: int, verify_limit: int = 5) -> Report:
+def _check_prop31(n: int, verify_limit: int = 5) -> tuple:
     witnesses = []
     pairs = 0
     for w in smooth_perms(n):
@@ -371,13 +366,12 @@ def _check_prop31(n: int, verify_limit: int = 5) -> Report:
                     modular_relation(w, i, verify_limit=verify_limit)
                 except InternalContradictionError as exc:
                     witnesses.append(str(exc))
-    return Report("prop31", n, "fail" if witnesses else "pass", witnesses,
-                  f"dichotomy over {pairs} (smooth w, s) pairs with sw<w<ws"
-                  + (", character identities verified exactly"
-                     if n <= verify_limit else ""))
+    return witnesses, (f"dichotomy over {pairs} (smooth w, s) pairs with "
+                       "sw<w<ws" + (", character identities verified exactly"
+                                    if n <= verify_limit else ""))
 
 
-def _check_thm15(n: int) -> Report:
+def _check_thm15(n: int) -> tuple:
     witnesses = []
     count = 0
     for w in smooth_perms(n):
@@ -389,12 +383,11 @@ def _check_thm15(n: int) -> Report:
         # the memo holds only codominant characters
         if _frobenius_coeffs(w) != frobenius_cprime(wr).polys:
             witnesses.append(perm_to_str(w))
-    return Report("thm15", n, "fail" if witnesses else "pass", witnesses,
-                  f"ch(q^(l/2) C'_w) = ch(q^(l/2) C'_w') for all {count} "
-                  "smooth w")
+    return witnesses, (f"ch(q^(l/2) C'_w) = ch(q^(l/2) C'_w') for all "
+                       f"{count} smooth w")
 
 
-def _check_momentgraph(n: int) -> Report:
+def _check_momentgraph(n: int) -> tuple:
     witnesses = []
     count = 0
     reduced = {}  # the brute-force moment graph of each codominant w' met
@@ -405,33 +398,31 @@ def _check_momentgraph(n: int) -> Report:
             reduced[wr] = moment_graph(wr, use_hessenberg=False)
         if moment_graph(w, use_hessenberg=False) != reduced[wr]:
             witnesses.append(perm_to_str(w))
-    return Report("momentgraph", n, "fail" if witnesses else "pass", witnesses,
-                  f"brute-force moment graphs agree for all {count} smooth w")
+    return witnesses, ("brute-force moment graphs agree for all "
+                       f"{count} smooth w")
 
 
-def _check_modular_law(n: int) -> Report:
+def _check_modular_law(n: int) -> tuple:
     triples = modular_triples(n)
     batch = csf_batch(n)
     witnesses = []
     for m0, m1, m2, i in triples:
         if not _modular_holds(batch[m0], batch[m1], batch[m2]):
             witnesses.append([hessenberg_to_str(m) for m in (m0, m1, m2)])
-    return Report("modular-law", n, "fail" if witnesses else "pass", witnesses,
-                  f"(1+q) csf(m1) = csf(m2) + q csf(m0) on {len(triples)} "
-                  "triples")
+    return witnesses, ("(1+q) csf(m1) = csf(m2) + q csf(m0) on "
+                       f"{len(triples)} triples")
 
 
-def _check_csf_oracle(n: int) -> Report:
+def _check_csf_oracle(n: int) -> tuple:
     ms = enumerate_hessenberg(n)
     batch = csf_batch(n)
     oracle = _oracle_coeffs(ms)
     witnesses = [hessenberg_to_str(m) for m in ms if oracle[m] != batch[m]]
-    return Report("csf-oracle", n, "fail" if witnesses else "pass", witnesses,
-                  f"partition enumeration matches the per-class-size coloring "
-                  f"oracle on {len(ms)} graphs")
+    return witnesses, ("partition enumeration matches the per-class-size "
+                       f"coloring oracle on {len(ms)} graphs")
 
 
-def _check_kl_selfdual(n: int) -> Report:
+def _check_kl_selfdual(n: int) -> tuple:
     store = row_store(n)
     witnesses = [
         f"inversion formula at x = {perm_to_str(x)}, w = {perm_to_str(w)}: "
@@ -442,11 +433,11 @@ def _check_kl_selfdual(n: int) -> Report:
         count += 1
         witnesses += (f"deg P[{perm_to_str(z)},{perm_to_str(w)}] too big"
                       for z in store.degree_failures(w))
-    return Report("kl-selfdual", n, "fail" if witnesses else "pass", witnesses,
-                  f"KL inversion formula and degree bounds over all {count} w")
+    return witnesses, ("KL inversion formula and degree bounds over all "
+                       f"{count} w")
 
 
-def _check_unimodal(n: int) -> Report:
+def _check_unimodal(n: int) -> tuple:
     witnesses = []
     checked = 0
     for w in all_perms(n):
@@ -455,24 +446,22 @@ def _check_unimodal(n: int) -> Report:
             checked += 1
             if not all(poly_shape(ch.polys.get(lam, ()))):
                 witnesses.append({"w": perm_to_str(w), "lambda": list(lam)})
-    return Report("unimodal", n, "fail" if witnesses else "pass", witnesses,
-                  f"chi^lam(q^(l/2) C'_w) nonnegative, palindromic, unimodal "
-                  f"({checked} values)")
+    return witnesses, ("chi^lam(q^(l/2) C'_w) nonnegative, palindromic, "
+                       f"unimodal ({checked} values)")
 
 
-def _check_mn(n: int) -> Report:
+def _check_mn(n: int) -> tuple:
     witnesses = []
     for mu in partitions(n):
         w = min_class_rep(mu)
         for lam in partitions(n):
             if chi(lam, w).at_q1() != murnaghan_nakayama(lam, mu):
                 witnesses.append({"lambda": list(lam), "class": list(mu)})
-    return Report("mn", n, "fail" if witnesses else "pass", witnesses,
-                  "q := 1 character table matches the Murnaghan-Nakayama "
-                  "oracle on every (lambda, class)")
+    return witnesses, ("q := 1 character table matches the "
+                       "Murnaghan-Nakayama oracle on every (lambda, class)")
 
 
-def _check_lemma22(n: int) -> Report:
+def _check_lemma22(n: int) -> tuple:
     witnesses = []
     count = 0
     for w in smooth_perms(n):
@@ -481,9 +470,8 @@ def _check_lemma22(n: int) -> Report:
         brute = transpositions_below(w)
         if fast != brute or len(brute) != w.length():
             witnesses.append(perm_to_str(w))
-    return Report("lemma22", n, "fail" if witnesses else "pass", witnesses,
-                  f"transpositions below smooth w are (i,j), j <= m_w(i), "
-                  f"with count l(w), over {count} w")
+    return witnesses, ("transpositions below smooth w are (i,j), "
+                       f"j <= m_w(i), with count l(w), over {count} w")
 
 
 CHECKS = {
@@ -509,12 +497,13 @@ CHECK_BOUNDS = {
 
 
 def check_suite(n: int, which=None) -> list[Report]:
-    """Run the named checks (default: those whose bound is at least n)."""
+    """Run the named checks (default: those whose bound is at least n);
+    ValueError, before any check runs, for an unknown name or a rank
+    outside a check's bounds.  A check passes when it finds no witness."""
     if n < 1:
         raise ValueError("n must be >= 1")
     names = ([name for name in CHECKS if n <= CHECK_BOUNDS[name]]
              if which is None else list(which))
-    reports = []
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; "
@@ -522,5 +511,10 @@ def check_suite(n: int, which=None) -> list[Report]:
         if n > CHECK_BOUNDS[name]:
             raise ValueError(
                 f"check {name!r} is capped at n = {CHECK_BOUNDS[name]}")
-        reports.append(CHECKS[name](n))
+    reports = []
+    for name in names:
+        # looked up now, so that a check rebound in CHECKS is the one run
+        witnesses, details = CHECKS[name](n)
+        reports.append(Report(name, n, "fail" if witnesses else "pass",
+                              witnesses, details))
     return reports

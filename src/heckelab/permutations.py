@@ -117,12 +117,6 @@ class Perm(tuple):
                     count += 1
         return count
 
-    def rank(self, i: int, j: int) -> int:
-        """r_{i,j}(w) = #{k <= i : w(k) <= j}."""
-        if not (1 <= i <= len(self) and 1 <= j <= len(self)):
-            raise ValueError(f"indices out of range: ({i}, {j})")
-        return sum(1 for v in self[:i] if v <= j)
-
     def times_simple(self, i: int) -> "Perm":
         """w * s_i: swap positions i, i+1 (1-based i < n)."""
         w = list(self)

@@ -294,6 +294,29 @@ def test_check_all_above_every_bound_exits_2(capsys):
     assert out.err.startswith("error: --n") and out.err.count("\n") == 1
 
 
+# a valid invocation of each command without a LaTeX form
+WITHOUT_LATEX = [
+    ["kl", "--w", "321"],
+    ["cprime", "--w", "321"],
+    ["smooth-reduce", "--w", "321"],
+    ["moment-graph", "--w", "321"],
+    ["modular", "--w", "231", "--s", "1"],
+    ["decompose", "--w", "4231"],
+    ["counterexample", "--m", "2,3,3"],
+    ["check", "--name", "mn", "--n", "3"],
+    ["hessenberg", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", WITHOUT_LATEX, ids=" ".join)
+def test_latex_refused_without_a_latex_form(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+    code = main(["--no-cache", "--format", "latex", *argv])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("max_n", ["0", "-1"])
 def test_decompose_max_n_below_one_rejected(capsys, max_n):
     with pytest.raises(SystemExit) as exc:

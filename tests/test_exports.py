@@ -85,8 +85,6 @@ UNNAMED_IN_SRC = {
     "permutations.Perm.is_codominant": "test reference for the codominant "
                                        "decompositions",
     "permutations.Perm.lower_covers": "bench/tracer.py wraps it",
-    "permutations.Perm.rank": "public export: the rank function r_w(i, j) "
-                              "of the exported Perm",
 }
 
 

@@ -22,7 +22,8 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 PROBE = """
 import contextlib, io, json, sys
 from heckelab.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.startswith("heckelab.")
@@ -43,11 +44,12 @@ def python(*argv) -> str:
     return proc.stdout
 
 
-def loaded(*argv) -> set:
+def loaded(*argv, code=0) -> set:
     """The heckelab modules, and dataclasses, inspect, fractions and decimal
-    if loaded, that main(argv) leaves in sys.modules."""
-    code, modules = json.loads(python("-c", PROBE, "--no-cache", *argv))
-    assert code == 0, argv
+    if loaded, that main(argv) leaves in sys.modules; main must return
+    code."""
+    got, modules = json.loads(python("-c", PROBE, "--no-cache", *argv))
+    assert got == code, argv
     return set(modules)
 
 
@@ -85,6 +87,13 @@ def test_counterexample_loads_no_kl_or_character_layer():
     assert modules & {"heckelab.hecke", "heckelab.characters",
                       "heckelab.lab"} == set()
     assert modules & {"dataclasses", "inspect"} == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--name", "all", "--n", "6"], ["kl", "--w", "321"]],
+    ids=" ".join)
+def test_latex_refused_before_any_layer_loads(argv):
+    assert loaded("--format", "latex", *argv, code=2) & LAYERS == set()
 
 
 def test_check_loads_no_dataclasses():

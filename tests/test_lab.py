@@ -10,7 +10,7 @@ from heckelab.characters import frobenius_cprime
 from heckelab.cli import main
 from heckelab.csf import csf, csf_batch, csf_index, csf_key, edge_count
 from heckelab.hecke import KLRowStore, row_store
-from heckelab.lab import (MomentGraph, PreconditionError, _check_kl_selfdual,
+from heckelab.lab import (CHECKS, MomentGraph, PreconditionError, Report,
                           check_suite, counterexample_search,
                           decompose_codominant, modular_relation,
                           modular_triples, moment_graph, smooth_perms,
@@ -189,7 +189,7 @@ def test_kl_selfdual_reports_a_perturbed_kl_polynomial(monkeypatch):
     _add_to_stored_value(store, w, Perm.identity(4), 1)
     monkeypatch.setitem(importlib.import_module("heckelab.hecke")._stores,
                         4, store)
-    rep = _check_kl_selfdual(4)
+    (rep,) = check_suite(4, ["kl-selfdual"])
     assert rep.status == "fail"
     assert "inversion formula at x = 1234, w = 3412: sum = 1" in rep.witnesses
     assert not any("deg" in witness for witness in rep.witnesses)
@@ -207,7 +207,7 @@ def test_kl_selfdual_reports_a_kl_polynomial_of_too_high_degree(monkeypatch):
     _add_to_stored_value(store, w, Perm.identity(4), 1 << 2 * store._width)
     monkeypatch.setitem(importlib.import_module("heckelab.hecke")._stores,
                         4, store)
-    rep = _check_kl_selfdual(4)
+    (rep,) = check_suite(4, ["kl-selfdual"])
     assert rep.status == "fail"
     assert "deg P[1234,3412] too big" in rep.witnesses
 
@@ -519,6 +519,29 @@ def test_check_suite_unknown_name():
         check_suite(3, ["nope"])
     with pytest.raises(ValueError):
         check_suite(9, ["hpos"])
+
+
+def test_check_suite_reports_what_the_registered_check_returns(monkeypatch):
+    # CHECKS is read at call time, names are checked before any check runs,
+    # and a check with a witness fails
+    def unexpected(n):
+        raise AssertionError("a check ran before the names were checked")
+
+    monkeypatch.setitem(CHECKS, "mn", unexpected)
+    with pytest.raises(ValueError):
+        check_suite(3, ["mn", "nope"])
+    monkeypatch.setitem(CHECKS, "mn", lambda n: (["x"], f"rank {n}"))
+    assert check_suite(3, ["mn"]) == [Report("mn", 3, "fail", ["x"],
+                                             "rank 3")]
+
+
+def test_every_check_has_a_perturbation_test():
+    # a check that no test has seen fail could pass whatever it computes
+    tests = [name for name in globals() if name.startswith("test_")]
+    for check in CHECKS:
+        prefix = "test_" + check.replace("-", "_")
+        assert any(name.startswith(prefix) and "_reports_" in name
+                   for name in tests), check
 
 
 def test_report_json():

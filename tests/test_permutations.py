@@ -103,20 +103,6 @@ def test_length_times_simple():
             assert abs(w.times_simple(i).length() - w.length()) == 1
 
 
-def test_rank():
-    e = Perm.identity(4)
-    for i in range(1, 5):
-        for j in range(1, 5):
-            assert e.rank(i, j) == min(i, j)
-    w = parse_perm("3142")
-    assert w.rank(2, 1) == 1
-    assert w.rank(2, 3) == 2
-    with pytest.raises(ValueError):
-        w.rank(0, 2)
-    with pytest.raises(ValueError):
-        w.rank(1, 5)
-
-
 def test_bruhat_examples():
     assert bruhat_leq(Perm.identity(4), parse_perm("4321"))
     assert bruhat_leq(parse_perm("2134"), parse_perm("2314"))
