@@ -58,6 +58,20 @@ def test_moment_graph():
                 moment_graph(w, use_hessenberg=False)
 
 
+# sha256 of the JSON list of sorted(moment_graph(w).transpositions) for every
+# w of S_1, ..., S_6 in all_perms order, recorded when smooth w took their
+# edges from hessenberg_edges and singular w from transpositions_below
+MOMENT_GRAPHS_S6_SHA256 = \
+    "e84b752720e33798bc654bb23fc44bbe548dadebc228e843c5228c1cad0989f8"
+
+
+def test_moment_graphs_golden_digest():
+    graphs = [sorted(moment_graph(w).transpositions)
+              for n in range(1, 7) for w in all_perms(n)]
+    assert hashlib.sha256(json.dumps(graphs).encode()).hexdigest() == \
+        MOMENT_GRAPHS_S6_SHA256
+
+
 def test_modular_relation_examples():
     rel = modular_relation(Perm((2, 3, 1)), 1)
     assert rel.case == "smooth" and rel.z == Perm((2, 1, 3))
@@ -381,6 +395,21 @@ def test_counterexample_matches_the_whole_batch_scan(monkeypatch):
     found = [[_pair(counterexample_search(m1)) for m1 in ms] for ms in ranks]
     assert csf_module._batches == {}
     assert found == [[_scan_whole_batch(m1) for m1 in ms] for ms in ranks]
+
+
+# sha256 of the JSON list of [m1, counterexample_search(m1),
+# counterexample_search(m1, csf_batch(n))] for every Hessenberg m1 of rank
+# n <= 6, recorded when the default and the general search were two loops
+COUNTEREXAMPLES_S6_SHA256 = \
+    "ffc7eefd2496c1c231fb43e805ad24c410375ebbbe1553fa796a8a39b1992bac"
+
+
+def test_counterexample_golden_digest():
+    rows = [[m1, counterexample_search(m1),
+             counterexample_search(m1, csf_batch(n))]
+            for n in range(1, 7) for m1 in enumerate_hessenberg(n)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        COUNTEREXAMPLES_S6_SHA256
 
 
 @pytest.mark.parametrize("m1", [(2, 6, 7, 7, 7, 7, 8, 8, 9),
