@@ -70,7 +70,7 @@ from itertools import chain
 from .hecke import _coset, _runs, row_store
 from .permutations import Perm, all_perms
 from .qpoly import (LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_pack,
-                    poly_shift, poly_trim, poly_unpack_balanced)
+                    poly_trim, poly_unpack_balanced)
 from .symfunc import (SymmetricFunction, _transition, murnaghan_nakayama,
                       partitions)
 
@@ -140,8 +140,8 @@ def _class_number(w: tuple) -> int:
         f_xs, f_sxs = class_poly(step[0]), class_poly(step[1])
         f = {}
         for mu in {**f_xs, **f_sxs}:
-            p = poly_add(poly_mul((-1, 1), f_xs.get(mu, ())),
-                         poly_shift(f_sxs.get(mu, ()), 1))
+            p = poly_add_scaled(poly_mul((-1, 1), f_xs.get(mu, ())),
+                                f_sxs.get(mu, ()), 1, 1)
             if p:
                 f[mu] = p
     c = len(_classes)

@@ -82,16 +82,14 @@ class IndifferenceGraph(NamedTuple):
     n: int
     edges: frozenset
 
-    @classmethod
-    def from_hessenberg(cls, m) -> "IndifferenceGraph":
-        m = tuple(m)
-        if not is_hessenberg(m):
-            raise ValueError(f"not a Hessenberg function: {m}")
-        return cls(len(m), hessenberg_edges(m))
-
 
 def indifference_graph(m) -> IndifferenceGraph:
-    return IndifferenceGraph.from_hessenberg(m)
+    """The indifference graph G_m of the Hessenberg function m: vertices
+    1..n and the edges {i, j}, i < j <= m(i)."""
+    m = tuple(m)
+    if not is_hessenberg(m):
+        raise ValueError(f"not a Hessenberg function: {m}")
+    return IndifferenceGraph(len(m), hessenberg_edges(m))
 
 
 def edge_count(m) -> int:
@@ -365,20 +363,21 @@ class CounterexampleResult(NamedTuple):
 
 def counterexample_search(m1, batch: dict | None = None
                           ) -> CounterexampleResult | None:
-    """Search for (m0, m2) with (1+q) csf(G_m1) = csf(G_m2) + q csf(G_m0).
+    """Search for (m0, m2) with (1+q) csf(G_m1) = q^a csf(G_m0) + csf(G_m2):
+    for each shift a in turn and each m0 in turn, the residual
+    (1+q) csf(m1) - q^a csf(m0) is looked up among the candidates for m2.
 
-    With no batch the search fixes edge counts E(m0) = E(m1) - 1 and
-    E(m2) = E(m1) + 1 (the lengths any character-level solution must have,
-    since P_{e,w} = 1 + q pins the length gaps), so it computes the csf of
-    m1 and of the functions with E(m1) - 1 or E(m1) + 1 edges only, in one
-    memo and in lexicographic order; it neither reads nor fills the batch
-    of the rank, in memory or on disk.
-    Given the batch of m1's rank (csf_batch), the equation
-    (1+q) csf(m1) = q^a csf(m0) + csf(m2) is scanned over it for every a in
-    0..E(m1)+1 with no length filter.  At a = 1 every m0 with
-    csf(m0) = csf(m1), as m1 and its reversal (csf_q is reversal-invariant;
-    Shareshian & Wachs, Adv. Math. 295 (2016)), is skipped: it gives the
-    trivial csf(m2) = csf(m1), which the character equation does not admit.
+    With no batch, a = 1 only, m0 has E(m1) - 1 edges and m2 has E(m1) + 1
+    (the lengths any character-level solution must have, since
+    P_{e,w} = 1 + q pins the length gaps), so the search computes the csf
+    of m1 and of the functions with E(m1) - 1 or E(m1) + 1 edges only, in
+    one memo and in lexicographic order; it neither reads nor fills the
+    batch of the rank, in memory or on disk.  Given the batch of m1's rank
+    (csf_batch), a runs over 0..E(m1)+1 and m0 and m2 over the whole batch.
+    In both, at a = 1 every m0 with csf(m0) = csf(m1), as m1 and its
+    reversal (csf_q is reversal-invariant; Shareshian & Wachs, Adv. Math.
+    295 (2016)), is skipped: it gives the trivial csf(m2) = csf(m1), which
+    the character equation does not admit.
 
     Returns the first solution in scan order, or None (NotFound).
     """
@@ -386,37 +385,25 @@ def counterexample_search(m1, batch: dict | None = None
     if not is_hessenberg(m1):
         raise ValueError(f"not a Hessenberg function: {m1}")
     e1 = edge_count(m1)
-    general = batch is not None
-    if not general:
+    if batch is None:
         batch = _csf_coeffs([m for m in enumerate_hessenberg(len(m1))
                              if m == m1 or abs(edge_count(m) - e1) == 1])
-    target = {lam: poly_mul((1, 1), p) for lam, p in batch[m1].items()}
-
-    def residual_key(m0_coeffs, a):
-        out = {}
-        for lam in set(target) | set(m0_coeffs):
-            diff = poly_add_scaled(target.get(lam, ()),
-                                   m0_coeffs.get(lam, ()), -1, a)
-            if diff:
-                out[lam] = diff
-        return csf_key(out)
-
-    if not general:
-        index = csf_index({m: coeffs for m, coeffs in batch.items()
+        lows = {m: c for m, c in batch.items() if edge_count(m) == e1 - 1}
+        index = csf_index({m: c for m, c in batch.items()
                            if edge_count(m) == e1 + 1})
-        for m0, coeffs in batch.items():
-            if edge_count(m0) == e1 - 1:
-                hits = index.get(residual_key(coeffs, 1))
-                if hits:
-                    return CounterexampleResult(m0, hits[0], 1)
-        return None
-
-    index = csf_index(batch)
-    for a in range(0, e1 + 2):
-        for m0, coeffs in batch.items():
-            if a == 1 and coeffs == batch[m1]:
+        shifts = (1,)
+    else:
+        lows, index, shifts = batch, csf_index(batch), range(e1 + 2)
+    mid = batch[m1]
+    target = {lam: poly_mul((1, 1), p) for lam, p in mid.items()}
+    for a in shifts:
+        for m0, coeffs in lows.items():
+            if a == 1 and coeffs == mid:
                 continue
-            hits = index.get(residual_key(coeffs, a))
+            hits = index.get(csf_key(
+                {lam: poly_add_scaled(target.get(lam, ()), coeffs.get(lam, ()),
+                                      -1, a)
+                 for lam in target.keys() | coeffs.keys()}))
             if hits:
                 return CounterexampleResult(m0, hits[0], a)
     return None

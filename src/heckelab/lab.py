@@ -55,16 +55,11 @@ class MomentGraph(NamedTuple):
     transpositions: frozenset
 
 
-def moment_graph(w: Perm, use_hessenberg: bool | None = None) -> MomentGraph:
-    """Transpositions t <= w; fast path {(i,j): j <= m_w(i)} for smooth w,
-    slow path by the rank criterion (``transpositions_below``) for any w."""
-    if use_hessenberg is None:
-        use_hessenberg = w.is_smooth()
-    if use_hessenberg:
-        ts = hessenberg_edges(hessenberg_of_smooth(w))
-    else:
-        ts = transpositions_below(w)
-    return MomentGraph(len(w), ts)
+def moment_graph(w: Perm) -> MomentGraph:
+    """The transpositions t <= w in Bruhat order, by the prefix-maxima
+    criterion (``transpositions_below``), for any w.  For smooth w they are
+    the (i, j) with j <= m_w(i) (Lemma 2.2), which the lemma22 check tests."""
+    return MomentGraph(len(w), transpositions_below(w))
 
 
 # -- the modular relation ----------------------------------------------------
@@ -395,8 +390,8 @@ def _check_momentgraph(n: int) -> tuple:
         count += 1
         wr = smooth_reduce(w)
         if wr not in reduced:
-            reduced[wr] = moment_graph(wr, use_hessenberg=False)
-        if moment_graph(w, use_hessenberg=False) != reduced[wr]:
+            reduced[wr] = moment_graph(wr)
+        if moment_graph(w) != reduced[wr]:
             witnesses.append(perm_to_str(w))
     return witnesses, ("brute-force moment graphs agree for all "
                        f"{count} smooth w")
@@ -497,13 +492,20 @@ CHECK_BOUNDS = {
 
 
 def check_suite(n: int, which=None) -> list[Report]:
-    """Run the named checks (default: those whose bound is at least n);
-    ValueError, before any check runs, for an unknown name or a rank
-    outside a check's bounds.  A check passes when it finds no witness."""
+    """Run the named checks (default: those whose bound is at least n) and
+    return one Report per check; a check passes when it finds no witness.
+    Raises ValueError, before any check runs, for n < 1, for an unknown
+    name, for a rank above a named check's bound, and, with no names, when
+    no check's bound reaches n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    names = ([name for name in CHECKS if n <= CHECK_BOUNDS[name]]
-             if which is None else list(which))
+    if which is None:
+        names = [name for name in CHECKS if n <= CHECK_BOUNDS[name]]
+        if not names:
+            raise ValueError(f"n must be at most {max(CHECK_BOUNDS.values())}"
+                             " for some check to run")
+    else:
+        names = list(which)
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; "

@@ -64,7 +64,7 @@ __all__ = [
     "Perm", "NotSmoothError",
     "bruhat_leq", "coessential_set", "hessenberg_of_smooth",
     "codominant_of_hessenberg", "transpositions_below",
-    "is_hessenberg", "hessenberg_edges", "enumerate_hessenberg", "catalan",
+    "is_hessenberg", "hessenberg_edges", "enumerate_hessenberg",
     "all_perms", "smooth_perms", "simple_reflection",
     "parse_perm", "perm_to_str", "parse_hessenberg", "hessenberg_to_str",
 ]
@@ -437,11 +437,6 @@ def enumerate_hessenberg(n: int) -> list[tuple[int, ...]]:
 
     build([])
     return out
-
-
-def catalan(n: int) -> int:
-    from math import comb
-    return comb(2 * n, n) // (n + 1)
 
 
 def all_perms(n: int):

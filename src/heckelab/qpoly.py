@@ -115,13 +115,6 @@ def poly_mul(a: tuple, b: tuple) -> tuple:
     return poly_trim(c)
 
 
-def poly_shift(a: tuple, k: int) -> tuple:
-    """a * q^k (k >= 0)."""
-    if not a:
-        return ()
-    return (0,) * k + a
-
-
 def poly_add_scaled(a: tuple, b: tuple, c: int, k: int) -> tuple:
     """a + c * q^k * b (k >= 0)."""
     out = list(a) + [0] * max(0, k + len(b) - len(a))

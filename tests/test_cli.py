@@ -291,7 +291,8 @@ def test_check_all_above_every_bound_exits_2(capsys):
     code = main(["--no-cache", "check", "--name", "all", "--n", "10"])
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
-    assert out.err.startswith("error: --n") and out.err.count("\n") == 1
+    assert out.err.startswith("error: n must be at most 9") and \
+        out.err.count("\n") == 1
 
 
 # a valid invocation of each command without a LaTeX form

@@ -17,7 +17,8 @@ from heckelab.lab import (CHECKS, MomentGraph, PreconditionError, Report,
                           smooth_reduce, verify_decomposition)
 from heckelab.permutations import (NotSmoothError, Perm, all_perms,
                                    codominant_of_hessenberg,
-                                   enumerate_hessenberg, hessenberg_to_str,
+                                   enumerate_hessenberg, hessenberg_edges,
+                                   hessenberg_of_smooth, hessenberg_to_str,
                                    parse_perm, perm_to_str)
 from heckelab.qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul
 from heckelab.symfunc import partitions
@@ -51,11 +52,10 @@ def test_moment_graph():
     assert moment_graph(Perm((2, 1))) == MomentGraph(2, frozenset({(1, 2)}))
     assert moment_graph(Perm.identity(3)).transpositions == frozenset()
     assert moment_graph(parse_perm("3142")) == moment_graph(parse_perm("2341"))
-    # fast and slow paths agree on smooth permutations
-    for w in all_perms(4):
-        if w.is_smooth():
-            assert moment_graph(w, use_hessenberg=True) == \
-                moment_graph(w, use_hessenberg=False)
+    # Lemma 2.2: below smooth w lie exactly the (i, j) with j <= m_w(i)
+    for w in smooth_perms(5):
+        assert moment_graph(w).transpositions == \
+            hessenberg_edges(hessenberg_of_smooth(w))
 
 
 # sha256 of the JSON list of sorted(moment_graph(w).transpositions) for every
@@ -548,6 +548,12 @@ def test_check_suite_unknown_name():
         check_suite(3, ["nope"])
     with pytest.raises(ValueError):
         check_suite(9, ["hpos"])
+
+
+def test_check_suite_refuses_a_rank_no_check_reaches():
+    # running no check must not read as a pass
+    with pytest.raises(ValueError, match="n must be at most 9"):
+        check_suite(10)
 
 
 def test_check_suite_reports_what_the_registered_check_returns(monkeypatch):

@@ -1,12 +1,13 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab import permutations
 from heckelab.permutations import (NotSmoothError, Perm, all_perms, bruhat_leq,
-                                   catalan, codominant_of_hessenberg,
+                                   codominant_of_hessenberg,
                                    coessential_set, enumerate_hessenberg,
                                    hessenberg_edges, hessenberg_of_smooth,
                                    is_hessenberg,
@@ -359,7 +360,7 @@ def test_enumerate_hessenberg():
     assert len(enumerate_hessenberg(8)) == 1430
     for n in range(1, 11):
         ms = enumerate_hessenberg(n)
-        assert len(ms) == catalan(n)
+        assert len(ms) == comb(2 * n, n) // (n + 1)  # Catalan(n)
         assert ms == sorted(ms)
         assert all(is_hessenberg(m) for m in ms)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from heckelab.qpoly import (LaurentQ, poly_add, poly_add_scaled, poly_mul,
-                            poly_shape, poly_shift, poly_trim)
+                            poly_shape, poly_trim)
 from hecke_oracle import Laurent
 
 # the reference arithmetic of the tests, in q^(1/2)
@@ -122,12 +122,6 @@ def test_poly_add_scaled_matches_laurent(a, b, c, k):
 @given(polys, polys)
 def test_poly_mul_matches_laurent(a, b):
     assert as_laurent(poly_mul(a, b)) == as_laurent(a) * as_laurent(b)
-
-
-@seeded
-@given(polys, shifts)
-def test_poly_shift_matches_laurent(a, k):
-    assert as_laurent(poly_shift(a, k)) == as_laurent(a) * Laurent.q(k)
 
 
 @seeded
