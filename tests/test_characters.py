@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from heckelab.characters import (MAX_CHARACTER_N, _coxeter_h,
                                  _frobenius_coeffs, chi, character_table,
                                  cycle_type, frobenius_cprime, min_class_rep,
                                  murnaghan_nakayama)
-from heckelab import hecke
+from heckelab import characters, hecke
 from heckelab.hecke import KLRowStore, row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
 from heckelab.qpoly import (LaurentQ, poly_add, poly_mul, poly_pack,
@@ -189,6 +190,65 @@ def test_frobenius_of_the_row_with_the_largest_t(monkeypatch, w):
         if acc:
             want[lam] = acc
     assert _frobenius_coeffs(w) == want
+
+
+# sha256 over n = 1..6 of repr(character_table(n)), then repr of
+# _frobenius_coeffs(w) for every w of S_n in all_perms order: every
+# character value and every ch(B_w) of S_6 and below, recorded from the
+# tuple sums over class polynomials that the packed kernel replaced
+CHARACTERS6_SHA256 = \
+    "1bfc0ae8956bd7ff997442319ce9f98a0644baaa5b6c3f1fdabfeeb454291269"
+
+
+def test_characters_of_rank_at_most_6_golden_digest():
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        digest.update(repr(character_table(n)).encode())
+        for w in all_perms(n):
+            digest.update(repr(_frobenius_coeffs(w)).encode())
+    assert digest.hexdigest() == CHARACTERS6_SHA256
+
+
+def asymmetric_orbits(n):
+    """The least element of each orbit {w, w^-1, w0 w w0, w0 w^-1 w0} of
+    S_n on which _frobenius_coeffs is not constant."""
+    w0, seen, bad = Perm(range(n, 0, -1)), set(), []
+    for w in all_perms(n):
+        if w not in seen:
+            orbit = {w, w.inverse(), w0 * w * w0, w0 * w.inverse() * w0}
+            seen |= orbit
+            if len({repr(_frobenius_coeffs(x)) for x in orbit}) > 1:
+                bad.append(min(orbit))
+    return bad
+
+
+def test_frobenius_is_constant_on_the_orbits_of_inversion_and_w0():
+    # P_{z,w} = P_{z^-1,w^-1} = P_{w0 z w0,w0 w w0}, and every character
+    # takes the same value at T_z, T_{z^-1} and T_{w0 z w0}; 295 orbits
+    assert all(asymmetric_orbits(n) == [] for n in range(1, 7))
+
+
+def test_a_perturbed_class_breaks_the_orbit_symmetry():
+    # the cyclic-shift class of 354612, the least of its orbit, does not
+    # hold its inverse 641253, so a changed class polynomial there breaks
+    # ch(B_w) = ch(B_{w^-1})
+    w = parse_perm("354612")
+    for z in all_perms(6):  # number every class of S_6 before the change
+        characters._class_number(tuple(z))
+    c = characters._class_number(tuple(w))
+    assert characters._class_number(tuple(w.inverse())) != c
+    kept = characters._classes[c]
+    caches = (characters._class_bound, characters._wide_class)
+    try:
+        characters._classes[c] = {**kept, (6,): poly_add(kept[(6,)], (1,))}
+        for cache in caches:
+            cache.cache_clear()
+        assert w in asymmetric_orbits(6)
+    finally:
+        characters._classes[c] = kept
+        for cache in caches:
+            cache.cache_clear()
+    assert asymmetric_orbits(6) == []
 
 
 @pytest.mark.parametrize("width", [2, 3, 17])
