@@ -1,7 +1,7 @@
 """
-Irreducible characters of the Hecke algebra of S_n, from Geck-Pfeiffer
-class polynomials and Ram's values on minimal class representatives, and
-the Frobenius character map into symmetric functions.
+Irreducible characters of the Hecke algebra of S_n and the Frobenius
+character map into symmetric functions, both from one kernel: sums of
+Geck-Pfeiffer class polynomials times Ram's values.
 
 chi^lambda(T_w) is reduced to minimal-length class representatives
 (Geck & Pfeiffer, Adv. Math. 102 (1993); also their book "Characters of
@@ -26,15 +26,16 @@ formula (Ram, Invent. Math. 106 (1991)) gives
 The product is taken in the h basis, where it is partition concatenation,
 and converted to the s basis once per mu.
 
-The Frobenius character of B_w = q^(l(w)/2) C'_w = sum_{z<=w} P_{z,w} T_z
-is summed per cyclic-shift class c first, since f_z depends only on the
-class of z, and mapped to the s basis once:
+The one kernel, `_characters`, turns a polynomial S_c on each cyclic-shift
+class c into sum_c S_c chi^lambda(T_c) for every lambda at once:
 
-    S_c = sum_{z <= w in c} P_{z,w},
-    F_{w,mu} = sum_c S_c f_{c,mu},
-    ch(B_w) = sum_lambda (sum_mu F_{w,mu} V_{mu,lambda}) s_lambda,
+    F_mu = sum_c S_c f_{c,mu},    chi^lambda = sum_mu F_mu V_{mu,lambda},
 
 with V_{mu,lambda} = chi^lambda(T_{w_mu}); no character table is built.
+The single class of w with S = 1 gives every chi^lambda(T_w) (`chi`).  The
+KL row of w gives ch(B_w), B_w = q^(l(w)/2) C'_w = sum_{z<=w} P_{z,w} T_z,
+with S_c = sum_{z <= w in c} P_{z,w}, as f_z depends only on the class of z.
+
 heckelab.hecke stores a row once per double coset W_I z W_J, I = D_L(w)
 and J = D_R(w), on which P_{z,w} is constant.  Each double coset is read
 as its right cosets z W_J, whose class counts are computed once per
@@ -46,20 +47,20 @@ operation.  Evaluation at q = 2^W is a ring homomorphism, so the packed
 sums are exact whatever the signs of f and V, and only the final decode
 needs a bound.  A polynomial whose coefficients all lie in
 (-2^(W-1), 2^(W-1)) is read back from its value at 2^W as balanced
-base-2^W digits.  Every coefficient of sum_mu F_{w,mu} V_{mu,lambda} is at
+base-2^W digits.  Every coefficient of sum_mu F_mu V_{mu,lambda} is at
 most its l1 norm |.|, and
 
     sum_{c,mu} |S_c| |f_{c,mu}| |V_{mu,lambda}| <= sum_c |S_c| A_c <= T A,
 
 with A_c = sum_mu |f_{c,mu}| max_lambda |V_{mu,lambda}| and A its largest
-value over the classes c of the row, and T = sum_z P_{z,w}(1), which is
-sum_c |S_c| because KL polynomials are nonnegative.  So each row is
-packed at the least multiple W of 8 with 2^(W-1) > T A; rows of about
-the same T A share W, and with it their packed class polynomials.
+value over the classes c of the input, and T = sum_c S_c(1) = sum_c |S_c|,
+as S_c is nonnegative: 1 for a class, sum_z P_{z,w}(1) for a row.  So each
+input is packed at the least multiple W of 8 with 2^(W-1) > T A; inputs of
+about the same T A share W, and with it their packed class polynomials.
 
-Two independent oracles check this: the q-deformed Young seminormal form,
-evaluated at integer points and interpolated, in tests/seminormal_oracle.py,
-and, at q := 1, the classical Murnaghan-Nakayama rule of heckelab.symfunc.
+Two independent oracles check the kernel through chi: the q-deformed
+Young seminormal form of tests/seminormal_oracle.py, evaluated at integer
+points and interpolated, and the Murnaghan-Nakayama rule at q := 1.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from .symfunc import (SymmetricFunction, _transition, murnaghan_nakayama,
 
 __all__ = [
     "chi", "frobenius_cprime",
-    "character_table", "class_poly", "murnaghan_nakayama", "min_class_rep",
+    "character_table", "murnaghan_nakayama", "min_class_rep",
     "cycle_type", "MAX_CHARACTER_N",
 ]
 
@@ -91,19 +92,9 @@ _class_of: dict = {}
 _classes: list = []
 
 
-def class_poly(w) -> dict:
-    """Class polynomials {mu: tuple poly} of w, a Perm or a plain tuple:
-    chi(T_w) = sum_mu f_mu(q) chi(T_{min_class_rep(mu)}) for every
-    character chi.
-
-    Computed once for the whole cyclic-shift class of w and memoised.
-    """
-    return _classes[_class_number(tuple(w))]
-
-
 def _class_number(w: tuple) -> int:
-    """The number of the cyclic-shift class of w, whose class polynomials
-    are computed and numbered when the class is first met."""
+    """The number c of the cyclic-shift class of w, whose class polynomials
+    _classes[c] = {mu: f_{w,mu}} are computed when the class is first met."""
     got = _class_of.get(w)
     if got is not None:
         return got
@@ -137,7 +128,7 @@ def _class_number(w: tuple) -> int:
     if step is None:
         f = {cycle_type(w): (1,)}
     else:
-        f_xs, f_sxs = class_poly(step[0]), class_poly(step[1])
+        f_xs, f_sxs = (_classes[_class_number(x)] for x in step)
         f = {}
         for mu in {**f_xs, **f_sxs}:
             p = poly_add_scaled(poly_mul((-1, 1), f_xs.get(mu, ())),
@@ -184,48 +175,6 @@ def _class_values(mu: tuple) -> dict:
         for lam, k in _transition("h", "s", sum(mu))[nu]:
             values[lam] = poly_add_scaled(values.get(lam, ()), p, k, 0)
     return {lam: v for lam, v in values.items() if v}
-
-
-def _chi_poly(lam: tuple, f: dict) -> tuple:
-    """sum_mu f_mu * chi^lambda(T_{w_mu}) for class polynomials f."""
-    acc = ()
-    for mu, p in f.items():
-        v = _class_values(mu).get(lam)
-        if v:
-            acc = poly_add(acc, poly_mul(p, v))
-    return acc
-
-
-def chi(lam, w: Perm) -> LaurentQ:
-    """chi^lambda(T_w), an integer polynomial in q of degree <= l(w).
-
-    Computed from the class polynomials of w and the values on minimal
-    class representatives (see the module docstring); the seminormal-form
-    oracle in tests/seminormal_oracle.py checks it independently.
-    """
-    lam = tuple(lam)
-    if lam not in partitions(len(w)):
-        raise ValueError(f"{lam} is not a partition of the rank {len(w)}")
-    return LaurentQ(_chi_poly(lam, class_poly(w)))
-
-
-def _check_rank(n: int) -> None:
-    if n > MAX_CHARACTER_N:
-        raise ValueError(
-            f"rank {n} is above the character cap {MAX_CHARACTER_N}")
-
-
-def character_table(n: int) -> dict:
-    """chi^lambda(T_w) for every lambda |- n and every w in S_n.
-
-    Returns {lambda: {w: tuple poly}}: the computation of chi swept over
-    S_n, each cyclic-shift class reduced once.  Nothing is memoised.
-    """
-    _check_rank(n)
-    perms = list(all_perms(n))
-    polys = [class_poly(w) for w in perms]
-    return {lam: {w: _chi_poly(lam, f) for w, f in zip(perms, polys)}
-            for lam in partitions(n)}
 
 
 @lru_cache(maxsize=None)
@@ -275,10 +224,78 @@ def _coset_classes(r: tuple, runs: tuple) -> tuple:
     return tuple(counts.items())
 
 
+def _characters(n: int, by_value: dict, polys: dict) -> dict:
+    """{lambda: sum_c S_c chi^lambda(T_c)} over lambda |- n, zero values
+    left out, with S_c = sum_p k P_p over by_value = {p: {class c: k}} and
+    polys = {p: coefficients of P_p >= 0} (see the module docstring): a KL
+    row gives ch(B_w), and {1: {c: 1}} with P_1 = 1 the characters of c."""
+    bound = (sum(sum(polys[p]) * sum(counts.values())  # T A
+                 for p, counts in by_value.items())
+             * max(map(_class_bound, chain.from_iterable(by_value.values()))))
+    width = (bound.bit_length() | 7) + 1  # 2^(width-1) > T A
+
+    sums = {}  # S_c(2^W) by class number
+    get = sums.get
+    for p, counts in by_value.items():
+        wp = poly_pack(polys[p], width)
+        for c, k in counts.items():
+            sums[c] = get(c, 0) + k * wp
+    parts = partitions(n)
+    f_w = [0] * len(parts)  # F_mu(2^W) by index of mu
+    for c, s in sums.items():
+        for i, f in _wide_class(c, width):
+            f_w[i] += s * f
+    chi_w = [0] * len(parts)  # chi^lambda(2^W) by index of lambda
+    for mu, f in zip(parts, f_w):
+        if f:
+            for j, v in _wide_values(mu, width):
+                chi_w[j] += f * v
+    return {lam: poly_unpack_balanced(x, width)
+            for lam, x in zip(parts, chi_w) if x}
+
+
+def _chi_all(w) -> dict:
+    """{lambda: chi^lambda(T_w)} over the nonzero values, for w a Perm or
+    a plain tuple: the kernel on the single class of w."""
+    return _characters(len(w), {1: {_class_number(tuple(w)): 1}}, {1: (1,)})
+
+
+def chi(lam, w: Perm) -> LaurentQ:
+    """chi^lambda(T_w), an integer polynomial in q of degree <= l(w).
+
+    Read from `_chi_all`, the kernel on the class of w (see the module
+    docstring); the seminormal-form oracle in tests/seminormal_oracle.py
+    checks it independently.
+    """
+    lam = tuple(lam)
+    if lam not in partitions(len(w)):
+        raise ValueError(f"{lam} is not a partition of the rank {len(w)}")
+    return LaurentQ(_chi_all(w).get(lam, ()))
+
+
+def _check_rank(n: int) -> None:
+    if n > MAX_CHARACTER_N:
+        raise ValueError(
+            f"rank {n} is above the character cap {MAX_CHARACTER_N}")
+
+
+def character_table(n: int) -> dict:
+    """chi^lambda(T_w) for every lambda |- n and every w in S_n.
+
+    Returns {lambda: {w: tuple poly}}: one `_chi_all` call per w, which
+    gives every lambda of w at once.  Nothing is memoised.
+    """
+    _check_rank(n)
+    perms = list(all_perms(n))
+    values = [_chi_all(w) for w in perms]
+    return {lam: {w: v.get(lam, ()) for w, v in zip(perms, values)}
+            for lam in partitions(n)}
+
+
 def _frobenius_coeffs(w: Perm) -> dict:
     """ch(B_w) = ch(q^(l(w)/2) C'_w) in the s basis as {lambda: tuple
-    poly}, zero coefficients left out, from the packed KL row of w by
-    class sums (see the module docstring).  Nothing is memoised here.
+    poly}, zero coefficients left out: the kernel on the packed KL row of w
+    (see the module docstring).  Nothing is memoised here.
     Raises ValueError above MAX_CHARACTER_N.
 
     >>> _frobenius_coeffs(Perm((3, 2, 1)))  # [3]_q! s_(3)
@@ -297,30 +314,7 @@ def _frobenius_coeffs(w: Perm) -> dict:
             counts = by_value[p] = {}
         for c, k in _coset_classes(r, runs):
             counts[c] = counts.get(c, 0) + k
-    polys = store._distinct(w, list)
-    bound = (sum(sum(polys[p]) * sum(counts.values())  # T A
-                 for p, counts in by_value.items())
-             * max(map(_class_bound, chain.from_iterable(by_value.values()))))
-    width = (bound.bit_length() | 7) + 1  # 2^(width-1) > T A
-
-    sums = {}  # S_c(2^W) by class number
-    get = sums.get
-    for p, counts in by_value.items():
-        wp = poly_pack(polys[p], width)
-        for c, k in counts.items():
-            sums[c] = get(c, 0) + k * wp
-    parts = partitions(n)
-    f_w = [0] * len(parts)  # F_{w,mu}(2^W) by index of mu
-    for c, s in sums.items():
-        for i, f in _wide_class(c, width):
-            f_w[i] += s * f
-    chi_w = [0] * len(parts)  # chi^lambda(B_w)(2^W) by index of lambda
-    for mu, f in zip(parts, f_w):
-        if f:
-            for j, v in _wide_values(mu, width):
-                chi_w[j] += f * v
-    return {lam: poly_unpack_balanced(x, width)
-            for lam, x in zip(parts, chi_w) if x}
+    return _characters(n, by_value, store._distinct(w, list))
 
 
 @lru_cache(maxsize=None)

@@ -264,12 +264,9 @@ def csf_oracle(m) -> SymmetricFunction:
 _batches: dict[int, dict] = {}
 
 
-def clear_batch_cache(n: int | None = None) -> None:
-    """Drop in-memory batches (all ranks, or one); disk files are kept."""
-    if n is None:
-        _batches.clear()
-    else:
-        _batches.pop(n, None)
+def clear_batch_cache(n: int) -> None:
+    """Drop the in-memory batch of rank n; disk files are kept."""
+    _batches.pop(n, None)
 
 
 def _batch_from_payload(n: int, ms: list, data):

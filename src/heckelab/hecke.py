@@ -616,12 +616,9 @@ class KLRowStore:
 _stores: dict[int, KLRowStore] = {}
 
 
-def reset_row_store(n: int | None = None) -> None:
-    """Drop the in-memory row store(s)."""
-    if n is None:
-        _stores.clear()
-    else:
-        _stores.pop(n, None)
+def reset_row_store(n: int) -> None:
+    """Drop the in-memory row store of S_n."""
+    _stores.pop(n, None)
 
 
 def row_store(n: int) -> KLRowStore:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .characters import (MAX_CHARACTER_N, _frobenius_coeffs, chi,
+from .characters import (MAX_CHARACTER_N, _chi_all, _frobenius_coeffs,
                          frobenius_cprime, min_class_rep, murnaghan_nakayama)
 from .csf import (CounterexampleResult, _oracle_coeffs, csf_batch,
                   counterexample_search)
@@ -30,6 +30,11 @@ __all__ = [
     "decompose_codominant", "verify_decomposition",
     "Report", "check_suite", "CHECKS", "smooth_perms",
 ]
+
+# the search nodes _positive_solve visits before it gives up, and the rank
+# up to which prop31 verifies the character identity of each relation
+_SOLVE_BUDGET = 200000
+_PROP31_VERIFY_LIMIT = 5
 
 
 class PreconditionError(ValueError):
@@ -218,7 +223,7 @@ def decompose_codominant(w: Perm, max_n: int = 6):
     return {u: LaurentQ(poly_mul(c, factor)) for u, c in coeffs.items()}
 
 
-def _positive_solve(target: SymmetricFunction, n: int, node_budget: int = 200000):
+def _positive_solve(target: SymmetricFunction, n: int):
     """Exact search for an N[q]-combination of codominant characters equal
     to the target, by leading-term peeling in the h-basis; returns
     {codominant: tuple polynomial} or None."""
@@ -228,7 +233,7 @@ def _positive_solve(target: SymmetricFunction, n: int, node_budget: int = 200000
         vec = frobenius_cprime(wm).convert("h").polys
         candidates.append((wm, vec, wm.length()))
 
-    budget = [node_budget]
+    budget = [_SOLVE_BUDGET]
 
     def leading(vec):
         deg = max((len(p) - 1 for p in vec.values()), default=-1)
@@ -349,7 +354,7 @@ def _check_hpos(n: int) -> tuple:
                        "permutations (conjecture-level)")
 
 
-def _check_prop31(n: int, verify_limit: int = 5) -> tuple:
+def _check_prop31(n: int) -> tuple:
     witnesses = []
     pairs = 0
     for w in smooth_perms(n):
@@ -358,12 +363,12 @@ def _check_prop31(n: int, verify_limit: int = 5) -> tuple:
             if w[i - 1] < w[i] and winv[i - 1] > winv[i]:
                 pairs += 1
                 try:
-                    modular_relation(w, i, verify_limit=verify_limit)
+                    modular_relation(w, i, verify_limit=_PROP31_VERIFY_LIMIT)
                 except InternalContradictionError as exc:
                     witnesses.append(str(exc))
     return witnesses, (f"dichotomy over {pairs} (smooth w, s) pairs with "
                        "sw<w<ws" + (", character identities verified exactly"
-                                    if n <= verify_limit else ""))
+                                    if n <= _PROP31_VERIFY_LIMIT else ""))
 
 
 def _check_thm15(n: int) -> tuple:
@@ -448,9 +453,9 @@ def _check_unimodal(n: int) -> tuple:
 def _check_mn(n: int) -> tuple:
     witnesses = []
     for mu in partitions(n):
-        w = min_class_rep(mu)
+        values = _chi_all(min_class_rep(mu))
         for lam in partitions(n):
-            if chi(lam, w).at_q1() != murnaghan_nakayama(lam, mu):
+            if sum(values.get(lam, ())) != murnaghan_nakayama(lam, mu):
                 witnesses.append({"lambda": list(lam), "class": list(mu)})
     return witnesses, ("q := 1 character table matches the "
                        "Murnaghan-Nakayama oracle on every (lambda, class)")

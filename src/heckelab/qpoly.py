@@ -18,8 +18,8 @@ which the API returns, compares, prints and serializes.
 >>> f = LaurentQ(square + (0,))
 >>> print(f)
 1 + 2*q + q^2
->>> f.at_q1(), f == square
-(4, True)
+>>> f == square
+True
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class LaurentQ(tuple):
         return super().__new__(cls, poly_trim([
             v if type(v) is int or v.denominator != 1 else int(v)
             for v in coeffs]))
-
-    def at_q1(self):
-        """Specialize q := 1."""
-        return sum(self)
 
     def _show(self, power: str, times: str) -> str:
         """The nonzero terms, lowest power first, joined by + and -: q^k

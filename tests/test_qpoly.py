@@ -74,11 +74,6 @@ def test_serialization_roundtrip():
     assert LaurentQ((0, -1, 0, 2)).latex() == "-q + 2q^{3}"
 
 
-def test_evaluate_and_specialize():
-    assert LaurentQ((1, 2, 0, 1)).at_q1() == 4
-    assert LaurentQ((-1, 1)).at_q1() == 0
-
-
 def test_equality_agrees_with_hashing():
     one = LaurentQ((1,))
     assert one != 1 and len({one, 1}) == 2
