@@ -70,7 +70,7 @@ from itertools import chain
 
 from .hecke import _coset, _runs, row_store
 from .permutations import Perm, all_perms
-from .qpoly import (LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_pack,
+from .qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
                     poly_trim, poly_unpack_balanced)
 from .symfunc import (SymmetricFunction, _transition, murnaghan_nakayama,
                       partitions)
@@ -168,7 +168,8 @@ def _class_values(mu: tuple) -> dict:
         for nu, p in prod.items():
             for rho, c in _coxeter_h(k):
                 key = tuple(sorted(nu + rho, reverse=True))
-                nxt[key] = poly_add(nxt.get(key, ()), poly_mul(p, c))
+                nxt[key] = poly_add_scaled(nxt.get(key, ()),
+                                           poly_mul(p, c), 1, 0)
         prod = nxt
     values = {}  # h_nu = sum_lambda K_{lambda,nu} s_lambda
     for nu, p in prod.items():

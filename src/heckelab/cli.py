@@ -20,7 +20,8 @@ polynomials and symmetric functions have a LaTeX form: ``chi``,
 ``decompose``, ``counterexample``, ``check``, ``hessenberg``) refuses
 --format latex with exit 2 before it computes anything.  ``kl`` and
 ``cprime`` lay out and stream the sorted KL row that heckelab.hecke
-exports through ``_row``.
+exports through ``_row``; without ``--z`` they refuse a w of rank above
+``MAX_ROW_N`` with exit 2 before any row is built.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ MAX_HESSENBERG_N = 12
 # 16 796 at n = 10, about 10 s and 140 MB; the default search computes only
 # those one edge from m1, at most 1 986 at n = 10, in about 2 s and 33 MB
 MAX_SEARCH_N = 10
+# kl without --z and cprime expand every z <= w: the row of w0 in S_10
+# has 3 628 800 entries, about 8 s and 1.1 GB; S_11 has 11 times as many
+MAX_ROW_N = 10
 
 
 class InputError(ValueError):
@@ -119,6 +123,9 @@ def _cmd_kl(args, fmt) -> int:
         p = kl_polynomial(z, w)
         _emit(fmt, str(p), {"polynomial": p.to_json()}, p.latex())
         return 0
+    if len(w) > MAX_ROW_N:
+        raise InputError(f"{args.command} expands the whole row of --w, "
+                         f"so its rank must be at most {MAX_ROW_N}")
     ws = perm_to_str(w)
     _emit(fmt, _row(w, "", "\n", "", lambda c: (
               "P[", f", {ws}] = {LaurentQ(c)}")),
@@ -132,6 +139,9 @@ def _cmd_kl(args, fmt) -> int:
 def _cmd_cprime(args, fmt) -> int:
     from .qpoly import LaurentQ
     w = _parsed(parse_perm, args.w)
+    if len(w) > MAX_ROW_N:
+        raise InputError(f"{args.command} expands the whole row of --w, "
+                         f"so its rank must be at most {MAX_ROW_N}")
     ws = perm_to_str(w)
     _emit(fmt, _row(w, f"q^({w.length()}/2)*C'[{ws}] = ", " + ", "",
                     lambda c: (f"({LaurentQ(c)})*T[", "]")),

@@ -264,11 +264,6 @@ def csf_oracle(m) -> SymmetricFunction:
 _batches: dict[int, dict] = {}
 
 
-def clear_batch_cache(n: int) -> None:
-    """Drop the in-memory batch of rank n; disk files are kept."""
-    _batches.pop(n, None)
-
-
 def _batch_from_payload(n: int, ms: list, data):
     """The batch held by a csf cache payload, or None unless the payload
     holds one entry {"m", "csf": {lambda |- n: int list}} per function."""

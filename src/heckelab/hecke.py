@@ -326,7 +326,7 @@ class KLRowStore:
     minimal element of each double coset W_I z W_J in [e, y], I = D_L(y)
     and J = D_R(y), to its packed P_{z,y} (see the module docstring);
     every key is interned with its length.  Reads expand the double cosets:
-    to a dict Perm -> int tuple by `row` (memoised), or as strings to the
+    to a dict Perm -> int tuple by `row`, or as strings to the
     sorted output of `export`, which the printers read; `polynomial` reads
     the one value at the double coset of z.
 
@@ -354,20 +354,15 @@ class KLRowStore:
         self._lengths: dict[tuple, int] = {}
         # each distinct packed polynomial, so equal values share one int
         self._polys: dict[int, int] = {}
-        self._rows: dict[Perm, dict] = {}
         e = tuple(range(1, n + 1))
         self._keys[e], self._lengths[e] = e, 0
         self._packed[e] = {e: 1}
 
     def row(self, y: Perm) -> dict:
-        """The full row {z: P_{z,y} as tuple} over z <= y (memoised)."""
-        got = self._rows.get(y)
-        if got is None:
-            polys, runs = self._distinct(y, tuple), _runs(y)
-            got = self._rows[y] = {_trusted(z): polys[p]
-                                   for _, r, p in self._cosets(y)
-                                   for _, z in _coset(r, runs)}
-        return got
+        """The full row {z: P_{z,y} as tuple} over z <= y."""
+        polys, runs = self._distinct(y, tuple), _runs(y)
+        return {_trusted(z): polys[p]
+                for _, r, p in self._cosets(y) for _, z in _coset(r, runs)}
 
     def polynomial(self, z: Perm, y: Perm) -> tuple:
         """P_{z,y} as a tuple polynomial, () unless z <= y: the one stored
@@ -614,11 +609,6 @@ class KLRowStore:
 
 
 _stores: dict[int, KLRowStore] = {}
-
-
-def reset_row_store(n: int) -> None:
-    """Drop the in-memory row store of S_n."""
-    _stores.pop(n, None)
 
 
 def row_store(n: int) -> KLRowStore:

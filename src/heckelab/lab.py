@@ -19,7 +19,7 @@ from .permutations import (Perm, _descending_covers, all_perms,
                            hessenberg_edges, hessenberg_of_smooth,
                            hessenberg_to_str, perm_to_str, smooth_perms,
                            transpositions_below)
-from .qpoly import LaurentQ, poly_add, poly_add_scaled, poly_mul, poly_shape
+from .qpoly import LaurentQ, poly_add_scaled, poly_mul, poly_shape
 from .symfunc import SymmetricFunction, omega, partitions, positivity
 
 __all__ = [
@@ -227,14 +227,6 @@ def _positive_solve(target: SymmetricFunction, n: int):
     """Exact search for an N[q]-combination of codominant characters equal
     to the target, by leading-term peeling in the h-basis; returns
     {codominant: tuple polynomial} or None."""
-    candidates = []
-    for m in enumerate_hessenberg(n):
-        wm = codominant_of_hessenberg(m)
-        vec = frobenius_cprime(wm).convert("h").polys
-        candidates.append((wm, vec, wm.length()))
-
-    budget = [_SOLVE_BUDGET]
-
     def leading(vec):
         deg = max((len(p) - 1 for p in vec.values()), default=-1)
         if deg < 0:
@@ -244,6 +236,14 @@ def _positive_solve(target: SymmetricFunction, n: int):
             if len(p) - 1 == deg:
                 return deg, lam
         return None
+
+    candidates = []  # (wm, its h-vector, l(wm), the vector's leading term)
+    for m in enumerate_hessenberg(n):
+        wm = codominant_of_hessenberg(m)
+        vec = frobenius_cprime(wm).convert("h").polys
+        candidates.append((wm, vec, wm.length(), leading(vec)))
+
+    budget = [_SOLVE_BUDGET]
 
     def subtract(vec, other, k, shift):
         out = dict(vec)
@@ -270,10 +270,9 @@ def _positive_solve(target: SymmetricFunction, n: int):
         if head < 0:
             return None
         for idx in range(min_index, len(candidates)):
-            wm, cvec, lw = candidates[idx]
+            wm, cvec, lw, clead = candidates[idx]
             if lw > deg:
                 continue
-            clead = leading(cvec)
             if clead is None or clead[0] != lw or clead[1] != lam:
                 continue
             chead = cvec[lam][lw]
@@ -296,7 +295,8 @@ def verify_decomposition(w: Perm, decomposition: dict) -> bool:
     total = {}
     for wi, c in decomposition.items():
         for lam, v in frobenius_cprime(wi).polys.items():
-            total[lam] = poly_add(total.get(lam, ()), poly_mul(v, c))
+            total[lam] = poly_add_scaled(total.get(lam, ()),
+                                         poly_mul(v, c), 1, 0)
     return {lam: p for lam, p in total.items() if p} == \
         frobenius_cprime(w).polys
 

@@ -1,7 +1,8 @@
 """
 Permutations of [n] = {1, ..., n} in one-line notation, with Bruhat order,
-pattern containment, coessential sets, and the dictionary between smooth
-permutations, Hessenberg functions and codominant permutations.
+the smoothness and codominance tests, coessential sets, and the dictionary
+between smooth permutations, Hessenberg functions and codominant
+permutations.
 
 Conventions, fixed once for the whole package:
 
@@ -65,7 +66,7 @@ __all__ = [
     "bruhat_leq", "coessential_set", "hessenberg_of_smooth",
     "codominant_of_hessenberg", "transpositions_below",
     "is_hessenberg", "hessenberg_edges", "enumerate_hessenberg",
-    "all_perms", "smooth_perms", "simple_reflection",
+    "all_perms", "smooth_perms",
     "parse_perm", "perm_to_str", "parse_hessenberg", "hessenberg_to_str",
 ]
 
@@ -83,10 +84,6 @@ class Perm(tuple):
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [{n}]: {word}")
         return super().__new__(cls, word)
-
-    @property
-    def n(self) -> int:
-        return len(self)
 
     def __call__(self, i: int) -> int:
         """w(i), 1-based."""
@@ -162,35 +159,6 @@ class Perm(tuple):
                     out.add(self.times_transposition(i + 1, j + 1))
         return out
 
-    # -- patterns ---------------------------------------------------------
-
-    def contains_pattern(self, pattern) -> bool:
-        """True iff some subsequence of w is order-isomorphic to pattern."""
-        p = tuple(pattern)
-        k, n = len(p), len(self)
-        if k > n:
-            return False
-        # DFS over increasing positions; prune on partial order-isomorphism
-        order = sorted(range(k), key=lambda t: p[t])
-        rank_of = {t: r for r, t in enumerate(order)}
-
-        def extend(chosen: list[int], start: int) -> bool:
-            t = len(chosen)
-            if t == k:
-                return True
-            for pos in range(start, n - (k - t) + 1):
-                v = self[pos]
-                ok = True
-                for t2, pos2 in enumerate(chosen):
-                    if (rank_of[t2] < rank_of[t]) != (self[pos2] < v):
-                        ok = False
-                        break
-                if ok and extend(chosen + [pos], pos + 1):
-                    return True
-            return False
-
-        return extend([], 0)
-
     def is_smooth(self) -> bool:
         """Avoids 3412 and 4231.  A lookup once ``smooth_perms`` has
         tabulated the rank; otherwise a scan that tabulates nothing."""
@@ -258,11 +226,6 @@ def _smooth_slots(w) -> list[int]:
         if highest[p] < least_top:
             slots.append(p)
     return slots
-
-
-def simple_reflection(i: int, n: int) -> Perm:
-    """s_i in S_n (swaps values/positions i, i+1 of the identity)."""
-    return Perm.identity(n).times_simple(i)
 
 
 def bruhat_leq(z: Perm, w: Perm) -> bool:

@@ -87,15 +87,6 @@ def poly_trim(c: list) -> tuple:
     return tuple(c)
 
 
-def poly_add(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    c = list(a)
-    for i, v in enumerate(b):
-        c[i] += v
-    return poly_trim(c)
-
-
 def poly_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()

@@ -201,7 +201,6 @@ def _kostka_matrix(n: int, inverse: bool) -> tuple:
     return tuple(map(tuple, inv))
 
 
-@lru_cache(maxsize=None)
 def _schur_matrix(basis: str, n: int, into: bool) -> tuple:
     """Integer matrix over partitions(n): row lam, column nu holds the
     coefficient of s_nu in basis_lam (into s) or of basis_nu in s_lam (out

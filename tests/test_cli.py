@@ -224,6 +224,29 @@ def test_csf_rank_capped(capsys):
     assert out.err.startswith("error: --m") and out.err.count("\n") == 1
 
 
+W0_S11 = ",".join(map(str, range(11, 0, -1)))
+
+
+@pytest.mark.parametrize("command", ["kl", "cprime"])
+def test_whole_row_rank_capped(capsys, monkeypatch, command):
+    # the row of w0 in S_11 has 39 916 800 entries; it is refused before
+    # any row is built
+    hecke = importlib.import_module("heckelab.hecke")
+    monkeypatch.setattr(hecke, "_stores", {})
+    for fmt in ("text", "json"):
+        code = main(["--no-cache", "--format", fmt, command, "--w", W0_S11])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err == f"error: {command} expands the whole row of --w, " \
+                          "so its rank must be at most 10\n"
+    assert hecke._stores == {}
+
+
+def test_single_kl_entry_has_no_rank_cap(capsys):
+    assert run(capsys, "kl", "--w", "2,1,3,4,5,6,7,8,9,10,11", "--z", "e") \
+        == (0, "1\n")
+
+
 def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
     _fresh_memos(monkeypatch)
     path = tmp_path / "f"
@@ -254,16 +277,16 @@ def test_csf_non_integer_m_exits_2(capsys, m):
 
 
 def test_determinism_and_cache(tmp_path, capsys):
-    from heckelab.hecke import reset_row_store
+    from heckelab.hecke import _stores
     cache_dir = str(tmp_path / "cache")
     outputs = []
     for _ in range(2):  # two runs from cold in-memory state
-        reset_row_store(4)
+        _stores.pop(4, None)
         code = main(["--cache-dir", cache_dir, "--format", "json",
                      "kl", "--w", "3412", "--z", "e"])
         assert code == 0
         outputs.append(capsys.readouterr().out)
-    reset_row_store(4)
+    _stores.pop(4, None)
     assert outputs[0] == outputs[1]
 
 

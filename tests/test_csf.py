@@ -169,8 +169,8 @@ BATCH7_SHA256 = \
 
 
 def test_batch7_golden_digest():
-    from heckelab.csf import clear_batch_cache
-    clear_batch_cache(7)
+    from heckelab.csf import _batches
+    _batches.pop(7, None)
     batch = csf_batch(7)
     assert len(batch) == 429
     canon = {hessenberg_to_str(m): {",".join(map(str, lam)): list(p)
@@ -187,10 +187,10 @@ BATCH8_SHA256 = \
 
 
 def test_batch8_golden_digest():
-    from heckelab.csf import clear_batch_cache
-    clear_batch_cache(8)
+    from heckelab.csf import _batches
+    _batches.pop(8, None)
     batch = csf_batch(8)
-    clear_batch_cache(8)
+    _batches.pop(8, None)
     assert len(batch) == 1430
     canon = {hessenberg_to_str(m): {",".join(map(str, lam)): list(p)
                                     for lam, p in coeffs.items()}
@@ -211,7 +211,7 @@ def test_single_csf_matches_batch6():
 
 def test_batch_and_index(tmp_path):
     from heckelab.cache import Cache
-    from heckelab.csf import clear_batch_cache
+    from heckelab.csf import _batches
     cache = Cache(str(tmp_path))
     batch = csf_batch(4, cache=cache)
     assert len(batch) == 14
@@ -220,7 +220,7 @@ def test_batch_and_index(tmp_path):
             lam: LaurentQ(p) for lam, p in coeffs.items()}) \
             == csf(m)
     # reload through the disk cache
-    clear_batch_cache(4)
+    _batches.pop(4, None)
     batch2 = csf_batch(4, cache=cache)
     assert batch2 == batch
     index = csf_index(batch2)
@@ -233,10 +233,10 @@ def test_batch_and_index(tmp_path):
 
 def test_batch_threads_small():
     # 42 functions at n = 5: two contiguous chunks of 21
-    from heckelab.csf import clear_batch_cache
-    clear_batch_cache(5)
+    from heckelab.csf import _batches
+    _batches.pop(5, None)
     parallel = csf_batch(5, threads=2)
-    clear_batch_cache(5)
+    _batches.pop(5, None)
     serial = csf_batch(5)
     assert len(serial) == 42
     assert parallel == serial
@@ -245,9 +245,9 @@ def test_batch_threads_small():
 def test_batch_threads_chunked_n6():
     # 132 functions in two chunks of 66, each with its own memo; the
     # merged batch keeps the lexicographic order of the serial one
-    from heckelab.csf import clear_batch_cache
-    clear_batch_cache(6)
+    from heckelab.csf import _batches
+    _batches.pop(6, None)
     parallel = csf_batch(6, threads=2)
-    clear_batch_cache(6)
+    _batches.pop(6, None)
     serial = csf_batch(6)
     assert list(parallel.items()) == list(serial.items())

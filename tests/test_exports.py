@@ -75,17 +75,12 @@ def test_unknown_name_is_an_attribute_error():
 
 # functions and methods that no code of heckelab names, each with its reason
 UNNAMED_IN_SRC = {
-    "csf.clear_batch_cache": "reset helper that tests call",
-    "hecke.reset_row_store": "reset helper that tests call",
-    "permutations.Perm.contains_pattern": "test reference for smoothness "
-                                          "and codominance",
     "permutations.Perm.descents": "test reference for the descent cosets",
     "permutations.Perm.reduced_word": "test reference for the T-basis and "
                                       "seminormal oracles",
     "permutations.Perm.is_codominant": "test reference for the codominant "
                                        "decompositions",
     "permutations.Perm.lower_covers": "bench/tracer.py wraps it",
-    "permutations.simple_reflection": "test helper: s_i of S_n as a Perm",
 }
 
 

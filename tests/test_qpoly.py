@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from heckelab.qpoly import (LaurentQ, poly_add, poly_add_scaled, poly_mul,
+from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul,
                             poly_shape, poly_trim)
 from hecke_oracle import Laurent
 
@@ -97,17 +97,12 @@ def as_laurent(a: tuple) -> Laurent:
 
 
 @seeded
-@given(polys, polys)
-def test_poly_add_matches_laurent(a, b):
-    assert as_laurent(poly_add(a, b)) == as_laurent(a) + as_laurent(b)
-
-
-@seeded
 @given(polys, polys, st.integers(-5, 5), shifts)
 @example((), (), -3, 2)
 @example((1, 2), (), -1, 4)
 @example((), (1, 2), -1, 2)
 @example((0, 0, 1), (1,), -1, 2)
+@example((1, -2, 3), (2, 2, -3), 1, 0)  # a + b, the plain sum
 def test_poly_add_scaled_matches_laurent(a, b, c, k):
     got = poly_add_scaled(a, b, c, k)
     assert as_laurent(got) == as_laurent(a) + c * Laurent.q(k) * as_laurent(b)
