@@ -77,14 +77,8 @@ from .symfunc import (SymmetricFunction, _transition, murnaghan_nakayama,
 
 __all__ = [
     "chi", "frobenius_cprime",
-    "character_table", "murnaghan_nakayama", "min_class_rep",
-    "cycle_type", "MAX_CHARACTER_N",
+    "character_table", "murnaghan_nakayama", "min_class_rep", "cycle_type",
 ]
-
-# the rank cap of ch(B_w) and of character tables, set by KL-row memory:
-# ch(B_w0) in S_8 builds 578 KL rows (2 368 stored double cosets) and
-# takes 0.7-0.8 s, and the process peaks at 31 MB (Python 3.11, one core)
-MAX_CHARACTER_N = 8
 
 # each cyclic-shift class met gets a number: the class number of each
 # permutation, and by number the class polynomials
@@ -274,19 +268,12 @@ def chi(lam, w: Perm) -> LaurentQ:
     return LaurentQ(_chi_all(w).get(lam, ()))
 
 
-def _check_rank(n: int) -> None:
-    if n > MAX_CHARACTER_N:
-        raise ValueError(
-            f"rank {n} is above the character cap {MAX_CHARACTER_N}")
-
-
 def character_table(n: int) -> dict:
     """chi^lambda(T_w) for every lambda |- n and every w in S_n.
 
     Returns {lambda: {w: tuple poly}}: one `_chi_all` call per w, which
     gives every lambda of w at once.  Nothing is memoised.
     """
-    _check_rank(n)
     perms = list(all_perms(n))
     values = [_chi_all(w) for w in perms]
     return {lam: {w: v.get(lam, ()) for w, v in zip(perms, values)}
@@ -297,13 +284,11 @@ def _frobenius_coeffs(w: Perm) -> dict:
     """ch(B_w) = ch(q^(l(w)/2) C'_w) in the s basis as {lambda: tuple
     poly}, zero coefficients left out: the kernel on the packed KL row of w
     (see the module docstring).  Nothing is memoised here.
-    Raises ValueError above MAX_CHARACTER_N.
 
     >>> _frobenius_coeffs(Perm((3, 2, 1)))  # [3]_q! s_(3)
     {(3,): (1, 2, 2, 1)}
     """
     n = len(w)
-    _check_rank(n)
     store = row_store(n)
     # the stored row: one packed P_{z,w} per double coset W_I z W_J,
     # I = D_L(w) and J = D_R(w), read as its right cosets r W_J
@@ -322,8 +307,7 @@ def _frobenius_coeffs(w: Perm) -> dict:
 def frobenius_cprime(w: Perm) -> SymmetricFunction:
     """ch(q^(l(w)/2) C'_w) as a symmetric function in the s basis: the
     packed kernel `_frobenius_coeffs`, memoised here and nowhere else; the
-    T-basis oracle in tests/hecke_oracle.py checks it term by term.
-    Raises ValueError above MAX_CHARACTER_N."""
+    T-basis oracle in tests/hecke_oracle.py checks it term by term."""
     return SymmetricFunction("s", len(w), _frobenius_coeffs(w))
 
 

@@ -20,8 +20,13 @@ polynomials and symmetric functions have a LaTeX form: ``chi``,
 ``decompose``, ``counterexample``, ``check``, ``hessenberg``) refuses
 --format latex with exit 2 before it computes anything.  ``kl`` and
 ``cprime`` lay out and stream the sorted KL row that heckelab.hecke
-exports through ``_row``; without ``--z`` they refuse a w of rank above
-``MAX_ROW_N`` with exit 2 before any row is built.
+exports through ``_row``.
+
+Every input limit lives here and refuses with exit 2 before anything is
+computed: ``MAX_ROW_N`` for ``kl`` without ``--z``, ``cprime``, ``ch`` (and
+``modular`` asserts its identity above it), ``MAX_KL_ENTRY_N`` for ``kl
+--z``, ``MAX_DECOMPOSE_N`` for ``decompose``, ``MAX_SEARCH_N`` for
+``counterexample``, ``MAX_HESSENBERG_N`` for ``hessenberg`` and ``csf``.
 """
 
 from __future__ import annotations
@@ -43,9 +48,16 @@ MAX_HESSENBERG_N = 12
 # 16 796 at n = 10, about 10 s and 140 MB; the default search computes only
 # those one edge from m1, at most 1 986 at n = 10, in about 2 s and 33 MB
 MAX_SEARCH_N = 10
-# kl without --z and cprime expand every z <= w: the row of w0 in S_10
-# has 3 628 800 entries, about 8 s and 1.1 GB; S_11 has 11 times as many
+# kl without --z, cprime, ch and modular expand every z <= w.  For w0 of
+# S_10 (3 628 800 z; S_11 has 11 times as many), cprime takes 8 s and 1.1 GB
+# and ch 80 s and 1.6 GB (5.9 s, 167 MB in S_9); modular --w
+# 9,10,8,7,6,5,4,3,2,1 --s 1 takes 81 s and 1.67 GB
 MAX_ROW_N = 10
+# kl --z builds every row of w's recursion: for w0 and z = e, 17.0 s and
+# 159 MB in S_12, 114.6 s and 664 MB in S_13 (about 6-7 times per rank)
+MAX_KL_ENTRY_N = 12
+# decompose's exact search computes all 1 430 codominant characters at 8
+MAX_DECOMPOSE_N = 8
 
 
 class InputError(ValueError):
@@ -58,6 +70,13 @@ def _parsed(parse, text: str, *args):
         return parse(text, *args)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _whole_row(args, w) -> None:
+    """Refuse a w above MAX_ROW_N for a command that expands its row."""
+    if len(w) > MAX_ROW_N:
+        raise InputError(f"{args.command} expands the whole row of --w, "
+                         f"so its rank must be at most {MAX_ROW_N}")
 
 
 def _parse_partition(text: str, n: int):
@@ -120,12 +139,12 @@ def _cmd_kl(args, fmt) -> int:
     if args.z is not None:
         from .hecke import kl_polynomial
         z = _parsed(parse_perm, args.z, len(w))
+        if len(w) > MAX_KL_ENTRY_N:
+            raise InputError(f"--w must have rank at most {MAX_KL_ENTRY_N}")
         p = kl_polynomial(z, w)
         _emit(fmt, str(p), {"polynomial": p.to_json()}, p.latex())
         return 0
-    if len(w) > MAX_ROW_N:
-        raise InputError(f"{args.command} expands the whole row of --w, "
-                         f"so its rank must be at most {MAX_ROW_N}")
+    _whole_row(args, w)
     ws = perm_to_str(w)
     _emit(fmt, _row(w, "", "\n", "", lambda c: (
               "P[", f", {ws}] = {LaurentQ(c)}")),
@@ -139,9 +158,7 @@ def _cmd_kl(args, fmt) -> int:
 def _cmd_cprime(args, fmt) -> int:
     from .qpoly import LaurentQ
     w = _parsed(parse_perm, args.w)
-    if len(w) > MAX_ROW_N:
-        raise InputError(f"{args.command} expands the whole row of --w, "
-                         f"so its rank must be at most {MAX_ROW_N}")
+    _whole_row(args, w)
     ws = perm_to_str(w)
     _emit(fmt, _row(w, f"q^({w.length()}/2)*C'[{ws}] = ", " + ", "",
                     lambda c: (f"({LaurentQ(c)})*T[", "]")),
@@ -167,10 +184,8 @@ def _cmd_chi(args, fmt) -> int:
 def _cmd_ch(args, fmt) -> int:
     from .characters import frobenius_cprime
     w = _parsed(parse_perm, args.w)
-    try:
-        f = frobenius_cprime(w).convert(args.basis)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    _whole_row(args, w)
+    f = frobenius_cprime(w).convert(args.basis)
     _emit(fmt, str(f), f.to_json(), f.latex())
     return 0
 
@@ -214,7 +229,7 @@ def _cmd_modular(args, fmt) -> int:
     if not 1 <= args.s <= len(w) - 1:
         raise InputError(f"--s must be in 1..{len(w) - 1}")
     try:
-        rel = modular_relation(w, args.s)
+        rel = modular_relation(w, args.s, len(w) <= MAX_ROW_N)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     lines = [f"case: {rel.case}", f"identity: {rel.identity()}"]
@@ -260,11 +275,10 @@ def _cmd_counterexample(args, fmt) -> int:
 
 
 def _cmd_decompose(args, fmt) -> int:
-    from .characters import MAX_CHARACTER_N
     from .lab import decompose_codominant
     w = _parsed(parse_perm, args.w)
-    if args.max_n > MAX_CHARACTER_N:
-        raise InputError(f"--max-n must be at most {MAX_CHARACTER_N}")
+    if args.max_n > MAX_DECOMPOSE_N:
+        raise InputError(f"--max-n must be at most {MAX_DECOMPOSE_N}")
     result = decompose_codominant(w, max_n=args.max_n)
     payload = {"w": perm_to_str(w), "known": result is not None}
     if result is None:

@@ -178,8 +178,6 @@ def _oracle_coeffs(ms) -> dict:
     prefixes (the module docstring has the method)."""
     ms = [tuple(m) for m in ms]
     n = len(ms[0])
-    if n > 6:
-        raise ValueError("the coloring oracle is capped at n = 6")
     trie: dict = {}  # first[0] -> first[1] -> ... -> first[n - 1] -> weights
     weights = {}  # weights[m][a]: colorings of G_m with a ascents
     for m in ms:
@@ -252,8 +250,7 @@ def csf_oracle(m) -> SymmetricFunction:
     colorings that use color c exactly lambda_c times.  Those are listed
     vertex by vertex, 1 to n, and each adds q^(asc), as the module
     docstring describes; here the trie of the walk is the single path of
-    m, so each vertex has one window of earlier neighbours.  Capped at
-    n = 6.
+    m, so each vertex has one window of earlier neighbours.
     """
     m = tuple(m)
     return SymmetricFunction("m", len(m), _oracle_coeffs([m])[m])

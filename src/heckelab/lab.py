@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .characters import (MAX_CHARACTER_N, _chi_all, _frobenius_coeffs,
-                         frobenius_cprime, min_class_rep, murnaghan_nakayama)
+from .characters import (_chi_all, _frobenius_coeffs, frobenius_cprime,
+                         min_class_rep, murnaghan_nakayama)
 from .csf import (CounterexampleResult, _oracle_coeffs, csf_batch,
                   counterexample_search)
 from .hecke import row_store
@@ -77,8 +77,8 @@ class ModularRelation(NamedTuple):
     case "singular": (q^(-1/2)+q^(1/2)) ch(C'_w) = ch(C'_ws)
 
     verified is True when the identity was recomputed through the character
-    module, None when n exceeds verify_limit (by default MAX_CHARACTER_N)
-    and the identity is asserted by the theorem.
+    module, None when the caller did not ask for it and the identity is
+    asserted by the theorem.
     """
     case: str
     w: Perm
@@ -106,17 +106,15 @@ class ModularRelation(NamedTuple):
         }
 
 
-def modular_relation(w: Perm, i: int,
-                     verify_limit: int = MAX_CHARACTER_N) -> ModularRelation:
+def modular_relation(w: Perm, i: int, verify: bool = True) -> ModularRelation:
     """Classify (w, s_i) with w smooth and s_i w < w < w s_i.
 
     Smooth case: w s_i is smooth and exactly one lower cover z of w has
     z s_i < z (and z is smooth); singular case: w s_i is singular and no
     such cover exists.  Any other combination raises
-    InternalContradictionError.  The emitted identity is recomputed exactly
-    via characters when n <= verify_limit.
+    InternalContradictionError.  With verify, the emitted identity is
+    recomputed exactly via characters.
     """
-    n = len(w)
     if not w.is_smooth():
         raise PreconditionError("w must be smooth")
     winv = w.inverse()
@@ -137,16 +135,13 @@ def modular_relation(w: Perm, i: int,
     if z is not None and not z.is_smooth():
         raise InternalContradictionError(
             f"the distinguished cover {perm_to_str(z)} is singular")
-    verified: bool | None = None
-    if n <= verify_limit:
-        verified = _modular_holds(
+    if verify and not _modular_holds(
             {} if z is None else _frobenius_coeffs(z), _frobenius_coeffs(w),
-            _frobenius_coeffs(ws))
-        if not verified:
-            raise InternalContradictionError(
-                f"character identity failed at w={perm_to_str(w)}, s={i}")
+            _frobenius_coeffs(ws)):
+        raise InternalContradictionError(
+            f"character identity failed at w={perm_to_str(w)}, s={i}")
     return ModularRelation("smooth" if ws_smooth else "singular",
-                           w, i, ws, z, verified)
+                           w, i, ws, z, True if verify else None)
 
 
 def _modular_holds(low: dict, mid: dict, high: dict) -> bool:
@@ -363,7 +358,7 @@ def _check_prop31(n: int) -> tuple:
             if w[i - 1] < w[i] and winv[i - 1] > winv[i]:
                 pairs += 1
                 try:
-                    modular_relation(w, i, verify_limit=_PROP31_VERIFY_LIMIT)
+                    modular_relation(w, i, n <= _PROP31_VERIFY_LIMIT)
                 except InternalContradictionError as exc:
                     witnesses.append(str(exc))
     return witnesses, (f"dichotomy over {pairs} (smooth w, s) pairs with "

@@ -227,7 +227,7 @@ def test_csf_rank_capped(capsys):
 W0_S11 = ",".join(map(str, range(11, 0, -1)))
 
 
-@pytest.mark.parametrize("command", ["kl", "cprime"])
+@pytest.mark.parametrize("command", ["kl", "cprime", "ch"])
 def test_whole_row_rank_capped(capsys, monkeypatch, command):
     # the row of w0 in S_11 has 39 916 800 entries; it is refused before
     # any row is built
@@ -242,9 +242,22 @@ def test_whole_row_rank_capped(capsys, monkeypatch, command):
     assert hecke._stores == {}
 
 
-def test_single_kl_entry_has_no_rank_cap(capsys):
+def test_single_kl_entry_above_the_whole_row_limit(capsys):
     assert run(capsys, "kl", "--w", "2,1,3,4,5,6,7,8,9,10,11", "--z", "e") \
         == (0, "1\n")
+
+
+def test_single_kl_entry_rank_capped(capsys, monkeypatch):
+    # one entry below w0 of S_13 would build every row of its recursion,
+    # about 115 s and 664 MB; it is refused before any row is built
+    hecke = importlib.import_module("heckelab.hecke")
+    monkeypatch.setattr(hecke, "_stores", {})
+    w0 = ",".join(map(str, range(13, 0, -1)))
+    code = main(["--no-cache", "kl", "--w", w0, "--z", "e"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: --w must have rank at most 12\n"
+    assert hecke._stores == {}
 
 
 def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
@@ -349,19 +362,33 @@ def test_decompose_max_n_below_one_rejected(capsys, max_n):
     assert "--max-n" in capsys.readouterr().err
 
 
-def test_modular_s8_verified(capsys):
-    # the paper's singular relation (1+q) ch(B_26754381) = ch(B_62754381)
-    code, out = run(capsys, "modular", "--w", "26754381", "--s", "1")
+@pytest.mark.parametrize("w", ["26754381", "267543819",
+                               "2,6,7,5,4,3,8,1,9,10"])
+def test_modular_singular_pair_verified(capsys, w):
+    # the paper's singular relation (1+q) ch(B_26754381) = ch(B_62754381),
+    # and its lifts to S_9 and S_10 by fixed points, each computed
+    code, out = run(capsys, "modular", "--w", w, "--s", "1")
     assert code == 0
     assert "case: singular" in out
     assert "verified: yes" in out
+    code, out = run(capsys, "--format", "json", "modular", "--w", w,
+                    "--s", "1")
+    assert code == 0 and json.loads(out)["verified"] is True
 
 
-def test_ch_rank_capped(capsys):
-    code = main(["--no-cache", "ch", "--w", "213456789"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_modular_above_the_row_limit_is_asserted(capsys, monkeypatch):
+    # the lift to S_11 is past MAX_ROW_N: the dichotomy is still decided,
+    # and the identity is asserted by theorem with no character computed
+    hecke = importlib.import_module("heckelab.hecke")
+    monkeypatch.setattr(hecke, "_stores", {})
+    argv = ["modular", "--w", "2,6,7,5,4,3,8,1,9,10,11", "--s", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert "case: singular" in out
+    assert "verified: asserted by theorem" in out
+    code, out = run(capsys, "--format", "json", *argv)
+    assert code == 0 and json.loads(out)["verified"] is None
+    assert hecke._stores == {}
 
 
 @pytest.mark.parametrize("threads", ["0", "-1", "x"])

@@ -54,8 +54,10 @@ def test_csf_oracle_examples():
     assert csf_oracle((2, 2)).coeffs == {(1, 1): ONE_PLUS_Q}
     assert csf_oracle((1, 2)).coeffs == {(2,): LaurentQ((1,)),
                                          (1, 1): LaurentQ((2,))}
-    with pytest.raises(ValueError):
-        csf_oracle((1,) + tuple(range(2, 8)))  # n = 7 beyond the oracle cap
+    # the oracle has no rank cap of its own: the empty and complete graphs
+    # at n = 7
+    for m in (tuple(range(1, 8)), (7,) * 7):
+        assert csf_oracle(m) == csf(m)
 
 
 def test_csf_oracle_extremes_n6():

@@ -121,3 +121,25 @@ def test_no_function_is_kept_only_for_the_tests():
                         and not f.name.startswith("__")
                         and f.name not in used}
     assert unnamed == set(UNNAMED_IN_SRC)
+
+
+def test_only_the_cli_sets_input_limits():
+    # every MAX_* limit on the size of an input lives in cli.py; the library
+    # computes at any rank it is asked for
+    binders = {}
+    for path in pathlib.Path(heckelab.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                names = [sub.id for sub in ast.walk(node)
+                         if isinstance(sub, ast.Name)
+                         and isinstance(sub.ctx, ast.Store)]
+                names += [sub.asname or sub.name for sub in ast.walk(node)
+                          if isinstance(sub, ast.alias)]
+            for name in names:
+                if name.startswith("MAX_"):
+                    binders.setdefault(path.name, set()).add(name)
+    assert binders == {"cli.py": {"MAX_HESSENBERG_N", "MAX_SEARCH_N",
+                                  "MAX_ROW_N", "MAX_KL_ENTRY_N",
+                                  "MAX_DECOMPOSE_N"}}

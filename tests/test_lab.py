@@ -83,6 +83,8 @@ def test_modular_relation_examples():
     assert rel.ws == parse_perm("62754381")
     assert rel.verified is True  # the paper's S_8 identity, computed
     assert "ch(C'[62754381])" in rel.identity()
+    assert modular_relation(parse_perm("26754381"), 1, verify=False) == \
+        rel._replace(verified=None)
 
 
 def test_modular_relation_preconditions():
@@ -268,7 +270,7 @@ def test_cor44_reports_a_perturbed_codominant_row(monkeypatch):
 
 
 def test_prop31_reports_a_perturbed_character_identity(monkeypatch):
-    w, i = parse_perm("2314"), 1  # s w < w < w s, and n <= verify_limit
+    w, i = parse_perm("2314"), 1  # s w < w < w s, and n verified by prop31
     _store_with_perturbed_row(monkeypatch, w)
     (rep,) = check_suite(4, ["prop31"])
     assert rep.status == "fail"
