@@ -23,9 +23,9 @@ polynomials and symmetric functions have a LaTeX form: ``chi``,
 exports through ``_row``.
 
 Every input limit lives here and refuses with exit 2 before anything is
-computed: ``MAX_ROW_N`` for ``kl`` without ``--z``, ``cprime``, ``ch`` (and
-``modular`` asserts its identity above it), ``MAX_KL_ENTRY_N`` for ``kl
---z``, ``MAX_DECOMPOSE_N`` for ``decompose``, ``MAX_SEARCH_N`` for
+computed: ``MAX_ROW_N`` for ``kl`` without ``--z``, ``cprime``, ``ch``,
+``chi`` (and ``modular`` asserts its identity above it), ``MAX_KL_ENTRY_N``
+for ``kl --z``, ``MAX_DECOMPOSE_N`` for ``decompose``, ``MAX_SEARCH_N`` for
 ``counterexample``, ``MAX_HESSENBERG_N`` for ``hessenberg`` and ``csf``.
 """
 
@@ -51,7 +51,8 @@ MAX_SEARCH_N = 10
 # kl without --z, cprime, ch and modular expand every z <= w.  For w0 of
 # S_10 (3 628 800 z; S_11 has 11 times as many), cprime takes 8 s and 1.1 GB
 # and ch 80 s and 1.6 GB (5.9 s, 167 MB in S_9); modular --w
-# 9,10,8,7,6,5,4,3,2,1 --s 1 takes 81 s and 1.67 GB
+# 9,10,8,7,6,5,4,3,2,1 --s 1 takes 81 s and 1.67 GB.  chi reduces the class
+# of --w, about 7 times dearer per rank: 5.8 s and 166 MB at w0 of S_10
 MAX_ROW_N = 10
 # kl --z builds every row of w's recursion: for w0 and z = e, 17.0 s and
 # 159 MB in S_12, 114.6 s and 664 MB in S_13 (about 6-7 times per rank)
@@ -175,6 +176,8 @@ def _cmd_cprime(args, fmt) -> int:
 def _cmd_chi(args, fmt) -> int:
     from .characters import chi
     w = _parsed(parse_perm, args.w)
+    if len(w) > MAX_ROW_N:
+        raise InputError(f"--w must have rank at most {MAX_ROW_N}")
     lam = _parse_partition(args.lam, len(w))
     p = chi(lam, w)
     _emit(fmt, str(p), {"polynomial": p.to_json()}, p.latex())

@@ -7,6 +7,7 @@ search reads only csf batches, so it lives in heckelab.csf.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import NamedTuple
 
 from .characters import (_chi_all, _frobenius_coeffs, frobenius_cprime,
@@ -17,8 +18,8 @@ from .hecke import row_store
 from .permutations import (Perm, _descending_covers, all_perms,
                            codominant_of_hessenberg, enumerate_hessenberg,
                            hessenberg_edges, hessenberg_of_smooth,
-                           hessenberg_to_str, perm_to_str, smooth_perms,
-                           transpositions_below)
+                           hessenberg_to_str, orbit_representatives,
+                           perm_to_str, smooth_perms, transpositions_below)
 from .qpoly import LaurentQ, poly_add_scaled, poly_mul, poly_shape
 from .symfunc import SymmetricFunction, omega, partitions, positivity
 
@@ -335,9 +336,8 @@ def _check_cor44(n: int) -> tuple:
 
 def _check_hpos(n: int) -> tuple:
     witnesses = []
-    count = 0
-    for w in all_perms(n):
-        count += 1
+    reps = orbit_representatives(all_perms(n))
+    for w in reps:
         rep = positivity(frobenius_cprime(w), "h")
         if not rep.positive:
             witnesses.append({
@@ -345,8 +345,10 @@ def _check_hpos(n: int) -> tuple:
                 "partition": list(rep.witness_partition),
                 "coefficient": str(rep.witness_coefficient),
             })
-    return witnesses, (f"h-positivity of ch(q^(l/2) C'_w) over all {count} "
-                       "permutations (conjecture-level)")
+    return witnesses, (f"h-positivity of ch(q^(l/2) C'_w) over {len(reps)} "
+                       f"orbit representatives covering all {factorial(n)} "
+                       "permutations, by the symmetry of ch(B_w) "
+                       "(conjecture-level)")
 
 
 def _check_prop31(n: int) -> tuple:
@@ -367,19 +369,24 @@ def _check_prop31(n: int) -> tuple:
 
 
 def _check_thm15(n: int) -> tuple:
+    # one w per orbit of {w, w^-1, w0 w w0, w0 w^-1 w0}: ch(B_w) is
+    # constant on it, and smooth_reduce maps it into the orbit of
+    # smooth_reduce(w) (see orbit_representatives)
+    smooth = smooth_perms(n)
+    reps = orbit_representatives(smooth)
     witnesses = []
-    count = 0
-    for w in smooth_perms(n):
-        count += 1
+    for w in reps:
         wr = smooth_reduce(w)
         if wr == w:  # w is codominant, and the identity is trivial
             continue
-        # ch(B_w') from the memo cor44 fills; ch(B_w) is not memoised, so
-        # the memo holds only codominant characters
+        # ch(B_w') from the memo cor44 fills, ch(B_w) from the row of w
+        # itself: nothing is looked up through an orbit, and the memo holds
+        # only codominant characters
         if _frobenius_coeffs(w) != frobenius_cprime(wr).polys:
             witnesses.append(perm_to_str(w))
-    return witnesses, (f"ch(q^(l/2) C'_w) = ch(q^(l/2) C'_w') for all "
-                       f"{count} smooth w")
+    return witnesses, (f"ch(q^(l/2) C'_w) = ch(q^(l/2) C'_w') over "
+                       f"{len(reps)} orbit representatives covering all "
+                       f"{len(smooth)} smooth w, by the symmetry of ch(B_w)")
 
 
 def _check_momentgraph(n: int) -> tuple:
@@ -435,14 +442,17 @@ def _check_kl_selfdual(n: int) -> tuple:
 def _check_unimodal(n: int) -> tuple:
     witnesses = []
     checked = 0
-    for w in all_perms(n):
+    reps = orbit_representatives(all_perms(n))
+    for w in reps:
         ch = frobenius_cprime(w)
         for lam in partitions(n):
             checked += 1
             if not all(poly_shape(ch.polys.get(lam, ()))):
                 witnesses.append({"w": perm_to_str(w), "lambda": list(lam)})
     return witnesses, ("chi^lam(q^(l/2) C'_w) nonnegative, palindromic, "
-                       f"unimodal ({checked} values)")
+                       f"unimodal ({checked} values over {len(reps)} orbit "
+                       f"representatives covering all {factorial(n)} w, by "
+                       "the symmetry of ch(B_w))")
 
 
 def _check_mn(n: int) -> tuple:

@@ -66,7 +66,7 @@ __all__ = [
     "bruhat_leq", "coessential_set", "hessenberg_of_smooth",
     "codominant_of_hessenberg", "transpositions_below",
     "is_hessenberg", "hessenberg_edges", "enumerate_hessenberg",
-    "all_perms", "smooth_perms",
+    "all_perms", "smooth_perms", "orbit_representatives",
     "parse_perm", "perm_to_str", "parse_hessenberg", "hessenberg_to_str",
 ]
 
@@ -407,6 +407,42 @@ def all_perms(n: int):
     from itertools import permutations as _p
     for word in _p(range(1, n + 1)):
         yield _trusted(word)
+
+
+def orbit_representatives(perms) -> list[Perm]:
+    """The w of ``perms``, in their order, that are least in their orbit
+    {w, w^-1, w0 w w0, w0 w^-1 w0}; ``perms`` is closed under the orbit.
+
+    ch(B_w) is constant on each orbit: P_{z,w} = P_{z^-1,w^-1} =
+    P_{w0 z w0, w0 w w0} (Kazhdan & Lusztig, Invent. Math. 53, 1979), and
+    every Hecke character takes the same value at T_z, T_{z^-1} and
+    T_{w0 z w0} (Geck & Pfeiffer 2000, ch. 8).  So a check of ch(B_w) over
+    the representatives covers all of S_n, and over the smooth ones all
+    smooth w:
+
+    * the smooth permutations are closed under the orbit, as 3412 and 4231
+      are each fixed by inversion and by w -> w0 w w0 (reverse the word,
+      complement the values);
+    * ``lab.smooth_reduce`` maps every element of an orbit into the orbit
+      of the reduction of its representative.  Inversion and w0-conjugation
+      are Bruhat automorphisms, so by Lemma 2.2 w^-1 has the Hessenberg
+      function of w, and w0 w w0 the reflected one m*, whose codominant
+      permutation is w0 w_m^-1 w0 (it avoids 312 and has the reflected
+      transpositions below it).
+
+    tests/test_permutations.py checks both facts at every n <= 8.
+
+    >>> orbit_representatives(all_perms(3))
+    [Perm('123'), Perm('132'), Perm('231'), Perm('321')]
+    """
+    out = []
+    for w in perms:
+        top = len(w) + 1
+        inv = w.inverse()
+        if w <= inv and all(w <= tuple(top - v for v in reversed(x))
+                            for x in (w, inv)):
+            out.append(w)
+    return out
 
 
 # -- serialization ----------------------------------------------------------

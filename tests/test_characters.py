@@ -217,17 +217,22 @@ def test_characters_of_rank_at_most_6_golden_digest():
     assert digest.hexdigest() == CHARACTERS6_SHA256
 
 
-def asymmetric_orbits(n):
-    """The least element of each orbit {w, w^-1, w0 w w0, w0 w^-1 w0} of
-    S_n on which _frobenius_coeffs is not constant."""
-    w0, seen, bad = Perm(range(n, 0, -1)), set(), []
+def symmetry_orbits(n):
+    """Each orbit {w, w^-1, w0 w w0, w0 w^-1 w0} of S_n once, as a set,
+    built from Perm products, in the order of its least element."""
+    w0, seen = Perm(range(n, 0, -1)), set()
     for w in all_perms(n):
         if w not in seen:
             orbit = {w, w.inverse(), w0 * w * w0, w0 * w.inverse() * w0}
             seen |= orbit
-            if len({repr(_frobenius_coeffs(x)) for x in orbit}) > 1:
-                bad.append(min(orbit))
-    return bad
+            yield orbit
+
+
+def asymmetric_orbits(n):
+    """The least element of each orbit {w, w^-1, w0 w w0, w0 w^-1 w0} of
+    S_n on which _frobenius_coeffs is not constant."""
+    return [min(orbit) for orbit in symmetry_orbits(n)
+            if len({repr(_frobenius_coeffs(x)) for x in orbit}) > 1]
 
 
 def test_frobenius_is_constant_on_the_orbits_of_inversion_and_w0():

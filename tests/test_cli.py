@@ -242,6 +242,20 @@ def test_whole_row_rank_capped(capsys, monkeypatch, command):
     assert hecke._stores == {}
 
 
+def test_chi_rank_capped(capsys, monkeypatch):
+    # chi at w0 of S_10 takes 5.8 s and 166 MB, about 7 times dearer per
+    # rank; at S_11 it is refused before any character is computed
+    def unexpected(w):
+        raise AssertionError("a character was computed")
+
+    monkeypatch.setattr(importlib.import_module("heckelab.characters"),
+                        "_chi_all", unexpected)
+    code = main(["--no-cache", "chi", "--lambda", "11", "--w", W0_S11])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: --w must have rank at most 10\n"
+
+
 def test_single_kl_entry_above_the_whole_row_limit(capsys):
     assert run(capsys, "kl", "--w", "2,1,3,4,5,6,7,8,9,10,11", "--z", "e") \
         == (0, "1\n")

@@ -19,9 +19,11 @@ from heckelab.permutations import (NotSmoothError, Perm, all_perms,
                                    codominant_of_hessenberg,
                                    enumerate_hessenberg, hessenberg_edges,
                                    hessenberg_of_smooth, hessenberg_to_str,
-                                   parse_perm, perm_to_str)
+                                   orbit_representatives, parse_perm,
+                                   perm_to_str)
 from heckelab.qpoly import LaurentQ, poly_add_scaled, poly_mul
 from heckelab.symfunc import partitions
+from test_characters import asymmetric_orbits, symmetry_orbits
 
 ONE_PLUS_Q = LaurentQ((1, 1))
 
@@ -252,11 +254,31 @@ def _store_with_perturbed_row(monkeypatch, w):
 
 
 def test_thm15_reports_a_perturbed_smooth_row(monkeypatch):
-    w = next(w for w in smooth_perms(4) if smooth_reduce(w) != w)
+    # thm15 reads one w per orbit of {w, w^-1, w0 w w0, w0 w^-1 w0}; 2413
+    # is the one smooth representative of S_4 that is not codominant
+    w = next(w for w in orbit_representatives(smooth_perms(4))
+             if smooth_reduce(w) != w)
+    assert w == parse_perm("2413")
     _store_with_perturbed_row(monkeypatch, w)
     (rep,) = check_suite(4, ["thm15"])
     assert rep.status == "fail"
     assert rep.witnesses == [perm_to_str(w)]
+
+
+def test_a_perturbed_row_the_checks_skip_breaks_the_orbit_symmetry(
+        monkeypatch):
+    # thm15, hpos and unimodal skip the row of 1423, smooth and not
+    # codominant, as it is not the least of its orbit; the orbit test of
+    # ch(B_w) still reads it
+    reps = orbit_representatives(smooth_perms(4))
+    w = next(w for w in smooth_perms(4)
+             if w not in reps and smooth_reduce(w) != w)
+    assert w == parse_perm("1423")
+    _store_with_perturbed_row(monkeypatch, w)
+    reports = check_suite(4, ["thm15", "hpos", "unimodal"])
+    assert [rep.status for rep in reports] == ["pass"] * 3
+    (orbit,) = [orbit for orbit in symmetry_orbits(4) if w in orbit]
+    assert asymmetric_orbits(4) == [min(orbit)]
 
 
 def test_cor44_reports_a_perturbed_codominant_row(monkeypatch):
@@ -516,10 +538,10 @@ def test_thm15_and_cor44_small(n):
         assert rep.status == "pass", rep
 
 
-# sha256 of `hecke-lab --format json check --name all --n N` stdout, recorded
-# from the rank-table transpositions_below and the filtered lower covers
+# sha256 of `hecke-lab --format json check --name all --n N` stdout; the
+# rank-6 digest recorded once thm15 read one w per symmetry orbit
 CHECK_ALL_JSON_SHA256 = {
-    6: "cded209e1bb0861386102b70400c4bda1f3cc30a68cab844b738e3c8193d46d0",
+    6: "95172367c90c41781afea78e238f33e124d859d933b216dcddee41b17a061ca8",
     7: "710a182daaa7da2b6149b71dcc98481d2ede69ad7cd050111a513017064c463b",
 }
 

@@ -10,9 +10,11 @@ from heckelab.permutations import (NotSmoothError, Perm, all_perms, bruhat_leq,
                                    codominant_of_hessenberg,
                                    coessential_set, enumerate_hessenberg,
                                    hessenberg_edges, hessenberg_of_smooth,
-                                   is_hessenberg,
+                                   is_hessenberg, orbit_representatives,
                                    parse_hessenberg, parse_perm, perm_to_str,
                                    smooth_perms, transpositions_below)
+from heckelab.lab import smooth_reduce
+from test_characters import symmetry_orbits
 
 
 def brute_length(w):
@@ -223,6 +225,44 @@ def test_is_smooth_at_an_untabulated_rank_builds_no_table():
     assert not parse_perm("3,4,1,2,5,6,7,8,9,10").is_smooth()
     assert not parse_perm("1,2,3,4,5,6,10,8,9,7").is_smooth()
     assert 10 not in permutations._smooth_sets
+
+
+def symmetry_orbit(w):
+    """{w, w^-1, w0 w w0, w0 w^-1 w0}, from Perm products."""
+    w0 = Perm(range(len(w), 0, -1))
+    return {w, w.inverse(), w0 * w * w0, w0 * w.inverse() * w0}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_representatives_are_the_least_of_each_orbit(n):
+    least = [min(orbit) for orbit in symmetry_orbits(n)]
+    assert orbit_representatives(all_perms(n)) == least
+    smooth = set(smooth_perms(n))
+    assert orbit_representatives(smooth_perms(n)) == \
+        [w for w in least if w in smooth]
+
+
+def test_orbit_counts():
+    assert [len(orbit_representatives(all_perms(n))) for n in range(1, 8)] \
+        == [1, 2, 4, 13, 45, 230, 1388]
+    assert [len(orbit_representatives(smooth_perms(n)))
+            for n in range(1, 9)] == [1, 2, 4, 11, 32, 114, 430, 1758]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_smooth_orbits_reduce_into_the_orbit_of_the_reduction(n):
+    # what lets thm15 run over the representatives: the orbits of the
+    # smooth representatives are smooth and cover every smooth w, and
+    # smooth_reduce maps each into the orbit of smooth_reduce(rep)
+    smooth = set(smooth_perms(n))
+    covered = set()
+    for rep in orbit_representatives(smooth_perms(n)):
+        orbit = symmetry_orbit(rep)
+        assert orbit <= smooth, rep
+        target = symmetry_orbit(smooth_reduce(rep))
+        assert all(smooth_reduce(w) in target for w in orbit), rep
+        covered |= orbit
+    assert covered == smooth
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
