@@ -17,13 +17,33 @@ The production path is a dynamic program over color classes.  Coloring
 G_h in increasing color order, the first class B is an independent set,
 and an edge i < j between B and the rest is an ascent exactly when i is
 in B; so B weighs sum over v in B of h(v) - v, and the rest V - B is
-left to color with the later classes.  That subproblem depends only on
-(h', later class sizes), so one memo serves a whole batch, because
-- the subgraph of G_h induced on v_1 < ... < v_r is G_h' for the induced
-  Hessenberg function h'(t) = #{u in V - B : u <= h(v_t)}: v_t < v_s is
-  an edge exactly when v_s <= h(v_t), that is s <= h'(t);
-- asc compares colors along the vertex order only, which relabelling
-  v_1 < ... < v_r as 1 < ... < r keeps.
+left to color with the later classes.  The subgraph induced on
+v_1 < ... < v_r is G_h' for h'(t) = #{u in V - B : u <= h(v_t)} (v_t < v_s
+is an edge exactly when v_s <= h(v_t), that is s <= h'(t)), and asc
+compares colors along the vertex order only, which relabelling keeps; so
+that subproblem depends only on (h', later class sizes), and one memo
+serves a whole batch.
+
+The memo keys h' by its Dyck word, an int.  The word of h of rank k reads
+u = 1, ..., k, and for each u writes 1 (the bit A_u), then one 0 (E_t) for
+each t with h(t) = u, in increasing t; the first event is the most
+significant bit.
+(i) h(t) is the number of 1s before E_t, so the word determines h.  It
+    starts with A_1 = 1, so its bit_length() is exactly 2k, and the int is
+    a canonical key; the empty graph's word is 0.
+(ii) Deleting the bits A_v and E_v for all v in B leaves the word of h'.
+    The surviving E_{v_t} keep their order, and each is preceded by
+    exactly the A_u with u not in B and u <= h(v_t), whose count is h'(t);
+    by (i) that is the word of h'.
+(iii) For an independent B = {b_1 < b_2 < ...}, b_{i+1} > h(b_i), so from
+    the top the word reads A_{b_1}, E_{b_1}, A_{b_2}, E_{b_2}, ...: A_v
+    precedes E_v as v <= h(v), and E_{b_i} precedes A_{b_{i+1}}.  So
+    deleting in increasing vertex order never moves a bit that is still
+    to be deleted, and each vertex v, at bit positions a > e counted from
+    the bottom, is one step on the rest x so far:
+    y = (x >> (a + 1) << (a - 1)) | ((x & mid) >> 1) | (x & low), with
+    low = (1 << e) - 1 and mid = ((1 << a) - 1) ^ ((1 << (e + 1)) - 1).
+
 The oracle lists the proper colorings of each content lambda in turn,
 vertex by vertex, on one preallocated color list, for every function of
 a call in the same walk.  The earlier neighbours of vertex j are the
@@ -39,16 +59,18 @@ A vertex entering it with a smaller color adds one ascent.  A vertex
 entering it with color c ends the children of c: it lies in the window
 of every child with a smaller first(j) too, and would be a neighbour of
 the same color there; the walk knows it as the last vertex colored c so
-far.  The last vertex, whose color lambda forces, is counted in place:
-for each child still open, the flat list of its function, indexed by
-the ascent count, gains 1.  So each (graph, proper coloring) pair is
-counted exactly once: the graph fixes one root-to-leaf path, the
-coloring fixes the color taken at each vertex on it, and the walk goes
-down that path with that coloring exactly when every window it meets is
-free of the vertex's color, that is when the coloring is proper.  The
-oracle reads only the edges of each G_h; it shares no memo, no packing
-and neither the class weights nor the induced functions with the DP, so
-the DP's reductions are what it checks.
+far.  The last two vertices are counted in place: at vertex n - 1, for
+each color c with room and each child still open, the last vertex takes
+the one color left, and for each grandchild still open, the flat list of
+its function, indexed by the ascent count, gains 1.  So each (graph,
+proper coloring) pair is counted exactly once: the graph fixes one
+root-to-leaf path, the coloring fixes the color taken at each vertex on
+it, and the walk goes down that path with that coloring exactly when
+every window it meets is free of the vertex's color, that is when the
+coloring is proper.  The oracle reads only the edges of each G_h; it
+shares no memo, no Dyck word and no packing with the DP, nor the class
+weights or the induced functions, so the DP's reductions are what it
+checks.
 
 Inside the DP a q-polynomial is packed into one int (Kronecker
 substitution): the coefficient of q^i sits in bits [i*B, (i+1)*B) with
@@ -97,46 +119,61 @@ def edge_count(m) -> int:
     return sum(v - i for i, v in enumerate(m, start=1))
 
 
-def _blocks(h: tuple, size: int = 0) -> list[tuple]:
-    """(size, ascent weight into the rest, induced function of the rest) for
-    every nonempty independent vertex set of G_h of the given size (of
-    every size when size is 0)."""
-    k = len(h)
-    full = (1 << k) - 1
-    lows = [(1 << x, (1 << h[x]) - 1) for x in range(k)]
+def _word(h) -> int:
+    """The Dyck word of the Hessenberg function h (module docstring)."""
+    word = 0
+    for u in range(1, len(h) + 1):
+        word = (word << 1 | 1) << h.count(u)  # A_u, then E_t for h(t) = u
+    return word
+
+
+def _blocks(word: int, size: int, width: int) -> list[tuple]:
+    """(size, packed ascent shift into the rest, Dyck word of the rest) for
+    every nonempty independent vertex set of G_h, where `word` is the Dyck
+    word of h, of the given size (of every size when size is 0)."""
+    steps = []  # per vertex v: (low, mid, a + 1, width * (h(v) - v), h(v))
+    opened = []  # bit positions of A_1, A_2, ...
+    for pos in range(word.bit_length() - 1, -1, -1):
+        if word >> pos & 1:
+            opened.append(pos)
+            continue
+        t, a = len(steps) + 1, opened[len(steps)]  # pos is E_t, a is A_t
+        steps.append(((1 << pos) - 1, ((1 << a) - 1) ^ ((2 << pos) - 1),
+                      a + 1, width * (len(opened) - t), len(opened)))
+    k = len(steps)
     out = []
-    stack = [(0, 0, 0, 0)]  # (block, its size, its weight, first free vertex)
+    stack = [(word, 0, 0, 0)]  # (rest, block size, shift, first free vertex)
     while stack:
-        block, count, weight, start = stack.pop()
+        rest, count, shift, start = stack.pop()
         count += 1
-        for v in range(start, k - max(size - count, 0)):
-            # bit v is vertex v + 1: its h[v] - v - 1 upper neighbours all
-            # lie outside the block, and bit h[v] is the next one free of them
-            w = weight + h[v] - v - 1
-            grown = block | 1 << v
+        for v in range(start, k - size + count if size else k):
+            # delete A_v and E_v, as in (iii); vertex h(v) is the next one
+            # free of v's upper neighbours
+            low, mid, top, weight, nxt = steps[v]
+            left = (rest >> top << (top - 2) | (rest & mid) >> 1
+                    | rest & low)
+            weight += shift
             if count == size or not size:
-                rest = full ^ grown
-                out.append((count, w, tuple([(rest & low).bit_count()
-                                             for bit, low in lows
-                                             if rest & bit])))
+                out.append((count, weight, left))
             if count != size:
-                stack.append((grown, count, w, h[v]))
+                stack.append((left, count, weight, nxt))
     return out
 
 
 def _total(blocks, tail: tuple, memo: dict, width: int) -> int:
     """Packed q-weight of the proper colorings whose first class is one of
     `blocks` and whose later classes, in increasing color order, have sizes
-    `tail`.  memo[tail][h] is that weight over all first classes of G_h."""
+    `tail`.  memo[tail][word] is that weight over all first classes of the
+    G_h whose Dyck word is `word`."""
     known = memo.setdefault(tail, {})
     acc = 0
-    for _, weight, rest in blocks:
+    for _, shift, rest in blocks:
         sub = known.get(rest)
         if sub is None:
-            sub = known[rest] = _total(_blocks(rest, tail[0]), tail[1:],
-                                       memo, width)
+            sub = known[rest] = _total(_blocks(rest, tail[0], width),
+                                       tail[1:], memo, width)
         if sub:
-            acc += sub << width * weight
+            acc += sub << shift
     return acc
 
 
@@ -149,11 +186,11 @@ def _csf_coeffs(ms) -> dict:
     and reused for all its partitions.
     """
     width = factorial(len(ms[0])).bit_length()  # B in the module docstring
-    memo = {(): {(): 1}}  # the empty graph has one coloring with no class
+    memo = {(): {0: 1}}  # the empty graph has one coloring with no class
     out = {}
     for m in ms:
         by_size: dict[int, list] = {}
-        for block in _blocks(m):
+        for block in _blocks(_word(m), 0, width):
             by_size.setdefault(block[0], []).append(block)
         coeffs = out[m] = {}
         for lam in partitions(len(m)):
@@ -199,7 +236,9 @@ def _oracle_coeffs(ms) -> dict:
         return [(f, sub if isinstance(sub, list) else children(sub))
                 for f, sub in sorted(node.items(), reverse=True)]
 
-    root, last = children(trie), n - 1
+    if n == 1:  # no vertex before the last one for the walk to start at
+        return {m: {(1,): (1,)} for m in ms}
+    root, pen = children(trie), n - 2
     kappa = [0] * n  # kappa[v]: color of vertex v + 1, for v below the depth
     out = {m: {} for m in ms}
     for lam in partitions(n):
@@ -212,25 +251,28 @@ def _oracle_coeffs(ms) -> dict:
                     continue
                 stop = latest[c]  # a child with first[v] <= stop clashes
                 a, u = asc, v  # kappa[u:v]: v's earlier neighbours in child u
-                if v == last:  # the one color with room left, counted
-                    # here rather than in a call per coloring
-                    for f, weight in node:
-                        if f <= stop:
-                            break
-                        while u > f:
-                            u -= 1
-                            a += kappa[u] < c
-                        weight[a] += 1
-                    return
                 room[c] -= 1
                 kappa[v], latest[c] = c, v
+                if v == pen:  # the last vertex takes the one color left
+                    d = room.index(1)
+                    end = latest[d]
                 for f, sub in node:
                     if f <= stop:
                         break
                     while u > f:
                         u -= 1
                         a += kappa[u] < c
-                    walk(sub, v + 1, a)
+                    if v < pen:
+                        walk(sub, v + 1, a)
+                        continue
+                    b, x = a, v + 1  # the grandchildren are counted here
+                    for g, weight in sub:  # rather than in a call per coloring
+                        if g <= end:
+                            break
+                        while x > g:
+                            x -= 1
+                            b += kappa[x] < d
+                        weight[b] += 1
                 room[c] += 1
                 latest[c] = stop
 

@@ -4,16 +4,26 @@ from math import factorial, prod
 
 import pytest
 
-from heckelab.csf import (_oracle_coeffs, csf, csf_batch, csf_index, csf_key,
-                          csf_oracle, edge_count, indifference_graph)
+from heckelab.csf import (_blocks, _oracle_coeffs, _word, csf, csf_batch,
+                          csf_index, csf_key, csf_oracle, edge_count,
+                          indifference_graph)
 from heckelab.permutations import (codominant_of_hessenberg,
-                                   enumerate_hessenberg, hessenberg_to_str,
-                                   parse_perm)
+                                   enumerate_hessenberg, hessenberg_edges,
+                                   hessenberg_to_str, parse_perm)
 from heckelab.qpoly import LaurentQ
 from heckelab.symfunc import (SymmetricFunction, partitions,
                               q_factorial_partition)
 
 ONE_PLUS_Q = LaurentQ((1, 1))
+
+
+def canonical_sha256(coeffs_by_m: dict) -> str:
+    """sha256 of the canonical JSON of {m: monomial tuple polynomials}."""
+    canon = {hessenberg_to_str(m): {",".join(map(str, lam)): list(p)
+                                    for lam, p in coeffs.items()}
+             for m, coeffs in coeffs_by_m.items()}
+    text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_indifference_graph():
@@ -37,6 +47,35 @@ def test_edges_match_length_of_codominant(n):
         assert len(g.edges) == edge_count(m) == codominant_of_hessenberg(m).length()
         assert g.edges == frozenset(
             (i, j) for i in range(1, n + 1) for j in range(i + 1, m[i - 1] + 1))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_dyck_word_deletion_lemma(k):
+    # for every independent set B of G_h, deleting the bits A_v and E_v of
+    # v in B (the v-th 1 and the v-th 0 from the top) leaves the word of the
+    # induced function h'(t) = #{u not in B : u <= h(t)}, and _blocks lists
+    # exactly those sets with their weights and rest words
+    for h in enumerate_hessenberg(k):
+        word = _word(h)
+        assert word.bit_length() == 2 * k, h
+        bits = bin(word)[2:]
+        ones = [i for i, b in enumerate(bits) if b == "1"]
+        zeros = [i for i, b in enumerate(bits) if b == "0"]
+        edges = hessenberg_edges(h)
+        expected = []
+        for mask in range(1, 1 << k):
+            block = [v for v in range(1, k + 1) if mask >> (v - 1) & 1]
+            if any((i, j) in edges for i in block for j in block):
+                continue
+            gone = {ones[v - 1] for v in block} | {zeros[v - 1]
+                                                    for v in block}
+            rest = "".join(b for i, b in enumerate(bits) if i not in gone)
+            induced = tuple(sum(u not in block for u in range(1, h[t - 1] + 1))
+                            for t in range(1, k + 1) if t not in block)
+            assert int(rest or "0", 2) == _word(induced), (h, block)
+            expected.append((len(block), sum(h[v - 1] - v for v in block),
+                             _word(induced)))
+        assert sorted(_blocks(word, 0, 1)) == sorted(expected), h
 
 
 def test_csf_examples():
@@ -106,14 +145,18 @@ ORACLE6_SHA256 = \
 def test_oracle6_golden_digest_and_coloring_count():
     oracle = _oracle_coeffs(enumerate_hessenberg(6))
     assert len(oracle) == 132
-    canon = {hessenberg_to_str(m): {",".join(map(str, lam)): list(p)
-                                    for lam, p in coeffs.items()}
-             for m, coeffs in oracle.items()}
-    text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE6_SHA256
+    assert canonical_sha256(oracle) == ORACLE6_SHA256
     # p(1) counts colorings: every (graph, proper coloring) pair of the rank
     assert sum(sum(p) for coeffs in oracle.values()
                for p in coeffs.values()) == 141121
+
+
+def test_oracle7_matches_batch7_golden_digest():
+    # the oracle above the csf-oracle check's bound of 6, over every
+    # function of rank 7, against the digest of the DP's batch
+    oracle = _oracle_coeffs(enumerate_hessenberg(7))
+    assert len(oracle) == 429
+    assert canonical_sha256(oracle) == BATCH7_SHA256
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -175,11 +218,7 @@ def test_batch7_golden_digest():
     _batches.pop(7, None)
     batch = csf_batch(7)
     assert len(batch) == 429
-    canon = {hessenberg_to_str(m): {",".join(map(str, lam)): list(p)
-                                    for lam, p in coeffs.items()}
-             for m, coeffs in batch.items()}
-    text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == BATCH7_SHA256
+    assert canonical_sha256(batch) == BATCH7_SHA256
 
 
 # sha256 of the canonical JSON of csf_batch(8), recorded with the
@@ -194,11 +233,22 @@ def test_batch8_golden_digest():
     batch = csf_batch(8)
     _batches.pop(8, None)
     assert len(batch) == 1430
-    canon = {hessenberg_to_str(m): {",".join(map(str, lam)): list(p)
-                                    for lam, p in coeffs.items()}
-             for m, coeffs in batch.items()}
-    text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == BATCH8_SHA256
+    assert canonical_sha256(batch) == BATCH8_SHA256
+
+
+# sha256 of the canonical JSON of csf_batch(9), recorded with the DP keyed
+# on induced-function tuples that the Dyck-word memo replaced
+BATCH9_SHA256 = \
+    "8d97499fff9db80b17e431cb4753451ac4e23b3b801cd89010e33e28429b2769"
+
+
+def test_batch9_golden_digest():
+    from heckelab.csf import _batches
+    _batches.pop(9, None)
+    batch = csf_batch(9)
+    _batches.pop(9, None)
+    assert len(batch) == 4862
+    assert canonical_sha256(batch) == BATCH9_SHA256
 
 
 def test_single_csf_matches_batch6():
