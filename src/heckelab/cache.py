@@ -10,8 +10,9 @@ search computes the few functions it reads faster than a load (at n = 8,
 Every file is self-describing: {"format": "heckelab/<kind>", "version": V,
 "payload": {...}}.  Files that are not such an object, or have an unexpected
 format or version, are ignored, never migrated; the caller simply
-recomputes and overwrites.  A loader that reads a payload also treats one
-of the wrong shape as a miss.
+recomputes and overwrites.  The payload is the caller's: heckelab.csf
+writes and parses the csf batch, and treats one of the wrong shape as a
+miss.  The command line's ``--cache-dir`` names the directory.
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ import json
 import os
 import tempfile
 
-DEFAULT_DIR = ".hecke-lab-cache"
-
 VERSIONS = {
     "csf": 1,
 }
 
 
 class Cache:
-    def __init__(self, directory: str = DEFAULT_DIR):
+    def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
 
@@ -69,12 +68,3 @@ class Cache:
                 pass
             raise
 
-
-def int_poly(value) -> tuple:
-    """A payload's list of ints as a canonical tuple polynomial (no
-    trailing 0); TypeError or ValueError otherwise."""
-    if not isinstance(value, list) or not all(type(c) is int for c in value):
-        raise TypeError(f"not a list of integers: {value!r}")
-    if value and value[-1] == 0:
-        raise ValueError(f"not a canonical polynomial: {value!r}")
-    return tuple(value)

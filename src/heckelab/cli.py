@@ -7,10 +7,11 @@ usage/input errors.
 
 Every command is a fresh process, so a command loads only the layers it
 runs.  The imports at the top of this module are the ones parsing needs
-(argparse, json, sys, permutations and the cache directory's default);
-each ``_cmd_*`` handler imports the layers it calls when it is called,
-by name, so that a function rebound on its module is the one it calls.
-Parsing and ``--help`` import no layer beyond these.
+(argparse, json, sys and permutations); each ``_cmd_*`` handler imports
+the layers it calls when it is called, by name, so that a function
+rebound on its module is the one it calls.  Parsing and ``--help`` import
+no layer beyond these, and only ``counterexample --general`` imports the
+disk cache.
 
 Every command prints through one emitter, ``_emit``, which picks the form
 that --format names.  Every command has a text and a JSON form.  Only
@@ -35,7 +36,6 @@ import argparse
 import json
 import sys
 
-from .cache import DEFAULT_DIR
 from .permutations import (NotSmoothError, hessenberg_to_str,
                            enumerate_hessenberg, parse_hessenberg, parse_perm,
                            perm_to_str)
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "quasisymmetric function computations for S_n.")
     parser.add_argument("--format", choices=("text", "json", "latex"),
                         default="text", help="output format")
-    parser.add_argument("--cache-dir", default=DEFAULT_DIR,
+    parser.add_argument("--cache-dir", default=".hecke-lab-cache",
                         help="disk cache for the csf batches of "
                              "counterexample --general")
     parser.add_argument("--no-cache", action="store_true",

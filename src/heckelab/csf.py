@@ -87,7 +87,6 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .cache import int_poly
 from .permutations import (enumerate_hessenberg, hessenberg_edges,
                            hessenberg_to_str, is_hessenberg, parse_hessenberg)
 from .qpoly import poly_add_scaled, poly_mul, poly_trim, poly_unpack
@@ -303,6 +302,16 @@ def csf_oracle(m) -> SymmetricFunction:
 _batches: dict[int, dict] = {}
 
 
+def _int_poly(value) -> tuple:
+    """A payload's list of ints as a canonical tuple polynomial (no
+    trailing 0); TypeError or ValueError otherwise."""
+    if not isinstance(value, list) or not all(type(c) is int for c in value):
+        raise TypeError(f"not a list of integers: {value!r}")
+    if value and value[-1] == 0:
+        raise ValueError(f"not a canonical polynomial: {value!r}")
+    return tuple(value)
+
+
 def _batch_from_payload(n: int, ms: list, data):
     """The batch held by a csf cache payload, or None unless the payload
     holds one entry {"m", "csf": {lambda |- n: int list}} per function."""
@@ -313,7 +322,7 @@ def _batch_from_payload(n: int, ms: list, data):
             return None
         for entry in data["entries"]:
             batch[parse_hessenberg(entry["m"])] = {
-                shapes[lam]: int_poly(p) for lam, p in entry["csf"].items()}
+                shapes[lam]: _int_poly(p) for lam, p in entry["csf"].items()}
     except (KeyError, TypeError, ValueError, AttributeError):
         return None
     if batch.keys() != set(ms):

@@ -13,11 +13,11 @@ from typing import NamedTuple
 from .characters import (_chi_all, _frobenius_coeffs, frobenius_cprime,
                          min_class_rep, murnaghan_nakayama)
 from .csf import (CounterexampleResult, _oracle_coeffs, csf_batch,
-                  counterexample_search)
+                  counterexample_search, edge_count)
 from .hecke import row_store
 from .permutations import (Perm, _descending_covers, all_perms,
-                           codominant_of_hessenberg, enumerate_hessenberg,
-                           hessenberg_edges, hessenberg_of_smooth,
+                           codominant_of_hessenberg, coessential_set,
+                           enumerate_hessenberg, hessenberg_of_smooth,
                            hessenberg_to_str, orbit_representatives,
                            perm_to_str, smooth_perms, transpositions_below)
 from .qpoly import LaurentQ, poly_add_scaled, poly_mul, poly_shape
@@ -392,7 +392,7 @@ def _check_thm15(n: int) -> tuple:
 def _check_momentgraph(n: int) -> tuple:
     witnesses = []
     count = 0
-    reduced = {}  # the brute-force moment graph of each codominant w' met
+    reduced = {}  # the closed-form moment graph of each codominant w' met
     for w in smooth_perms(n):
         count += 1
         wr = smooth_reduce(w)
@@ -471,9 +471,16 @@ def _check_lemma22(n: int) -> tuple:
     count = 0
     for w in smooth_perms(n):
         count += 1
-        fast = hessenberg_edges(hessenberg_of_smooth(w))
-        brute = transpositions_below(w)
-        if fast != brute or len(brute) != w.length():
+        # m_w from the prefix maxima against the paper's definition: each
+        # coessential (i, j) pins m(min(i, j)) = max(i, j), every other
+        # i < n has m(i) = m(i + 1), and G_m has l(w) edges
+        m = hessenberg_of_smooth(w)
+        coess = coessential_set(w)
+        pinned = {min(pin) for pin in coess}
+        if (any(m[min(pin) - 1] != max(pin) for pin in coess)
+                or any(m[i - 1] != m[i] for i in range(1, n)
+                       if i not in pinned)
+                or edge_count(m) != w.length()):
             witnesses.append(perm_to_str(w))
     return witnesses, ("transpositions below smooth w are (i,j), "
                        f"j <= m_w(i), with count l(w), over {count} w")

@@ -37,6 +37,16 @@ cells are (i, j - 1) and (j - 1, i), and
 
     (i j) <= w  iff  j <= max w(1..i)  and  j <= max w^-1(1..i).
 
+The same prefix maxima give m_w.  For every w, tops(i) =
+min(max w(1..i), max w^-1(1..i)) is a Hessenberg function: i distinct
+values have a maximum of at least i, so tops(i) >= i; prefix maxima never
+decrease, so neither does tops; and tops(n) = n.  By the closed form its
+edges E(tops) = {(i, j) : i < j <= tops(i)} are the transpositions below
+w.  E is injective on Hessenberg functions, as m(i) = max(i, max{j : (i, j)
+in E(m)}), so for smooth w, where Lemma 2.2 says the transpositions below
+w are E(m_w), m_w = tops.  The paper defines m_w from the coessential set;
+the lemma22 check compares that reading with this one.
+
 The modular relation of Prop 3.1 asks, at an ascent w(i) < w(i+1), for the
 lower covers z = w (a b) (a < b, w(a) > w(b)) with z(i) > z(i+1).  A swap
 that moves neither position keeps z(i) < z(i+1); swapping i with i + 1
@@ -267,40 +277,14 @@ def coessential_set(w: Perm) -> frozenset[tuple[int, int]]:
 
 
 def hessenberg_of_smooth(w: Perm) -> tuple[int, ...]:
-    """The Hessenberg function m_w of a smooth permutation.
-
-    From the coessential set: I is the set of indices i such that (i, j) or
-    (j, i) lies in Coess(w) for some j >= i; m(i) is that j for i in I, and
-    the remaining values are filled right to left by m(i) = m(i+1), with
-    base m(n) = n.
+    """The Hessenberg function m_w of a smooth permutation, read off the
+    prefix maxima (see the module docstring).
 
     Raises NotSmoothError when w contains 3412 or 4231.
     """
     if not w.is_smooth():
         raise NotSmoothError(f"{perm_to_str(w)} contains 3412 or 4231")
-    n = len(w)
-    coess = coessential_set(w)
-    pinned = {}
-    for (i, j) in coess:
-        if j >= i:
-            if i in pinned and pinned[i] != j:
-                raise AssertionError(
-                    f"ambiguous coessential data at i={i} for {perm_to_str(w)}")
-            pinned[i] = j
-        if i > j:
-            # (j', i') = (i, j) read as (j, i) with the roles swapped
-            if j in pinned and pinned[j] != i:
-                raise AssertionError(
-                    f"ambiguous coessential data at i={j} for {perm_to_str(w)}")
-            pinned[j] = i
-    m = [0] * (n + 1)
-    m[n] = pinned.get(n, n)
-    for i in range(n - 1, 0, -1):
-        m[i] = pinned.get(i, m[i + 1])
-    m = tuple(m[1:])
-    if not is_hessenberg(m):
-        raise AssertionError(f"m_w is not a Hessenberg function: {m}")
-    return m
+    return _tops(w)
 
 
 def codominant_of_hessenberg(m) -> Perm:
@@ -332,9 +316,14 @@ def transpositions_below(w: Perm) -> frozenset[tuple[int, int]]:
     >>> sorted(transpositions_below(Perm((3, 1, 2))))
     [(1, 2), (2, 3)]
     """
-    tops = map(min, accumulate(w, max), accumulate(w.inverse(), max))
-    return frozenset((i, j) for i, top in enumerate(tops, start=1)
+    return frozenset((i, j) for i, top in enumerate(_tops(w), start=1)
                      for j in range(i + 1, top + 1))
+
+
+def _tops(w: Perm) -> tuple[int, ...]:
+    """(min(max w(1..i), max w^-1(1..i)))_{i=1..n}, a Hessenberg function
+    for every w (see the module docstring)."""
+    return tuple(map(min, accumulate(w, max), accumulate(w.inverse(), max)))
 
 
 def _descending_covers(w: Perm, i: int) -> list[Perm]:

@@ -30,6 +30,8 @@ COMMANDS = [
     ["csf", "--m", "2,3,4,4", "--basis", "s"],
     ["modular", "--w", "231", "--s", "1"],
     ["modular", "--w", "3142", "--s", "2"],
+    *([command, "--w", w] for command in ("smooth-reduce", "moment-graph")
+      for w in ("3142", "245361", "2,1,4,3,6,5,8,7,10,9")),
     ["decompose", "--w", "4231"],
     ["decompose", "--w", "3412"],
     ["counterexample", "--m", "2,3,3"],

@@ -72,6 +72,14 @@ def test_hessenberg_loads_no_layer():
     assert loaded("hessenberg", "--n", "2") & LAYERS == set()
 
 
+@pytest.mark.parametrize("argv", [
+    ["hessenberg", "--n", "2"], ["kl", "--w", "321"],
+    ["check", "--name", "mn", "--n", "3"], ["counterexample", "--m", "2,3,3"],
+    ["counterexample", "--m", "2,3,3", "--general"]], ids=" ".join)
+def test_only_the_general_search_loads_the_cache(argv):
+    assert ("heckelab.cache" in loaded(*argv)) == ("--general" in argv)
+
+
 @pytest.mark.parametrize("command", ["kl", "cprime"])
 def test_kl_rows_load_only_hecke_and_qpoly(command):
     modules = loaded(command, "--w", "321")

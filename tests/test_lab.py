@@ -116,12 +116,14 @@ def test_prop31_dichotomy_n7():
     assert rep.status == "pass"
 
 
-def test_lemma22_reports_a_missing_edge(monkeypatch):
-    # w0 is the only smooth w of S_4 with m_w = (4, 4, 4, 4)
+def test_lemma22_reports_a_wrong_coessential_pin(monkeypatch):
+    # Coess(4321) = {(4, 4)}; a pin (1, 3) says m_w(1) = 3, not 4
     lab = importlib.import_module("heckelab.lab")
-    edges = lab.hessenberg_edges
-    monkeypatch.setattr(lab, "hessenberg_edges", lambda m: (
-        edges(m) - {(1, 4)} if m == (4, 4, 4, 4) else edges(m)))
+    w0 = parse_perm("4321")
+    coess = lab.coessential_set
+    assert coess(w0) == {(4, 4)}
+    monkeypatch.setattr(lab, "coessential_set", lambda w: (
+        coess(w) | {(1, 3)} if w == w0 else coess(w)))
     (rep,) = check_suite(4, ["lemma22"])
     assert (rep.status, rep.witnesses) == ("fail", ["4321"])
     monkeypatch.undo()

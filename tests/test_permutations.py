@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 from math import comb
@@ -299,6 +301,20 @@ def test_hessenberg_of_smooth():
         hessenberg_of_smooth(parse_perm("4231"))
     with pytest.raises(NotSmoothError):
         hessenberg_of_smooth(parse_perm("3412"))
+
+
+# sha256 of the JSON list of m_w for every smooth w of S_1, ..., S_9 in
+# smooth_perms order, recorded when m_w was read off the coessential set
+HESSENBERG_OF_SMOOTH_S9_SHA256 = \
+    "445c949e237b56277d8b5c664645be453431a1084f401f321b9bc60bc11be5eb"
+
+
+def test_hessenberg_of_smooth_golden_digest():
+    ms = [list(hessenberg_of_smooth(w))
+          for n in range(1, 10) for w in smooth_perms(n)]
+    assert len(ms) == 37385
+    assert hashlib.sha256(json.dumps(ms).encode()).hexdigest() == \
+        HESSENBERG_OF_SMOOTH_S9_SHA256
 
 
 def test_codominant_of_hessenberg():
