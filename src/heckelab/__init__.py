@@ -12,6 +12,10 @@ exposed on the command line as ``hecke-lab``.
 The names of ``__all__`` load on first use: ``heckelab.csf_batch`` imports
 ``heckelab.csf`` when it is first read, so ``import heckelab`` loads none
 of the modules and a program pays only for the layers it uses.
+
+So ``import heckelab.csf as csf`` binds the function csf, not the module
+(see ``_Package``); ``importlib.import_module("heckelab.csf")`` returns
+the module.
 """
 
 import sys
@@ -33,11 +37,10 @@ _EXPORTS = {name: module for module, names in [
                 "positivity q_factorial_partition murnaghan_nakayama"),
     ("characters", "chi frobenius_cprime character_table min_class_rep "
                    "cycle_type"),
-    ("csf", "IndifferenceGraph indifference_graph csf csf_oracle csf_batch "
-            "csf_index edge_count counterexample_search CounterexampleResult"),
-    ("lab", "MomentGraph moment_graph smooth_reduce ModularRelation "
-            "modular_relation modular_triples decompose_codominant "
-            "verify_decomposition check_suite Report"),
+    ("csf", "csf csf_oracle csf_batch csf_index edge_count "
+            "counterexample_search CounterexampleResult"),
+    ("lab", "smooth_reduce ModularRelation modular_relation modular_triples "
+            "decompose_codominant verify_decomposition check_suite Report"),
     ("cache", "Cache"),
 ] for name in names.split()}
 
@@ -60,7 +63,9 @@ def __dir__():
 class _Package(ModuleType):
     """The package's module type.  Importing a submodule binds it as an
     attribute of the package, which would hide the function ``csf`` behind
-    the module ``csf``; an exported name is never bound to a module."""
+    the module ``csf``; an exported name is never bound to a module.  As
+    ``import a.b as c`` loads a.b and then reads the attribute b of a,
+    ``import heckelab.csf as csf`` binds the function."""
 
     def __setattr__(self, name, value):
         if not (name in _EXPORTS and isinstance(value, ModuleType)):

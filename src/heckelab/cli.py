@@ -216,12 +216,11 @@ def _cmd_smooth_reduce(args, fmt) -> int:
 
 
 def _cmd_moment_graph(args, fmt) -> int:
-    from .lab import moment_graph
+    from .permutations import transpositions_below
     w = _parsed(parse_perm, args.w)
-    graph = moment_graph(w)
-    ts = sorted(graph.transpositions)
+    ts = sorted(transpositions_below(w))
     _emit(fmt, " ".join(f"({i},{j})" for i, j in ts) if ts else "(empty)",
-          {"n": graph.n, "w": perm_to_str(w),
+          {"n": len(w), "w": perm_to_str(w),
            "transpositions": [list(t) for t in ts]})
     return 0
 

@@ -1,10 +1,10 @@
 """
-Indifference graphs of Hessenberg functions and their chromatic
-quasisymmetric functions, collapsed to symmetric functions with q
-coefficients, and the counterexample search among them.  The default
-search computes only m1 and the functions one edge either side of it;
-only the general search scans the batch of the whole rank (csf_batch),
-which alone reads and writes the disk cache.
+Chromatic quasisymmetric functions of the indifference graphs G_m of
+Hessenberg functions (edges ``hessenberg_edges(m)``), collapsed to
+symmetric functions with q coefficients, and the counterexample search
+among them.  The default search computes only m1 and the functions one
+edge either side of it; only the general search scans the batch of the
+whole rank (csf_batch), which alone reads and writes the disk cache.
 
 csf_q(G) = sum over proper colorings kappa of q^(asc(kappa)) x_kappa, where
 asc counts edges {i, j} with i < j and kappa(i) < kappa(j), with the natural
@@ -93,24 +93,9 @@ from .qpoly import poly_add_scaled, poly_mul, poly_trim, poly_unpack
 from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
-    "IndifferenceGraph", "indifference_graph", "edge_count",
-    "csf", "csf_oracle", "csf_batch", "csf_index", "csf_key",
+    "edge_count", "csf", "csf_oracle", "csf_batch", "csf_index", "csf_key",
     "CounterexampleResult", "counterexample_search",
 ]
-
-
-class IndifferenceGraph(NamedTuple):
-    n: int
-    edges: frozenset
-
-
-def indifference_graph(m) -> IndifferenceGraph:
-    """The indifference graph G_m of the Hessenberg function m: vertices
-    1..n and the edges {i, j}, i < j <= m(i)."""
-    m = tuple(m)
-    if not is_hessenberg(m):
-        raise ValueError(f"not a Hessenberg function: {m}")
-    return IndifferenceGraph(len(m), hessenberg_edges(m))
 
 
 def edge_count(m) -> int:

@@ -6,7 +6,7 @@ permutations.
 
 Conventions, fixed once for the whole package:
 
-* ``Perm`` is a tuple of the values (w(1), ..., w(n)); ``w(i)`` is 1-based.
+* ``Perm`` is a tuple of the values (w(1), ..., w(n)), so w(i) = ``w[i - 1]``.
 * Products act on positions: ``(u * v)(i) = u(v(i))``.  Consequently
   ``w * s_i`` swaps the *positions* i, i+1 of w, while ``s_i * w`` swaps
   the *values* i, i+1.
@@ -94,10 +94,6 @@ class Perm(tuple):
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [{n}]: {word}")
         return super().__new__(cls, word)
-
-    def __call__(self, i: int) -> int:
-        """w(i), 1-based."""
-        return self[i - 1]
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -316,8 +312,7 @@ def transpositions_below(w: Perm) -> frozenset[tuple[int, int]]:
     >>> sorted(transpositions_below(Perm((3, 1, 2))))
     [(1, 2), (2, 3)]
     """
-    return frozenset((i, j) for i, top in enumerate(_tops(w), start=1)
-                     for j in range(i + 1, top + 1))
+    return hessenberg_edges(_tops(w))
 
 
 def _tops(w: Perm) -> tuple[int, ...]:
@@ -451,13 +446,11 @@ def parse_perm(text: str, n: int | None = None) -> Perm:
         if n is None:
             raise ValueError("parsing 'e' requires the rank n")
         return Perm.identity(n)
-    if "," in text:
-        word = [int(t) for t in text.split(",")]
-    else:
-        if not text.isdigit():
-            raise ValueError(f"not a permutation string: {text!r}")
-        word = [int(ch) for ch in text]
-    w = Perm(word)
+    tokens = text.split(",") if "," in text else list(text)
+    # isdecimal(), unlike isdigit(), refuses the digits int() cannot read
+    if not tokens or not all(t.strip().isdecimal() for t in tokens):
+        raise ValueError(f"not a permutation string: {text!r}")
+    w = Perm(int(t) for t in tokens)
     if n is not None and len(w) != n:
         raise ValueError(f"expected a permutation of [{n}], got {text!r}")
     return w

@@ -5,9 +5,9 @@ The ``poly_*`` functions are the arithmetic.  A polynomial in q is a plain
 int tuple of coefficients ascending from q^0, with no trailing zeros, so
 () is zero.  Every quantity the package compares is such a polynomial:
 Kazhdan-Lusztig polynomials, the characters of B_w = q^(l(w)/2) C'_w, the
-coefficients of csf_q(G_m) and of the codominant decompositions.  The S_8
-computations walk tens of thousands of interval elements, and dict-of-tuple
-rows keep that affordable.
+coefficients of csf_q(G_m) and of the codominant decompositions.  KL rows
+(heckelab.hecke) and the csf dynamic program compute on polynomials packed
+into ints, and hand out these tuples.
 
 ``LaurentQ`` is the value type of the API: the same tuple, canonicalised,
 which the API returns, compares, prints and serializes.

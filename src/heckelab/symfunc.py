@@ -333,19 +333,13 @@ class SymmetricFunction:
 
 
 def omega(f: SymmetricFunction) -> SymmetricFunction:
-    """The involution with omega(h) = e, omega(e) = h, omega(s_lam) = s_lam',
-    omega(p_k) = (-1)^(k-1) p_k."""
-    if f.basis in ("e", "h"):
-        polys = f.polys
-    elif f.basis == "s":
-        polys = {conjugate(lam): p for lam, p in f.polys.items()}
-    elif f.basis == "p":
-        polys = {lam: p if (f.n - len(lam)) % 2 == 0 else tuple(-v for v in p)
-                 for lam, p in f.polys.items()}
-    else:  # monomial basis: route through e and come back
-        return omega(f.convert("e")).convert("m")
-    basis = {"e": "h", "h": "e"}.get(f.basis, f.basis)
-    return SymmetricFunction(basis, f.n, polys)
+    """The involution with omega(s_lam) = s_lam', so omega(h) = e,
+    omega(e) = h and omega(p_k) = (-1)^(k-1) p_k: f is conjugated in the s
+    basis and returned in its own basis."""
+    s = f.convert("s").polys
+    return SymmetricFunction("s", f.n, {conjugate(lam): p
+                                        for lam, p in s.items()}
+                             ).convert(f.basis)
 
 
 class PositivityReport(NamedTuple):

@@ -31,9 +31,8 @@ PUBLIC = {
     "omega", "positivity", "q_factorial_partition", "murnaghan_nakayama",
     "chi", "frobenius_cprime", "character_table", "min_class_rep",
     "cycle_type",
-    "IndifferenceGraph", "indifference_graph", "csf", "csf_oracle",
-    "csf_batch", "csf_index", "edge_count",
-    "MomentGraph", "moment_graph", "smooth_reduce", "ModularRelation",
+    "csf", "csf_oracle", "csf_batch", "csf_index", "edge_count",
+    "smooth_reduce", "ModularRelation",
     "modular_relation", "modular_triples", "counterexample_search",
     "CounterexampleResult", "decompose_codominant", "verify_decomposition",
     "check_suite", "Report", "smooth_perms",

@@ -61,15 +61,21 @@ def test_import_loads_no_module():
 
 def test_csf_stays_the_function_once_its_module_loads():
     # lab imports heckelab.csf, and the import system binds each submodule
-    # it loads on the package
-    assert python("-c", "import sys, heckelab, heckelab.lab\n"
+    # it loads on the package; import_module still returns the module
+    assert python("-c", "import importlib, sys, heckelab, heckelab.lab\n"
                         "assert 'heckelab.csf' in sys.modules\n"
-                        "print(heckelab.csf is "
-                        "heckelab.csf.__globals__['csf'])") == "True\n"
+                        "module = importlib.import_module('heckelab.csf')\n"
+                        "assert module is sys.modules['heckelab.csf']\n"
+                        "print(heckelab.csf is module.csf)") == "True\n"
 
 
 def test_hessenberg_loads_no_layer():
     assert loaded("hessenberg", "--n", "2") & LAYERS == set()
+
+
+def test_moment_graph_loads_no_layer():
+    # the transpositions below w are read off permutations alone
+    assert loaded("moment-graph", "--w", "3142") & LAYERS == set()
 
 
 @pytest.mark.parametrize("argv", [

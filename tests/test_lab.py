@@ -8,19 +8,19 @@ import pytest
 
 from heckelab.characters import frobenius_cprime
 from heckelab.cli import main
-from heckelab.csf import csf, csf_batch, csf_index, csf_key, edge_count
+from heckelab.csf import (counterexample_search, csf, csf_batch, csf_index,
+                          csf_key, edge_count)
 from heckelab.hecke import KLRowStore, row_store
-from heckelab.lab import (CHECKS, MomentGraph, PreconditionError, Report,
-                          check_suite, counterexample_search,
+from heckelab.lab import (CHECKS, PreconditionError, Report, check_suite,
                           decompose_codominant, modular_relation,
-                          modular_triples, moment_graph, smooth_perms,
-                          smooth_reduce, verify_decomposition)
+                          modular_triples, smooth_reduce,
+                          verify_decomposition)
 from heckelab.permutations import (NotSmoothError, Perm, all_perms,
                                    codominant_of_hessenberg,
-                                   enumerate_hessenberg, hessenberg_edges,
-                                   hessenberg_of_smooth, hessenberg_to_str,
+                                   enumerate_hessenberg, hessenberg_to_str,
                                    orbit_representatives, parse_perm,
-                                   perm_to_str)
+                                   perm_to_str, smooth_perms,
+                                   transpositions_below)
 from heckelab.qpoly import LaurentQ, poly_add_scaled, poly_mul
 from heckelab.symfunc import partitions
 from test_characters import asymmetric_orbits, symmetry_orbits
@@ -51,24 +51,22 @@ def test_smooth_counts():
 
 
 def test_moment_graph():
-    assert moment_graph(Perm((2, 1))) == MomentGraph(2, frozenset({(1, 2)}))
-    assert moment_graph(Perm.identity(3)).transpositions == frozenset()
-    assert moment_graph(parse_perm("3142")) == moment_graph(parse_perm("2341"))
-    # Lemma 2.2: below smooth w lie exactly the (i, j) with j <= m_w(i)
-    for w in smooth_perms(5):
-        assert moment_graph(w).transpositions == \
-            hessenberg_edges(hessenberg_of_smooth(w))
+    # the moment graph of w is fixed by the transpositions below w
+    assert transpositions_below(Perm((2, 1))) == frozenset({(1, 2)})
+    assert transpositions_below(Perm.identity(3)) == frozenset()
+    assert transpositions_below(parse_perm("3142")) == \
+        transpositions_below(parse_perm("2341"))
 
 
-# sha256 of the JSON list of sorted(moment_graph(w).transpositions) for every
-# w of S_1, ..., S_6 in all_perms order, recorded when smooth w took their
-# edges from hessenberg_edges and singular w from transpositions_below
+# sha256 of the JSON list of sorted(transpositions_below(w)) for every w of
+# S_1, ..., S_6 in all_perms order, recorded when smooth w took their edges
+# from hessenberg_edges and singular w from a scan of their own
 MOMENT_GRAPHS_S6_SHA256 = \
     "e84b752720e33798bc654bb23fc44bbe548dadebc228e843c5228c1cad0989f8"
 
 
 def test_moment_graphs_golden_digest():
-    graphs = [sorted(moment_graph(w).transpositions)
+    graphs = [sorted(transpositions_below(w))
               for n in range(1, 7) for w in all_perms(n)]
     assert hashlib.sha256(json.dumps(graphs).encode()).hexdigest() == \
         MOMENT_GRAPHS_S6_SHA256

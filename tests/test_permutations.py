@@ -77,6 +77,11 @@ def test_perm_rejects_non_permutations():
             Perm(word)
     with pytest.raises(ValueError):
         parse_perm("112")
+    # a malformed string is refused in the parser's words, not int()'s
+    for text in ("1,,2", "2,1,"):
+        with pytest.raises(ValueError,
+                           match=f"^not a permutation string: '{text}'$"):
+            parse_perm(text)
 
 
 def test_length_examples():
@@ -353,6 +358,9 @@ def test_transpositions_below_matches_bruhat_leq_s6():
             (i, j) for i in range(1, 6) for j in range(i + 1, 7)
             if bruhat_leq(e.times_transposition(i, j), w))
         assert transpositions_below(w) == expected, w
+        # Lemma 2.2: below smooth w lie exactly l(w) transpositions
+        if w.is_smooth():
+            assert len(expected) == w.length(), w
 
 
 def transpositions_below_by_rank_table(w):
@@ -380,21 +388,6 @@ def test_transpositions_below_matches_the_rank_table_s7():
     for w in all_perms(7):
         assert transpositions_below(w) == \
             transpositions_below_by_rank_table(w), w
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_lemma22_smooth(n):
-    # transpositions below smooth w are exactly (i, j) with j <= m_w(i),
-    # and there are l(w) of them
-    for w in all_perms(n):
-        if not w.is_smooth():
-            continue
-        m = hessenberg_of_smooth(w)
-        expected = frozenset((i, j) for i in range(1, n + 1)
-                             for j in range(i + 1, m[i - 1] + 1))
-        got = transpositions_below(w)
-        assert got == expected, w
-        assert len(got) == w.length()
 
 
 def test_hessenberg_edges():
