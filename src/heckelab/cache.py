@@ -1,8 +1,8 @@
 """
 Versioned JSON disk cache.  It holds one kind of file: the csf batch of a
 rank (see csf.csf_batch), the only result that is cheaper to load than to
-rebuild.  A load takes about a fifth of a rebuild at every rank from 5 to
-9 (at n = 8, 0.06 s against 0.31 s on one core).  Only
+rebuild.  A load beats a rebuild at every rank from 5 to 10, in 0.7 of
+its time at n = 5 and 0.3 at n = 9 (0.22 s against 0.72 s, one core).  Only
 ``hecke-lab counterexample --general`` reads and writes it: the default
 search computes the few functions it reads faster than a load (at n = 8,
 106 functions in 0.02 s).

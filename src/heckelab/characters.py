@@ -72,12 +72,11 @@ from .hecke import _coset, _runs, row_store
 from .permutations import Perm, all_perms
 from .qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
                     poly_trim, poly_unpack_balanced)
-from .symfunc import (SymmetricFunction, _transition, murnaghan_nakayama,
-                      partitions)
+from .symfunc import SymmetricFunction, _transition, partitions
 
 __all__ = [
     "chi", "frobenius_cprime",
-    "character_table", "murnaghan_nakayama", "min_class_rep", "cycle_type",
+    "character_table", "min_class_rep", "cycle_type",
 ]
 
 # each cyclic-shift class met gets a number: the class number of each
@@ -206,7 +205,7 @@ def _wide_values(mu: tuple, width: int) -> tuple:
                  for lam, v in _class_values(mu).items())
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=None)
 def _coset_classes(r: tuple, runs: tuple) -> tuple:
     """((class number, count), ...) over the right coset r W_J of its
     minimal element r, J given by its descent runs; the double cosets of

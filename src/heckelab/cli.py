@@ -54,8 +54,8 @@ MAX_SEARCH_N = 10
 # 9,10,8,7,6,5,4,3,2,1 --s 1 takes 81 s and 1.67 GB.  chi reduces the class
 # of --w, about 7 times dearer per rank: 5.8 s and 166 MB at w0 of S_10
 MAX_ROW_N = 10
-# kl --z builds every row of w's recursion: for w0 and z = e, 17.0 s and
-# 159 MB in S_12, 114.6 s and 664 MB in S_13 (about 6-7 times per rank)
+# kl --z builds every row of w's recursion: for w0 and z = e, about 11 s and
+# 183 MB in S_12, 80 s and 866 MB in S_13 (about 7 times the time per rank)
 MAX_KL_ENTRY_N = 12
 # decompose's exact search computes all 1 430 codominant characters at 8
 MAX_DECOMPOSE_N = 8
@@ -228,8 +228,10 @@ def _cmd_moment_graph(args, fmt) -> int:
 def _cmd_modular(args, fmt) -> int:
     from .lab import modular_relation
     w = _parsed(parse_perm, args.w)
-    if not 1 <= args.s <= len(w) - 1:
-        raise InputError(f"--s must be in 1..{len(w) - 1}")
+    if not 1 <= args.s < len(w):
+        raise InputError(f"--s must be in 1..{len(w) - 1}" if len(w) > 1
+                         else "--s: rank 1 has no simple reflection; give "
+                              "--w of rank 2 or more")
     try:
         rel = modular_relation(w, args.s, len(w) <= MAX_ROW_N)
     except ValueError as exc:
@@ -269,11 +271,8 @@ def _cmd_counterexample(args, fmt) -> int:
         extra = f" (shift a={result.shift})" if args.general else ""
         text = f"FOUND m0={payload['m0']} m2={payload['m2']}{extra}"
     _emit(fmt, text, payload)
-    if args.expect == "found" and result is None:
-        return 1
-    if args.expect == "notfound" and result is not None:
-        return 1
-    return 0
+    outcome = "notfound" if result is None else "found"
+    return 0 if args.expect in (None, outcome) else 1
 
 
 def _cmd_decompose(args, fmt) -> int:
@@ -290,9 +289,7 @@ def _cmd_decompose(args, fmt) -> int:
         payload["terms"] = [[perm_to_str(u), c.to_json()] for u, c in terms]
         text = "\n".join(f"C'[{perm_to_str(u)}]: {c}" for u, c in terms)
     _emit(fmt, text, payload)
-    if args.expect == "found" and result is None:
-        return 1
-    return 0
+    return 1 if args.expect == "found" and result is None else 0
 
 
 def _cmd_check(args, fmt) -> int:
@@ -419,6 +416,8 @@ def main(argv=None) -> int:
             what = "kl without --z" if args.command == "kl" else args.command
             raise InputError(f"{what} has no LaTeX form; "
                              "use --format text or json")
+        if getattr(args, "w", "").strip() == "e":  # 'e' names no rank
+            raise InputError("--w cannot be 'e'; write the identity as 12...n")
         return args.handler(args, args.format)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

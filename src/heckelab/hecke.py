@@ -153,7 +153,7 @@ def _runs(w) -> tuple:
     return tuple(runs)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=None)
 def _shape(y: tuple) -> tuple:
     """(runs, blocks, block, l(w_I) + l(w_J)) of y: its descent runs, whose
     positions W_J permutes, J = D_R(y); its left descent blocks, whose
@@ -169,9 +169,9 @@ def _shape(y: tuple) -> tuple:
     return runs, blocks, tuple(block), _longest(runs) + _longest(blocks)
 
 
-# bounded: the mu-corrections of the rows of one rank ask for the same
-# (key, runs) pairs again and again (about ten times each over S_7)
-@lru_cache(maxsize=1 << 16)
+# the mu-corrections of the rows of one rank ask for the same (key, runs)
+# pairs again and again (about ten times each over S_7)
+@lru_cache(maxsize=None)
 def _coset_min(z: tuple, runs: tuple) -> tuple:
     """The minimal element of z W_J, J given by its runs: z sorted inside
     each run."""

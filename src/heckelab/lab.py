@@ -11,7 +11,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .characters import (_chi_all, _frobenius_coeffs, frobenius_cprime,
-                         min_class_rep, murnaghan_nakayama)
+                         min_class_rep)
 # counterexample_search is imported for bench/tracer.py, which wraps it here
 from .csf import _oracle_coeffs, counterexample_search, csf_batch, edge_count
 from .hecke import row_store
@@ -21,13 +21,14 @@ from .permutations import (Perm, _descending_covers, all_perms,
                            hessenberg_to_str, orbit_representatives,
                            perm_to_str, smooth_perms, transpositions_below)
 from .qpoly import LaurentQ, poly_add_scaled, poly_mul, poly_shape
-from .symfunc import SymmetricFunction, omega, partitions, positivity
+from .symfunc import (SymmetricFunction, murnaghan_nakayama, omega, partitions,
+                      positivity)
 
 __all__ = [
     "PreconditionError", "InternalContradictionError", "smooth_reduce",
     "ModularRelation", "modular_relation", "modular_triples",
     "decompose_codominant", "verify_decomposition",
-    "Report", "check_suite", "CHECKS",
+    "Report", "check_suite", "CHECKS", "CHECK_BOUNDS",
 ]
 
 # the search nodes _positive_solve visits before it gives up, and the rank

@@ -3,9 +3,9 @@ beyond the ranks the seminormal oracle reaches."""
 
 from hypothesis import given, settings, strategies as st
 
-from heckelab.characters import chi, cycle_type, murnaghan_nakayama
+from heckelab.characters import chi, cycle_type
 from heckelab.permutations import Perm
-from heckelab.symfunc import partitions
+from heckelab.symfunc import murnaghan_nakayama, partitions
 
 perms = st.sampled_from([7, 8]).flatmap(
     lambda n: st.permutations(range(1, n + 1))).map(Perm)

@@ -5,15 +5,14 @@ import pytest
 
 from heckelab.characters import (_coxeter_h, _frobenius_coeffs, chi,
                                  character_table, cycle_type,
-                                 frobenius_cprime, min_class_rep,
-                                 murnaghan_nakayama)
+                                 frobenius_cprime, min_class_rep)
 from heckelab import characters, hecke
 from heckelab.hecke import KLRowStore, row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
 from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
                             poly_shape, poly_unpack_balanced)
-from heckelab.symfunc import (SymmetricFunction, num_syt, partitions,
-                              q_factorial_partition)
+from heckelab.symfunc import (SymmetricFunction, murnaghan_nakayama,
+                              num_syt, partitions, q_factorial_partition)
 from hecke_oracle import (HeckeElement, Laurent, chi_element, cprime,
                           cprime_normalized, frobenius_ch)
 from seminormal_oracle import (InterpolationError, chi_poly_from_word,

@@ -295,6 +295,29 @@ def test_bad_inputs_exit_2(capsys):
     assert code == 2
 
 
+def test_modular_at_rank_one_exits_2(capsys):
+    code = main(["--no-cache", "modular", "--w", "1", "--s", "1"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: --s: rank 1 has no simple reflection; give " \
+                      "--w of rank 2 or more\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl", "--w", "e"], ["kl", "--w", "e", "--z", "e"], ["cprime", "--w", "e"],
+    ["chi", "--lambda", "1", "--w", "e"], ["ch", "--w", "e"],
+    ["smooth-reduce", "--w", "e"], ["moment-graph", "--w", "e"],
+    ["modular", "--w", "e", "--s", "1"], ["decompose", "--w", " e"]],
+    ids=" ".join)
+def test_identity_as_w_exits_2(capsys, argv):
+    # 'e' names no rank; --z e takes the rank of --w
+    code = main(["--no-cache", *argv])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: --w cannot be 'e'; write the identity as " \
+                      "12...n\n"
+
+
 @pytest.mark.parametrize("m", [",,", "1,x", ""])
 def test_csf_non_integer_m_exits_2(capsys, m):
     code = main(["--no-cache", "csf", "--m", m])
@@ -414,9 +437,7 @@ def test_threads_below_one_rejected(capsys, threads):
 
 
 def _fresh_memos(monkeypatch):
-    # by module path: the package re-exports a function named csf
-    characters, csf = (importlib.import_module(f"heckelab.{name}")
-                       for name in ("characters", "csf"))
+    from heckelab import characters, csf
     monkeypatch.setattr(csf, "_batches", {})
     characters.frobenius_cprime.cache_clear()
 

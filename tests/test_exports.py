@@ -1,14 +1,12 @@
-"""Every name a heckelab module lists in __all__ exists, and the package
-star-imports: a name moved out of the library must leave no stale entry.
-The package's own exports load on first use and are the objects of their
-home modules.  No function or method is kept only for the tests unless it
-is pinned below with its reason."""
+"""Every name a heckelab module lists in __all__ exists and is defined in
+that module, so a name has one import path and a name moved out of the
+library leaves no stale entry.  No function or method is kept only for the
+tests unless it is pinned below with its reason."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
-import types
 
 import pytest
 
@@ -19,26 +17,6 @@ MODULES = [importlib.import_module(f"heckelab.{info.name}")
            for info in pkgutil.iter_modules(heckelab.__path__)
            if info.name != "__main__"]
 
-# the package's public names: `from heckelab import *` binds exactly these
-PUBLIC = {
-    "LaurentQ",
-    "Perm", "NotSmoothError", "bruhat_leq", "coessential_set",
-    "hessenberg_of_smooth", "codominant_of_hessenberg", "transpositions_below",
-    "is_hessenberg", "enumerate_hessenberg", "parse_perm", "perm_to_str",
-    "parse_hessenberg", "hessenberg_to_str", "all_perms",
-    "kl_polynomial",
-    "SymmetricFunction", "partitions", "conjugate", "num_syt", "kostka",
-    "omega", "positivity", "q_factorial_partition", "murnaghan_nakayama",
-    "chi", "frobenius_cprime", "character_table", "min_class_rep",
-    "cycle_type",
-    "csf", "csf_oracle", "csf_batch", "csf_index", "edge_count",
-    "smooth_reduce", "ModularRelation",
-    "modular_relation", "modular_triples", "counterexample_search",
-    "CounterexampleResult", "decompose_codominant", "verify_decomposition",
-    "check_suite", "Report", "smooth_perms",
-    "Cache",
-}
-
 
 @pytest.mark.parametrize("module",
                          [m for m in MODULES if hasattr(m, "__all__")],
@@ -47,29 +25,26 @@ def test_every_name_in_all_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-def test_star_import():
-    namespace = {}
-    exec("from heckelab import *", namespace)
-    del namespace["__builtins__"]
-    assert namespace.keys() == PUBLIC
-    assert not any(isinstance(v, types.ModuleType) for v in namespace.values())
-
-
-def test_exports_are_the_objects_of_their_home_modules():
-    assert set(heckelab.__all__) == PUBLIC
-    assert set(dir(heckelab)) >= PUBLIC
-    for name in heckelab.__all__:
-        home = heckelab._EXPORTS[name]
-        value = getattr(heckelab, name)
-        assert value is getattr(
-            importlib.import_module(f"heckelab.{home}"), name), name
-        assert getattr(value, "__module__", "heckelab." + home) == \
-            "heckelab." + home, name
-
-
-def test_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        heckelab.no_such_name  # noqa: B018
+def test_every_name_in_all_is_defined_in_its_module():
+    # a name bound by an import is another module's name: listing it would
+    # give it a second import path
+    foreign = []
+    for path in pathlib.Path(heckelab.__file__).parent.glob("*.py"):
+        defined, listed = set(), []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                defined |= names
+                if "__all__" in names:
+                    listed = [c.value for c in ast.walk(node.value)
+                              if isinstance(c, ast.Constant)]
+        foreign += [f"{path.stem}.{name}" for name in listed
+                    if name not in defined]
+    assert foreign == []
 
 
 # functions and methods that no code of heckelab names, each with its reason
@@ -80,14 +55,21 @@ UNNAMED_IN_SRC = {
     "permutations.Perm.is_codominant": "test reference for the codominant "
                                        "decompositions",
     "permutations.Perm.lower_covers": "bench/tracer.py wraps it",
+    "permutations.bruhat_leq": "bench/tracer.py wraps it",
+    "characters.character_table": "bench/tracer.py wraps it",
+    "csf.csf_oracle": "bench/tracer.py wraps it",
+    "symfunc.num_syt": "test reference for the dimensions of the characters",
+    "symfunc.q_factorial_partition": "test reference for the csf of "
+                                     "complete graphs",
+    "lab.verify_decomposition": "the tests verify decompositions with it",
 }
 
 
 def test_no_function_is_kept_only_for_the_tests():
     # a name counts as used when the code of some module refers to it: as
     # a variable, an attribute, an import or a string, but not as a string
-    # of a module's __all__, which lists a name without using it; a package
-    # export is used by name; dunders are called by Python, not by name
+    # of a module's __all__, which lists a name without using it; dunders
+    # are called by Python, not by name
     trees = {path.stem: ast.parse(path.read_text())
              for path in pathlib.Path(heckelab.__file__).parent.glob("*.py")}
     listed = {id(const) for tree in trees.values() for node in tree.body
@@ -95,7 +77,7 @@ def test_no_function_is_kept_only_for_the_tests():
               and any(isinstance(target, ast.Name) and target.id == "__all__"
                       for target in node.targets)
               for const in ast.walk(node.value)}
-    used = set(heckelab._EXPORTS)
+    used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if id(node) in listed:

@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: importing heckelab loads none of its
-modules, each hecke-lab command loads only the layers it runs, the export
-csf stays the function once its module loads, and every --help works."""
+modules, each hecke-lab command loads only the layers it runs, a module
+and a function of the same name each have their own import path, and every
+--help works."""
 
 import argparse
 import json
@@ -59,14 +60,12 @@ def test_import_loads_no_module():
                   ) == "['heckelab']\n"
 
 
-def test_csf_stays_the_function_once_its_module_loads():
-    # lab imports heckelab.csf, and the import system binds each submodule
-    # it loads on the package; import_module still returns the module
-    assert python("-c", "import importlib, sys, heckelab, heckelab.lab\n"
-                        "assert 'heckelab.csf' in sys.modules\n"
-                        "module = importlib.import_module('heckelab.csf')\n"
-                        "assert module is sys.modules['heckelab.csf']\n"
-                        "print(heckelab.csf is module.csf)") == "True\n"
+def test_csf_names_the_module_and_the_function_by_import_path():
+    assert python("-c", "import types\n"
+                        "import heckelab.csf as csf\n"
+                        "from heckelab.csf import csf as function\n"
+                        "print(isinstance(csf, types.ModuleType), "
+                        "function is csf.csf)") == "True True\n"
 
 
 def test_hessenberg_loads_no_layer():
