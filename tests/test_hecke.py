@@ -189,7 +189,9 @@ def test_kl_row_properties_s7_s8(w):
 # of lower half rows (78563412, singular, whose closure has
 # mu-corrections with nonconstant polynomials); the rank 10 row, whose
 # comma strings do not sort like the permutations, from the store of
-# descent cosets with tuple keys
+# descent cosets with tuple keys; w0 of S_9, the largest rank printed as
+# digit strings (362 880 entries, one coset), from the store that exported
+# (z, rendered polynomial) pairs
 KL_JSON_SHA256 = {
     "87654321":
         "8463083f1b346cc1b13388ba02aa5326a0ce44a8c2247d6c724775c49fdd1a02",
@@ -203,6 +205,8 @@ KL_JSON_SHA256 = {
         "0705acc4ba7fc73edecc0e34d393f336b813e9700abb1e60724138f6cb39d73d",
     "1,10,3,4,5,6,7,8,9,2":
         "31d035ef910a415906bb8118c6d27a735e10097a417259a28d479e9e727a1bd0",
+    "987654321":
+        "9f4955c622ef8b13c799f975dde951a0f76bd68d5823339fa4245ebca8d31cde",
 }
 # the same for `hecke-lab --format text kl --w <w>`
 KL_TEXT_SHA256 = {
@@ -216,7 +220,10 @@ KL_TEXT_SHA256 = {
 # sha256 of `hecke-lab --format <fmt> cprime --w <w>` stdout: 7563412,
 # recorded from the store of descent cosets with tuple keys, a row of 4 048
 # entries on many small cosets; w0 of S_8, whose row is more than one
-# chunk of the writer; the rank 10 row, in the comma form
+# chunk of the writer; the rank 10 row, in the comma form; 785634912 (text
+# only), a rank 9 row of 94 720 entries on 1 855 stored double cosets with
+# 122 distinct polynomials, from the store that exported (z, rendered
+# polynomial) pairs
 CPRIME_SHA256 = {
     "json": {
         "7563412":
@@ -233,6 +240,8 @@ CPRIME_SHA256 = {
             "22de1fa528b745847d75103a1ee41540a3530c70f322e9b0fcbc3615de053fc6",
         "1,10,3,4,5,6,7,8,9,2":
             "10c13b8a908a879bc353eda149770ea197a24fb9ee1342d0dc29224e1e9e2e5a",
+        "785634912":
+            "85be234e5c9927f80475caf27d6d51401ea58ff865eb8145ae115b3b62b2ff2d",
     },
 }
 
