@@ -20,8 +20,8 @@ polynomials and symmetric functions have a LaTeX form: ``chi``,
 ``--z``, ``cprime``, ``smooth-reduce``, ``moment-graph``, ``modular``,
 ``decompose``, ``counterexample``, ``check``, ``hessenberg``) refuses
 --format latex with exit 2 before it computes anything.  ``kl`` and
-``cprime`` lay out and stream the sorted KL row that heckelab.hecke
-exports through ``_row``.
+``cprime`` stream the text of a KL row from heckelab.rowtext, one length
+of z at a time, through ``_row``.
 
 Every input limit lives here and refuses with exit 2 before anything is
 computed: ``MAX_ROW_N`` for ``kl`` without ``--z``, ``cprime``, ``ch``,
@@ -49,7 +49,9 @@ MAX_HESSENBERG_N = 12
 # those one edge from m1, at most 1 986 at n = 10, in about 2 s and 33 MB
 MAX_SEARCH_N = 10
 # kl without --z, cprime, ch and modular expand every z <= w.  For w0 of
-# S_10 (3 628 800 z; S_11 has 11 times as many), cprime takes 8 s and 1.1 GB
+# S_10 (3 628 800 z; S_11 has 11 times as many), kl takes 2.9-3.2 s and
+# 545 MB (7.3-7.8 s and 1.1 GB when its rows were printed from (z,
+# polynomial) pairs), cprime 2.0-2.4 s and 416 MB (7.0-7.8 s, 1.1 GB),
 # and ch 80 s and 1.6 GB (5.9 s, 167 MB in S_9); modular --w
 # 9,10,8,7,6,5,4,3,2,1 --s 1 takes 81 s and 1.67 GB.  chi reduces the class
 # of --w, about 7 times dearer per rank: 5.8 s and 166 MB at w0 of S_10
@@ -112,23 +114,15 @@ def _emit(fmt: str, text, data, latex=None) -> None:
     out.write("\n")
 
 
-# entries per piece of _row: about 150 kB of KL row JSON in S_8
-_CHUNK = 1 << 12
-
-
 def _row(w, head: str, sep: str, tail: str, render):
     """The pieces of head + sep.join(before + z + after) + tail over the
-    row of w in (length, z) order, z as perm_to_str prints it and
-    (before, after) = render(coefficients of P_{z,w}), once per distinct
-    polynomial.  The row is exported when the first piece is asked for,
-    and joined `_CHUNK` entries at a time."""
+    row of w in (length, z) order, (before, after) = render(coefficients
+    of P_{z,w}): see heckelab.rowtext.export, which runs when the first
+    piece is asked for."""
     from .hecke import row_store
-    entries = row_store(len(w)).export(w, render)
+    from .rowtext import export
     yield head
-    for k in range(0, len(entries), _CHUNK):
-        yield (sep if k else "") + sep.join(
-            [before + z + after
-             for z, (before, after) in entries[k:k + _CHUNK]])
+    yield from export(row_store(len(w)), w, render, sep)
     yield tail
 
 

@@ -28,9 +28,9 @@ coefficientwise.  The store keeps a subset of the same values, built by
 the same recursion, so neither B nor this bound depends on the layout
 below.  Packed ints leave the store only decoded: as tuple polynomials of
 heckelab.qpoly from ``KLRowStore.row`` and ``KLRowStore.polynomial``
-(wrapped into LaurentQ only by ``kl_polynomial``), as the sorted (z,
-rendered polynomial) pairs of ``KLRowStore.export``, or repacked at a
-width of its own by the Frobenius character kernel of heckelab.characters.
+(wrapped into LaurentQ only by ``kl_polynomial``), rendered into the text
+that heckelab.rowtext prints, or repacked at a width of its own by the
+Frobenius character kernel of heckelab.characters.
 
 Each row is stored once per two-sided descent coset.  Let I = D_L(y) and
 J = D_R(y), the left and right descents of y.  W_J permutes the positions
@@ -51,19 +51,13 @@ one pass: the result lists each block in order, it is z times an element
 of W_I on the left, and it stays increasing on the runs, since blocks
 are intervals of values and keep their order against each other.
 
-Readers see the row only through ``KLRowStore._cosets``, which expands
-each double coset d into its right cosets r W_J (``_right_cosets``): r
-is d with the values of each block dealt to the block's positions,
-increasing on every run, at length l(d) plus the pairs of one block's
-values dealt out of order.  Each right coset expands in turn at l(r)
-plus the inversions inside the runs.  The tuple readers
-expand r as a tuple.  ``export``, which the printers read, expands it as
-the string of chr(48 + v) over its values v (``_text``), so each z is
-joined from characters rather than built as a tuple and then printed.
-Such strings of one length sort like the tuples, so they are sorted as
-they are; for n <= 9 they are the printed digit strings, and above that
-each is rendered in the comma form once, after the sort.  The module
-writes nothing: heckelab.cli lays out and streams what ``export`` returns.
+Readers expand the double cosets.  Each double coset d splits into right
+cosets r W_J (``_right_cosets``): r is d with the values of each block
+dealt to the block's positions, increasing on every run, at length l(d)
+plus the pairs of one block's values dealt out of order; r W_J adds the
+inversions inside the runs (``_coset``).  ``KLRowStore._cosets`` lists
+the right cosets as tuples for the readers here and the character kernel,
+and heckelab.rowtext deals them into the text that the printers write.
 
 A row is built from the row of y' = ys, s the first descent of y, by
 
@@ -120,7 +114,7 @@ I' = D_L(y') and J' = D_R(y').
 
 on packed ints too, with an exact zero test.  Products can carry past B
 bits, so every distinct polynomial of the rows is decoded at width B (as
-``row`` and ``export`` report it) and repacked at a width W with
+``row`` reports it) and repacked at a width W with
 2^W > n! M^2 + 1, M the largest value at q = 1 among them.  The terms of
 each sum are split by sign into two sums S+ and S- with nonnegative
 coefficients, each at most S+(1) + S-(1) <= n! M^2.  So S+ and S- + delta
@@ -233,13 +227,14 @@ def _deals(sizes: tuple) -> tuple:
                  for a, _ in out)
 
 
-def _right_cosets(d: tuple, runs: tuple, blocks: tuple) -> list:
+def _right_cosets(d: tuple, runs: tuple, blocks: tuple, labels=None) -> list:
     """(l(z) - l(d), z) over the minimal elements z of the right W_J-cosets
-    in W_I d W_J, d its minimal element, d first.  Such a z is d with the
-    values of each block dealt to the block's positions, increasing on
-    each run; l(z) - l(d) counts the pairs of values of one block dealt
-    out of order."""
-    out = [(0, d)]
+    in W_I d W_J, d its minimal element, d first; each z is the tuple of
+    its values, or with labels of labels[v] over its values v.  Such a z
+    is d with the values of each block dealt to the block's positions,
+    increasing on each run; l(z) - l(d) counts the pairs of values of one
+    block dealt out of order."""
+    out = [(0, d if labels is None else tuple([labels[v] for v in d]))]
     if not blocks or not runs:
         return out
     joined = {p for lo, hi in runs for p in range(lo, hi - 1)}
@@ -257,12 +252,14 @@ def _right_cosets(d: tuple, runs: tuple, blocks: tuple) -> list:
         if sizes:
             sizes.append(size)
             slots = pos[lo:hi]
+            names = range(lo + 1, hi + 1) if labels is None else \
+                labels[lo + 1:hi + 1]
             grown = []
             for dz, z in out:
                 for inv, a in _deals(tuple(sizes)):
                     x = list(z)
                     for p, v in zip(slots, a):
-                        x[p] = lo + 1 + v
+                        x[p] = names[v]
                     grown.append((dz + inv, tuple(x)))
             out = grown
     return out
@@ -284,11 +281,10 @@ def _longest(runs) -> int:
     return sum((hi - lo) * (hi - lo - 1) // 2 for lo, hi in runs)
 
 
-def _coset(r, runs: tuple):
+def _coset(r: tuple, runs: tuple):
     """(l(z) - l(r), z) over the right coset r W_J of its minimal element
     r, J given by its descent runs: z is r with the values inside each run
-    permuted, one at a time.  r is a tuple, or a string of one character
-    per value (see `_text`); each z is of the same type."""
+    permuted, one at a time."""
     ends = [lo for lo, _ in runs[1:]] + [len(r)]
     out = iter([(0, r[:runs[0][0]] if runs else r)])
     for (lo, hi), end in zip(runs, ends):
@@ -296,26 +292,13 @@ def _coset(r, runs: tuple):
     return out
 
 
-def _arranged(prefixes, block, tail):
+def _arranged(prefixes, block: tuple, tail: tuple):
     """(dx + inversions of a, x + a + tail) for each (dx, x) of prefixes and
     each arrangement a of the sorted block."""
     inv = _inversions(len(block))
     for dx, x in prefixes:
-        arranged = permutations(block)
-        if isinstance(block, str):
-            arranged = map("".join, arranged)
-        for d, a in zip(inv, arranged):
+        for d, a in zip(inv, permutations(block)):
             yield dx + d, x + a + tail
-
-
-_DIGITS = bytes((48 + v) % 256 for v in range(256))  # v -> chr(48 + v)
-
-
-def _text(r: tuple) -> str:
-    """r as the string of chr(48 + v) over its values v.  Such strings of
-    one length sort like the tuples, and for n <= 9 they are the digit
-    strings that perm_to_str prints."""
-    return bytes(r).translate(_DIGITS).decode()
 
 
 class KLRowStore:
@@ -326,9 +309,8 @@ class KLRowStore:
     minimal element of each double coset W_I z W_J in [e, y], I = D_L(y)
     and J = D_R(y), to its packed P_{z,y} (see the module docstring);
     every key is interned with its length.  Reads expand the double cosets:
-    to a dict Perm -> int tuple by `row`, or as strings to the
-    sorted output of `export`, which the printers read; `polynomial` reads
-    the one value at the double coset of z.
+    to a dict Perm -> int tuple by `row`, or to text by heckelab.rowtext;
+    `polynomial` reads the one value at the double coset of z.
 
     >>> from heckelab.permutations import parse_perm
     >>> store = KLRowStore(4)
@@ -370,39 +352,6 @@ class KLRowStore:
         runs, blocks = _shape(y)[:2]
         p = self._packed_row(y).get(_relabel(_coset_min(z, runs), blocks))
         return () if p is None else self._decode(y, p, tuple)
-
-    def export(self, y: Perm, poly_out) -> list:
-        """[(z as perm_to_str prints it, poly_out(coefficients of P_{z,y}))]
-        over the row of y in (length, z) order, without building `row(y)`;
-        poly_out runs once per distinct polynomial.
-
-        Each right coset r W_J of each stored double coset is expanded as
-        strings of `_text`, whose order is that of the tuples, into one
-        list per length, and each list is sorted on its own; above rank 9
-        the sorted strings are rendered in the comma form once."""
-        polys = self._distinct(y, poly_out)
-        runs = _runs(y)
-        by_length = [[] for _ in range(y.length() + 1)]
-        # the last run is arranged in place, after each arrangement of the
-        # runs before it
-        lo, hi = runs[-1] if runs else (len(y), len(y))
-        inv, first = _inversions(hi - lo), runs[:-1]
-        for lr, r, p in self._cosets(y):
-            v, r = polys[p], _text(r)
-            tail = r[hi:]
-            ends = [a + tail for a in map("".join, permutations(r[lo:hi]))]
-            for dx, x in (_coset(r[:lo], first) if first else ((0, r[:lo]),)):
-                at = lr + dx
-                for dz, z in zip(inv, ends):
-                    by_length[at + dz].append((x + z, v))
-        out = []
-        for group in by_length:
-            group.sort()  # the strings differ, so v is never compared
-            out += group
-        if len(y) > 9:
-            commas = {48 + v: f"{v}," for v in range(1, len(y) + 1)}
-            out = [(z.translate(commas)[:-1], v) for z, v in out]
-        return out
 
     def _decode(self, y: Perm, p: int, poly_out):
         if p < 0:

@@ -95,6 +95,16 @@ def test_kl_rows_load_only_hecke_and_qpoly(command):
     assert modules & {"fractions", "decimal"} == set()
 
 
+@pytest.mark.parametrize("argv", [
+    ["kl", "--w", "321"], ["cprime", "--w", "321"],
+    ["kl", "--w", "321", "--z", "e"], ["ch", "--w", "321"],
+    ["check", "--name", "all", "--n", "4"]], ids=" ".join)
+def test_only_whole_rows_load_the_row_printer(argv):
+    # a process that prints no whole row never compiles heckelab.rowtext
+    assert ("heckelab.rowtext" in loaded(*argv)) == (
+        argv[0] in ("kl", "cprime") and "--z" not in argv)
+
+
 def test_counterexample_loads_no_kl_or_character_layer():
     modules = loaded("counterexample", "--m", "2,3,3")
     assert modules & {"heckelab.hecke", "heckelab.characters",

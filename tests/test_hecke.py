@@ -1,12 +1,16 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heckelab import rowtext
 from heckelab.cli import main
 from heckelab.hecke import KLRowStore, kl_polynomial, row_store
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
@@ -271,6 +275,23 @@ def test_cprime_golden_digest(fmt):
             for w in CPRIME_SHA256[fmt]} == CPRIME_SHA256[fmt]
 
 
+def exported(store, y, poly_first):
+    """[(z, P_{z,y})] read back from the text of rowtext.export, one entry
+    a line, in the order it is written: with poly_first the repr of P_{z,y}
+    is rendered before z (so every row with two distinct polynomials takes
+    the entry-by-entry join), otherwise after it."""
+    polys = {}
+
+    def render(c):
+        polys[repr(c)] = c
+        return (repr(c) + "=", "") if poly_first else ("", "=" + repr(c))
+    text = "".join(rowtext.export(store, y, render, "\n"))
+    pairs = (line.split("=") for line in text.split("\n"))
+    if poly_first:
+        return [(z, polys[p]) for p, z in pairs]
+    return [(z, polys[p]) for z, p in pairs]
+
+
 @pytest.mark.parametrize("ys", [
     list(all_perms(5)),
     random.Random(18).sample(list(all_perms(7)), 10),
@@ -283,13 +304,14 @@ def test_export_matches_the_sorted_row(ys):
         expected = [(perm_to_str(z), p) for z, p in sorted(
             store.row(y).items(), key=lambda item: (item[0].length(),
                                                     item[0]))]
-        assert store.export(y, tuple) == expected, y
+        assert exported(store, y, False) == expected, y
+        assert exported(store, y, True) == expected, y
 
 
 # sha256 over n = 1..7 and every w of S_n in lexicographic order of
-# repr(export(w, tuple)), one fresh store per rank: every row of S_7 and
-# below, entry by entry, in the order the printers read; recorded from the
-# store of right descent cosets
+# repr([(z, P_{z,w})]) read back from export(w), one fresh store per rank:
+# every row of S_7 and below, entry by entry, in the order the printers
+# read; recorded from the store of right descent cosets
 ALL_ROWS_SHA256 = \
     "897e1c56f506e42cef708c55c46324a1d5b5437d26b17643fc4b5239b8372a57"
 
@@ -299,13 +321,47 @@ def test_every_row_of_rank_at_most_7_golden_digest():
     for n in range(1, 8):
         store = KLRowStore(n)
         for w in all_perms(n):
-            digest.update(repr(store.export(w, tuple)).encode())
+            digest.update(repr(exported(store, w, False)).encode())
     assert digest.hexdigest() == ALL_ROWS_SHA256
+
+
+def test_printing_the_w0_row_of_s8_peaks_below_5_mib():
+    # the allocations of printing the built row of w0 in S_8 as JSON, with
+    # the arrangements of its run written afresh: 5.9 MiB when the row was
+    # exported as (z, rendered polynomial) pairs and joined entry by entry,
+    # 4.1 MiB with each entry built once as its final string
+    w = parse_perm("87654321")
+    row_store(8).polynomial(Perm.identity(8), w)
+    rowtext._arrangements.cache_clear()
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            main(["--no-cache", "--format", "json", "kl", "--w", "87654321"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
+@pytest.mark.parametrize("comma", ["", ","])
+def test_arrangements_by_inversions(comma):
+    # each string lists the arrangements with k inversions in increasing
+    # order, as itertools does
+    for m in range(1, 7):
+        labels = "".join(map(chr, range(49, 49 + m)))
+        groups = [[] for _ in range(m * (m - 1) // 2 + 1)]
+        for a in itertools.permutations(labels):
+            k = sum(x > y for i, x in enumerate(a) for y in a[i + 1:])
+            groups[k].append("".join(c + comma for c in a))
+        assert rowtext._arrangements(labels, comma) == \
+            tuple("\x1f".join(g) for g in groups), m
 
 
 def test_negative_packed_coefficient_raises():
     w = parse_perm("3412")
-    for read in (lambda s: s.row(w), lambda s: s.export(w, tuple)):
+    for read in (lambda s: s.row(w),
+                 lambda s: list(rowtext.export(s, w, lambda c: ("", ""),
+                                               ""))):
         store = KLRowStore(4)
         store.row(w)
         stored = store._packed[w]
