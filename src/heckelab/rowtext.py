@@ -25,8 +25,9 @@ from .permutations import Perm
 __all__ = ["export"]
 
 
-# the rows of one rank arrange the same runs again and again
-@lru_cache(maxsize=1 << 12)
+# the rows of one rank arrange the same runs again and again; a key is a
+# set of values of one rank (or chr(0)..chr(m-2)), so at most 2^n + n
+@lru_cache(maxsize=None)
 def _arrangements(labels: str, comma: str) -> tuple:
     """The arrangements of labels, increasing characters, one string per
     inversion count k = 0, 1, ...: those with k inversions in increasing
