@@ -1,8 +1,9 @@
 """
 Versioned JSON disk cache.  It holds one kind of file: the csf batch of a
 rank (see csf.csf_batch), the only result that is cheaper to load than to
-rebuild.  A load beats a rebuild at every rank from 5 to 10, in 0.7 of
-its time at n = 5 and 0.3 at n = 9 (0.22 s against 0.72 s, one core).  Only
+rebuild.  A load beats the Dyck-word DP at every rank from 5 to 10, in
+0.3 to 0.5 of its time: 0.4 against 0.9 ms at n = 5, 0.23 against 0.68 s
+at n = 9 and 1.16 against 3.97 s at n = 10 (one core, best of three).  Only
 ``hecke-lab counterexample --general`` reads and writes it: the default
 search computes the few functions it reads faster than a load (at n = 8,
 106 functions in 0.02 s).

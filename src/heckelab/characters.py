@@ -42,21 +42,18 @@ as its right cosets z W_J, whose class counts are computed once per
 right coset and shared by the rows of a rank; the counts are added per
 distinct P, and S_c adds each P times its count in c.
 All of it runs on packed ints, as heckelab.hecke packs its rows: a
-polynomial p is the int p(2^W), so each sum and product above is one int
-operation.  Evaluation at q = 2^W is a ring homomorphism, so the packed
-sums are exact whatever the signs of f and V, and only the final decode
-needs a bound.  A polynomial whose coefficients all lie in
-(-2^(W-1), 2^(W-1)) is read back from its value at 2^W as balanced
-base-2^W digits.  Every coefficient of sum_mu F_mu V_{mu,lambda} is at
-most its l1 norm |.|, and
+polynomial p is the int p(2^W) (heckelab.qpoly), so each sum and product
+above is one int operation, exact whatever the signs of f and V.  The
+bound: every coefficient of sum_mu F_mu V_{mu,lambda} is at most its l1
+norm |.|, and
 
     sum_{c,mu} |S_c| |f_{c,mu}| |V_{mu,lambda}| <= sum_c |S_c| A_c <= T A,
 
 with A_c = sum_mu |f_{c,mu}| max_lambda |V_{mu,lambda}| and A its largest
 value over the classes c of the input, and T = sum_c S_c(1) = sum_c |S_c|,
 as S_c is nonnegative: 1 for a class, sum_z P_{z,w}(1) for a row.  So each
-input is packed at the least multiple W of 8 with 2^(W-1) > T A; inputs of
-about the same T A share W, and with it their packed class polynomials.
+input is packed at poly_width(T A) rounded up to a multiple W of 8; inputs
+of about the same T A share W, and with it their packed class polynomials.
 
 Two independent oracles check the kernel through chi: the q-deformed
 Young seminormal form of tests/seminormal_oracle.py, evaluated at integer
@@ -71,7 +68,7 @@ from itertools import chain
 from .hecke import _coset, _runs, row_store
 from .permutations import Perm, all_perms
 from .qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
-                    poly_trim, poly_unpack_balanced)
+                    poly_trim, poly_unpack, poly_width)
 from .symfunc import SymmetricFunction, _transition, partitions
 
 __all__ = [
@@ -226,7 +223,7 @@ def _characters(n: int, by_value: dict, polys: dict) -> dict:
     bound = (sum(sum(polys[p]) * sum(counts.values())  # T A
                  for p, counts in by_value.items())
              * max(map(_class_bound, chain.from_iterable(by_value.values()))))
-    width = (bound.bit_length() | 7) + 1  # 2^(width-1) > T A
+    width = (poly_width(bound) + 7) & ~7  # a multiple of 8
 
     sums = {}  # S_c(2^W) by class number
     get = sums.get
@@ -244,7 +241,7 @@ def _characters(n: int, by_value: dict, polys: dict) -> dict:
         if f:
             for j, v in _wide_values(mu, width):
                 chi_w[j] += f * v
-    return {lam: poly_unpack_balanced(x, width)
+    return {lam: poly_unpack(x, width)
             for lam, x in zip(parts, chi_w) if x}
 
 
@@ -299,7 +296,7 @@ def _frobenius_coeffs(w: Perm) -> dict:
             counts = by_value[p] = {}
         for c, k in _coset_classes(r, runs):
             counts[c] = counts.get(c, 0) + k
-    return _characters(n, by_value, store._distinct(w, list))
+    return _characters(n, by_value, store._distinct(w))
 
 
 @lru_cache(maxsize=None)

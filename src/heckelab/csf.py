@@ -72,14 +72,13 @@ shares no memo, no Dyck word and no packing with the DP, nor the class
 weights or the induced functions, so the DP's reductions are what it
 checks.
 
-Inside the DP a q-polynomial is packed into one int (Kronecker
-substitution): the coefficient of q^i sits in bits [i*B, (i+1)*B) with
-B = n!.bit_length() for the rank n of the call, so shifting by q^w and
-adding is `acc += sub << B*w`.  Slots never carry: a value at any rank
-k <= n counts proper colorings of k vertices with given class sizes, so
-each coefficient is at most k! <= n! < 2^B, and one B serves every memo
-entry of the call.  Packed ints never leave `_csf_coeffs`, which returns
-tuple polynomials.
+Inside the DP a q-polynomial p is packed into the one int p(2^B)
+(Kronecker substitution, heckelab.qpoly), so shifting by q^w and adding
+is `acc += sub << B*w`.  The bound: a value at any rank k <= n counts
+proper colorings of k vertices with given class sizes, so each
+coefficient is at most k! <= n!, and one B = poly_width(n!) serves every
+memo entry of the call.  Packed ints never leave `_csf_coeffs`, which
+returns tuple polynomials.
 """
 
 from __future__ import annotations
@@ -89,7 +88,8 @@ from typing import NamedTuple
 
 from .permutations import (enumerate_hessenberg, hessenberg_edges,
                            hessenberg_to_str, is_hessenberg, parse_hessenberg)
-from .qpoly import poly_add_scaled, poly_mul, poly_trim, poly_unpack
+from .qpoly import (poly_add_scaled, poly_mul, poly_trim, poly_unpack,
+                    poly_width)
 from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
@@ -169,7 +169,7 @@ def _csf_coeffs(ms) -> dict:
     partition of the call.  The blocks of each top-rank m are listed once
     and reused for all its partitions.
     """
-    width = factorial(len(ms[0])).bit_length()  # B in the module docstring
+    width = poly_width(factorial(len(ms[0])))  # B in the module docstring
     memo = {(): {0: 1}}  # the empty graph has one coloring with no class
     out = {}
     for m in ms:

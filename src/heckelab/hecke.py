@@ -14,22 +14,18 @@ bound and the Kazhdan-Lusztig inversion formula (Invent. Math. 53 (1979),
 Thm 3.1), which the recursion does not use; the T-basis Hecke algebra in
 tests/hecke_oracle.py checks bar-invariance itself.
 
-Inside ``KLRowStore`` each P_{z,y} is one packed int (Kronecker
-substitution, as in heckelab.csf): the coefficient of q^k sits in bits
-[k*B, (k+1)*B) with B = n(n-1)/2 + 2, so q*p is ``p << B`` and a
-mu-correction is one multiply and subtract.  Packing is evaluation at
-q = 2^B, a ring homomorphism, so every sum, shift and subtraction of the
-recursion is exact whatever the signs of the intermediate values.  Only
-decoding needs a bound: every final coefficient must lie in [0, 2^B).  KL
-positivity gives P >= 0, and each coefficient of a row of length l is at
-most twice the largest of the row of length l - 1 it is built from (the
-mu-corrections only subtract), so P_{z,y} <= 2^(l(y)) <= 2^(B-2)
-coefficientwise.  The store keeps a subset of the same values, built by
-the same recursion, so neither B nor this bound depends on the layout
-below.  Packed ints leave the store only decoded: as tuple polynomials of
-heckelab.qpoly from ``KLRowStore.row`` and ``KLRowStore.polynomial``
-(wrapped into LaurentQ only by ``kl_polynomial``), rendered into the text
-that heckelab.rowtext prints, or repacked at a width of its own by the
+Inside ``KLRowStore`` each P_{z,y} is one packed int, P(2^B) (Kronecker
+substitution, heckelab.qpoly): q*p is ``p << B`` and a mu-correction is
+one multiply and subtract.  The bound: KL positivity gives P >= 0, and
+each coefficient of a row of length l is at most twice the largest of the
+row of length l - 1 it is built from (the mu-corrections only subtract),
+so P_{z,y} <= 2^(l(y)) <= 2^(n(n-1)/2) coefficientwise, and
+B = poly_width(2^(n(n-1)/2)); as P >= 0, the coefficient of q^k sits in
+bits [k*B, (k+1)*B).  Decoding raises on a negative coefficient.  Packed
+ints leave the store only decoded: as tuple polynomials of heckelab.qpoly
+from ``KLRowStore.row`` and ``KLRowStore.polynomial`` (wrapped into
+LaurentQ only by ``kl_polynomial``), rendered into the text that
+heckelab.rowtext prints, or repacked at a width of its own by the
 Frobenius character kernel of heckelab.characters.
 
 Each row is stored once per two-sided descent coset.  Let I = D_L(y) and
@@ -112,25 +108,22 @@ I' = D_L(y') and J' = D_R(y').
 
     sum_{x <= z <= w} (-1)^(l(x)+l(z)) P_{x,z} P_{w0 w, w0 z} = delta_{x,w}
 
-on packed ints too, with an exact zero test.  Products can carry past B
-bits, so every distinct polynomial of the rows is decoded at width B (as
-``row`` reports it) and repacked at a width W with
-2^W > n! M^2 + 1, M the largest value at q = 1 among them.  The terms of
-each sum are split by sign into two sums S+ and S- with nonnegative
-coefficients, each at most S+(1) + S-(1) <= n! M^2.  So S+ and S- + delta
-have every coefficient in [0, 2^W), each is the base-2^W expansion of its
-packed int, and the two ints are equal exactly when the decoded sums are.
+on packed ints too.  Products can carry past B bits, so every distinct
+polynomial of the rows is decoded (as ``row`` reports it) and repacked at
+W = poly_width(n! M^2 + 1), M the largest value at q = 1 among them: each
+coefficient of the sum minus delta is at most n! M^2 + 1 in absolute
+value, so the packed sum equals delta exactly when the polynomials do.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
-from itertools import combinations, permutations, zip_longest
+from itertools import combinations, permutations
 from math import factorial
 
 from .permutations import Perm, _trusted, all_perms, perm_to_str
-from .qpoly import LaurentQ, poly_pack, poly_unpack
+from .qpoly import LaurentQ, poly_pack, poly_unpack, poly_width
 
 __all__ = ["kl_polynomial", "row_store", "KLRowStore"]
 
@@ -327,7 +320,7 @@ class KLRowStore:
 
     def __init__(self, n: int):
         self.n = n
-        self._width = n * (n - 1) // 2 + 2
+        self._width = poly_width(1 << n * (n - 1) // 2)
         # row y -> {minimal element of each double coset: packed P_{z,y}}
         self._packed: dict[tuple, dict] = {}
         # each key of a row, so equal keys share one tuple; the length of
@@ -342,7 +335,7 @@ class KLRowStore:
 
     def row(self, y: Perm) -> dict:
         """The full row {z: P_{z,y} as tuple} over z <= y."""
-        polys, runs = self._distinct(y, tuple), _runs(y)
+        polys, runs = self._distinct(y), _runs(y)
         return {_trusted(z): polys[p]
                 for _, r, p in self._cosets(y) for _, z in _coset(r, runs)}
 
@@ -351,18 +344,19 @@ class KLRowStore:
         value at the double coset of z."""
         runs, blocks = _shape(y)[:2]
         p = self._packed_row(y).get(_relabel(_coset_min(z, runs), blocks))
-        return () if p is None else self._decode(y, p, tuple)
+        return () if p is None else self._decode(y, p)
 
-    def _decode(self, y: Perm, p: int, poly_out):
-        if p < 0:
+    def _decode(self, y: Perm, p: int) -> tuple:
+        c = poly_unpack(p, self._width)
+        if min(c, default=0) < 0:
             raise AssertionError(
                 f"negative KL coefficient in row {perm_to_str(y)}")
-        return poly_out(poly_unpack(p, self._width))
+        return c
 
-    def _distinct(self, y: Perm, poly_out) -> dict:
-        """{packed P: poly_out(coefficient list of P)} over the distinct
-        values P_{z,y} of the row of y."""
-        return {p: self._decode(y, p, poly_out)
+    def _distinct(self, y: Perm) -> dict:
+        """{packed P: P as tuple} over the distinct values P_{z,y} of the
+        row of y."""
+        return {p: self._decode(y, p)
                 for p in set(self._packed_row(y).values())}
 
     def degree_failures(self, y: Perm) -> list:
@@ -370,11 +364,11 @@ class KLRowStore:
         degree at least (l(y) - l(z)) / 2, right coset by right coset."""
         runs = _runs(y)
         ly, top = y.length(), _longest(runs)
-        sizes = self._distinct(y, len)
+        polys = self._distinct(y)
         out = []
         for lr, r, p in self._cosets(y):
-            twice = 2 * (sizes[p] - 1)
-            if sizes[p] and twice >= ly - lr - top:  # else no z of r fails
+            twice = 2 * (len(polys[p]) - 1)
+            if polys[p] and twice >= ly - lr - top:  # else no z of r fails
                 out += (_trusted(z) for dz, z in _coset(r, runs)
                         if z != y and twice >= ly - lr - dz)
         return out
@@ -511,7 +505,7 @@ class KLRowStore:
         return row
 
     def inversion_failures(self) -> list:
-        """[(w, x, coefficient list of the sum)] for every x <= w in S_n at
+        """[(w, x, the sum as tuple)] for every x <= w in S_n at
         which sum_z (-1)^(l(x)+l(z)) P_{x,z} P_{w0 w, w0 z} != delta_{x,w};
         builds every row of S_n.  The module docstring shows why the
         comparison of packed sums is exact."""
@@ -522,9 +516,9 @@ class KLRowStore:
         lengths = [w.length() for w in perms]
         polys = {}
         for w in perms:
-            polys.update(self._distinct(w, tuple))
+            polys.update(self._distinct(w))
         top = max(map(sum, polys.values()))
-        width = (factorial(n) * top * top + 1).bit_length()
+        width = poly_width(factorial(n) * top * top + 1)
         wide = {p: poly_pack(c, width) for p, c in polys.items()}
         members = {}  # (r, runs) -> the indices of r W_J; rows share cosets
         rows = []
@@ -539,21 +533,19 @@ class KLRowStore:
             rows.append(row)
         failures = []
         for w, dw in enumerate(dual):
-            by_parity = ({}, {})  # the terms of z with l(z) even, odd
+            sums = {}  # x -> sum_z (-1)^l(z) P_{x,z} P_{w0 w, w0 z}
+            get = sums.get
             for z in rows[w]:
                 d = rows[dual[z]][dw]
-                acc = by_parity[lengths[z] & 1]
-                get = acc.get
+                if lengths[z] & 1:
+                    d = -d
                 for x, p in rows[z].items():
-                    acc[x] = get(x, 0) + p * d
+                    sums[x] = get(x, 0) + p * d
             for x in rows[w]:
-                pos = by_parity[lengths[x] & 1].get(x, 0)
-                neg = by_parity[~lengths[x] & 1].get(x, 0)
-                if pos != neg + (x == w):
-                    failures.append((perms[w], perms[x], [
-                        a - b for a, b in zip_longest(
-                            poly_unpack(pos, width), poly_unpack(neg, width),
-                            fillvalue=0)]))
+                s = -sums[x] if lengths[x] & 1 else sums[x]
+                if s != (x == w):
+                    failures.append((perms[w], perms[x],
+                                     poly_unpack(s, width)))
         return failures
 
 

@@ -1,8 +1,11 @@
 """
 Theorem drivers: smooth-to-codominant reduction, the modular relation
 dichotomy, the codominant-decomposition search and the named exhaustive
-check suite.  Moment graphs are ``permutations.transpositions_below``, and
-the S_8 counterexample search, which reads only csf batches, is in csf.
+check suite.  Moment graphs are ``permutations.transpositions_below``,
+which the momentgraph check compares with the rank criterion of
+``permutations.bruhat_leq``.  The S_8 counterexample search is in csf; by
+default it computes only m1 and the functions one edge either side of it
+(106 at n = 8), not the batch of the whole rank.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .characters import (_chi_all, _frobenius_coeffs, frobenius_cprime,
 # counterexample_search is imported for bench/tracer.py, which wraps it here
 from .csf import _oracle_coeffs, counterexample_search, csf_batch, edge_count
 from .hecke import row_store
-from .permutations import (Perm, _descending_covers, all_perms,
+from .permutations import (Perm, _descending_covers, all_perms, bruhat_leq,
                            codominant_of_hessenberg, coessential_set,
                            enumerate_hessenberg, hessenberg_of_smooth,
                            hessenberg_to_str, orbit_representatives,
@@ -163,14 +166,12 @@ def _thm16_step(w: Perm):
     n = len(w)
     lw = w.length()
     for i in range(1, n):
-        for side in ("right", "left"):
-            v = w.times_simple(i) if side == "right" else \
-                Perm.identity(n).times_simple(i) * w
-            if v.length() != lw - 1 or not v.is_smooth():
-                continue
-            sws = Perm.identity(n).times_simple(i) * w.times_simple(i)
-            if sws.length() == lw - 2:
-                return v
+        s, ws = Perm.identity(n).times_simple(i), w.times_simple(i)
+        # l(sws) = l(w) - 2 puts ws and sw both one step down
+        if (s * ws).length() == lw - 2:
+            for v in (ws, s * w):
+                if v.is_smooth():
+                    return v
     return None
 
 
@@ -373,14 +374,19 @@ def _check_thm15(n: int) -> tuple:
 
 
 def _check_momentgraph(n: int) -> tuple:
-    witnesses = []
-    reduced = {}  # the transpositions below each codominant w' met
+    # the rank criterion on every transposition t, against the closed form
+    # at w and at its reduction; one w per orbit of {w, w^-1, w0 w w0,
+    # w0 w^-1 w0} covers all smooth w, as inversion fixes each t and
+    # w0-conjugation maps (i j) to (n+1-j n+1-i) (see orbit_representatives)
     smooth = smooth_perms(n)
-    for w in smooth:
-        wr = smooth_reduce(w)
-        if wr not in reduced:
-            reduced[wr] = transpositions_below(wr)
-        if transpositions_below(w) != reduced[wr]:
+    e = Perm.identity(n)
+    ts = {(i, j): e.times_transposition(i, j)
+          for i in range(1, n) for j in range(i + 1, n + 1)}
+    witnesses = []
+    for w in orbit_representatives(smooth):
+        below = frozenset(t for t, p in ts.items() if bruhat_leq(p, w))
+        if not below == transpositions_below(w) == \
+                transpositions_below(smooth_reduce(w)):
             witnesses.append(perm_to_str(w))
     return witnesses, ("brute-force moment graphs agree for all "
                        f"{len(smooth)} smooth w")

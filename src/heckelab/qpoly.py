@@ -126,7 +126,15 @@ def poly_shape(p) -> tuple:
 
 # -- packed ints: a polynomial p as the one int p(2^width) -------------------
 # Evaluation at q = 2^width is a ring homomorphism, so sums and products of
-# packed ints are exact; each caller proves the bound its decoder needs.
+# packed ints are exact whatever their signs; each packer states a bound on
+# the coefficients it reads back and packs at poly_width of it.
+
+def poly_width(bound: int) -> int:
+    """The least width W with 2^(W-1) > bound: poly_unpack reads back at W
+    every polynomial whose coefficients all have absolute value at most
+    bound."""
+    return bound.bit_length() + 1
+
 
 def poly_pack(coeffs, width: int) -> int:
     """p(2^width) for the polynomial p with these coefficients, ascending."""
@@ -134,17 +142,6 @@ def poly_pack(coeffs, width: int) -> int:
 
 
 def poly_unpack(p: int, width: int) -> tuple:
-    """The tuple polynomial with value p >= 0 at 2^width whose coefficients
-    all lie in [0, 2^width): the base-2^width digits of p."""
-    mask = (1 << width) - 1
-    out = []
-    while p:
-        out.append(p & mask)
-        p >>= width
-    return tuple(out)
-
-
-def poly_unpack_balanced(p: int, width: int) -> tuple:
     """The tuple polynomial with value p at 2^width whose coefficients all
     lie in (-2^(width-1), 2^(width-1)): the balanced base-2^width digits
     of p."""

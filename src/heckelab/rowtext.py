@@ -58,7 +58,7 @@ def export(store: KLRowStore, y: Perm, render, sep: str):
     after and a piece is joined with sep + before; else before follows a
     NUL in the entry and moves in front of z."""
     n, comma = len(y), "," * (len(y) > 9)
-    rendered = store._distinct(y, render)
+    rendered = {p: render(c) for p, c in store._distinct(y).items()}
     befores = {before for before, _ in rendered.values()}
     before = befores.pop() if len(befores) == 1 else None
     suffix = {p: ("\1" + a if comma else a) + (

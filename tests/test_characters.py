@@ -10,7 +10,7 @@ from heckelab import characters, hecke
 from heckelab.hecke import KLRowStore, row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
 from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
-                            poly_shape, poly_unpack_balanced)
+                            poly_shape, poly_unpack)
 from heckelab.symfunc import (SymmetricFunction, murnaghan_nakayama,
                               num_syt, partitions, q_factorial_partition)
 from hecke_oracle import (HeckeElement, Laurent, chi_element, cprime,
@@ -269,8 +269,8 @@ def test_balanced_decode_at_the_edge_of_the_width(width):
     top = (1 << width - 1) - 1
     for coeffs in [(top, 0, -top), (-top, 0, top), (top, 0, 0, top),
                    (0, -top, 0, -top), (1, 0, -1)]:
-        assert poly_unpack_balanced(poly_pack(coeffs, width), width) == coeffs
-    assert poly_unpack_balanced(0, width) == ()
+        assert poly_unpack(poly_pack(coeffs, width), width) == coeffs
+    assert poly_unpack(0, width) == ()
 
 
 def test_interpolation_spare_point_guard():

@@ -16,7 +16,7 @@ from heckelab.hecke import KLRowStore, kl_polynomial, row_store
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
                                    perm_to_str)
 from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
-                            poly_unpack)
+                            poly_unpack, poly_width)
 from hecke_oracle import (HeckeElement, Laurent, cprime, cprime_normalized,
                           cprime_times_cs, hecke_multiply, iota)
 
@@ -358,16 +358,26 @@ def test_arrangements_by_inversions(comma):
 
 
 def test_negative_packed_coefficient_raises():
+    # -1 + q packs to 2^B - 1 > 0, which nonnegative base-2^B digits would
+    # read as the constant 2^B - 1
     w = parse_perm("3412")
     for read in (lambda s: s.row(w),
                  lambda s: list(rowtext.export(s, w, lambda c: ("", ""),
                                                ""))):
-        store = KLRowStore(4)
-        store.row(w)
-        stored = store._packed[w]
-        stored[next(iter(stored))] = -1
-        with pytest.raises(AssertionError, match="negative KL coefficient"):
-            read(store)
+        for coeffs in ((-1,), (-1, 1)):
+            store = KLRowStore(4)
+            store.row(w)
+            stored = store._packed[w]
+            stored[next(iter(stored))] = poly_pack(coeffs, store._width)
+            with pytest.raises(AssertionError,
+                               match="negative KL coefficient"):
+                read(store)
+
+
+def test_the_store_width_is_two_above_the_longest_length():
+    # poly_width(2^(n(n-1)/2)), as P_{z,y} <= 2^(n(n-1)/2) coefficientwise
+    for n in range(1, 11):
+        assert KLRowStore(n)._width == n * (n - 1) // 2 + 2
 
 
 def _left_times_simple(k, z):
@@ -431,7 +441,7 @@ def test_unpack_reads_coefficients_above_the_store_width():
     # width B; at a width above its value at q = 1 it decodes exactly
     b = KLRowStore(4)._width
     coeffs = [2 ** b + 3, 0, 1]
-    width = sum(coeffs).bit_length()
+    width = poly_width(max(coeffs))
     packed = poly_pack(coeffs, width)
     assert poly_unpack(packed, width) == tuple(coeffs)
     assert poly_unpack(packed, b) != tuple(coeffs)

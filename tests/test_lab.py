@@ -130,12 +130,28 @@ def test_lemma22_reports_a_wrong_coessential_pin(monkeypatch):
 
 
 def test_momentgraph_reports_a_wrong_reduction(monkeypatch):
-    # 4321 is reduced last, to the identity, whose moment graph the check
-    # has already built for 1234
+    # 4321 reduced to the identity, below which lies no transposition
     lab = importlib.import_module("heckelab.lab")
     reduce = lab.smooth_reduce
     monkeypatch.setattr(lab, "smooth_reduce", lambda w: (
         Perm.identity(4) if w == parse_perm("4321") else reduce(w)))
+    (rep,) = check_suite(4, ["momentgraph"])
+    assert (rep.status, rep.witnesses) == ("fail", ["4321"])
+    monkeypatch.undo()
+    (rep,) = check_suite(4, ["momentgraph"])
+    assert (rep.status, rep.witnesses) == ("pass", [])
+
+
+def test_momentgraph_reports_a_wrong_closed_form(monkeypatch):
+    # 4321 is codominant, its own reduction: dropping (1 2) from its closed
+    # form changes both sides of the closed-form comparison alike, and only
+    # the rank criterion tells
+    lab = importlib.import_module("heckelab.lab")
+    below = lab.transpositions_below
+    w0 = parse_perm("4321")
+    assert lab.smooth_reduce(w0) == w0
+    monkeypatch.setattr(lab, "transpositions_below", lambda w: (
+        below(w) - {(1, 2)} if w == w0 else below(w)))
     (rep,) = check_suite(4, ["momentgraph"])
     assert (rep.status, rep.witnesses) == ("fail", ["4321"])
     monkeypatch.undo()

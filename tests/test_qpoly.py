@@ -3,8 +3,8 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul,
-                            poly_shape, poly_trim)
+from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
+                            poly_shape, poly_trim, poly_unpack, poly_width)
 from hecke_oracle import Laurent
 
 # the reference arithmetic of the tests, in q^(1/2)
@@ -141,3 +141,28 @@ def test_poly_shape_matches_props(a):
                    for k in range(len(vec))) or not vec
     assert poly_shape(a) == (min(vec, default=0) >= 0, vec == vec[::-1],
                              unimodal)
+
+
+@seeded
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=7),
+       st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=3))
+@example([], [1])
+@example([1, 0, -1], [-1, 1])
+@example([-(2 ** 64)], [1])
+def test_unpack_reads_back_signed_coefficients_at_their_width(c, signs):
+    # every coefficient list packed at poly_width of its largest absolute
+    # value reads back, those at the ends of the width, +-(2^(W-1) - 1),
+    # first and last
+    width = poly_width(max(map(abs, c), default=0))
+    top = (1 << width - 1) - 1
+    edges = [s * top for s in signs]
+    for d in (c, edges + c, c + edges):
+        assert poly_width(max(map(abs, d), default=0)) == width
+        assert poly_unpack(poly_pack(d, width), width) == poly_trim(list(d))
+
+
+def test_poly_width_is_the_least_with_room_for_the_bound():
+    for bound in range(300):
+        width = poly_width(bound)
+        assert 2 ** (width - 1) > bound
+        assert width == 1 or 2 ** (width - 2) <= bound

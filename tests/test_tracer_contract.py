@@ -12,10 +12,14 @@ SRC = os.path.dirname(os.path.dirname(heckelab.__file__))
 TRACER = os.path.join(os.path.dirname(SRC), "bench", "tracer.py")
 
 
+def _env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def test_tracer_installs_on_every_name_it_wraps(tmp_path):
     out = tmp_path / "trace.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env = _env()
     proc = subprocess.run(
         [sys.executable, TRACER, str(out), "--", "hessenberg", "--n", "1"],
         capture_output=True, text=True, env=env)
@@ -23,3 +27,23 @@ def test_tracer_installs_on_every_name_it_wraps(tmp_path):
     assert proc.stdout == "1\n"
     tree = json.loads(out.read_text())["tree"]
     assert tree["children"]["permutations.enumerate_hessenberg"]["calls"] == 1
+
+
+def test_traced_check_prints_what_the_untraced_one_prints(tmp_path):
+    # the momentgraph check compares the closed form with bruhat_leq, whose
+    # span the traced run must show beneath the check's own
+    out = tmp_path / "trace.json"
+    env = _env()
+    args = ["--format", "json", "check", "--name", "all", "--n", "3"]
+    traced = subprocess.run([sys.executable, TRACER, str(out), "--", *args],
+                            capture_output=True, text=True, env=env,
+                            cwd=tmp_path)
+    plain = subprocess.run([sys.executable, "-m", "heckelab", *args],
+                           capture_output=True, text=True, env=env,
+                           cwd=tmp_path)
+    assert (traced.returncode, traced.stderr) == (0, ""), traced.stderr
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert traced.stdout == plain.stdout
+    check = json.loads(out.read_text())["tree"]["children"][
+        "lab.check.momentgraph"]
+    assert check["children"]["permutations.bruhat_leq"]["calls"] > 0
