@@ -68,8 +68,8 @@ from itertools import chain
 from .hecke import _coset, _runs, row_store
 from .permutations import Perm, all_perms
 from .qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
-                    poly_trim, poly_unpack, poly_width)
-from .symfunc import SymmetricFunction, _transition, partitions
+                    poly_unpack, poly_width)
+from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
     "chi", "frobenius_cprime",
@@ -133,19 +133,12 @@ def _class_number(w: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
-def _coxeter_h(k: int) -> tuple:
+def _coxeter_h(k: int) -> dict:
     """sum_r (-1)^r q^(k-1-r) s_(k-r, 1^r), the Frobenius character of
-    T_{s_1 ... s_(k-1)} in H(S_k), as ((h-partition, tuple poly), ...), in
-    integers: s_(a, 1^b) = sum_j (-1)^j h_(a+j) e_(b-j)."""
-    acc = {}
-    for r in range(k):
-        for j in range(r + 1):
-            # e_m in the h basis, m = r - j; partitions(m)[0] is (m), or ()
-            for lam, c in _transition("e", "h", r - j)[partitions(r - j)[0]]:
-                nu = tuple(sorted((k - r + j,) + lam, reverse=True))
-                coeffs = acc.setdefault(nu, [0] * k)
-                coeffs[k - 1 - r] += (-1) ** (r + j) * c
-    return tuple((nu, poly_trim(c)) for nu, c in acc.items() if any(c))
+    T_{s_1 ... s_(k-1)} in H(S_k), as {h-partition: tuple poly}."""
+    hooks = {(k - r,) + (1,) * r: (0,) * (k - 1 - r) + ((-1) ** r,)
+             for r in range(k)}
+    return SymmetricFunction("s", k, hooks).convert("h").polys
 
 
 @lru_cache(maxsize=None)
@@ -156,16 +149,12 @@ def _class_values(mu: tuple) -> dict:
     for k in mu:
         nxt = {}
         for nu, p in prod.items():
-            for rho, c in _coxeter_h(k):
+            for rho, c in _coxeter_h(k).items():
                 key = tuple(sorted(nu + rho, reverse=True))
                 nxt[key] = poly_add_scaled(nxt.get(key, ()),
                                            poly_mul(p, c), 1, 0)
         prod = nxt
-    values = {}  # h_nu = sum_lambda K_{lambda,nu} s_lambda
-    for nu, p in prod.items():
-        for lam, k in _transition("h", "s", sum(mu))[nu]:
-            values[lam] = poly_add_scaled(values.get(lam, ()), p, k, 0)
-    return {lam: v for lam, v in values.items() if v}
+    return SymmetricFunction("h", sum(mu), prod).convert("s").polys
 
 
 @lru_cache(maxsize=None)

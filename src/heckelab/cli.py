@@ -7,7 +7,7 @@ usage/input errors.
 
 Every command is a fresh process, so a command loads only the layers it
 runs.  The imports at the top of this module are the ones parsing needs
-(argparse, json, sys and permutations); each ``_cmd_*`` handler imports
+(argparse, json, os, sys and permutations); each ``_cmd_*`` handler imports
 the layers it calls when it is called, by name, so that a function
 rebound on its module is the one it calls.  Parsing and ``--help`` import
 no layer beyond these, and only ``counterexample --general`` imports the
@@ -28,12 +28,14 @@ computed: ``MAX_ROW_N`` for ``kl`` without ``--z``, ``cprime``, ``ch``,
 ``chi`` (and ``modular`` asserts its identity above it), ``MAX_KL_ENTRY_N``
 for ``kl --z``, ``MAX_DECOMPOSE_N`` for ``decompose``, ``MAX_SEARCH_N`` for
 ``counterexample``, ``MAX_HESSENBERG_N`` for ``hessenberg`` and ``csf``.
+``--threads`` is refused above the number of CPUs while parsing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .permutations import (NotSmoothError, hessenberg_to_str,
@@ -317,6 +319,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _workers(text: str) -> int:
+    # a process pool starts all its workers at its first task
+    value, cpus = _positive_int(text), os.cpu_count() or 1
+    if value > cpus:
+        raise argparse.ArgumentTypeError(f"expected at most {cpus}, the "
+                                         f"number of CPUs, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hecke-lab",
@@ -329,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "counterexample --general")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the disk cache")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="workers for the csf batch of "
-                             "counterexample --general (default 1)")
+    parser.add_argument("--threads", type=_workers, default=1,
+                        help="workers for the csf batch of counterexample "
+                             "--general, at most the CPU count (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, **kwargs):

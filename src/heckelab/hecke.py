@@ -51,9 +51,10 @@ Readers expand the double cosets.  Each double coset d splits into right
 cosets r W_J (``_right_cosets``): r is d with the values of each block
 dealt to the block's positions, increasing on every run, at length l(d)
 plus the pairs of one block's values dealt out of order; r W_J adds the
-inversions inside the runs (``_coset``).  ``KLRowStore._cosets`` lists
-the right cosets as tuples for the readers here and the character kernel,
-and heckelab.rowtext deals them into the text that the printers write.
+inversions inside the runs (``_coset``).  Every reader of a whole row,
+here, in heckelab.characters and in heckelab.rowtext, reads the right
+cosets that ``KLRowStore._cosets`` lists; no other module reads the
+stored layout.
 
 A row is built from the row of y' = ys, s the first descent of y, by
 
@@ -220,14 +221,13 @@ def _deals(sizes: tuple) -> tuple:
                  for a, _ in out)
 
 
-def _right_cosets(d: tuple, runs: tuple, blocks: tuple, labels=None) -> list:
+def _right_cosets(d: tuple, runs: tuple, blocks: tuple) -> list:
     """(l(z) - l(d), z) over the minimal elements z of the right W_J-cosets
-    in W_I d W_J, d its minimal element, d first; each z is the tuple of
-    its values, or with labels of labels[v] over its values v.  Such a z
-    is d with the values of each block dealt to the block's positions,
-    increasing on each run; l(z) - l(d) counts the pairs of values of one
-    block dealt out of order."""
-    out = [(0, d if labels is None else tuple([labels[v] for v in d]))]
+    in W_I d W_J, d its minimal element, d first.  Such a z is d with the
+    values of each block dealt to the block's positions, increasing on each
+    run; l(z) - l(d) counts the pairs of values of one block dealt out of
+    order."""
+    out = [(0, d)]
     if not blocks or not runs:
         return out
     joined = {p for lo, hi in runs for p in range(lo, hi - 1)}
@@ -245,14 +245,12 @@ def _right_cosets(d: tuple, runs: tuple, blocks: tuple, labels=None) -> list:
         if sizes:
             sizes.append(size)
             slots = pos[lo:hi]
-            names = range(lo + 1, hi + 1) if labels is None else \
-                labels[lo + 1:hi + 1]
             grown = []
             for dz, z in out:
                 for inv, a in _deals(tuple(sizes)):
                     x = list(z)
                     for p, v in zip(slots, a):
-                        x[p] = names[v]
+                        x[p] = lo + 1 + v
                     grown.append((dz + inv, tuple(x)))
             out = grown
     return out

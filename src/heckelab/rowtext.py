@@ -1,14 +1,14 @@
 """
 The text of a KL row, as ``kl --w`` and ``cprime --w`` print it.
 
-``export`` reads a row from the double cosets that heckelab.hecke stores
-and yields its text one length l(z) at a time.  The values of each double
-coset are dealt straight into one character each (``_right_cosets`` with
-labels), and each entry is built once, as its final string: z, then the
-suffix its polynomial renders, attached once per right coset to the
-arrangements of the coset's last descent run.  ``_arrangements`` writes
-those grouped by inversion count with str.translate, replace and split, so
-the work per entry is done in C rather than by one join per arrangement.
+``export`` reads a row as the right cosets that ``KLRowStore._cosets``
+lists and yields its text one length l(z) at a time.  Each value of a
+coset's minimal element becomes one character, and each entry is built
+once, as its final string: z, then the suffix its polynomial renders,
+attached once per right coset to the arrangements of the coset's last
+descent run.  ``_arrangements`` writes those grouped by inversion count
+with str.translate, replace and split, so the work per entry is done in
+C rather than by one join per arrangement.
 Strings of one length whose z differ sort like the z, so each length is
 sorted as it is, joined and released before the next.  Only the printers
 load this module: the checks never compile it.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 
-from .hecke import KLRowStore, _right_cosets, _shape
+from .hecke import KLRowStore, _runs
 from .permutations import Perm
 
 __all__ = ["export"]
@@ -76,25 +76,23 @@ def export(store: KLRowStore, y: Perm, render, sep: str):
         return ((text.replace("\x1f", joint) + tail).split("\x1f") for text
                 in _arrangements("".join([t[0] for t in tokens]), comma))
 
-    runs, blocks = _shape(y)[:2]
     # the last run is arranged in place, after each arrangement of the runs
     # before it and the stretches that follow them
-    spans = runs or ((0, 1),)
+    spans = _runs(y) or ((0, 1),)
     (start, _), (lo, hi) = spans[0], spans[-1]
     first, stops = spans[:-1], [a for a, _ in spans[1:]]
-    lengths = store._lengths
     by_length = [[] for _ in range(y.length() + 1)]
-    for d, p in store._packed_row(y).items():
-        for dl, r in _right_cosets(d, runs, blocks, code):
-            xs = [(lengths[d] + dl, "".join(r[:start]))]
-            for (a, b), c in zip(first, stops):
-                xs = [(at + k, x + z) for k, texts in enumerate(
-                          arranged(r[a:b], "".join(r[b:c])))
-                      for at, x in xs for z in texts]
-            for k, texts in enumerate(
-                    arranged(r[lo:hi], "".join(r[hi:]) + suffix[p])):
-                for at, x in xs:
-                    by_length[at + k] += map(x.__add__, texts) if x else texts
+    for lr, r, p in store._cosets(y):
+        r = [code[v] for v in r]
+        xs = [(lr, "".join(r[:start]))]
+        for (a, b), c in zip(first, stops):
+            xs = [(at + k, x + z) for k, texts in enumerate(
+                      arranged(r[a:b], "".join(r[b:c])))
+                  for at, x in xs for z in texts]
+        for k, texts in enumerate(
+                arranged(r[lo:hi], "".join(r[hi:]) + suffix[p])):
+            for at, x in xs:
+                by_length[at + k] += map(x.__add__, texts) if x else texts
     # [e, y] is graded: every length up to l(y) has entries
     for k in range(len(by_length)):
         if k:

@@ -10,9 +10,10 @@ from heckelab import characters, hecke
 from heckelab.hecke import KLRowStore, row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
 from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
-                            poly_shape, poly_unpack)
-from heckelab.symfunc import (SymmetricFunction, murnaghan_nakayama,
-                              num_syt, partitions, q_factorial_partition)
+                            poly_shape, poly_trim, poly_unpack)
+from heckelab.symfunc import (SymmetricFunction, _transition,
+                              murnaghan_nakayama, num_syt, partitions,
+                              q_factorial_partition)
 from hecke_oracle import (HeckeElement, Laurent, chi_element, cprime,
                           cprime_normalized, frobenius_ch)
 from seminormal_oracle import (InterpolationError, chi_poly_from_word,
@@ -345,9 +346,17 @@ def test_partition_size_guard():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_coxeter_h_matches_the_s_to_h_conversion(k):
-    # the integer hook sums equal sum_r (-1)^r q^(k-1-r) s_(k-r, 1^r)
-    # converted to the h basis through the inverse Kostka matrix of symfunc
-    hooks = {(k - r,) + (1,) * r: (0,) * (k - 1 - r) + ((-1) ** r,)
-             for r in range(k)}
-    h = SymmetricFunction("s", k, hooks).convert("h")
-    assert dict(_coxeter_h(k)) == h.polys
+    # sum_r (-1)^r q^(k-1-r) s_(k-r, 1^r) in the h basis, each hook by
+    # s_(a, 1^b) = sum_j (-1)^j h_(a+j) e_(b-j) and e_m by the e -> h table,
+    # not by the s -> h table that _coxeter_h converts with
+    acc = {}
+    for r in range(k):
+        for j in range(r + 1):
+            # partitions(m)[0] is (m), or () for m = 0
+            for lam, c in _transition("e", "h", r - j)[
+                    partitions(r - j)[0]]:
+                nu = tuple(sorted((k - r + j,) + lam, reverse=True))
+                coeffs = acc.setdefault(nu, [0] * k)
+                coeffs[k - 1 - r] += (-1) ** (r + j) * c
+    expected = {nu: poly_trim(c) for nu, c in acc.items() if any(c)}
+    assert _coxeter_h(k) == expected

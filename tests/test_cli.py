@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import random
 
 import pytest
@@ -428,7 +429,9 @@ def test_modular_above_the_row_limit_is_asserted(capsys, monkeypatch):
     assert hecke._stores == {}
 
 
-@pytest.mark.parametrize("threads", ["0", "-1", "x"])
+# above the CPU count too: argparse refuses it before any worker starts
+@pytest.mark.parametrize("threads", ["0", "-1", "x",
+                                     str((os.cpu_count() or 1) + 1), "100000"])
 def test_threads_below_one_rejected(capsys, threads):
     with pytest.raises(SystemExit) as exc:
         main(["--no-cache", "--threads", threads, "hessenberg", "--n", "2"])

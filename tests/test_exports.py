@@ -123,3 +123,31 @@ def test_only_the_cli_sets_input_limits():
     assert binders == {"cli.py": {"MAX_HESSENBERG_N", "MAX_SEARCH_N",
                                   "MAX_ROW_N", "MAX_KL_ENTRY_N",
                                   "MAX_DECOMPOSE_N"}}
+
+
+# hecke's stored row layout is read only through KLRowStore's readers
+# (row, polynomial, _distinct, _cosets), and symfunc's transition tables
+# only through SymmetricFunction.convert
+PRIVATE_TO = {
+    "hecke.py": {"_packed", "_packed_row", "_lengths", "_keys", "_polys",
+                 "_width", "_decode", "_right_cosets", "_shape"},
+    "symfunc.py": {"_transition", "_schur_matrix", "_kostka_matrix"},
+}
+
+
+def test_only_the_owner_names_its_private_tables():
+    named = {}
+    for path in pathlib.Path(heckelab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            else:
+                continue
+            for owner, private in PRIVATE_TO.items():
+                if path.name != owner and names & private:
+                    named.setdefault(path.name, set()).update(names & private)
+    assert named == {}
