@@ -40,7 +40,7 @@ class Cache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):  # nested too deep
             return None
         if not isinstance(data, dict):
             return None

@@ -315,13 +315,13 @@ def _batch_from_payload(n: int, ms: list, data):
     return {m: batch[m] for m in ms}
 
 
-def csf_batch(n: int, cache=None, threads: int = 1) -> dict:
+def csf_batch(n: int, cache=None) -> dict:
     """{m: monomial tuple-poly coefficients} for every Hessenberg function.
 
-    Deterministic (lexicographic) order; optionally computed in a process
-    pool.  The in-process memo of the rank takes precedence over both
-    arguments: the disk cache `cache` (None for none) is read, and on a
-    miss written, only when the memo has no batch of rank n.
+    Deterministic (lexicographic) order, built in the calling process.  The
+    in-process memo of the rank takes precedence over the disk cache
+    `cache` (None for none), which is read, and on a miss written, only
+    when the memo has no batch of rank n.
     """
     got = _batches.get(n)
     if got is not None:
@@ -332,17 +332,7 @@ def csf_batch(n: int, cache=None, threads: int = 1) -> dict:
         if batch is not None:
             _batches[n] = batch
             return batch
-
-    if threads > 1:  # one contiguous chunk, and so one memo, per worker
-        from concurrent.futures import ProcessPoolExecutor
-        step = -(-len(ms) // threads)
-        batch = {}
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(_csf_coeffs, [ms[i:i + step] for i in
-                                                range(0, len(ms), step)]):
-                batch.update(chunk)
-    else:
-        batch = _csf_coeffs(ms)
+    batch = _csf_coeffs(ms)
     _batches[n] = batch
     if cache is not None:
         cache.store("csf", f"csf-n{n}", {

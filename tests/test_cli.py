@@ -1,9 +1,10 @@
 import contextlib
+import errno
 import importlib
 import io
 import json
-import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,6 +288,43 @@ def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in out.err
 
 
+def test_failed_cache_write_exits_2(tmp_path, capsys, monkeypatch):
+    # a full disk: the batch is built, and storing it fails
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    _fresh_memos(monkeypatch)
+    monkeypatch.setattr(tempfile, "mkstemp", full)
+    code = main(["--cache-dir", str(tmp_path),
+                 "counterexample", "--general", "--m", "2,3,3"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == f"error: cannot use --cache-dir {str(tmp_path)!r}: " \
+                      "No space left on device\n"
+
+
+W0_S41 = ",".join(map(str, range(41, 0, -1)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth-reduce", "--w", W0_S41], ["moment-graph", "--w", W0_S41],
+    ["modular", "--w", W0_S41, "--s", "1"], ["decompose", "--w", W0_S41]],
+    ids=lambda argv: argv[0])
+def test_perm_rank_capped(capsys, monkeypatch, argv):
+    # above MAX_PERM_N --w is refused before it is scanned for 3412 and
+    # 4231 or its moment graph is read
+    def unexpected(w):
+        raise AssertionError("--w was scanned")
+
+    permutations = importlib.import_module("heckelab.permutations")
+    monkeypatch.setattr(permutations, "_avoids_3412_4231", unexpected)
+    monkeypatch.setattr(permutations, "_tops", unexpected)
+    code = main(["--no-cache", *argv])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: --w must have rank at most 40\n"
+
+
 def test_bad_inputs_exit_2(capsys):
     code, _ = run(capsys, "kl", "--w", "1123")
     assert code == 2
@@ -429,10 +467,9 @@ def test_modular_above_the_row_limit_is_asserted(capsys, monkeypatch):
     assert hecke._stores == {}
 
 
-# above the CPU count too: argparse refuses it before any worker starts
-@pytest.mark.parametrize("threads", ["0", "-1", "x",
-                                     str((os.cpu_count() or 1) + 1), "100000"])
-def test_threads_below_one_rejected(capsys, threads):
+# the csf batch is built in one process: argparse refuses every other value
+@pytest.mark.parametrize("threads", ["0", "-1", "x", "2", "100000"])
+def test_threads_other_than_one_rejected(capsys, threads):
     with pytest.raises(SystemExit) as exc:
         main(["--no-cache", "--threads", threads, "hessenberg", "--n", "2"])
     assert exc.value.code == 2
@@ -458,6 +495,12 @@ CSF_DAMAGE = {
         "n": 3, "entries": [{"m": e["m"], "csf": {lam: p + [0] for lam, p in
                                                   e["csf"].items()}}
                             for e in doc["payload"]["entries"]]}},
+    # nested past the recursion limit, which json.dumps cannot write: the
+    # damage is then the file's text itself
+    "nested-bare": lambda doc: "[" * 200000 + "]" * 200000,
+    "nested-entries": lambda doc: json.dumps(
+        {**doc, "payload": {"n": 3, "entries": "@"}}).replace(
+        '"@"', "[" * 200000 + "]" * 200000),
 }
 
 
@@ -468,7 +511,9 @@ def _damaged_cache_rebuilt(tmp_path, capsys, monkeypatch, name, damage, argv):
     assert main(["--cache-dir", str(tmp_path), *argv]) == 0
     capsys.readouterr()
     doc = json.loads(path.read_text())
-    path.write_text(json.dumps(damage(doc)))
+    damaged = damage(doc)
+    path.write_text(damaged if isinstance(damaged, str)
+                    else json.dumps(damaged))
     _fresh_memos(monkeypatch)
     code = main(["--cache-dir", str(tmp_path), *argv])
     out = capsys.readouterr()

@@ -277,25 +277,3 @@ def test_batch_and_index(tmp_path):
     # isomorphic embeddings share a csf: the single-edge graphs at n = 4
     assert sorted(index[csf_key(batch[(1, 2, 4, 4)])]) == \
         [(1, 2, 4, 4), (1, 3, 3, 4), (2, 2, 3, 4)]
-
-
-def test_batch_threads_small():
-    # 42 functions at n = 5: two contiguous chunks of 21
-    from heckelab.csf import _batches
-    _batches.pop(5, None)
-    parallel = csf_batch(5, threads=2)
-    _batches.pop(5, None)
-    serial = csf_batch(5)
-    assert len(serial) == 42
-    assert parallel == serial
-
-
-def test_batch_threads_chunked_n6():
-    # 132 functions in two chunks of 66, each with its own memo; the
-    # merged batch keeps the lexicographic order of the serial one
-    from heckelab.csf import _batches
-    _batches.pop(6, None)
-    parallel = csf_batch(6, threads=2)
-    _batches.pop(6, None)
-    serial = csf_batch(6)
-    assert list(parallel.items()) == list(serial.items())

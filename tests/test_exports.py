@@ -122,7 +122,7 @@ def test_only_the_cli_sets_input_limits():
                     binders.setdefault(path.name, set()).add(name)
     assert binders == {"cli.py": {"MAX_HESSENBERG_N", "MAX_SEARCH_N",
                                   "MAX_ROW_N", "MAX_KL_ENTRY_N",
-                                  "MAX_DECOMPOSE_N"}}
+                                  "MAX_DECOMPOSE_N", "MAX_PERM_N"}}
 
 
 # hecke's stored row layout is read only through KLRowStore's readers

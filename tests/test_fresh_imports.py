@@ -29,7 +29,8 @@ with contextlib.redirect_stdout(io.StringIO()), \\
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.startswith("heckelab.")
                                or m in ("dataclasses", "inspect",
-                                        "fractions", "decimal"))]))
+                                        "fractions", "decimal",
+                                        "concurrent.futures"))]))
 """
 
 LAYERS = {"heckelab." + name for name in
@@ -46,9 +47,9 @@ def python(*argv) -> str:
 
 
 def loaded(*argv, code=0) -> set:
-    """The heckelab modules, and dataclasses, inspect, fractions and decimal
-    if loaded, that main(argv) leaves in sys.modules; main must return
-    code."""
+    """The heckelab modules, and dataclasses, inspect, fractions, decimal
+    and concurrent.futures if loaded, that main(argv) leaves in
+    sys.modules; main must return code."""
     got, modules = json.loads(python("-c", PROBE, "--no-cache", *argv))
     assert got == code, argv
     return set(modules)
@@ -83,6 +84,12 @@ def test_moment_graph_loads_no_layer():
     ["counterexample", "--m", "2,3,3", "--general"]], ids=" ".join)
 def test_only_the_general_search_loads_the_cache(argv):
     assert ("heckelab.cache" in loaded(*argv)) == ("--general" in argv)
+
+
+def test_general_search_starts_no_process_pool():
+    # the csf batch of the rank is built in the calling process
+    assert "concurrent.futures" not in loaded(
+        "--threads", "1", "counterexample", "--m", "2,3,3", "--general")
 
 
 @pytest.mark.parametrize("command", ["kl", "cprime"])
