@@ -1,19 +1,13 @@
 """
-Versioned JSON disk cache.  It holds one kind of file: the csf batch of a
-rank (see csf.csf_batch), the only result that is cheaper to load than to
-rebuild.  A load beats the Dyck-word DP at every rank from 5 to 10, in
-0.3 to 0.5 of its time: 0.4 against 0.9 ms at n = 5, 0.23 against 0.68 s
-at n = 9 and 1.16 against 3.97 s at n = 10 (one core, best of three).  Only
-``hecke-lab counterexample --general`` reads and writes it: the default
-search computes the few functions it reads faster than a load (at n = 8,
-106 functions in 0.02 s).
+Versioned JSON disk cache.  No command reads or writes it: the csf batch
+of a rank is built in memory (csf.csf_batch), which in one process costs
+less time and memory than building it and writing its file.  Only
+bench/tracer.py imports this module, to time Cache.load and Cache.store;
+it can be deleted once the benchmark stops tracing them.
 
 Every file is self-describing: {"format": "heckelab/<kind>", "version": V,
 "payload": {...}}.  Files that are not such an object, or have an unexpected
-format or version, are ignored, never migrated; the caller simply
-recomputes and overwrites.  The payload is the caller's: heckelab.csf
-writes and parses the csf batch, and treats one of the wrong shape as a
-miss.  The command line's ``--cache-dir`` names the directory.
+format or version, are ignored, never migrated.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ runs.  The imports at the top of this module are the ones parsing needs
 (argparse, json, sys and permutations); each ``_cmd_*`` handler imports
 the layers it calls when it is called, by name, so that a function
 rebound on its module is the one it calls.  Parsing and ``--help`` import
-no layer beyond these, and only ``counterexample --general`` imports the
-disk cache.
+no layer beyond these.  No command reads or writes a file: bench/run.py
+passes ``--threads 1`` and ``--no-cache`` or ``--cache-dir DIR`` to every
+command, so these options are parsed and change nothing.
 
 Every command prints through one emitter, ``_emit``, which picks the form
 that --format names.  Every command has a text and a JSON form.  Only
@@ -29,8 +30,8 @@ computed: ``MAX_ROW_N`` for ``kl`` without ``--z``, ``cprime``, ``ch``,
 for ``kl --z``, ``MAX_DECOMPOSE_N`` for ``decompose``, ``MAX_SEARCH_N`` for
 ``counterexample``, ``MAX_HESSENBERG_N`` for ``hessenberg`` and ``csf``,
 ``MAX_PERM_N`` for ``smooth-reduce``, ``moment-graph``, ``modular`` and
-``decompose``.  The csf batch is built in one process: ``--threads``
-accepts only 1, and refuses any other value while parsing.
+``decompose``; ``--threads`` accepts only 1, and refuses any other value
+while parsing.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ from .permutations import (NotSmoothError, hessenberg_to_str,
 # hessenberg lists all Catalan(n) functions: 208 012 at n = 12; the csf
 # of one function of rank 12 takes under a second
 MAX_HESSENBERG_N = 12
-# counterexample --general builds the csf of all Catalan(n) functions:
-# 16 796 at n = 10, about 10 s and 140 MB; the default search computes only
-# those one edge from m1, at most 1 986 at n = 10, in about 2 s and 33 MB
+# counterexample --general builds the csf of all Catalan(n) functions in
+# memory: 16 796 at n = 10, 5.0-5.4 s and 136 MB on one core; the default
+# search computes only those one edge from m1, at most 1 986 at n = 10, in
+# about 2 s and 33 MB
 MAX_SEARCH_N = 10
 # kl without --z, cprime, ch and modular expand every z <= w.  For w0 of
 # S_10 (3 628 800 z; S_11 has 11 times as many), kl takes 2.9-3.2 s and
@@ -256,21 +258,12 @@ def _cmd_modular(args, fmt) -> int:
 
 
 def _cmd_counterexample(args, fmt) -> int:
-    from .csf import counterexample_search
+    from .csf import counterexample_search, csf_batch
     m = _parsed(parse_hessenberg, args.m)
     if len(m) > MAX_SEARCH_N:
         raise InputError(f"--m must have rank at most {MAX_SEARCH_N}")
-    batch = None
-    if args.general:
-        from .cache import Cache
-        from .csf import csf_batch
-        try:
-            batch = csf_batch(len(m), None if args.no_cache
-                              else Cache(args.cache_dir))
-        except OSError as exc:
-            raise InputError(f"cannot use --cache-dir {args.cache_dir!r}: "
-                             f"{exc.strerror or exc}") from exc
-    result = counterexample_search(m, batch)
+    result = counterexample_search(m, csf_batch(len(m)) if args.general
+                                   else None)
     payload = {"m1": hessenberg_to_str(m), "general": args.general,
                "found": result is not None}
     if result is None:
@@ -340,14 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "quasisymmetric function computations for S_n.")
     parser.add_argument("--format", choices=("text", "json", "latex"),
                         default="text", help="output format")
-    parser.add_argument("--cache-dir", default=".hecke-lab-cache",
-                        help="disk cache for the csf batches of "
-                             "counterexample --general")
+    parser.add_argument("--cache-dir",
+                        help="accepted and ignored: no command reads or "
+                             "writes a cache")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the disk cache")
+                        help="accepted and ignored: no command reads or "
+                             "writes a cache")
     parser.add_argument("--threads", type=int, choices=(1,), default=1,
-                        help="the csf batch of counterexample --general is "
-                             "built in one process; only 1 is accepted")
+                        help="every command runs in one process; only 1 is "
+                             "accepted, and it changes nothing")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, **kwargs):

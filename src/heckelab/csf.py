@@ -4,7 +4,7 @@ Hessenberg functions (edges ``hessenberg_edges(m)``), collapsed to
 symmetric functions with q coefficients, and the counterexample search
 among them.  The default search computes only m1 and the functions one
 edge either side of it; only the general search scans the batch of the
-whole rank (csf_batch), which alone reads and writes the disk cache.
+whole rank (csf_batch, built in memory once per rank).
 
 csf_q(G) = sum over proper colorings kappa of q^(asc(kappa)) x_kappa, where
 asc counts edges {i, j} with i < j and kappa(i) < kappa(j), with the natural
@@ -86,8 +86,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .permutations import (enumerate_hessenberg, hessenberg_edges,
-                           hessenberg_to_str, is_hessenberg, parse_hessenberg)
+from .permutations import enumerate_hessenberg, hessenberg_edges, is_hessenberg
 from .qpoly import (poly_add_scaled, poly_mul, poly_trim, poly_unpack,
                     poly_width)
 from .symfunc import SymmetricFunction, partitions
@@ -287,65 +286,13 @@ def csf_oracle(m) -> SymmetricFunction:
 _batches: dict[int, dict] = {}
 
 
-def _int_poly(value) -> tuple:
-    """A payload's list of ints as a canonical tuple polynomial (no
-    trailing 0); TypeError or ValueError otherwise."""
-    if not isinstance(value, list) or not all(type(c) is int for c in value):
-        raise TypeError(f"not a list of integers: {value!r}")
-    if value and value[-1] == 0:
-        raise ValueError(f"not a canonical polynomial: {value!r}")
-    return tuple(value)
-
-
-def _batch_from_payload(n: int, ms: list, data):
-    """The batch held by a csf cache payload, or None unless the payload
-    holds one entry {"m", "csf": {lambda |- n: int list}} per function."""
-    shapes = {",".join(map(str, lam)): lam for lam in partitions(n)}
-    batch = {}
-    try:
-        if data["n"] != n or len(data["entries"]) != len(ms):
-            return None
-        for entry in data["entries"]:
-            batch[parse_hessenberg(entry["m"])] = {
-                shapes[lam]: _int_poly(p) for lam, p in entry["csf"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return None
-    if batch.keys() != set(ms):
-        return None
-    return {m: batch[m] for m in ms}
-
-
-def csf_batch(n: int, cache=None) -> dict:
-    """{m: monomial tuple-poly coefficients} for every Hessenberg function.
-
-    Deterministic (lexicographic) order, built in the calling process.  The
-    in-process memo of the rank takes precedence over the disk cache
-    `cache` (None for none), which is read, and on a miss written, only
-    when the memo has no batch of rank n.
-    """
-    got = _batches.get(n)
-    if got is not None:
-        return got
-    ms = enumerate_hessenberg(n)
-    if cache is not None:
-        batch = _batch_from_payload(n, ms, cache.load("csf", f"csf-n{n}"))
-        if batch is not None:
-            _batches[n] = batch
-            return batch
-    batch = _csf_coeffs(ms)
-    _batches[n] = batch
-    if cache is not None:
-        cache.store("csf", f"csf-n{n}", {
-            "n": n,
-            "entries": [
-                {
-                    "m": hessenberg_to_str(m),
-                    "csf": {",".join(map(str, lam)): list(p)
-                            for lam, p in sorted(coeffs.items(), reverse=True)},
-                }
-                for m, coeffs in batch.items()
-            ],
-        })
+def csf_batch(n: int) -> dict:
+    """{m: monomial tuple-poly coefficients} for every Hessenberg function
+    of rank n, in lexicographic order, built in the calling process once
+    per rank and kept in memory."""
+    batch = _batches.get(n)
+    if batch is None:
+        batch = _batches[n] = _csf_coeffs(enumerate_hessenberg(n))
     return batch
 
 
@@ -387,12 +334,12 @@ def counterexample_search(m1, batch: dict | None = None
     P_{e,w} = 1 + q pins the length gaps), so the search computes the csf
     of m1 and of the functions with E(m1) - 1 or E(m1) + 1 edges only, in
     one memo and in lexicographic order; it neither reads nor fills the
-    batch of the rank, in memory or on disk.  Given the batch of m1's rank
-    (csf_batch), a runs over 0..E(m1)+1 and m0 and m2 over the whole batch.
-    In both, at a = 1 every m0 with csf(m0) = csf(m1), as m1 and its
-    reversal (csf_q is reversal-invariant; Shareshian & Wachs, Adv. Math.
-    295 (2016)), is skipped: it gives the trivial csf(m2) = csf(m1), which
-    the character equation does not admit.
+    batch of the rank.  Given the batch of m1's rank (csf_batch), a runs
+    over 0..E(m1)+1 and m0 and m2 over the whole batch.  In both, at a = 1
+    every m0 with csf(m0) = csf(m1), as m1 and its reversal (csf_q is
+    reversal-invariant; Shareshian & Wachs, Adv. Math. 295 (2016)), is
+    skipped: it gives the trivial csf(m2) = csf(m1), which the character
+    equation does not admit.
 
     Returns the first solution in scan order, or None (NotFound).
     """

@@ -18,11 +18,12 @@ from .characters import (_chi_all, _frobenius_coeffs, frobenius_cprime,
 # counterexample_search is imported for bench/tracer.py, which wraps it here
 from .csf import _oracle_coeffs, counterexample_search, csf_batch, edge_count
 from .hecke import row_store
-from .permutations import (Perm, _descending_covers, all_perms, bruhat_leq,
-                           codominant_of_hessenberg, coessential_set,
-                           enumerate_hessenberg, hessenberg_of_smooth,
-                           hessenberg_to_str, orbit_representatives,
-                           perm_to_str, smooth_perms, transpositions_below)
+from .permutations import (Perm, _descending_covers, _tops, all_perms,
+                           bruhat_leq, codominant_of_hessenberg,
+                           coessential_set, enumerate_hessenberg,
+                           hessenberg_of_smooth, hessenberg_to_str,
+                           orbit_representatives, perm_to_str, smooth_perms,
+                           transpositions_below)
 from .qpoly import LaurentQ, poly_add_scaled, poly_mul, poly_shape
 from .symfunc import (SymmetricFunction, murnaghan_nakayama, omega, partitions,
                       positivity)
@@ -179,28 +180,26 @@ def decompose_codominant(w: Perm, max_n: int = 6):
     """Best-effort decomposition ch(q^(l(w)/2) C'_w) =
     sum c_i(q) ch(q^(l(w_i)/2) C'_{w_i}) over codominant w_i, c_i in N[q].
 
-    Smooth w reduce to a single codominant permutation; singular w are first
-    reduced by ch(B_w) = (1+q) ch(B_{ws}) whenever a simple s makes ws
-    smooth one step down with sws two steps down.  Whatever remains is
-    handed to an exact leading-term search over all codominant characters,
-    which requires n <= max_n.  Returns {codominant: LaurentQ coefficient}
-    or None for Unknown (search exhausted or out of reach).
+    A smooth w reduces to its codominant permutation; a singular w whose
+    ws (or sw) is smooth one step down for a simple s, with sws two steps
+    down, reduces to that of ws with coefficient 1+q, by ch(B_w) =
+    (1+q) ch(B_{ws}) (Thm 1.6).  Any other w is handed to an exact
+    leading-term search over all codominant characters, which requires
+    n <= max_n.  Returns {codominant: LaurentQ coefficient} or None for
+    Unknown (search exhausted or out of reach).
     """
-    factor = (1,)  # (1+q)^k after k steps of Thm 1.6
-    while not w.is_smooth():
-        v = _thm16_step(w)
-        if v is None:
-            break
-        w, factor = v, poly_mul(factor, (1, 1))
+    # each permutation is scanned for 3412 and 4231 once: w here, and a
+    # step's v inside _thm16_step, which returns only a smooth v
     if w.is_smooth():
-        coeffs = {smooth_reduce(w): (1,)}
-    elif len(w) > max_n:
+        return {codominant_of_hessenberg(_tops(w)): LaurentQ((1,))}
+    v = _thm16_step(w)
+    if v is not None:
+        return {codominant_of_hessenberg(_tops(v)): LaurentQ((1, 1))}
+    if len(w) > max_n:
         return None
-    else:
-        coeffs = _positive_solve(frobenius_cprime(w), len(w))
-        if coeffs is None:
-            return None
-    return {u: LaurentQ(poly_mul(c, factor)) for u, c in coeffs.items()}
+    coeffs = _positive_solve(frobenius_cprime(w), len(w))
+    return None if coeffs is None else {u: LaurentQ(c)
+                                        for u, c in coeffs.items()}
 
 
 def _positive_solve(target: SymmetricFunction, n: int):

@@ -1,10 +1,8 @@
 import contextlib
-import errno
 import importlib
 import io
 import json
 import random
-import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,19 +186,8 @@ def test_hessenberg_rank_capped(capsys):
     assert out.err.startswith("error: --n") and out.err.count("\n") == 1
 
 
-def test_cache_dir_made_only_by_counterexample(tmp_path, capsys,
-                                               monkeypatch):
-    cache_dir = tmp_path / "c"
-    _fresh_memos(monkeypatch)
-    assert main(["--cache-dir", str(cache_dir), "kl", "--w", "321"]) == 0
-    assert not cache_dir.exists()
-    assert main(["--cache-dir", str(cache_dir),
-                 "counterexample", "--general", "--m", "2,3,3"]) == 0
-    assert (cache_dir / "csf-n3.json").exists()
-
-
 def test_default_search_makes_no_cache_dir(tmp_path, capsys, monkeypatch):
-    # it computes only the functions one edge from m1, faster than a load
+    # --cache-dir names a directory that no command makes
     cache_dir = tmp_path / "c"
     _fresh_memos(monkeypatch)
     assert main(["--cache-dir", str(cache_dir),
@@ -274,33 +261,6 @@ def test_single_kl_entry_rank_capped(capsys, monkeypatch):
     assert (code, out.out) == (2, "")
     assert out.err == "error: --w must have rank at most 12\n"
     assert hecke._stores == {}
-
-
-def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
-    _fresh_memos(monkeypatch)
-    path = tmp_path / "f"
-    path.write_text("")
-    code = main(["--cache-dir", str(path),
-                 "counterexample", "--general", "--m", "2,3,3"])
-    out = capsys.readouterr()
-    assert code == 2 and out.out == ""
-    assert out.err.startswith("error:") and out.err.count("\n") == 1
-    assert "Traceback" not in out.err
-
-
-def test_failed_cache_write_exits_2(tmp_path, capsys, monkeypatch):
-    # a full disk: the batch is built, and storing it fails
-    def full(*args, **kwargs):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    _fresh_memos(monkeypatch)
-    monkeypatch.setattr(tempfile, "mkstemp", full)
-    code = main(["--cache-dir", str(tmp_path),
-                 "counterexample", "--general", "--m", "2,3,3"])
-    out = capsys.readouterr()
-    assert (code, out.out) == (2, "")
-    assert out.err == f"error: cannot use --cache-dir {str(tmp_path)!r}: " \
-                      "No space left on device\n"
 
 
 W0_S41 = ",".join(map(str, range(41, 0, -1)))
@@ -482,7 +442,24 @@ def _fresh_memos(monkeypatch):
     characters.frobenius_cprime.cache_clear()
 
 
+# csf-n3.json as the disk cache once held it, and damaged ways to hold it
+def _csf3_file() -> dict:
+    from heckelab.csf import csf_batch
+    return {"format": "heckelab/csf", "version": 1, "payload": {
+        "n": 3, "entries": [
+            {"m": ",".join(map(str, m)),
+             "csf": {",".join(map(str, lam)): list(p)
+                     for lam, p in sorted(coeffs.items(), reverse=True)}}
+            for m, coeffs in csf_batch(3).items()]}}
+
+
 CSF_DAMAGE = {
+    "intact": lambda doc: doc,
+    # well formed, with each function's csf filed under the next function
+    "shifted-functions": lambda doc: {**doc, "payload": {
+        "n": 3, "entries": [{**e, "m": f["m"]} for e, f in zip(
+            doc["payload"]["entries"], doc["payload"]["entries"][1:]
+            + doc["payload"]["entries"][:1])]}},
     "not-an-object": lambda doc: [1, 2],
     "no-entries": lambda doc: {**doc, "payload": {"n": 3}},
     "missing-function": lambda doc: {**doc, "payload": {
@@ -504,29 +481,28 @@ CSF_DAMAGE = {
 }
 
 
-def _damaged_cache_rebuilt(tmp_path, capsys, monkeypatch, name, damage, argv):
+@pytest.mark.parametrize("case", sorted(CSF_DAMAGE) + ["regular-file"])
+def test_general_search_ignores_the_cache_dir(tmp_path, capsys, monkeypatch,
+                                              case):
+    # the csf batch is built in memory: no file in --cache-dir, and no
+    # regular file named by it, changes the output or is written
+    argv = ["counterexample", "--general", "--m", "2,3,3"]
     expected = run(capsys, *argv)
-    path = tmp_path / f"{name}.json"
+    if case == "regular-file":
+        path = cache_dir = tmp_path / "f"
+        path.write_text("")
+    else:
+        cache_dir, path = tmp_path, tmp_path / "csf-n3.json"
+        damaged = CSF_DAMAGE[case](_csf3_file())
+        path.write_text(damaged if isinstance(damaged, str)
+                        else json.dumps(damaged))
+    before = path.read_bytes()
     _fresh_memos(monkeypatch)
-    assert main(["--cache-dir", str(tmp_path), *argv]) == 0
-    capsys.readouterr()
-    doc = json.loads(path.read_text())
-    damaged = damage(doc)
-    path.write_text(damaged if isinstance(damaged, str)
-                    else json.dumps(damaged))
-    _fresh_memos(monkeypatch)
-    code = main(["--cache-dir", str(tmp_path), *argv])
+    code = main(["--cache-dir", str(cache_dir), *argv])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (0, expected[1], "")
-    # the damaged file was treated as a miss, rebuilt and overwritten
-    assert json.loads(path.read_text()) == doc
-
-
-@pytest.mark.parametrize("damage", sorted(CSF_DAMAGE))
-def test_damaged_csf_file_is_rebuilt(tmp_path, capsys, monkeypatch, damage):
-    _damaged_cache_rebuilt(tmp_path, capsys, monkeypatch, "csf-n3",
-                           CSF_DAMAGE[damage],
-                           ["counterexample", "--general", "--m", "2,3,3"])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # files of kinds the cache no longer holds (KL rows, character tables),

@@ -41,10 +41,10 @@ CASES = [["--format", fmt, *argv] for argv in COMMANDS
          for fmt in ("text", "json", "latex")]
 
 
-def stdout_of(argv) -> str:
+def stdout_of(argv, options=("--no-cache",)) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(["--no-cache", *argv])
+        main([*options, *argv])
     return out.getvalue()
 
 
@@ -52,6 +52,20 @@ def stdout_of(argv) -> str:
 def test_stdout_matches_golden(argv):
     golden = json.loads(GOLDEN.read_text())
     assert stdout_of(argv) == golden[" ".join(argv)]
+
+
+def test_cache_options_change_nothing(tmp_path, monkeypatch):
+    # --no-cache and --cache-dir are parsed and ignored: every command
+    # prints the same with either or neither, and writes no file
+    cache, cwd = tmp_path / "cache", tmp_path / "cwd"
+    cache.mkdir()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for argv in CASES:
+        outs = {stdout_of(argv, options) for options in
+                (["--no-cache"], ["--cache-dir", str(cache)], [])}
+        assert len(outs) == 1, argv
+    assert list(cache.iterdir()) == list(cwd.iterdir()) == []
 
 
 if __name__ == "__main__":

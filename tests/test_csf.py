@@ -257,21 +257,15 @@ def test_single_csf_matches_batch6():
                                  for lam, p in coeffs.items()}, m
 
 
-def test_batch_and_index(tmp_path):
-    from heckelab.cache import Cache
-    from heckelab.csf import _batches
-    cache = Cache(str(tmp_path))
-    batch = csf_batch(4, cache=cache)
+def test_batch_and_index():
+    batch = csf_batch(4)
     assert len(batch) == 14
     for m, coeffs in batch.items():
         assert SymmetricFunction("m", 4, {
             lam: LaurentQ(p) for lam, p in coeffs.items()}) \
             == csf(m)
-    # reload through the disk cache
-    _batches.pop(4, None)
-    batch2 = csf_batch(4, cache=cache)
-    assert batch2 == batch
-    index = csf_index(batch2)
+    assert csf_batch(4) is batch  # built once per rank
+    index = csf_index(batch)
     for m, coeffs in batch.items():
         assert m in index[csf_key(coeffs)]
     # isomorphic embeddings share a csf: the single-edge graphs at n = 4

@@ -508,6 +508,22 @@ def test_decompose_singular(n):
             assert c and min(c) >= 0
 
 
+@pytest.mark.parametrize("word", [
+    range(40, 0, -1), [*range(2, 41), 1], [2, 1, *range(4, 41), 3]],
+    ids=["w0", "cycle", "two-blocks"])
+def test_decompose_scans_a_smooth_w_once(monkeypatch, word):
+    # a smooth w is scanned for 3412 and 4231 once, and takes no Thm 1.6
+    # step; at rank 40 each scan reads C(40, 4) = 91 390 position sets
+    w = Perm(word)
+    expected = {smooth_reduce(w): LaurentQ((1,))}
+    permutations = importlib.import_module("heckelab.permutations")
+    avoids, scans = permutations._avoids_3412_4231, []
+    monkeypatch.setattr(permutations, "_avoids_3412_4231",
+                        lambda v: scans.append(v) or avoids(v))
+    assert decompose_codominant(w) == expected
+    assert scans == [w]
+
+
 def test_decompose_s8_counterexample_w():
     w = parse_perm("62754381")
     d = decompose_codominant(w)
