@@ -235,26 +235,28 @@ def _smooth_slots(w) -> list[int]:
 
 
 def bruhat_leq(z: Perm, w: Perm) -> bool:
-    """z <= w in Bruhat order, by the rank criterion.
-
-    z <= w iff r_{i,j}(z) >= r_{i,j}(w) for all i, j.  The identity has the
-    maximal rank matrix, the longest element the minimal one.
+    """z <= w in Bruhat order, by the rank criterion: r_{a,b}(z) >=
+    r_{a,b}(w) for all a, b, compared row by row from ``_rank_rows`` and
+    stopped at the first row that fails.  The identity has the maximal rank
+    matrix, the longest element the minimal one.
     """
     if len(z) != len(w):
         raise ValueError("size mismatch")
-    n = len(z)
-    # incremental row-wise rank computation, O(n^2)
-    rz = [0] * (n + 1)
-    rw = [0] * (n + 1)
-    for i in range(n):
-        for j in range(z[i], n + 1):
-            rz[j] += 1
-        for j in range(w[i], n + 1):
-            rw[j] += 1
-        for j in range(1, n + 1):
-            if rz[j] < rw[j]:
-                return False
+    for rz, rw in zip(_rank_rows(z), _rank_rows(w)):
+        if any(x < y for x, y in zip(rz, rw)):
+            return False
     return True
+
+
+def _rank_rows(w: Perm):
+    """The rows (r_{a,0}(w), ..., r_{a,n}(w)) of the rank table of w for
+    a = 0, ..., n, r_{a,b}(w) = #{k <= a : w(k) <= b}, one at a time: row a
+    adds one to the cells b >= w(a) of row a - 1."""
+    row = [0] * (len(w) + 1)
+    yield row
+    for v in w:
+        row = row[:v] + [x + 1 for x in row[v:]]
+        yield row
 
 
 def coessential_set(w: Perm) -> frozenset[tuple[int, int]]:

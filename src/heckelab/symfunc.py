@@ -41,7 +41,6 @@ p, and LaurentQ prints an integral one as an int:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
@@ -234,7 +233,10 @@ def _transition(src: str, dst: str, n: int) -> dict:
     ints, with Fractions only into p."""
     parts = partitions(n)
     into, out = _schur_matrix(src, n, True), _schur_matrix(dst, n, False)
-    z = [_z(mu) if dst == "p" else 1 for mu in parts]
+    z = [1] * len(parts)
+    if dst == "p":  # imported here, as no check or search converts into p
+        from fractions import Fraction
+        z = [_z(mu) for mu in parts]
     rows = {}
     for lam, row in zip(parts, into):
         acc = [0] * len(parts)

@@ -359,11 +359,11 @@ def test_decompose_max_n_beyond_table_exits_2(capsys):
 
 
 def test_check_all_above_every_bound_exits_2(capsys):
-    # no check reaches n = 10: running none must not read as a pass
-    code = main(["--no-cache", "check", "--name", "all", "--n", "10"])
+    # no check reaches n = 11: running none must not read as a pass
+    code = main(["--no-cache", "check", "--name", "all", "--n", "11"])
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
-    assert out.err.startswith("error: n must be at most 9") and \
+    assert out.err.startswith("error: n must be at most 10") and \
         out.err.count("\n") == 1
 
 

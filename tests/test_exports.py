@@ -55,6 +55,8 @@ UNNAMED_IN_SRC = {
     "permutations.Perm.is_codominant": "test reference for the codominant "
                                        "decompositions",
     "permutations.Perm.lower_covers": "bench/tracer.py wraps it",
+    "permutations.bruhat_leq": "test reference for the momentgraph check's "
+                               "rank table; bench/tracer.py wraps it",
     "characters.character_table": "bench/tracer.py wraps it",
     "csf.csf_oracle": "bench/tracer.py wraps it",
     "symfunc.num_syt": "test reference for the dimensions of the characters",

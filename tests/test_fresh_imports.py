@@ -127,6 +127,14 @@ def test_latex_refused_before_any_layer_loads(argv):
     assert loaded("--format", "latex", *argv, code=2) & LAYERS == set()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--name", "all", "--n", "4"], ["counterexample", "--m", "2,3,3"]],
+    ids=" ".join)
+def test_checks_and_searches_load_no_fractions(argv):
+    # fractions imports decimal; only a conversion into p makes a Fraction
+    assert loaded(*argv) & {"fractions", "decimal"} == set()
+
+
 def test_check_loads_no_dataclasses():
     modules = loaded("check", "--name", "mn", "--n", "3")
     assert "heckelab.lab" in modules

@@ -11,12 +11,13 @@ from heckelab.cli import main
 from heckelab.csf import (counterexample_search, csf, csf_batch, csf_index,
                           csf_key, edge_count)
 from heckelab.hecke import KLRowStore, row_store
-from heckelab.lab import (CHECKS, PreconditionError, Report, check_suite,
+from heckelab.lab import (CHECKS, PreconditionError, Report,
+                          _rank_transpositions, check_suite,
                           decompose_codominant, modular_relation,
                           modular_triples, smooth_reduce,
                           verify_decomposition)
 from heckelab.permutations import (NotSmoothError, Perm, all_perms,
-                                   codominant_of_hessenberg,
+                                   bruhat_leq, codominant_of_hessenberg,
                                    enumerate_hessenberg, hessenberg_to_str,
                                    orbit_representatives, parse_perm,
                                    perm_to_str, smooth_perms,
@@ -152,6 +153,37 @@ def test_momentgraph_reports_a_wrong_closed_form(monkeypatch):
     assert lab.smooth_reduce(w0) == w0
     monkeypatch.setattr(lab, "transpositions_below", lambda w: (
         below(w) - {(1, 2)} if w == w0 else below(w)))
+    (rep,) = check_suite(4, ["momentgraph"])
+    assert (rep.status, rep.witnesses) == ("fail", ["4321"])
+    monkeypatch.undo()
+    (rep,) = check_suite(4, ["momentgraph"])
+    assert (rep.status, rep.witnesses) == ("pass", [])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_momentgraph_rank_table_matches_bruhat_leq(n):
+    # every w of S_n, not only the smooth ones the check visits
+    e = Perm.identity(n)
+    for w in all_perms(n):
+        assert _rank_transpositions(w) == {
+            (i, j) for i in range(1, n) for j in range(i + 1, n + 1)
+            if bruhat_leq(e.times_transposition(i, j), w)}, w
+
+
+def test_momentgraph_reports_a_miscounted_rank_table(monkeypatch):
+    # r_{1,1}(4321) = 0 read as 1 fails the square of (1 2), and so of every
+    # (1 j); the closed form at 4321 and at its reduction still holds them
+    lab = importlib.import_module("heckelab.lab")
+    rank_rows = lab._rank_rows
+    w0 = parse_perm("4321")
+
+    def miscounted(w):
+        rows = list(rank_rows(w))
+        if w == w0:
+            rows[1][1] += 1
+        return iter(rows)
+
+    monkeypatch.setattr(lab, "_rank_rows", miscounted)
     (rep,) = check_suite(4, ["momentgraph"])
     assert (rep.status, rep.witnesses) == ("fail", ["4321"])
     monkeypatch.undo()
@@ -618,8 +650,8 @@ def test_check_suite_unknown_name():
 
 def test_check_suite_refuses_a_rank_no_check_reaches():
     # running no check must not read as a pass
-    with pytest.raises(ValueError, match="n must be at most 9"):
-        check_suite(10)
+    with pytest.raises(ValueError, match="n must be at most 10"):
+        check_suite(11)
 
 
 def test_check_suite_reports_what_the_registered_check_returns(monkeypatch):

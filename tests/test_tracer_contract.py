@@ -30,8 +30,9 @@ def test_tracer_installs_on_every_name_it_wraps(tmp_path):
 
 
 def test_traced_check_prints_what_the_untraced_one_prints(tmp_path):
-    # the momentgraph check compares the closed form with bruhat_leq, whose
-    # span the traced run must show beneath the check's own
+    # the momentgraph check compares the rank criterion with the closed form
+    # transpositions_below, whose span the traced run must show beneath the
+    # check's own
     out = tmp_path / "trace.json"
     env = _env()
     args = ["--format", "json", "check", "--name", "all", "--n", "3"]
@@ -46,4 +47,4 @@ def test_traced_check_prints_what_the_untraced_one_prints(tmp_path):
     assert traced.stdout == plain.stdout
     check = json.loads(out.read_text())["tree"]["children"][
         "lab.check.momentgraph"]
-    assert check["children"]["permutations.bruhat_leq"]["calls"] > 0
+    assert check["children"]["permutations.transpositions_below"]["calls"] > 0
