@@ -24,14 +24,15 @@ polynomials and symmetric functions have a LaTeX form: ``chi``,
 ``cprime`` stream the text of a KL row from heckelab.rowtext, one length
 of z at a time, through ``_row``.
 
-Every input limit lives here and refuses with exit 2 before anything is
-computed: ``MAX_ROW_N`` for ``kl`` without ``--z``, ``cprime``, ``ch``,
-``chi`` (and ``modular`` asserts its identity above it), ``MAX_KL_ENTRY_N``
-for ``kl --z``, ``MAX_DECOMPOSE_N`` for ``decompose``, ``MAX_SEARCH_N`` for
-``counterexample``, ``MAX_HESSENBERG_N`` for ``hessenberg`` and ``csf``,
-``MAX_PERM_N`` for ``smooth-reduce``, ``moment-graph``, ``modular`` and
-``decompose``; ``--threads`` accepts only 1, and refuses any other value
-while parsing.
+``main`` parses --w once, for every command that takes it, before the
+command's handler runs.  Every input limit lives here and refuses with
+exit 2 before anything is computed: ``MAX_ROW_N`` for ``kl`` without
+``--z``, ``cprime``, ``ch``, ``chi`` (and ``modular`` asserts its identity
+above it), ``MAX_KL_ENTRY_N`` for ``kl --z``, ``MAX_DECOMPOSE_N`` for
+``decompose``, ``MAX_SEARCH_N`` for ``counterexample``, ``MAX_HESSENBERG_N``
+for ``hessenberg`` and ``csf``, ``MAX_PERM_N`` for ``smooth-reduce``,
+``moment-graph``, ``modular`` and ``decompose``; ``--threads`` accepts
+only 1, and refuses any other value while parsing.
 """
 
 from __future__ import annotations
@@ -94,10 +95,9 @@ def _whole_row(args, w) -> None:
 
 def _perm(args):
     """--w, refused above MAX_PERM_N."""
-    w = _parsed(parse_perm, args.w)
-    if len(w) > MAX_PERM_N:
+    if len(args.w) > MAX_PERM_N:
         raise InputError(f"--w must have rank at most {MAX_PERM_N}")
-    return w
+    return args.w
 
 
 def _parse_partition(text: str, n: int):
@@ -148,7 +148,7 @@ def _row(w, head: str, sep: str, tail: str, render):
 
 def _cmd_kl(args, fmt) -> int:
     from .qpoly import LaurentQ
-    w = _parsed(parse_perm, args.w)
+    w = args.w
     if args.z is not None:
         from .hecke import kl_polynomial
         z = _parsed(parse_perm, args.z, len(w))
@@ -170,7 +170,7 @@ def _cmd_kl(args, fmt) -> int:
 
 def _cmd_cprime(args, fmt) -> int:
     from .qpoly import LaurentQ
-    w = _parsed(parse_perm, args.w)
+    w = args.w
     _whole_row(args, w)
     ws = perm_to_str(w)
     _emit(fmt, _row(w, f"q^({w.length()}/2)*C'[{ws}] = ", " + ", "",
@@ -187,20 +187,17 @@ def _cmd_cprime(args, fmt) -> int:
 
 def _cmd_chi(args, fmt) -> int:
     from .characters import chi
-    w = _parsed(parse_perm, args.w)
-    if len(w) > MAX_ROW_N:
+    if len(args.w) > MAX_ROW_N:
         raise InputError(f"--w must have rank at most {MAX_ROW_N}")
-    lam = _parse_partition(args.lam, len(w))
-    p = chi(lam, w)
+    p = chi(_parse_partition(args.lam, len(args.w)), args.w)
     _emit(fmt, str(p), {"polynomial": p.to_json()}, p.latex())
     return 0
 
 
 def _cmd_ch(args, fmt) -> int:
     from .characters import frobenius_cprime
-    w = _parsed(parse_perm, args.w)
-    _whole_row(args, w)
-    f = frobenius_cprime(w).convert(args.basis)
+    _whole_row(args, args.w)
+    f = frobenius_cprime(args.w).convert(args.basis)
     _emit(fmt, str(f), f.to_json(), f.latex())
     return 0
 
@@ -422,6 +419,8 @@ def main(argv=None) -> int:
                              "use --format text or json")
         if getattr(args, "w", "").strip() == "e":  # 'e' names no rank
             raise InputError("--w cannot be 'e'; write the identity as 12...n")
+        if hasattr(args, "w"):
+            args.w = _parsed(parse_perm, args.w)
         return args.handler(args, args.format)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

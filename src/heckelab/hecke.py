@@ -8,11 +8,12 @@ Conventions:
   = sum_{z <= w} P_{z,w}(q) T_z, which has integer powers of q throughout;
 * the recursion builds B_y from B_{y s} (T_s + 1) minus mu-corrections.
 
-B_w is defined by bar-invariance and the degree bound.  The
-``kl-selfdual`` check of heckelab.lab tests the rows against the degree
-bound and the Kazhdan-Lusztig inversion formula (Invent. Math. 53 (1979),
-Thm 3.1), which the recursion does not use; the T-basis Hecke algebra in
-tests/hecke_oracle.py checks bar-invariance itself.
+B_w is defined by bar-invariance and the degree bound.  The store only
+builds rows and reads them.  The ``kl-selfdual`` check of heckelab.lab
+reads every row of S_n through ``KLRowStore._cosets`` and tests it against
+the degree bound and the Kazhdan-Lusztig inversion formula (Invent. Math.
+53 (1979), Thm 3.1), which the recursion does not use; the T-basis Hecke
+algebra in tests/hecke_oracle.py checks bar-invariance itself.
 
 Inside ``KLRowStore`` each P_{z,y} is one packed int, P(2^B) (Kronecker
 substitution, heckelab.qpoly): q*p is ``p << B`` and a mu-correction is
@@ -26,7 +27,8 @@ ints leave the store only decoded: as tuple polynomials of heckelab.qpoly
 from ``KLRowStore.row`` and ``KLRowStore.polynomial`` (wrapped into
 LaurentQ only by ``kl_polynomial``), rendered into the text that
 heckelab.rowtext prints, or repacked at a width of its own by the
-Frobenius character kernel of heckelab.characters.
+Frobenius character kernel of heckelab.characters and by the
+``kl-selfdual`` check.
 
 Each row is stored once per two-sided descent coset.  Let I = D_L(y) and
 J = D_R(y), the left and right descents of y.  W_J permutes the positions
@@ -52,9 +54,9 @@ cosets r W_J (``_right_cosets``): r is d with the values of each block
 dealt to the block's positions, increasing on every run, at length l(d)
 plus the pairs of one block's values dealt out of order; r W_J adds the
 inversions inside the runs (``_coset``).  Every reader of a whole row,
-here, in heckelab.characters and in heckelab.rowtext, reads the right
-cosets that ``KLRowStore._cosets`` lists; no other module reads the
-stored layout.
+here, in heckelab.characters, in heckelab.rowtext and in the
+``kl-selfdual`` check of heckelab.lab, reads the right cosets that
+``KLRowStore._cosets`` lists; no other module reads the stored layout.
 
 A row is built from the row of y' = ys, s the first descent of y, by
 
@@ -104,16 +106,6 @@ I' = D_L(y') and J' = D_R(y').
   only on A, inside one descent run of u.  Either way it is read once per
   key r of y', at r sorted inside the runs of u that are not runs of y',
   then relabelled on the blocks of u that are not blocks of y'.
-
-``KLRowStore.inversion_failures`` evaluates, for every x <= w in S_n,
-
-    sum_{x <= z <= w} (-1)^(l(x)+l(z)) P_{x,z} P_{w0 w, w0 z} = delta_{x,w}
-
-on packed ints too.  Products can carry past B bits, so every distinct
-polynomial of the rows is decoded (as ``row`` reports it) and repacked at
-W = poly_width(n! M^2 + 1), M the largest value at q = 1 among them: each
-coefficient of the sum minus delta is at most n! M^2 + 1 in absolute
-value, so the packed sum equals delta exactly when the polynomials do.
 """
 
 from __future__ import annotations
@@ -121,10 +113,9 @@ from __future__ import annotations
 from bisect import bisect
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
 
-from .permutations import Perm, _trusted, all_perms, perm_to_str
-from .qpoly import LaurentQ, poly_pack, poly_unpack, poly_width
+from .permutations import Perm, _trusted, perm_to_str
+from .qpoly import LaurentQ, poly_unpack, poly_width
 
 __all__ = ["kl_polynomial", "row_store", "KLRowStore"]
 
@@ -357,20 +348,6 @@ class KLRowStore:
         return {p: self._decode(y, p)
                 for p in set(self._packed_row(y).values())}
 
-    def degree_failures(self, y: Perm) -> list:
-        """[z] for every z != y in the row of y whose P_{z,y} is nonzero of
-        degree at least (l(y) - l(z)) / 2, right coset by right coset."""
-        runs = _runs(y)
-        ly, top = y.length(), _longest(runs)
-        polys = self._distinct(y)
-        out = []
-        for lr, r, p in self._cosets(y):
-            twice = 2 * (len(polys[p]) - 1)
-            if polys[p] and twice >= ly - lr - top:  # else no z of r fails
-                out += (_trusted(z) for dz, z in _coset(r, runs)
-                        if z != y and twice >= ly - lr - dz)
-        return out
-
     def _cosets(self, y: Perm) -> list:
         """The stored row of y as [(l(r), r, packed P_{r,y})] over the
         minimal elements r of the right cosets r W_J in [e, y], J = D_R(y):
@@ -501,50 +478,6 @@ class KLRowStore:
         self._packed[y] = row
         lengths[y] = lyp + 1
         return row
-
-    def inversion_failures(self) -> list:
-        """[(w, x, the sum as tuple)] for every x <= w in S_n at
-        which sum_z (-1)^(l(x)+l(z)) P_{x,z} P_{w0 w, w0 z} != delta_{x,w};
-        builds every row of S_n.  The module docstring shows why the
-        comparison of packed sums is exact."""
-        n = self.n
-        perms = list(all_perms(n))
-        index = {w: k for k, w in enumerate(perms)}
-        dual = [index[tuple(n + 1 - v for v in w)] for w in perms]  # w0 w
-        lengths = [w.length() for w in perms]
-        polys = {}
-        for w in perms:
-            polys.update(self._distinct(w))
-        top = max(map(sum, polys.values()))
-        width = poly_width(factorial(n) * top * top + 1)
-        wide = {p: poly_pack(c, width) for p, c in polys.items()}
-        members = {}  # (r, runs) -> the indices of r W_J; rows share cosets
-        rows = []
-        for w in perms:
-            runs, row = _runs(w), {}
-            for _, r, p in self._cosets(w):
-                ks = members.get((r, runs))
-                if ks is None:
-                    ks = members[r, runs] = [index[z] for _, z in
-                                             _coset(r, runs)]
-                row.update(dict.fromkeys(ks, wide[p]))
-            rows.append(row)
-        failures = []
-        for w, dw in enumerate(dual):
-            sums = {}  # x -> sum_z (-1)^l(z) P_{x,z} P_{w0 w, w0 z}
-            get = sums.get
-            for z in rows[w]:
-                d = rows[dual[z]][dw]
-                if lengths[z] & 1:
-                    d = -d
-                for x, p in rows[z].items():
-                    sums[x] = get(x, 0) + p * d
-            for x in rows[w]:
-                s = -sums[x] if lengths[x] & 1 else sums[x]
-                if s != (x == w):
-                    failures.append((perms[w], perms[x],
-                                     poly_unpack(s, width)))
-        return failures
 
 
 _stores: dict[int, KLRowStore] = {}

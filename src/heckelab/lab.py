@@ -3,9 +3,11 @@ Theorem drivers: smooth-to-codominant reduction, the modular relation
 dichotomy, the codominant-decomposition search and the named exhaustive
 check suite.  Moment graphs are ``permutations.transpositions_below``,
 which the momentgraph check compares with the rank criterion, testing each
-transposition on one rank table of w.  The S_8 counterexample search is in
-csf; by default it computes only m1 and the functions one edge either side
-of it (106 at n = 8), not the batch of the whole rank.
+transposition on one rank table of w.  The kl-selfdual check reads every
+KL row of S_n through ``KLRowStore._cosets`` in one pass, which expands
+each right coset once for both the degree bound and the inversion sums.
+The S_8 counterexample search is in csf; by default it computes only m1
+and the functions one edge either side of it (106 at n = 8).
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ from .characters import (_chi_all, _frobenius_coeffs, frobenius_cprime,
                          min_class_rep)
 # counterexample_search is imported for bench/tracer.py, which wraps it here
 from .csf import _oracle_coeffs, counterexample_search, csf_batch, edge_count
-from .hecke import row_store
+from .hecke import _coset, _runs, row_store
 from .permutations import (Perm, _descending_covers, _rank_rows, _tops,
                            all_perms, codominant_of_hessenberg,
                            coessential_set, enumerate_hessenberg,
                            hessenberg_of_smooth, hessenberg_to_str,
                            orbit_representatives, perm_to_str, smooth_perms,
                            transpositions_below)
-from .qpoly import LaurentQ, poly_add_scaled, poly_mul, poly_shape
+from .qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
+                    poly_shape, poly_unpack, poly_width)
 from .symfunc import (SymmetricFunction, murnaghan_nakayama, omega, partitions,
                       positivity)
 
@@ -165,13 +168,14 @@ def modular_triples(n: int) -> list[tuple]:
 def _thm16_step(w: Perm):
     """A simple s such that ws (or sw) is smooth, one step down, with
     s w s two steps down; the reduction of Thm 1.6 then applies."""
-    n = len(w)
-    lw = w.length()
-    for i in range(1, n):
-        s, ws = Perm.identity(n).times_simple(i), w.times_simple(i)
-        # l(sws) = l(w) - 2 puts ws and sw both one step down
-        if (s * ws).length() == lw - 2:
-            for v in (ws, s * w):
+    winv = w.inverse()
+    for i in range(1, len(w)):
+        # l(sws) = l(w) - 2 (ws and sw one step down) iff s = s_i is a
+        # right and a left descent of w, and w(i), w(i+1) are not i+1, i
+        if w[i - 1] > w[i] and winv[i - 1] > winv[i] and \
+                (w[i - 1], w[i]) != (i + 1, i):
+            for v in (w.times_simple(i),
+                      w.times_transposition(winv[i - 1], winv[i])):
                 if v.is_smooth():
                     return v
     return None
@@ -428,16 +432,55 @@ def _check_csf_oracle(n: int) -> tuple:
 
 
 def _check_kl_selfdual(n: int) -> tuple:
+    # the Kazhdan-Lusztig inversion formula (Invent. Math. 53 (1979), Thm
+    # 3.1), sum_z (-1)^(l(x)+l(z)) P_{x,z} P_{w0 w, w0 z} = delta_{x,w} for
+    # x <= w, and deg P_{z,w} < (l(w) - l(z)) / 2 for z < w, read off one
+    # expansion of each right coset of each row.  The sums run on ints
+    # packed at W = poly_width(n! M^2 + 1), M the largest value at q = 1 of
+    # the rows' polynomials: each coefficient of a sum minus delta is at
+    # most n! M^2 + 1 in absolute value, so the packed sums are exact.
     store = row_store(n)
-    witnesses = [
-        f"inversion formula at x = {perm_to_str(x)}, w = {perm_to_str(w)}: "
-        f"sum = {LaurentQ(c)}"
-        for w, x, c in store.inversion_failures()]
-    for w in all_perms(n):
-        witnesses += (f"deg P[{perm_to_str(z)},{perm_to_str(w)}] too big"
-                      for z in store.degree_failures(w))
-    return witnesses, ("KL inversion formula and degree bounds over all "
-                       f"{factorial(n)} w")
+    perms = list(all_perms(n))
+    index = {w: k for k, w in enumerate(perms)}
+    dual = [index[tuple(n + 1 - v for v in w)] for w in perms]  # w0 w
+    lengths = [w.length() for w in perms]
+    polys = {p: c for w in perms for p, c in store._distinct(w).items()}
+    top = max(map(sum, polys.values()))
+    width = poly_width(factorial(n) * top * top + 1)
+    wide = {p: poly_pack(c, width) for p, c in polys.items()}
+    members = {}  # (r, runs) -> the indices of r W_J; rows share cosets
+    rows, degree = [], []
+    for w, y in enumerate(perms):
+        runs, row, lw = _runs(y), {}, lengths[w]
+        for _, r, p in store._cosets(y):
+            ks = members.get((r, runs))
+            if ks is None:
+                ks = members[r, runs] = [index[z] for _, z in _coset(r, runs)]
+            row.update(dict.fromkeys(ks, wide[p]))
+            twice = 2 * (len(polys[p]) - 1)
+            degree += (f"deg P[{perm_to_str(perms[z])},{perm_to_str(y)}] "
+                       "too big" for z in ks
+                       if twice >= lw - lengths[z] and z != w)
+        rows.append(row)
+    witnesses = []
+    for w, dw in enumerate(dual):
+        sums = {}  # x -> sum_z (-1)^l(z) P_{x,z} P_{w0 w, w0 z}
+        get = sums.get
+        for z in rows[w]:
+            d = rows[dual[z]][dw]
+            if lengths[z] & 1:
+                d = -d
+            for x, p in rows[z].items():
+                sums[x] = get(x, 0) + p * d
+        for x in rows[w]:
+            s = -sums[x] if lengths[x] & 1 else sums[x]
+            if s != (x == w):
+                witnesses.append(
+                    f"inversion formula at x = {perm_to_str(perms[x])}, "
+                    f"w = {perm_to_str(perms[w])}: "
+                    f"sum = {LaurentQ(poly_unpack(s, width))}")
+    return witnesses + degree, ("KL inversion formula and degree bounds "
+                                f"over all {factorial(n)} w")
 
 
 def _check_unimodal(n: int) -> tuple:

@@ -11,8 +11,8 @@ from heckelab.cli import main
 from heckelab.csf import (counterexample_search, csf, csf_batch, csf_index,
                           csf_key, edge_count)
 from heckelab.hecke import KLRowStore, row_store
-from heckelab.lab import (CHECKS, PreconditionError, Report,
-                          _rank_transpositions, check_suite,
+from heckelab.lab import (CHECK_BOUNDS, CHECKS, PreconditionError, Report,
+                          _rank_transpositions, _thm16_step, check_suite,
                           decompose_codominant, modular_relation,
                           modular_triples, smooth_reduce,
                           verify_decomposition)
@@ -249,6 +249,15 @@ def test_kl_selfdual_passes_n5():
         "KL inversion formula and degree bounds over all 120 w"
 
 
+def test_kl_selfdual_passes_n6(monkeypatch):
+    # the exact sum stays the oracle of any faster test of the formula
+    monkeypatch.setitem(CHECK_BOUNDS, "kl-selfdual", 6)
+    (rep,) = check_suite(6, ["kl-selfdual"])
+    assert rep.status == "pass", rep
+    assert rep.details == \
+        "KL inversion formula and degree bounds over all 720 w"
+
+
 def _add_to_stored_value(store, y, z, delta):
     """Add the packed delta to the stored value of P_{z,y}, z a stored key
     of the row of y (the minimal element of its double coset); every z of
@@ -257,35 +266,74 @@ def _add_to_stored_value(store, y, z, delta):
     stored[z] += delta
 
 
-def test_kl_selfdual_reports_a_perturbed_kl_polynomial(monkeypatch):
-    # P_{e,3412} = 1 + q becomes 2 + q, which keeps the degree bound
+def _fresh_store_that_passes(monkeypatch):
+    """A fresh store of S_4, installed as the row store of its rank, with
+    every row built by a kl-selfdual run that passes."""
     store = KLRowStore(4)
-    assert store.inversion_failures() == []
-    w = parse_perm("3412")
-    _add_to_stored_value(store, w, Perm.identity(4), 1)
     monkeypatch.setitem(importlib.import_module("heckelab.hecke")._stores,
                         4, store)
     (rep,) = check_suite(4, ["kl-selfdual"])
+    assert rep.status == "pass", rep
+    return store
+
+
+def test_kl_selfdual_reports_a_perturbed_kl_polynomial(monkeypatch):
+    # P_{e,3412} = 1 + q becomes 2 + q, which keeps the degree bound; the
+    # stored value is also P_{1324,3412}, and a sum fails wherever either
+    # enters it, in the order of w and then of x
+    store = _fresh_store_that_passes(monkeypatch)
+    _add_to_stored_value(store, parse_perm("3412"), Perm.identity(4), 1)
+    (rep,) = check_suite(4, ["kl-selfdual"])
     assert rep.status == "fail"
-    assert "inversion formula at x = 1234, w = 3412: sum = 1" in rep.witnesses
-    assert not any("deg" in witness for witness in rep.witnesses)
+    assert rep.witnesses == [
+        "inversion formula at x = 1234, w = 3412: sum = 1",
+        "inversion formula at x = 1324, w = 3412: sum = -1",
+        "inversion formula at x = 1234, w = 3421: sum = 1",
+        "inversion formula at x = 1324, w = 3421: sum = -1",
+        "inversion formula at x = 1234, w = 4231: sum = 1",
+        "inversion formula at x = 1243, w = 4231: sum = -1",
+        "inversion formula at x = 2134, w = 4231: sum = -1",
+        "inversion formula at x = 2143, w = 4231: sum = 1",
+        "inversion formula at x = 1234, w = 4312: sum = 1",
+        "inversion formula at x = 1324, w = 4312: sum = -1",
+        "inversion formula at x = 1234, w = 4321: sum = 2",
+        "inversion formula at x = 1243, w = 4321: sum = -1",
+        "inversion formula at x = 1324, w = 4321: sum = -1",
+        "inversion formula at x = 2134, w = 4321: sum = -1",
+        "inversion formula at x = 2143, w = 4321: sum = 1",
+    ]
 
 
 def test_kl_selfdual_reports_a_kl_polynomial_of_too_high_degree(monkeypatch):
     # P_{e,3412} = 1 + q becomes 1 + q + q^2, of degree 2 >= l(3412) / 2;
     # every row is built first, as a row built on the perturbed one (4312,
-    # whose double coset of itself has the key e) fails its P_ww check
-    store = KLRowStore(4)
-    for u in all_perms(4):
-        store._packed_row(u)
-    w = parse_perm("3412")
-    assert store.degree_failures(w) == []
-    _add_to_stored_value(store, w, Perm.identity(4), 1 << 2 * store._width)
-    monkeypatch.setitem(importlib.import_module("heckelab.hecke")._stores,
-                        4, store)
+    # whose double coset of itself has the key e) fails its P_ww check.
+    # The inversion witnesses come first, then the degree witnesses of the
+    # right coset {1234, 1324} of e in the row of 3412
+    store = _fresh_store_that_passes(monkeypatch)
+    _add_to_stored_value(store, parse_perm("3412"), Perm.identity(4),
+                         1 << 2 * store._width)
     (rep,) = check_suite(4, ["kl-selfdual"])
     assert rep.status == "fail"
-    assert "deg P[1234,3412] too big" in rep.witnesses
+    assert rep.witnesses == [
+        "inversion formula at x = 1234, w = 3412: sum = q^2",
+        "inversion formula at x = 1324, w = 3412: sum = -q^2",
+        "inversion formula at x = 1234, w = 3421: sum = q^2",
+        "inversion formula at x = 1324, w = 3421: sum = -q^2",
+        "inversion formula at x = 1234, w = 4231: sum = q^2",
+        "inversion formula at x = 1243, w = 4231: sum = -q^2",
+        "inversion formula at x = 2134, w = 4231: sum = -q^2",
+        "inversion formula at x = 2143, w = 4231: sum = q^2",
+        "inversion formula at x = 1234, w = 4312: sum = q^2",
+        "inversion formula at x = 1324, w = 4312: sum = -q^2",
+        "inversion formula at x = 1234, w = 4321: sum = 2*q^2",
+        "inversion formula at x = 1243, w = 4321: sum = -q^2",
+        "inversion formula at x = 1324, w = 4321: sum = -q^2",
+        "inversion formula at x = 2134, w = 4321: sum = -q^2",
+        "inversion formula at x = 2143, w = 4321: sum = q^2",
+        "deg P[1234,3412] too big",
+        "deg P[1324,3412] too big",
+    ]
 
 
 def _store_with_perturbed_row(monkeypatch, w):
@@ -562,6 +610,29 @@ def test_decompose_s8_counterexample_w():
     assert d == {parse_perm("26754381"): ONE_PLUS_Q}
 
 
+def _thm16_candidates(w):
+    """ws and sw, in that order, for each simple s with l(sws) = l(w) - 2,
+    computed from the lengths."""
+    n, out = len(w), []
+    for i in range(1, n):
+        s, ws = Perm.identity(n).times_simple(i), w.times_simple(i)
+        if (s * ws).length() == w.length() - 2:
+            out += [ws, s * w]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_thm16_step_reads_the_length_rule_off_descent_sets(monkeypatch, n):
+    # with no candidate smooth, the step tries every ws and sw that the
+    # length rule admits, in the rule's order, and finds none
+    tried = []
+    monkeypatch.setattr(Perm, "is_smooth", lambda v: tried.append(v) or False)
+    for w in all_perms(n):
+        tried.clear()
+        assert _thm16_step(w) is None
+        assert tried == _thm16_candidates(w), w
+
+
 def test_decompose_honest_solver_matches():
     from heckelab.lab import _positive_solve
     for w in all_perms(4):
@@ -633,12 +704,17 @@ def test_cor44_and_csf_oracle_exhaustive_n6():
 
 
 def test_check_suite_default_runs_the_checks_the_cli_prints_n7():
-    # every check whose bound is >= 7, and nothing raises on the others
-    printed = check_all_json(7)
+    # every check whose bound is >= 7, and nothing raises on the others;
+    # the suite runs once, and its reports, one JSON line each as the CLI
+    # prints them, match the CLI's digest (tests/test_bench_contract.py
+    # runs the CLI at 7)
     reports = check_suite(7)
     assert [r.check for r in reports] == \
         ["prop31", "modular-law", "mn", "lemma22"]
-    assert [r.to_json() for r in reports] == printed
+    text = "".join(json.dumps(r.to_json(), sort_keys=True) + "\n"
+                   for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CHECK_ALL_JSON_SHA256[7]
 
 
 def test_check_suite_unknown_name():
