@@ -67,8 +67,8 @@ from itertools import chain
 
 from .hecke import _coset, _runs, row_store
 from .permutations import Perm, all_perms
-from .qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
-                    poly_unpack, poly_width)
+from .qpoly import (poly_add_scaled, poly_mul, poly_pack, poly_unpack,
+                    poly_width)
 from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
@@ -240,8 +240,9 @@ def _chi_all(w) -> dict:
     return _characters(len(w), {1: {_class_number(tuple(w)): 1}}, {1: (1,)})
 
 
-def chi(lam, w: Perm) -> LaurentQ:
-    """chi^lambda(T_w), an integer polynomial in q of degree <= l(w).
+def chi(lam, w: Perm) -> tuple:
+    """chi^lambda(T_w), an integer polynomial in q of degree <= l(w), as
+    its coefficient tuple.
 
     Read from `_chi_all`, the kernel on the class of w (see the module
     docstring); the seminormal-form oracle in tests/seminormal_oracle.py
@@ -250,7 +251,7 @@ def chi(lam, w: Perm) -> LaurentQ:
     lam = tuple(lam)
     if lam not in partitions(len(w)):
         raise ValueError(f"{lam} is not a partition of the rank {len(w)}")
-    return LaurentQ(_chi_all(w).get(lam, ()))
+    return _chi_all(w).get(lam, ())
 
 
 def character_table(n: int) -> dict:

@@ -147,7 +147,7 @@ def _row(w, head: str, sep: str, tail: str, render):
 # -- subcommand handlers (return exit codes) ----------------------------------
 
 def _cmd_kl(args, fmt) -> int:
-    from .qpoly import LaurentQ
+    from .qpoly import poly_json, poly_latex, poly_str
     w = args.w
     if args.z is not None:
         from .hecke import kl_polynomial
@@ -155,42 +155,43 @@ def _cmd_kl(args, fmt) -> int:
         if len(w) > MAX_KL_ENTRY_N:
             raise InputError(f"--w must have rank at most {MAX_KL_ENTRY_N}")
         p = kl_polynomial(z, w)
-        _emit(fmt, str(p), {"polynomial": p.to_json()}, p.latex())
+        _emit(fmt, poly_str(p), {"polynomial": poly_json(p)}, poly_latex(p))
         return 0
     _whole_row(args, w)
     ws = perm_to_str(w)
     _emit(fmt, _row(w, "", "\n", "", lambda c: (
-              "P[", f", {ws}] = {LaurentQ(c)}")),
+              "P[", f", {ws}] = {poly_str(c)}")),
           # json.dumps({"entries": [[z, w, poly]], "n"}, sort_keys=True)
           _row(w, '{"entries": [', ", ", '], "n": %d}' % len(w),
                lambda c: ('["', '", "%s", %s]' % (ws, json.dumps(
-                   LaurentQ(c).to_json(), sort_keys=True)))))
+                   poly_json(c), sort_keys=True)))))
     return 0
 
 
 def _cmd_cprime(args, fmt) -> int:
-    from .qpoly import LaurentQ
+    from .qpoly import poly_json, poly_str
     w = args.w
     _whole_row(args, w)
     ws = perm_to_str(w)
     _emit(fmt, _row(w, f"q^({w.length()}/2)*C'[{ws}] = ", " + ", "",
-                    lambda c: (f"({LaurentQ(c)})*T[", "]")),
+                    lambda c: (f"({poly_str(c)})*T[", "]")),
           # json.dumps({"n", "scaling", "terms": [[z, poly]], "w"},
           # sort_keys=True)
           _row(w, '{"n": %d, "scaling": %s, "terms": [' % (
                    len(w), json.dumps(f"q^({w.length()}/2) * C'_w")),
                ", ", '], "w": "%s"}' % ws,
                lambda c: ('["', '", %s]' % json.dumps(
-                   LaurentQ(c).to_json(), sort_keys=True))))
+                   poly_json(c), sort_keys=True))))
     return 0
 
 
 def _cmd_chi(args, fmt) -> int:
     from .characters import chi
+    from .qpoly import poly_json, poly_latex, poly_str
     if len(args.w) > MAX_ROW_N:
         raise InputError(f"--w must have rank at most {MAX_ROW_N}")
     p = chi(_parse_partition(args.lam, len(args.w)), args.w)
-    _emit(fmt, str(p), {"polynomial": p.to_json()}, p.latex())
+    _emit(fmt, poly_str(p), {"polynomial": poly_json(p)}, poly_latex(p))
     return 0
 
 
@@ -277,6 +278,7 @@ def _cmd_counterexample(args, fmt) -> int:
 
 def _cmd_decompose(args, fmt) -> int:
     from .lab import decompose_codominant
+    from .qpoly import poly_json, poly_str
     w = _perm(args)
     if args.max_n > MAX_DECOMPOSE_N:
         raise InputError(f"--max-n must be at most {MAX_DECOMPOSE_N}")
@@ -286,8 +288,9 @@ def _cmd_decompose(args, fmt) -> int:
         text = "UNKNOWN"
     else:
         terms = sorted(result.items(), key=lambda it: (it[0].length(), it[0]))
-        payload["terms"] = [[perm_to_str(u), c.to_json()] for u, c in terms]
-        text = "\n".join(f"C'[{perm_to_str(u)}]: {c}" for u, c in terms)
+        payload["terms"] = [[perm_to_str(u), poly_json(c)] for u, c in terms]
+        text = "\n".join(f"C'[{perm_to_str(u)}]: {poly_str(c)}"
+                         for u, c in terms)
     _emit(fmt, text, payload)
     return 1 if args.expect == "found" and result is None else 0
 

@@ -24,11 +24,10 @@ so P_{z,y} <= 2^(l(y)) <= 2^(n(n-1)/2) coefficientwise, and
 B = poly_width(2^(n(n-1)/2)); as P >= 0, the coefficient of q^k sits in
 bits [k*B, (k+1)*B).  Decoding raises on a negative coefficient.  Packed
 ints leave the store only decoded: as tuple polynomials of heckelab.qpoly
-from ``KLRowStore.row`` and ``KLRowStore.polynomial`` (wrapped into
-LaurentQ only by ``kl_polynomial``), rendered into the text that
-heckelab.rowtext prints, or repacked at a width of its own by the
-Frobenius character kernel of heckelab.characters and by the
-``kl-selfdual`` check.
+from ``KLRowStore.row``, ``KLRowStore.polynomial`` and ``kl_polynomial``,
+rendered into the text that heckelab.rowtext prints, or repacked at a
+width of its own by the Frobenius character kernel of heckelab.characters
+and by the ``kl-selfdual`` check.
 
 Each row is stored once per two-sided descent coset.  Let I = D_L(y) and
 J = D_R(y), the left and right descents of y.  W_J permutes the positions
@@ -115,7 +114,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .permutations import Perm, _trusted, perm_to_str
-from .qpoly import LaurentQ, poly_unpack, poly_width
+from .qpoly import poly_unpack, poly_width
 
 __all__ = ["kl_polynomial", "row_store", "KLRowStore"]
 
@@ -491,10 +490,10 @@ def row_store(n: int) -> KLRowStore:
     return store
 
 
-def kl_polynomial(z: Perm, w: Perm) -> LaurentQ:
+def kl_polynomial(z: Perm, w: Perm) -> tuple:
     """P_{z,w}; zero when z is not below w, as [e, w] is a union of the
     double cosets W_I z W_J, I = D_L(w) and J = D_R(w), that
     `KLRowStore.polynomial` reads."""
     if len(z) != len(w):
         raise ValueError("size mismatch")
-    return LaurentQ(row_store(len(w)).polynomial(z, w))
+    return row_store(len(w)).polynomial(z, w)

@@ -27,8 +27,8 @@ from .permutations import (Perm, _descending_covers, _rank_rows, _tops,
                            hessenberg_of_smooth, hessenberg_to_str,
                            orbit_representatives, perm_to_str, smooth_perms,
                            transpositions_below)
-from .qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
-                    poly_shape, poly_unpack, poly_width)
+from .qpoly import (poly_add_scaled, poly_mul, poly_pack, poly_shape,
+                    poly_str, poly_unpack, poly_width)
 from .symfunc import (SymmetricFunction, murnaghan_nakayama, omega, partitions,
                       positivity)
 
@@ -190,36 +190,28 @@ def decompose_codominant(w: Perm, max_n: int = 6):
     down, reduces to that of ws with coefficient 1+q, by ch(B_w) =
     (1+q) ch(B_{ws}) (Thm 1.6).  Any other w is handed to an exact
     leading-term search over all codominant characters, which requires
-    n <= max_n.  Returns {codominant: LaurentQ coefficient} or None for
-    Unknown (search exhausted or out of reach).
+    n <= max_n.  Returns {codominant: tuple polynomial coefficient} or None
+    for Unknown (search exhausted or out of reach).
     """
     # each permutation is scanned for 3412 and 4231 once: w here, and a
     # step's v inside _thm16_step, which returns only a smooth v
     if w.is_smooth():
-        return {codominant_of_hessenberg(_tops(w)): LaurentQ((1,))}
+        return {codominant_of_hessenberg(_tops(w)): (1,)}
     v = _thm16_step(w)
     if v is not None:
-        return {codominant_of_hessenberg(_tops(v)): LaurentQ((1, 1))}
+        return {codominant_of_hessenberg(_tops(v)): (1, 1)}
     if len(w) > max_n:
         return None
-    coeffs = _positive_solve(frobenius_cprime(w), len(w))
-    return None if coeffs is None else {u: LaurentQ(c)
-                                        for u, c in coeffs.items()}
+    return _positive_solve(frobenius_cprime(w), len(w))
 
 
 def _positive_solve(target: SymmetricFunction, n: int):
     """Exact search for an N[q]-combination of codominant characters equal
     to the target, by leading-term peeling in the h-basis; returns
     {codominant: tuple polynomial} or None."""
-    def leading(vec):
-        deg = max((len(p) - 1 for p in vec.values()), default=-1)
-        if deg < 0:
-            return None
-        for lam in sorted(vec, reverse=True):
-            p = vec[lam]
-            if len(p) - 1 == deg:
-                return deg, lam
-        return None
+    def leading(vec):  # (top degree, the largest lambda of that degree)
+        return max(((len(p) - 1, lam) for lam, p in vec.items()),
+                   default=None)
 
     candidates = []  # (wm, its h-vector, l(wm), the vector's leading term)
     for m in enumerate_hessenberg(n):
@@ -275,7 +267,7 @@ def _positive_solve(target: SymmetricFunction, n: int):
 
 def verify_decomposition(w: Perm, decomposition: dict) -> bool:
     """Check ch(B_w) = sum c_i ch(B_{w_i}) exactly, in the s basis, for
-    polynomial coefficients c_i in q, LaurentQ or tuple (small n only)."""
+    tuple polynomial coefficients c_i in q (small n only)."""
     total = {}
     for wi, c in decomposition.items():
         for lam, v in frobenius_cprime(wi).polys.items():
@@ -331,7 +323,7 @@ def _check_hpos(n: int) -> tuple:
             witnesses.append({
                 "w": perm_to_str(w),
                 "partition": list(rep.witness_partition),
-                "coefficient": str(rep.witness_coefficient),
+                "coefficient": poly_str(rep.witness_coefficient),
             })
     return witnesses, (f"h-positivity of ch(q^(l/2) C'_w) over {len(reps)} "
                        f"orbit representatives covering all {factorial(n)} "
@@ -478,7 +470,7 @@ def _check_kl_selfdual(n: int) -> tuple:
                 witnesses.append(
                     f"inversion formula at x = {perm_to_str(perms[x])}, "
                     f"w = {perm_to_str(perms[w])}: "
-                    f"sum = {LaurentQ(poly_unpack(s, width))}")
+                    f"sum = {poly_str(poly_unpack(s, width))}")
     return witnesses + degree, ("KL inversion formula and degree bounds "
                                 f"over all {factorial(n)} w")
 

@@ -1,5 +1,6 @@
 """
-Exact polynomials in q over the integers: one arithmetic, one value type.
+Exact polynomials in q over the integers: one arithmetic, one value type,
+three printers.
 
 The ``poly_*`` functions are the arithmetic.  A polynomial in q is a plain
 int tuple of coefficients ascending from q^0, with no trailing zeros, so
@@ -7,73 +8,56 @@ int tuple of coefficients ascending from q^0, with no trailing zeros, so
 Kazhdan-Lusztig polynomials, the characters of B_w = q^(l(w)/2) C'_w, the
 coefficients of csf_q(G_m) and of the codominant decompositions.  KL rows
 (heckelab.hecke) and the csf dynamic program compute on polynomials packed
-into ints, and hand out these tuples.
-
-``LaurentQ`` is the value type of the API: the same tuple, canonicalised,
-which the API returns, compares, prints and serializes.
+into ints, and hand out these tuples, which the API returns as they are.
+``poly_str``, ``poly_latex`` and ``poly_json`` print them, only where text
+or JSON is made.
 
 >>> square = poly_mul((1, 1), (1, 1))
 >>> square
 (1, 2, 1)
->>> f = LaurentQ(square + (0,))
->>> print(f)
-1 + 2*q + q^2
->>> f == square
-True
+>>> print(poly_str(square), "|", poly_latex((0, -1, 0, 2)))
+1 + 2*q + q^2 | -q + 2q^{3}
+>>> poly_json((0, -1, 0, 2))
+{'1': -1, '3': 2}
 """
 
 from __future__ import annotations
 
 
-class LaurentQ(tuple):
-    """A polynomial in q as a value: the tuple of its coefficients,
-    ascending from q^0, with no trailing zeros, so LaurentQ(()) is zero.
-    It compares and hashes as that tuple and does no arithmetic (on a
-    tuple, + and * concatenate; the ``poly_*`` functions compute).
+def _show(p, power: str, times: str) -> str:
+    """The nonzero terms of p, lowest power first, joined by + and -: q^k
+    for k > 1 as power % k, and a coefficient c other than 1 in front of a
+    power of q as c + times."""
+    parts = []
+    for k, v in enumerate(p):
+        if not v:
+            continue
+        c = abs(v)
+        if k == 0:
+            term = str(c)
+        else:
+            head = "q" if k == 1 else power % k
+            term = head if c == 1 else f"{c}{times}{head}"
+        sign = "-" if v < 0 else "+" if parts else ""
+        parts.append(f"{sign} {term}" if parts else sign + term)
+    return " ".join(parts) or "0"
 
+
+def poly_str(p) -> str:
+    return _show(p, "q^%d", "*")
+
+
+def poly_latex(p) -> str:
+    return _show(p, "q^{%d}", "")
+
+
+def poly_json(p) -> dict:
+    """Exponent -> coefficient over the nonzero terms, keys as strings.
     Coefficients are ints, or exact Fractions in the p basis of a symmetric
-    function; an integral Fraction becomes an int.
-    """
-
-    def __new__(cls, coeffs=()):
-        # a Fraction, tested without importing fractions, which a kl or
-        # cprime process never needs
-        return super().__new__(cls, poly_trim([
-            v if type(v) is int or v.denominator != 1 else int(v)
-            for v in coeffs]))
-
-    def _show(self, power: str, times: str) -> str:
-        """The nonzero terms, lowest power first, joined by + and -: q^k
-        for k > 1 as power % k, and a coefficient c other than 1 in front
-        of a power of q as c + times."""
-        parts = []
-        for k, v in enumerate(self):
-            if not v:
-                continue
-            c = abs(v)
-            if k == 0:
-                term = str(c)
-            else:
-                head = "q" if k == 1 else power % k
-                term = head if c == 1 else f"{c}{times}{head}"
-            sign = "-" if v < 0 else "+" if parts else ""
-            parts.append(f"{sign} {term}" if parts else sign + term)
-        return " ".join(parts) or "0"
-
-    def __str__(self):
-        return self._show("q^%d", "*")
-
-    def __repr__(self):
-        return f"LaurentQ({tuple(self)!r})"
-
-    def latex(self) -> str:
-        return self._show("q^{%d}", "")
-
-    def to_json(self) -> dict:
-        """Exponent -> coefficient over the nonzero terms, keys as strings;
-        Fraction coefficients serialize as 'num/den' strings."""
-        return {str(k): v if isinstance(v, int) else str(v)
-                for k, v in enumerate(self) if v}
+    function: an integral one serializes as an int, any other as a
+    'num/den' string."""
+    return {str(k): int(v) if v.denominator == 1 else str(v)
+            for k, v in enumerate(p) if v}
 
 
 # -- tuple polynomials in q (ascending coefficients, () is zero) -------------

@@ -3,10 +3,9 @@ Symmetric functions of homogeneous degree n with coefficients in Z[q], in
 the five classical bases m, e, h, p, s.
 
 A function is built from, and stores, {partition: tuple polynomial in q}
-(heckelab.qpoly's ``poly_*`` form) over its nonzero coefficients, so equal
-functions in one basis store equal data.  The polynomials the package makes
-(ch(B_w), csf_q(G_m)) are stored as given; a coefficient is read out as a
-LaurentQ, which is the same tuple, for printing.
+(heckelab.qpoly's ``poly_*`` form) over its nonzero coefficients, with no
+trailing zeros, so equal functions in one basis store equal data.  A
+coefficient is read out of ``polys`` as that tuple.
 
 >>> from heckelab.characters import frobenius_cprime
 >>> from heckelab.permutations import Perm
@@ -33,7 +32,7 @@ their order, or from the S_n character table:
 K^-1 is integral, by back substitution, and is the only inverse taken.
 The p basis is a Q-basis only.  Fractions appear only in the matrices
 into p, so only in the coefficients of a function converted into or out of
-p, and LaurentQ prints an integral one as an int:
+p, and ``poly_json`` writes an integral one as an int:
 
 >>> _transition("s", "p", 3)[(2, 1)]  # s_21 = (p_111 - p_3) / 3
 (((3,), Fraction(-1, 3)), ((1, 1, 1), Fraction(1, 3)))
@@ -45,7 +44,8 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .qpoly import LaurentQ, poly_add_scaled, poly_mul
+from .qpoly import (poly_add_scaled, poly_json, poly_latex, poly_mul,
+                    poly_str, poly_trim)
 
 __all__ = [
     "Partition", "partitions", "conjugate", "hook_lengths", "num_syt",
@@ -97,14 +97,14 @@ def num_syt(lam: Partition) -> int:
     return factorial(n) // prod
 
 
-def q_factorial_partition(lam: Partition) -> LaurentQ:
+def q_factorial_partition(lam: Partition) -> tuple:
     """lambda!_q = product of [lambda_i]!_q, where
     [k]!_q = [1]_q [2]_q ... [k]_q and [i]_q = 1 + q + ... + q^(i-1)."""
     out = (1,)
     for part in lam:
         for i in range(2, part + 1):
             out = poly_mul(out, (1,) * i)
-    return LaurentQ(out)
+    return out
 
 
 # -- transition matrices, all through the Schur basis -----------------------
@@ -259,24 +259,21 @@ class SymmetricFunction:
     __slots__ = ("basis", "n", "polys")
 
     def __init__(self, basis: str, n: int, polys: dict):
-        """sum_lam polys[lam](q) basis_lam; zero polynomials are left out.
-        Raises ValueError for an unknown basis or a partition whose size is
-        not n."""
+        """sum_lam polys[lam](q) basis_lam, with trailing zeros trimmed and
+        zero polynomials left out.  Raises ValueError for an unknown basis
+        or a partition whose size is not n."""
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         for lam in polys:
             if sum(lam) != n:
                 raise ValueError(f"partition {lam} has size != {n}")
         self.basis, self.n = basis, n
-        self.polys = {lam: p for lam, p in polys.items() if p}
-
-    def coefficient(self, lam) -> LaurentQ:
-        return LaurentQ(self.polys.get(tuple(lam), ()))
-
-    @property
-    def coeffs(self) -> dict:
-        """{partition: LaurentQ} over the nonzero coefficients."""
-        return {lam: LaurentQ(p) for lam, p in self.polys.items()}
+        self.polys = {}
+        for lam, p in polys.items():
+            if p and p[-1] == 0:
+                p = poly_trim(list(p))
+            if p:
+                self.polys[lam] = p
 
     def convert(self, target: str) -> "SymmetricFunction":
         """Exact change of basis, one pass over the transition matrix."""
@@ -300,7 +297,7 @@ class SymmetricFunction:
     # -- serialization ----------------------------------------------------
 
     def sorted_items(self):
-        return sorted(self.coeffs.items(), reverse=True)
+        return sorted(self.polys.items(), reverse=True)
 
     def __str__(self):
         if not self.polys:
@@ -308,7 +305,7 @@ class SymmetricFunction:
         parts = []
         for lam, c in self.sorted_items():
             name = f"{self.basis}[{','.join(map(str, lam))}]"
-            parts.append(f"({c})*{name}")
+            parts.append(f"({poly_str(c)})*{name}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -320,7 +317,8 @@ class SymmetricFunction:
         parts = []
         for lam, c in self.sorted_items():
             sub = "".join(str(p) if p < 10 else f"{{{p}}}" for p in lam)
-            parts.append(f"\\left({c.latex()}\\right) {self.basis}_{{{sub}}}")
+            parts.append(
+                f"\\left({poly_latex(c)}\\right) {self.basis}_{{{sub}}}")
         return " + ".join(parts)
 
     def to_json(self) -> dict:
@@ -328,7 +326,7 @@ class SymmetricFunction:
             "basis": self.basis,
             "degree": self.n,
             "terms": [
-                {"partition": list(lam), "coeff": c.to_json()}
+                {"partition": list(lam), "coeff": poly_json(c)}
                 for lam, c in self.sorted_items()
             ],
         }
@@ -347,7 +345,7 @@ def omega(f: SymmetricFunction) -> SymmetricFunction:
 class PositivityReport(NamedTuple):
     positive: bool
     witness_partition: tuple | None = None
-    witness_coefficient: LaurentQ | None = None
+    witness_coefficient: tuple | None = None
 
 
 def positivity(f: SymmetricFunction, basis: str) -> PositivityReport:
@@ -356,5 +354,5 @@ def positivity(f: SymmetricFunction, basis: str) -> PositivityReport:
     g = f.convert(basis)
     for lam in sorted(g.polys, reverse=True):
         if any(v < 0 or v.denominator != 1 for v in g.polys[lam]):
-            return PositivityReport(False, lam, g.coefficient(lam))
+            return PositivityReport(False, lam, g.polys[lam])
     return PositivityReport(True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from heckelab.characters import chi
 from heckelab.hecke import row_store
 from heckelab.permutations import Perm, perm_to_str
-from heckelab.qpoly import LaurentQ
+from heckelab.qpoly import poly_str, poly_trim
 from heckelab.symfunc import SymmetricFunction, partitions
 
 
@@ -96,17 +96,17 @@ class Laurent:
     def at_q1(self) -> int:
         return sum(self.c.values())
 
-    def value(self) -> LaurentQ:
-        """The same polynomial as heckelab's value type, which holds
-        integer powers of q only: AssertionError for any other power."""
+    def value(self) -> tuple:
+        """The same polynomial as heckelab's value type, the coefficient
+        tuple of integer powers of q: AssertionError for any other power."""
         assert all(k >= 0 and k % 2 == 0 for k in self.c), self
         out = [0] * (max(self.c, default=-2) // 2 + 1)
         for k, v in self.c.items():
             out[k // 2] = v
-        return LaurentQ(out)
+        return poly_trim(out)
 
     def __str__(self):
-        return str(self.value())
+        return poly_str(self.value())
 
     def __repr__(self):
         return f"Laurent({self.c!r})"

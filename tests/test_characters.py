@@ -9,8 +9,8 @@ from heckelab.characters import (_coxeter_h, _frobenius_coeffs, chi,
 from heckelab import characters, hecke
 from heckelab.hecke import KLRowStore, row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
-from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
-                            poly_shape, poly_trim, poly_unpack)
+from heckelab.qpoly import (poly_add_scaled, poly_mul, poly_pack, poly_shape,
+                            poly_trim, poly_unpack)
 from heckelab.symfunc import (SymmetricFunction, _transition,
                               murnaghan_nakayama, num_syt, partitions,
                               q_factorial_partition)
@@ -20,7 +20,7 @@ from seminormal_oracle import (InterpolationError, chi_poly_from_word,
                                interpolate, interpolate_checked, poly_eval,
                                seminormal_table, standard_tableaux)
 
-Q = LaurentQ((0, 1))
+Q = (0, 1)
 
 
 def chi_by_tuples(lam, w):
@@ -61,20 +61,20 @@ def test_one_dimensional_characters():
         for _ in range(5):
             w = Perm(rng.sample(range(1, n + 1), n))
             assert chi((n,), w) == (0,) * w.length() + (1,)
-            assert chi((1,) * n, w) == LaurentQ(((-1) ** w.length(),))
+            assert chi((1,) * n, w) == ((-1) ** w.length(),)
 
 
 def test_n2_explicit():
     s = Perm((2, 1))
     assert chi((2,), s) == Q
-    assert chi((1, 1), s) == LaurentQ((-1,))
+    assert chi((1, 1), s) == (-1,)
 
 
 def test_trace_of_identity():
     for n in (3, 4, 5):
         e = Perm.identity(n)
         for lam in partitions(n):
-            assert chi(lam, e) == LaurentQ((num_syt(lam),))
+            assert chi(lam, e) == (num_syt(lam),)
 
 
 def test_degree_bound():
@@ -153,8 +153,7 @@ def test_frobenius_cprime_matches_seminormal_oracle_s5():
             acc = ()
             for z, p in row.items():
                 acc = poly_add_scaled(acc, poly_mul(p, oracle[lam][z]), 1, 0)
-            assert got.coefficient(lam) == LaurentQ(acc), \
-                (w, lam)
+            assert got.polys.get(lam, ()) == acc, (w, lam)
 
 
 def test_frobenius_cprime_keeps_no_decoded_rows(monkeypatch):

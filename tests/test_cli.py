@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from heckelab.cli import main
 from heckelab.lab import CHECKS
 from heckelab.permutations import all_perms, perm_to_str
+from heckelab.qpoly import poly_json
 from heckelab.symfunc import SymmetricFunction
 from hecke_oracle import cprime
 
@@ -76,7 +77,7 @@ def test_cprime_matches_the_t_basis_oracle(capsys):
             "n": b.n,
             "w": ws_text,
             "scaling": f"q^({w.length()}/2) * C'_w",
-            "terms": [[perm_to_str(z), c.value().to_json()]
+            "terms": [[perm_to_str(z), poly_json(c.value())]
                       for z, c in b.sorted_items()],
         }, sort_keys=True) + "\n"), w
 

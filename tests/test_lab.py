@@ -22,11 +22,11 @@ from heckelab.permutations import (NotSmoothError, Perm, all_perms,
                                    orbit_representatives, parse_perm,
                                    perm_to_str, smooth_perms,
                                    transpositions_below)
-from heckelab.qpoly import LaurentQ, poly_add_scaled, poly_mul
+from heckelab.qpoly import poly_add_scaled, poly_mul
 from heckelab.symfunc import partitions
 from test_characters import asymmetric_orbits, symmetry_orbits
 
-ONE_PLUS_Q = LaurentQ((1, 1))
+ONE_PLUS_Q = (1, 1)
 
 
 def modular_sides(m0, m1, m2):
@@ -569,9 +569,9 @@ def test_counterexample_general_excludes_degenerate():
 
 def test_decompose_smooth():
     d = decompose_codominant(parse_perm("3142"))
-    assert d == {parse_perm("2341"): LaurentQ((1,))}
+    assert d == {parse_perm("2341"): (1,)}
     e = Perm.identity(3)
-    assert decompose_codominant(e) == {e: LaurentQ((1,))}
+    assert decompose_codominant(e) == {e: (1,)}
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -595,7 +595,7 @@ def test_decompose_scans_a_smooth_w_once(monkeypatch, word):
     # a smooth w is scanned for 3412 and 4231 once, and takes no Thm 1.6
     # step; at rank 40 each scan reads C(40, 4) = 91 390 position sets
     w = Perm(word)
-    expected = {smooth_reduce(w): LaurentQ((1,))}
+    expected = {smooth_reduce(w): (1,)}
     permutations = importlib.import_module("heckelab.permutations")
     avoids, scans = permutations._avoids_3412_4231, []
     monkeypatch.setattr(permutations, "_avoids_3412_4231",
@@ -639,14 +639,12 @@ def test_decompose_honest_solver_matches():
         if not w.is_smooth():
             sol = _positive_solve(frobenius_cprime(w), 4)
             assert sol is not None, w
-            assert verify_decomposition(w, {
-                u: LaurentQ(c) for u, c in sol.items()}), w
+            assert verify_decomposition(w, sol), w
 
 
 # sha256 of `hecke-lab --format <fmt> decompose --w W` stdout over all 120 W
-# of S_5 in all_perms order, recorded from the decomposer that carried its
-# coefficients as LaurentQ; 6 of the 32 singular W have no Thm 1.6 step and
-# are decided by _positive_solve
+# of S_5 in all_perms order; 6 of the 32 singular W have no Thm 1.6 step
+# and are decided by _positive_solve
 DECOMPOSE_S5_SHA256 = {
     "text":
         "f471726134c31b352b3917a2b3227397cc9032e3837ca9427ccecf93bafd55d8",

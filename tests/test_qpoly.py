@@ -3,8 +3,15 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from heckelab.qpoly import (LaurentQ, poly_add_scaled, poly_mul, poly_pack,
-                            poly_shape, poly_trim, poly_unpack, poly_width)
+from heckelab.characters import chi
+from heckelab.hecke import kl_polynomial
+from heckelab.lab import decompose_codominant
+from heckelab.permutations import Perm, parse_perm
+from heckelab.qpoly import (poly_add_scaled, poly_json, poly_latex, poly_mul,
+                            poly_pack, poly_shape, poly_str, poly_trim,
+                            poly_unpack, poly_width)
+from heckelab.symfunc import (SymmetricFunction, positivity,
+                              q_factorial_partition)
 from hecke_oracle import Laurent
 
 # the reference arithmetic of the tests, in q^(1/2)
@@ -59,26 +66,36 @@ def test_props_examples():
 
 
 def test_canonical_form():
-    f = LaurentQ([0, Fraction(2), Fraction(1, 2), 0, Fraction(0)])
-    assert f == (0, 2, Fraction(1, 2)) and type(f[1]) is int
-    assert LaurentQ() == LaurentQ([0, 0]) == () and not LaurentQ([0])
-    assert repr(LaurentQ((1, 1))) == "LaurentQ((1, 1))"
+    # poly_trim drops trailing zeros, Fraction(0) too; the printers write
+    # an integral Fraction as an int and any other as num/den
+    f = poly_trim([0, Fraction(2), Fraction(1, 3), 0, Fraction(0)])
+    assert f == (0, 2, Fraction(1, 3)) and poly_trim([0, 0]) == ()
+    assert poly_json(f) == {"1": 2, "2": "1/3"}
+    assert type(poly_json(f)["1"]) is int
+    assert poly_str(f) == "2*q + 1/3*q^2"
+    assert poly_latex(f) == "2q + 1/3q^{2}"
 
 
 def test_serialization_roundtrip():
-    assert LaurentQ((1, 1)).to_json() == {"0": 1, "1": 1}
-    assert LaurentQ((0, -1, 0, 2)).to_json() == {"1": -1, "3": 2}
-    assert str(LaurentQ((1, 1))) == "1 + q"
-    assert str(LaurentQ()) == "0"
-    assert str(LaurentQ((-1, 0, 2))) == "-1 + 2*q^2"
-    assert LaurentQ((0, -1, 0, 2)).latex() == "-q + 2q^{3}"
+    cases = {(1, 1): ("1 + q", "1 + q", {"0": 1, "1": 1}),
+             (): ("0", "0", {}),
+             (-1, 0, 2): ("-1 + 2*q^2", "-1 + 2q^{2}", {"0": -1, "2": 2}),
+             (0, -1, 0, 2): ("-q + 2*q^3", "-q + 2q^{3}", {"1": -1, "3": 2})}
+    for p, printed in cases.items():
+        assert (poly_str(p), poly_latex(p), poly_json(p)) == printed, p
 
 
-def test_equality_agrees_with_hashing():
-    one = LaurentQ((1,))
-    assert one != 1 and len({one, 1}) == 2
-    assert one == LaurentQ([1, 0]) == (1,)
-    assert len({one, LaurentQ((1, 0)), (1,)}) == 1
+def test_the_api_returns_plain_tuples():
+    # one value type: what the API computes is handed out as it is
+    w = parse_perm("4231")
+    values = [kl_polynomial(Perm.identity(4), w), chi((2, 2), w),
+              q_factorial_partition((3, 2)),
+              positivity(SymmetricFunction("s", 2, {(1, 1): (1,)}), "h")
+              .witness_coefficient]
+    # a smooth w, a Thm 1.6 step and the leading-term search
+    for v in ("2143", "4231", "34512"):
+        values += decompose_codominant(parse_perm(v)).values()
+    assert [type(v) for v in values] == [tuple] * len(values)
 
 
 # -- the tuple kernel, differentially against the reference Laurent -----------
@@ -120,9 +137,11 @@ def test_poly_mul_matches_laurent(a, b):
 @example([0, 0])
 @example([1, 0, 2, 0])
 def test_poly_coeffs_round_trip(c):
-    # LaurentQ is the trimmed coefficient tuple, and rebuilding it is a no-op
-    f = LaurentQ(c)
-    assert f == poly_trim(list(c)) and LaurentQ(f) == f
+    # a SymmetricFunction stores the trimmed coefficient tuple, or nothing
+    # for zero, and storing it again is a no-op
+    f = SymmetricFunction("s", 1, {(1,): tuple(c)})
+    assert f.polys == ({(1,): poly_trim(list(c))} if any(c) else {})
+    assert SymmetricFunction("s", 1, f.polys).polys == f.polys
 
 
 @seeded
