@@ -65,11 +65,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
+from .combinat import partitions
 from .hecke import _coset, _runs, row_store
 from .permutations import Perm, all_perms
 from .qpoly import (poly_add_scaled, poly_mul, poly_pack, poly_unpack,
                     poly_width)
-from .symfunc import SymmetricFunction, partitions
+from .symfunc import SymmetricFunction
 
 __all__ = [
     "chi", "frobenius_cprime",

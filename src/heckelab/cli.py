@@ -7,12 +7,14 @@ usage/input errors.
 
 Every command is a fresh process, so a command loads only the layers it
 runs.  The imports at the top of this module are the ones parsing needs
-(argparse, json, sys and permutations); each ``_cmd_*`` handler imports
-the layers it calls when it is called, by name, so that a function
-rebound on its module is the one it calls.  Parsing and ``--help`` import
-no layer beyond these.  No command reads or writes a file: bench/run.py
-passes ``--threads 1`` and ``--no-cache`` or ``--cache-dir DIR`` to every
-command, so these options are parsed and change nothing.
+(argparse, sys and combinat); json is imported where JSON is written,
+permutations where --w is parsed or a permutation printed, and each
+``_cmd_*`` handler imports the layers it calls when it is called, by name,
+so that a function rebound on its module is the one it calls.  Parsing and
+``--help`` import no layer beyond these.  No command reads or writes a
+file: bench/run.py passes ``--threads 1`` and ``--no-cache`` or
+``--cache-dir DIR`` to every command, so these options are parsed and
+change nothing.
 
 Every command prints through one emitter, ``_emit``, which picks the form
 that --format names.  Every command has a text and a JSON form.  Only
@@ -38,12 +40,9 @@ only 1, and refuses any other value while parsing.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .permutations import (NotSmoothError, hessenberg_to_str,
-                           enumerate_hessenberg, parse_hessenberg, parse_perm,
-                           perm_to_str)
+from .combinat import enumerate_hessenberg, hessenberg_to_str, parse_hessenberg
 
 
 # hessenberg lists all Catalan(n) functions: 208 012 at n = 12; the csf
@@ -51,8 +50,8 @@ from .permutations import (NotSmoothError, hessenberg_to_str,
 MAX_HESSENBERG_N = 12
 # counterexample --general builds the csf of all Catalan(n) functions in
 # memory: 16 796 at n = 10, 5.0-5.4 s and 136 MB on one core; the default
-# search computes only those one edge from m1, at most 1 986 at n = 10, in
-# about 2 s and 33 MB
+# search enumerates only those one edge from m1, at most 1 986 at n = 10
+# (m1 = 1,2,3,4,8,10,10,10,10,10: 0.73-0.80 s and 31 MB)
 MAX_SEARCH_N = 10
 # kl without --z, cprime, ch and modular expand every z <= w.  For w0 of
 # S_10 (3 628 800 z; S_11 has 11 times as many), kl takes 2.9-3.2 s and
@@ -122,6 +121,7 @@ def _emit(fmt: str, text, data, latex=None) -> None:
     latex, or data as JSON with sorted keys.  The forms of a KL row are
     generators of pieces (see _row), written one at a time, never joined."""
     if fmt == "json":
+        import json
         form = json.dumps(data, sort_keys=True) if isinstance(data, dict) \
             else data
     else:
@@ -147,6 +147,8 @@ def _row(w, head: str, sep: str, tail: str, render):
 # -- subcommand handlers (return exit codes) ----------------------------------
 
 def _cmd_kl(args, fmt) -> int:
+    import json
+    from .permutations import parse_perm, perm_to_str
     from .qpoly import poly_json, poly_latex, poly_str
     w = args.w
     if args.z is not None:
@@ -169,6 +171,8 @@ def _cmd_kl(args, fmt) -> int:
 
 
 def _cmd_cprime(args, fmt) -> int:
+    import json
+    from .permutations import perm_to_str
     from .qpoly import poly_json, poly_str
     w = args.w
     _whole_row(args, w)
@@ -215,6 +219,7 @@ def _cmd_csf(args, fmt) -> int:
 
 def _cmd_smooth_reduce(args, fmt) -> int:
     from .lab import smooth_reduce
+    from .permutations import NotSmoothError, perm_to_str
     w = _perm(args)
     try:
         out = smooth_reduce(w)
@@ -226,7 +231,7 @@ def _cmd_smooth_reduce(args, fmt) -> int:
 
 
 def _cmd_moment_graph(args, fmt) -> int:
-    from .permutations import transpositions_below
+    from .permutations import perm_to_str, transpositions_below
     w = _perm(args)
     ts = sorted(transpositions_below(w))
     _emit(fmt, " ".join(f"({i},{j})" for i, j in ts) if ts else "(empty)",
@@ -237,6 +242,7 @@ def _cmd_moment_graph(args, fmt) -> int:
 
 def _cmd_modular(args, fmt) -> int:
     from .lab import modular_relation
+    from .permutations import perm_to_str
     w = _perm(args)
     if not 1 <= args.s < len(w):
         raise InputError(f"--s must be in 1..{len(w) - 1}" if len(w) > 1
@@ -278,6 +284,7 @@ def _cmd_counterexample(args, fmt) -> int:
 
 def _cmd_decompose(args, fmt) -> int:
     from .lab import decompose_codominant
+    from .permutations import perm_to_str
     from .qpoly import poly_json, poly_str
     w = _perm(args)
     if args.max_n > MAX_DECOMPOSE_N:
@@ -423,6 +430,7 @@ def main(argv=None) -> int:
         if getattr(args, "w", "").strip() == "e":  # 'e' names no rank
             raise InputError("--w cannot be 'e'; write the identity as 12...n")
         if hasattr(args, "w"):
+            from .permutations import parse_perm
             args.w = _parsed(parse_perm, args.w)
         return args.handler(args, args.format)
     except InputError as exc:

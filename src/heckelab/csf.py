@@ -2,9 +2,9 @@
 Chromatic quasisymmetric functions of the indifference graphs G_m of
 Hessenberg functions (edges ``hessenberg_edges(m)``), collapsed to
 symmetric functions with q coefficients, and the counterexample search
-among them.  The default search computes only m1 and the functions one
-edge either side of it; only the general search scans the batch of the
-whole rank (csf_batch, built in memory once per rank).
+among them.  The default search enumerates and computes only m1 and the
+functions with E(m1) - 1 or E(m1) + 1 edges; only the general search scans
+the batch of the whole rank (csf_batch, built in memory once per rank).
 
 csf_q(G) = sum over proper colorings kappa of q^(asc(kappa)) x_kappa, where
 asc counts edges {i, j} with i < j and kappa(i) < kappa(j), with the natural
@@ -86,20 +86,15 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .permutations import enumerate_hessenberg, hessenberg_edges, is_hessenberg
+from .combinat import (edge_count, enumerate_hessenberg, hessenberg_edges,
+                       is_hessenberg, partitions)
 from .qpoly import (poly_add_scaled, poly_mul, poly_trim, poly_unpack,
                     poly_width)
-from .symfunc import SymmetricFunction, partitions
 
 __all__ = [
-    "edge_count", "csf", "csf_oracle", "csf_batch", "csf_index", "csf_key",
+    "csf", "csf_oracle", "csf_batch", "csf_index", "csf_key",
     "CounterexampleResult", "counterexample_search",
 ]
-
-
-def edge_count(m) -> int:
-    """|E(G_m)| = sum(m(i) - i), which equals l(w_m)."""
-    return sum(v - i for i, v in enumerate(m, start=1))
 
 
 def _word(h) -> int:
@@ -183,8 +178,9 @@ def _csf_coeffs(ms) -> dict:
     return out
 
 
-def csf(m) -> SymmetricFunction:
-    """csf_q(G_m) in the monomial basis."""
+def csf(m):
+    """csf_q(G_m) in the monomial basis, as a symfunc.SymmetricFunction."""
+    from .symfunc import SymmetricFunction
     m = tuple(m)
     if not is_hessenberg(m):
         raise ValueError(f"not a Hessenberg function: {m}")
@@ -268,7 +264,7 @@ def _oracle_coeffs(ms) -> dict:
     return out
 
 
-def csf_oracle(m) -> SymmetricFunction:
+def csf_oracle(m):
     """Brute-force csf by listing colorings; the independent cross-check.
 
     By symmetry the coefficient of m_lambda is the weight of the proper
@@ -277,6 +273,7 @@ def csf_oracle(m) -> SymmetricFunction:
     docstring describes; here the trie of the walk is the single path of
     m, so each vertex has one window of earlier neighbours.
     """
+    from .symfunc import SymmetricFunction
     m = tuple(m)
     return SymmetricFunction("m", len(m), _oracle_coeffs([m])[m])
 
@@ -331,15 +328,15 @@ def counterexample_search(m1, batch: dict | None = None
 
     With no batch, a = 1 only, m0 has E(m1) - 1 edges and m2 has E(m1) + 1
     (the lengths any character-level solution must have, since
-    P_{e,w} = 1 + q pins the length gaps), so the search computes the csf
-    of m1 and of the functions with E(m1) - 1 or E(m1) + 1 edges only, in
-    one memo and in lexicographic order; it neither reads nor fills the
-    batch of the rank.  Given the batch of m1's rank (csf_batch), a runs
-    over 0..E(m1)+1 and m0 and m2 over the whole batch.  In both, at a = 1
-    every m0 with csf(m0) = csf(m1), as m1 and its reversal (csf_q is
-    reversal-invariant; Shareshian & Wachs, Adv. Math. 295 (2016)), is
-    skipped: it gives the trivial csf(m2) = csf(m1), which the character
-    equation does not admit.
+    P_{e,w} = 1 + q pins the length gaps), so the search enumerates only
+    the functions with E(m1) - 1 or E(m1) + 1 edges, in lexicographic
+    order, and computes their csf and m1's in one memo; it neither reads
+    nor fills the batch of the rank.  Given the batch of m1's rank
+    (csf_batch), a runs over 0..E(m1)+1 and m0 and m2 over the whole
+    batch.  In both, at a = 1 every m0 with csf(m0) = csf(m1), as m1 and
+    its reversal (csf_q is reversal-invariant; Shareshian & Wachs, Adv.
+    Math. 295 (2016)), is skipped: it gives the trivial csf(m2) = csf(m1),
+    which the character equation does not admit.
 
     Returns the first solution in scan order, or None (NotFound).
     """
@@ -348,8 +345,8 @@ def counterexample_search(m1, batch: dict | None = None
         raise ValueError(f"not a Hessenberg function: {m1}")
     e1 = edge_count(m1)
     if batch is None:
-        batch = _csf_coeffs([m for m in enumerate_hessenberg(len(m1))
-                             if m == m1 or abs(edge_count(m) - e1) == 1])
+        batch = _csf_coeffs([m1, *enumerate_hessenberg(len(m1),
+                                                       {e1 - 1, e1 + 1})])
         lows = {m: c for m, c in batch.items() if edge_count(m) == e1 - 1}
         index = csf_index({m: c for m, c in batch.items()
                            if edge_count(m) == e1 + 1})

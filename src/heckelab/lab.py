@@ -18,19 +18,19 @@ from typing import NamedTuple
 
 from .characters import (_chi_all, _frobenius_coeffs, frobenius_cprime,
                          min_class_rep)
+from .combinat import (edge_count, enumerate_hessenberg, hessenberg_to_str,
+                       partitions)
 # counterexample_search is imported for bench/tracer.py, which wraps it here
-from .csf import _oracle_coeffs, counterexample_search, csf_batch, edge_count
+from .csf import _oracle_coeffs, counterexample_search, csf_batch
 from .hecke import _coset, _runs, row_store
 from .permutations import (Perm, _descending_covers, _rank_rows, _tops,
                            all_perms, codominant_of_hessenberg,
-                           coessential_set, enumerate_hessenberg,
-                           hessenberg_of_smooth, hessenberg_to_str,
+                           coessential_set, hessenberg_of_smooth,
                            orbit_representatives, perm_to_str, smooth_perms,
                            transpositions_below)
 from .qpoly import (poly_add_scaled, poly_mul, poly_pack, poly_shape,
                     poly_str, poly_unpack, poly_width)
-from .symfunc import (SymmetricFunction, murnaghan_nakayama, omega, partitions,
-                      positivity)
+from .symfunc import SymmetricFunction, murnaghan_nakayama, omega, positivity
 
 __all__ = [
     "PreconditionError", "InternalContradictionError", "smooth_reduce",

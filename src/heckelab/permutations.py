@@ -1,8 +1,8 @@
 """
 Permutations of [n] = {1, ..., n} in one-line notation, with Bruhat order,
 the smoothness and codominance tests, coessential sets, and the dictionary
-between smooth permutations, Hessenberg functions and codominant
-permutations.
+between smooth permutations, Hessenberg functions (heckelab.combinat has
+their edges, enumeration and text form) and codominant permutations.
 
 Conventions, fixed once for the whole package:
 
@@ -71,13 +71,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, combinations
 
+# enumerate_hessenberg is imported for bench/tracer.py, which wraps it here
+from .combinat import enumerate_hessenberg, hessenberg_edges, is_hessenberg
+
 __all__ = [
     "Perm", "NotSmoothError",
     "bruhat_leq", "coessential_set", "hessenberg_of_smooth",
     "codominant_of_hessenberg", "transpositions_below",
-    "is_hessenberg", "hessenberg_edges", "enumerate_hessenberg",
     "all_perms", "smooth_perms", "orbit_representatives",
-    "parse_perm", "perm_to_str", "parse_hessenberg", "hessenberg_to_str",
+    "parse_perm", "perm_to_str",
 ]
 
 
@@ -350,44 +352,6 @@ def _descending_covers(w: Perm, i: int) -> list[Perm]:
     return out
 
 
-def is_hessenberg(m) -> bool:
-    """Non-decreasing m: [n] -> [n] with m(i) >= i (forces m(n) = n)."""
-    m = tuple(m)
-    n = len(m)
-    if n == 0:
-        return False
-    for i, v in enumerate(m, start=1):
-        if not (i <= v <= n):
-            return False
-    return all(m[i] <= m[i + 1] for i in range(n - 1))
-
-
-def hessenberg_edges(m) -> frozenset[tuple[int, int]]:
-    """{(i, j): i < j <= m(i)}: the edges of the indifference graph G_m,
-    and for smooth w with m = m_w the transpositions below w (Lemma 2.2)."""
-    return frozenset((i, j) for i, v in enumerate(m, start=1)
-                     for j in range(i + 1, v + 1))
-
-
-def enumerate_hessenberg(n: int) -> list[tuple[int, ...]]:
-    """All Hessenberg functions on [n], lexicographically; Catalan(n) many."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = []
-
-    def build(prefix: list[int]):
-        i = len(prefix) + 1
-        if i > n:
-            out.append(tuple(prefix))
-            return
-        lo = max(i, prefix[-1] if prefix else 1)
-        for v in range(lo, n + 1):
-            build(prefix + [v])
-
-    build([])
-    return out
-
-
 def all_perms(n: int):
     """All permutations of [n], lexicographic order."""
     from itertools import permutations as _p
@@ -456,17 +420,3 @@ def parse_perm(text: str, n: int | None = None) -> Perm:
     if n is not None and len(w) != n:
         raise ValueError(f"expected a permutation of [{n}], got {text!r}")
     return w
-
-
-def hessenberg_to_str(m) -> str:
-    return ",".join(str(v) for v in m)
-
-
-def parse_hessenberg(text: str) -> tuple[int, ...]:
-    try:
-        m = tuple(int(t) for t in text.strip().split(","))
-    except ValueError:  # not a list of integers, so no Hessenberg function
-        m = ()
-    if not is_hessenberg(m):
-        raise ValueError(f"not a Hessenberg function: {text!r}")
-    return m

@@ -19,8 +19,8 @@ coefficient is read out of ``polys`` as that tuple.
 
 A conversion is one pass over a transition matrix per (source, target,
 degree), the product of source-to-s and s-to-target.  Every factor comes
-from the Kostka matrix K, upper unitriangular over partitions(n) in
-their order, or from the S_n character table:
+from the Kostka matrix K, upper unitriangular over combinat.partitions(n)
+in their order, or from the S_n character table:
 
 * into s: h_lambda = sum_nu K_{nu,lambda} s_nu, e_lambda is the same with
   nu conjugated, p_mu = sum_lambda chi^lambda(mu) s_lambda
@@ -44,35 +44,17 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
+from .combinat import Partition, partitions
 from .qpoly import (poly_add_scaled, poly_json, poly_latex, poly_mul,
                     poly_str, poly_trim)
 
 __all__ = [
-    "Partition", "partitions", "conjugate", "hook_lengths", "num_syt",
+    "conjugate", "hook_lengths", "num_syt",
     "SymmetricFunction", "kostka", "murnaghan_nakayama",
     "omega", "positivity", "PositivityReport", "q_factorial_partition",
 ]
 
 BASES = ("m", "e", "h", "p", "s")
-
-Partition = tuple  # weakly decreasing positive ints
-
-
-@lru_cache(maxsize=None)
-def partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, in descending lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-    def gen(total, cap):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, cap), 0, -1):
-            for rest in gen(total - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
 
 
 def conjugate(lam: Partition) -> Partition:

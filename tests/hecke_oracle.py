@@ -22,10 +22,11 @@ such arithmetic, so tests also use ``Laurent`` as the reference for its
 from __future__ import annotations
 
 from heckelab.characters import chi
+from heckelab.combinat import partitions
 from heckelab.hecke import row_store
 from heckelab.permutations import Perm, perm_to_str
 from heckelab.qpoly import poly_str, poly_trim
-from heckelab.symfunc import SymmetricFunction, partitions
+from heckelab.symfunc import SymmetricFunction
 
 
 class Laurent:

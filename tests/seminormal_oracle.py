@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from heckelab.combinat import partitions
 from heckelab.permutations import all_perms
-from heckelab.symfunc import partitions
 
 
 class InterpolationError(RuntimeError):

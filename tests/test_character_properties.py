@@ -4,8 +4,9 @@ beyond the ranks the seminormal oracle reaches."""
 from hypothesis import given, settings, strategies as st
 
 from heckelab.characters import chi, cycle_type
+from heckelab.combinat import partitions
 from heckelab.permutations import Perm
-from heckelab.symfunc import murnaghan_nakayama, partitions
+from heckelab.symfunc import murnaghan_nakayama
 
 perms = st.sampled_from([7, 8]).flatmap(
     lambda n: st.permutations(range(1, n + 1))).map(Perm)

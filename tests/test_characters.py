@@ -7,12 +7,13 @@ from heckelab.characters import (_coxeter_h, _frobenius_coeffs, chi,
                                  character_table, cycle_type,
                                  frobenius_cprime, min_class_rep)
 from heckelab import characters, hecke
+from heckelab.combinat import partitions
 from heckelab.hecke import KLRowStore, row_store
 from heckelab.permutations import Perm, all_perms, parse_perm
 from heckelab.qpoly import (poly_add_scaled, poly_mul, poly_pack, poly_shape,
                             poly_trim, poly_unpack)
 from heckelab.symfunc import (SymmetricFunction, _transition,
-                              murnaghan_nakayama, num_syt, partitions,
+                              murnaghan_nakayama, num_syt,
                               q_factorial_partition)
 from hecke_oracle import (HeckeElement, Laurent, chi_element, cprime,
                           cprime_normalized, frobenius_ch)

@@ -4,13 +4,12 @@ from math import factorial, prod
 
 import pytest
 
+from heckelab.combinat import (edge_count, enumerate_hessenberg,
+                               hessenberg_edges, hessenberg_to_str, partitions)
 from heckelab.csf import (_blocks, _oracle_coeffs, _word, csf, csf_batch,
-                          csf_index, csf_key, csf_oracle, edge_count)
-from heckelab.permutations import (codominant_of_hessenberg,
-                                   enumerate_hessenberg, hessenberg_edges,
-                                   hessenberg_to_str, parse_perm)
-from heckelab.symfunc import (SymmetricFunction, partitions,
-                              q_factorial_partition)
+                          csf_index, csf_key, csf_oracle)
+from heckelab.permutations import codominant_of_hessenberg, parse_perm
+from heckelab.symfunc import SymmetricFunction, q_factorial_partition
 
 ONE_PLUS_Q = (1, 1)
 

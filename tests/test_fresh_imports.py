@@ -19,18 +19,19 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 # runs main(argv) with its output discarded, then prints the exit code and
-# the heckelab modules it loaded
+# the heckelab modules it loaded; json is imported only after they are listed
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from heckelab.cli import main
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("heckelab.")
-                               or m in ("dataclasses", "inspect",
-                                        "fractions", "decimal",
-                                        "concurrent.futures"))]))
+modules = sorted(m for m in sys.modules
+                 if m.startswith("heckelab.")
+                 or m in ("dataclasses", "inspect", "fractions", "decimal",
+                          "concurrent.futures", "json"))
+import json
+print(json.dumps([code, modules]))
 """
 
 LAYERS = {"heckelab." + name for name in
@@ -47,8 +48,8 @@ def python(*argv) -> str:
 
 
 def loaded(*argv, code=0) -> set:
-    """The heckelab modules, and dataclasses, inspect, fractions, decimal
-    and concurrent.futures if loaded, that main(argv) leaves in
+    """The heckelab modules, and dataclasses, inspect, fractions, decimal,
+    concurrent.futures and json if loaded, that main(argv) leaves in
     sys.modules; main must return code."""
     got, modules = json.loads(python("-c", PROBE, "--no-cache", *argv))
     assert got == code, argv
@@ -70,7 +71,16 @@ def test_csf_names_the_module_and_the_function_by_import_path():
 
 
 def test_hessenberg_loads_no_layer():
-    assert loaded("hessenberg", "--n", "2") & LAYERS == set()
+    # hessenberg --n 1 is the benchmark's set-up command: it reads only
+    # heckelab.combinat, and prints no JSON
+    assert loaded("hessenberg", "--n", "2") & (
+        LAYERS | {"heckelab.permutations", "json"}) == set()
+
+
+def test_csf_loads_symfunc_and_not_permutations():
+    # csf returns a SymmetricFunction, and reads --m through combinat
+    assert loaded("csf", "--m", "2,3,3") & {
+        "heckelab.symfunc", "heckelab.permutations"} == {"heckelab.symfunc"}
 
 
 def test_moment_graph_loads_no_layer():
@@ -114,9 +124,11 @@ def test_only_whole_rows_load_the_row_printer(argv):
 
 
 def test_counterexample_loads_no_kl_or_character_layer():
+    # the default search reads Hessenberg functions and their csf only: it
+    # compiles neither permutations.py nor symfunc.py
     modules = loaded("counterexample", "--m", "2,3,3")
-    assert modules & {"heckelab.hecke", "heckelab.characters",
-                      "heckelab.lab"} == set()
+    assert {m for m in modules if m.startswith("heckelab.")} == {
+        "heckelab.cli", "heckelab.combinat", "heckelab.csf", "heckelab.qpoly"}
     assert modules & {"dataclasses", "inspect"} == set()
 
 

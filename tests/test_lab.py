@@ -8,22 +8,22 @@ import pytest
 
 from heckelab.characters import frobenius_cprime
 from heckelab.cli import main
+from heckelab.combinat import (edge_count, enumerate_hessenberg,
+                               hessenberg_to_str, partitions)
 from heckelab.csf import (counterexample_search, csf, csf_batch, csf_index,
-                          csf_key, edge_count)
+                          csf_key)
 from heckelab.hecke import KLRowStore, row_store
 from heckelab.lab import (CHECK_BOUNDS, CHECKS, PreconditionError, Report,
                           _rank_transpositions, _thm16_step, check_suite,
                           decompose_codominant, modular_relation,
                           modular_triples, smooth_reduce,
                           verify_decomposition)
-from heckelab.permutations import (NotSmoothError, Perm, all_perms,
-                                   bruhat_leq, codominant_of_hessenberg,
-                                   enumerate_hessenberg, hessenberg_to_str,
+from heckelab.permutations import (NotSmoothError, Perm, all_perms, bruhat_leq,
+                                   codominant_of_hessenberg,
                                    orbit_representatives, parse_perm,
                                    perm_to_str, smooth_perms,
                                    transpositions_below)
 from heckelab.qpoly import poly_add_scaled, poly_mul
-from heckelab.symfunc import partitions
 from test_characters import asymmetric_orbits, symmetry_orbits
 
 ONE_PLUS_Q = (1, 1)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckelab import permutations
+from heckelab.combinat import (edge_count, enumerate_hessenberg,
+                               hessenberg_edges, is_hessenberg,
+                               parse_hessenberg)
 from heckelab.permutations import (NotSmoothError, Perm, all_perms, bruhat_leq,
-                                   codominant_of_hessenberg,
-                                   coessential_set, enumerate_hessenberg,
-                                   hessenberg_edges, hessenberg_of_smooth,
-                                   is_hessenberg, orbit_representatives,
-                                   parse_hessenberg, parse_perm, perm_to_str,
-                                   smooth_perms, transpositions_below)
+                                   codominant_of_hessenberg, coessential_set,
+                                   hessenberg_of_smooth, orbit_representatives,
+                                   parse_perm, perm_to_str, smooth_perms,
+                                   transpositions_below)
 from heckelab.lab import smooth_reduce
 from test_characters import symmetry_orbits
 
@@ -406,6 +407,17 @@ def test_enumerate_hessenberg():
         assert len(ms) == comb(2 * n, n) // (n + 1)  # Catalan(n)
         assert ms == sorted(ms)
         assert all(is_hessenberg(m) for m in ms)
+
+
+def test_enumerate_hessenberg_by_edge_count():
+    # the pruned enumeration is the filtered one, order included, for empty,
+    # out-of-range, single and two-gap sets of edge counts
+    for n in range(1, 10):
+        ms, top = enumerate_hessenberg(n), n * (n - 1) // 2
+        for edges in [set(), {-1, top + 1}] + [
+                s for e in range(top + 1) for s in ({e}, {e - 1, e + 1})]:
+            assert enumerate_hessenberg(n, edges) == \
+                [m for m in ms if edge_count(m) in edges], (n, edges)
 
 
 def test_reduced_word():

@@ -9,10 +9,11 @@ import hashlib
 import json
 
 from heckelab.characters import chi, frobenius_cprime
+from heckelab.combinat import partitions
 from heckelab.hecke import kl_polynomial, row_store
 from heckelab.permutations import all_perms
 from heckelab.qpoly import poly_json, poly_latex, poly_str
-from heckelab.symfunc import BASES, partitions
+from heckelab.symfunc import BASES
 
 DIGEST = "d56d7a8b1986b2a6b819d86cee20200437f561e7129e30910ff3065f8b07eeb9"
 

@@ -6,9 +6,10 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckelab.symfunc import (BASES, SymmetricFunction, _transition,
-                              conjugate, kostka, num_syt, omega, partitions,
-                              positivity, q_factorial_partition)
+from heckelab.combinat import partitions
+from heckelab.symfunc import (BASES, SymmetricFunction, _transition, conjugate,
+                              kostka, num_syt, omega, positivity,
+                              q_factorial_partition)
 
 
 def element(basis, lam, coeff=(1,)):
