@@ -119,13 +119,13 @@ def _class_number(w: tuple) -> int:
     if step is None:
         f = {cycle_type(w): (1,)}
     else:
+        # f = (q-1) f_xs + q f_sxs from f = {cycle type: 1} has nonnegative
+        # coefficients in u = q-1, so u A + (u+1) B is zero only when
+        # A = B = 0: no mu of either gets a zero polynomial
         f_xs, f_sxs = (_classes[_class_number(x)] for x in step)
-        f = {}
-        for mu in {**f_xs, **f_sxs}:
-            p = poly_add_scaled(poly_mul((-1, 1), f_xs.get(mu, ())),
-                                f_sxs.get(mu, ()), 1, 1)
-            if p:
-                f[mu] = p
+        f = {mu: poly_add_scaled(poly_mul((-1, 1), f_xs.get(mu, ())),
+                                 f_sxs.get(mu, ()), 1, 1)
+             for mu in {**f_xs, **f_sxs}}
     c = len(_classes)
     _classes.append(f)
     for x in members:
@@ -199,7 +199,7 @@ def _coset_classes(r: tuple, runs: tuple) -> tuple:
     the rows of one rank share their right cosets, so each is expanded
     about once."""
     counts = {}
-    for _, z in _coset(r, runs):
+    for z in _coset(r, runs):
         c = _class_number(z)
         counts[c] = counts.get(c, 0) + 1
     return tuple(counts.items())

@@ -51,9 +51,9 @@ are intervals of values and keep their order against each other.
 Readers expand the double cosets.  Each double coset d splits into right
 cosets r W_J (``_right_cosets``): r is d with the values of each block
 dealt to the block's positions, increasing on every run, at length l(d)
-plus the pairs of one block's values dealt out of order; r W_J adds the
-inversions inside the runs (``_coset``).  Every reader of a whole row,
-here, in heckelab.characters, in heckelab.rowtext and in the
+plus the pairs of one block's values dealt out of order; ``_coset`` lists
+r W_J, r with the values inside each run permuted.  Every reader of a
+whole row, here, in heckelab.characters, in heckelab.rowtext and in the
 ``kl-selfdual`` check of heckelab.lab, reads the right cosets that
 ``KLRowStore._cosets`` lists; no other module reads the stored layout.
 
@@ -246,16 +246,6 @@ def _right_cosets(d: tuple, runs: tuple, blocks: tuple) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _inversions(m: int) -> tuple:
-    """The inversion count of each permutation of permutations(range(m)),
-    in that order: the k-th has the digit sum of k in the factorial base."""
-    if m <= 1:
-        return (0,)
-    rest = _inversions(m - 1)
-    return tuple([d + k for d in range(m) for k in rest])
-
-
 def _longest(runs) -> int:
     """l(w_J), the longest element of W_J, J given by its descent runs (or
     of W_I, I given by its blocks)."""
@@ -263,23 +253,22 @@ def _longest(runs) -> int:
 
 
 def _coset(r: tuple, runs: tuple):
-    """(l(z) - l(r), z) over the right coset r W_J of its minimal element
-    r, J given by its descent runs: z is r with the values inside each run
-    permuted, one at a time."""
+    """The right coset r W_J of its minimal element r, J given by its
+    descent runs, one z at a time: r with the values inside each run
+    permuted."""
     ends = [lo for lo, _ in runs[1:]] + [len(r)]
-    out = iter([(0, r[:runs[0][0]] if runs else r)])
+    out = iter([r[:runs[0][0]] if runs else r])
     for (lo, hi), end in zip(runs, ends):
         out = _arranged(out, r[lo:hi], r[hi:end])
     return out
 
 
 def _arranged(prefixes, block: tuple, tail: tuple):
-    """(dx + inversions of a, x + a + tail) for each (dx, x) of prefixes and
-    each arrangement a of the sorted block."""
-    inv = _inversions(len(block))
-    for dx, x in prefixes:
-        for d, a in zip(inv, permutations(block)):
-            yield dx + d, x + a + tail
+    """x + a + tail for each x of prefixes and each arrangement a of the
+    sorted block."""
+    for x in prefixes:
+        for a in permutations(block):
+            yield x + a + tail
 
 
 class KLRowStore:
@@ -325,7 +314,7 @@ class KLRowStore:
         """The full row {z: P_{z,y} as tuple} over z <= y."""
         polys, runs = self._distinct(y), _runs(y)
         return {_trusted(z): polys[p]
-                for _, r, p in self._cosets(y) for _, z in _coset(r, runs)}
+                for _, r, p in self._cosets(y) for z in _coset(r, runs)}
 
     def polynomial(self, z: Perm, y: Perm) -> tuple:
         """P_{z,y} as a tuple polynomial, () unless z <= y: the one stored
@@ -385,7 +374,10 @@ class KLRowStore:
         by_coset: dict[tuple, list] = {}  # key r of y' -> its keys z of y
         corrections = []  # (u, mu(u, y') q^((l(y) - l(u)) / 2) packed)
         get = prev.get
-        # with one value on A and z(s+1) the least on B, z is r itself
+        # with one value on A and z(s+1) the least on B, z is r itself.
+        # This holds whenever gained does, so only this path tests a0: y
+        # increases on 0..i, so y(i-1) < a0 and A is {i}; and if B has two
+        # positions, y(i+2) < a0 + 1 is not a0, so y(i+1) > y(i+2)
         single = alo == i and (increasing_b or bhi == i + 2)
         for r, p in prev.items():
             lr = lengths[r]
@@ -427,8 +419,6 @@ class KLRowStore:
                         continue  # z has b before b - 1
                     rest = b_vals[:jb] + b_vals[jb + 1:]
                     z = front + (b,) + rest + post
-                    if gained and z.index(a0) > z.index(a0 + 1):
-                        continue  # z has a0 + 1 before a0
                     # zs re-sorted on A and B
                     a_new = (other + (b,) if not other or other[0] < b
                              else (b,) + other)
@@ -449,11 +439,12 @@ class KLRowStore:
         for u, c in corrections:
             row_u = self._packed_row(u)
             runs_u, blocks_u = _shape(u)[:2]
+            # never empty: us < u puts i and i + 1 in one run of u, and
+            # no run of y' holds both, as y'(i) < y'(i+1)
             extra = tuple(run for run in runs_u if run not in runs)
             extra_blocks = tuple(b for b in blocks_u if b not in blocks)
             for r, zs in by_coset.items():
-                if extra:
-                    r = _coset_min(r, extra)
+                r = _coset_min(r, extra)
                 if extra_blocks:
                     r = _relabel(r, extra_blocks)
                 pu = row_u.get(r)

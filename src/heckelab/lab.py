@@ -447,7 +447,7 @@ def _check_kl_selfdual(n: int) -> tuple:
         for _, r, p in store._cosets(y):
             ks = members.get((r, runs))
             if ks is None:
-                ks = members[r, runs] = [index[z] for _, z in _coset(r, runs)]
+                ks = members[r, runs] = [index[z] for z in _coset(r, runs)]
             row.update(dict.fromkeys(ks, wide[p]))
             twice = 2 * (len(polys[p]) - 1)
             degree += (f"deg P[{perm_to_str(perms[z])},{perm_to_str(y)}] "

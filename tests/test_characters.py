@@ -311,6 +311,8 @@ def test_murnaghan_nakayama_basics():
     assert murnaghan_nakayama((1, 1, 1), (3,)) == 1
     assert murnaghan_nakayama((2, 1), (1, 1, 1)) == 2
     assert murnaghan_nakayama((2, 1), (3,)) == -1
+    with pytest.raises(ValueError, match="size mismatch"):
+        murnaghan_nakayama((2, 1), (2,))
     # column orthogonality at the identity class: sum f^lam^2 = n!
     import math
     for n in (4, 5, 6):

@@ -293,6 +293,9 @@ def test_bad_inputs_exit_2(capsys):
     assert code == 2
     code, _ = run(capsys, "kl", "--w", "321", "--z", "4321")
     assert code == 2
+    code = main(["--no-cache", "chi", "--lambda", "x", "--w", "321"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", "error: bad partition 'x'\n")
 
 
 def test_modular_at_rank_one_exits_2(capsys):
@@ -340,16 +343,32 @@ def test_determinism_and_cache(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_stale_cache_version_ignored(tmp_path):
-    from heckelab.cache import Cache
-    cache = Cache(str(tmp_path))
-    cache.store("csf", "csf-n2", {"n": 2, "entries": []})
-    # corrupt the version marker: loader must ignore the file
-    path = tmp_path / "csf-n2.json"
-    data = json.loads(path.read_text())
-    data["version"] = 999
-    path.write_text(json.dumps(data))
-    assert cache.load("csf", "csf-n2") is None
+def test_decompose_out_of_reach_is_unknown(capsys):
+    # 1256734 is singular with no Thm 1.6 step, and its rank 7 is above the
+    # search's default --max-n 6: Unknown is an answer, not a failure,
+    # unless --expect found asks for a decomposition
+    assert run(capsys, "decompose", "--w", "1256734") == (0, "UNKNOWN\n")
+    assert run(capsys, "decompose", "--w", "1256734", "--expect",
+               "found") == (1, "UNKNOWN\n")
+    assert run(capsys, "--format", "json", "decompose", "--w", "1256734") \
+        == (0, '{"known": false, "w": "1256734"}\n')
+
+
+def test_a_failing_check_prints_ten_witnesses_and_exits_1(capsys,
+                                                          monkeypatch):
+    # the text lists the first ten witnesses and counts the rest; the JSON
+    # lists them all
+    witnesses = [f"w{k}" for k in range(12)]
+    monkeypatch.setitem(CHECKS, "lemma22", lambda n: (witnesses, "planted"))
+    code, out = run(capsys, "check", "--name", "lemma22", "--n", "3")
+    assert code == 1
+    assert out == "[FAIL] lemma22 (n=3): planted\n" + "".join(
+        f"    witness: w{k}\n" for k in range(10)) + "    ... 2 more\n"
+    code, out = run(capsys, "--format", "json", "check", "--name", "lemma22",
+                    "--n", "3")
+    assert code == 1
+    assert json.loads(out) == {"check": "lemma22", "n": 3, "status": "fail",
+                               "witnesses": witnesses, "details": "planted"}
 
 
 def test_decompose_max_n_beyond_table_exits_2(capsys):
@@ -391,7 +410,7 @@ def test_latex_refused_without_a_latex_form(capsys, argv):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("max_n", ["0", "-1"])
+@pytest.mark.parametrize("max_n", ["0", "-1", "x"])
 def test_decompose_max_n_below_one_rejected(capsys, max_n):
     with pytest.raises(SystemExit) as exc:
         main(["--no-cache", "decompose", "--w", "4231", "--max-n", max_n])

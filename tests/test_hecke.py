@@ -10,9 +10,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckelab import rowtext
+from heckelab import hecke, rowtext
 from heckelab.cli import main
-from heckelab.hecke import KLRowStore, kl_polynomial, row_store
+from heckelab.hecke import (KLRowStore, _coset, _coset_min, _runs,
+                            kl_polynomial, row_store)
 from heckelab.permutations import (Perm, all_perms, bruhat_leq, parse_perm,
                                    perm_to_str)
 from heckelab.qpoly import (poly_add_scaled, poly_mul, poly_pack, poly_unpack,
@@ -48,6 +49,8 @@ def test_unit():
 def test_rank_mismatch():
     with pytest.raises(ValueError):
         hecke_multiply(t(S1), t(Perm((2, 1))))
+    with pytest.raises(ValueError, match="size mismatch"):
+        kl_polynomial(Perm((2, 1)), S1)
 
 
 def test_braid_relation():
@@ -434,6 +437,57 @@ def test_stored_rows_are_descent_cosets():
         for p in stored.values():
             assert shared.setdefault(p, p) is p, (y, p)
     assert pairs == 98407  # the Bruhat-comparable pairs z <= y of S_6
+
+
+def test_a_gained_left_descent_takes_the_single_path():
+    # y increases on 0..i, i its first descent; when y(i) = y(i+1) + 1 (y
+    # gains the left descent a0 = y(i+1) over y' = y s_(i+1)), the run of
+    # y' ending at i is {i}, and the run starting at i + 1 is {i + 1} or
+    # y(i+1) > y(i+2): the row builder's single path takes every such y
+    met = set()
+    for n in range(2, 8):
+        for y in all_perms(n):
+            i = next(k for k in range(n) if k == n - 1 or y[k] > y[k + 1])
+            if i == n - 1 or y[i] != y[i + 1] + 1:
+                continue
+            met.add(n)
+            yp = _times_simple(y, i + 1)
+            assert i == 0 or yp[i - 1] < yp[i], y
+            assert i + 2 == n or yp[i + 1] < yp[i + 2] or \
+                y[i + 1] > y[i + 2], y
+    assert met == set(range(2, 8))
+
+
+def test_every_correction_sorts_on_some_runs(monkeypatch):
+    # each corrected u has us < u, so a run of u holds i and i + 1 and is
+    # no run of y'; the builder sorts r on it without testing for none
+    calls = []
+
+    def traced(z, runs):
+        calls.append(runs)
+        return _coset_min(z, runs)
+
+    monkeypatch.setattr(hecke, "_coset_min", traced)
+    store = KLRowStore(7)
+    for y in all_perms(7):
+        store._packed_row(y)
+    assert calls and () not in calls
+
+
+def test_coset_lists_the_right_coset_in_order():
+    # _coset(r, runs) against every z of S_n whose minimal element in z W_J
+    # is r, J = D_R(y), in lexicographic order; the rows share their runs
+    for n in range(1, 7):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        by_runs = {}
+        for y in all_perms(n):
+            runs = _runs(y)
+            if runs not in by_runs:
+                cosets = by_runs[runs] = {}
+                for z in perms:
+                    cosets.setdefault(_coset_min(z, runs), []).append(z)
+            for _, r, _ in row_store(n)._cosets(y):
+                assert list(_coset(r, runs)) == by_runs[runs][r], (r, y)
 
 
 def test_unpack_reads_coefficients_above_the_store_width():

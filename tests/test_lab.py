@@ -604,6 +604,17 @@ def test_decompose_scans_a_smooth_w_once(monkeypatch, word):
     assert scans == [w]
 
 
+def test_decompose_out_of_budget_is_unknown(monkeypatch):
+    # 34512 is singular with no Thm 1.6 step, so the search decides it;
+    # with a budget of one node the search stops before any peeling
+    w = parse_perm("34512")
+    assert not w.is_smooth() and _thm16_step(w) is None
+    assert decompose_codominant(w) is not None
+    monkeypatch.setattr(importlib.import_module("heckelab.lab"),
+                        "_SOLVE_BUDGET", 1)
+    assert decompose_codominant(w) is None
+
+
 def test_decompose_s8_counterexample_w():
     w = parse_perm("62754381")
     d = decompose_codominant(w)

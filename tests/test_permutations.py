@@ -111,6 +111,8 @@ def test_compose_convention():
     e = Perm.identity(8)
     assert w * e == w
     assert w * w.inverse() == e
+    with pytest.raises(ValueError, match="size mismatch"):
+        w * Perm.identity(7)
 
 
 def test_length_times_simple():
@@ -402,6 +404,8 @@ def test_enumerate_hessenberg():
     assert enumerate_hessenberg(1) == [(1,)]
     assert len(enumerate_hessenberg(4)) == 14
     assert len(enumerate_hessenberg(8)) == 1430
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        enumerate_hessenberg(0)
     for n in range(1, 11):
         ms = enumerate_hessenberg(n)
         assert len(ms) == comb(2 * n, n) // (n + 1)  # Catalan(n)

@@ -68,6 +68,9 @@ def test_partitions():
     assert partitions(1) == ((1,),)
     assert len(partitions(8)) == 22
     assert partitions(3) == ((3,), (2, 1), (1, 1, 1))
+    assert partitions(0) == ((),)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        partitions(-1)
 
 
 def test_conjugate_and_hooks():
@@ -84,6 +87,7 @@ def test_kostka():
     assert kostka((2, 1), (2, 1)) == 1
     assert kostka((2, 1), (3,)) == 0
     assert kostka((3,), (1, 1, 1)) == 1
+    assert kostka((2, 1), (2,)) == kostka((2,), (2, 1)) == 0  # sizes differ
     for lam in partitions(5):
         assert kostka(lam, lam) == 1
         assert kostka(lam, (1,) * 5) == num_syt(lam)
@@ -237,6 +241,9 @@ def test_trailing_zeros_are_trimmed():
     zero = SymmetricFunction("s", 2, {(2,): (0,)})
     assert zero.polys == {} and str(zero) == "0"
     assert zero == SymmetricFunction("s", 2, {}) == zero
+    # equal only to a function of the same degree
+    assert zero != SymmetricFunction("s", 3, {}) and zero != ()
+    assert zero.__eq__(()) is NotImplemented
 
 
 def test_positivity():
@@ -270,3 +277,6 @@ def test_serialization():
     assert f.latex() == \
         "\\left(2\\right) s_{3} + \\left(q + q^{2}\\right) s_{21}"
     assert str(f) == "(2)*s[3] + (q + q^2)*s[2,1]"
+    zero = SymmetricFunction("s", 3, {})
+    assert (str(zero), zero.latex()) == ("0", "0")
+    assert repr(zero) == "SymmetricFunction('s', 3, {})"
