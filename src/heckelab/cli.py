@@ -66,10 +66,13 @@ MAX_ROW_N = 10
 MAX_KL_ENTRY_N = 12
 # decompose's exact search computes all 1 430 codominant characters at 8
 MAX_DECOMPOSE_N = 8
-# smooth-reduce, moment-graph, modular and decompose scan --w for 3412 and
-# 4231 over all C(n, 4) position sets, and decompose scans up to about 2n
-# candidates for one step of Thm 1.6: the slowest decompose found took 0.4 s
-# at rank 40 and 0.9 s at rank 50; smooth-reduce of w0 takes 0.2 s at 80
+# moment-graph reads only the prefix maxima of --w; smooth-reduce, modular
+# and decompose also ask is_smooth, which off the smooth table counts
+# #{t <= w} = l(w) in O(n^2), and decompose asks it of up to about 2n
+# candidates for one step of Thm 1.6.  At rank 40 each command takes
+# 0.08-0.12 s in a fresh process on one core, mostly start-up; the slowest
+# call found, decompose of 40,2,38,37,...,4,3,39,1, takes 3.5 ms in-process
+# (22 ms at rank 80)
 MAX_PERM_N = 40
 
 
@@ -438,7 +441,3 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

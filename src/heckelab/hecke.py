@@ -153,8 +153,6 @@ def _shape(y: tuple) -> tuple:
 def _coset_min(z: tuple, runs: tuple) -> tuple:
     """The minimal element of z W_J, J given by its runs: z sorted inside
     each run."""
-    if not runs:
-        return tuple(z)
     z = list(z)
     for lo, hi in runs:
         z[lo:hi] = sorted(z[lo:hi])
@@ -218,8 +216,6 @@ def _right_cosets(d: tuple, runs: tuple, blocks: tuple) -> list:
     run; l(z) - l(d) counts the pairs of values of one block dealt out of
     order."""
     out = [(0, d)]
-    if not blocks or not runs:
-        return out
     joined = {p for lo, hi in runs for p in range(lo, hi - 1)}
     pos = sorted(range(len(d)), key=d.__getitem__)  # of the value v + 1
     for lo, hi in blocks:

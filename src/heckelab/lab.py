@@ -23,11 +23,10 @@ from .combinat import (edge_count, enumerate_hessenberg, hessenberg_to_str,
 # counterexample_search is imported for bench/tracer.py, which wraps it here
 from .csf import _oracle_coeffs, counterexample_search, csf_batch
 from .hecke import _coset, _runs, row_store
-from .permutations import (Perm, _descending_covers, _rank_rows, _tops,
-                           all_perms, codominant_of_hessenberg,
-                           coessential_set, hessenberg_of_smooth,
-                           orbit_representatives, perm_to_str, smooth_perms,
-                           transpositions_below)
+from .permutations import (Perm, _descending_covers, _rank_rows, all_perms,
+                           codominant_of_hessenberg, coessential_set,
+                           hessenberg_of_smooth, orbit_representatives,
+                           perm_to_str, smooth_perms, transpositions_below)
 from .qpoly import (poly_add_scaled, poly_mul, poly_pack, poly_shape,
                     poly_str, poly_unpack, poly_width)
 from .symfunc import SymmetricFunction, murnaghan_nakayama, omega, positivity
@@ -193,13 +192,11 @@ def decompose_codominant(w: Perm, max_n: int = 6):
     n <= max_n.  Returns {codominant: tuple polynomial coefficient} or None
     for Unknown (search exhausted or out of reach).
     """
-    # each permutation is scanned for 3412 and 4231 once: w here, and a
-    # step's v inside _thm16_step, which returns only a smooth v
     if w.is_smooth():
-        return {codominant_of_hessenberg(_tops(w)): (1,)}
+        return {smooth_reduce(w): (1,)}
     v = _thm16_step(w)
     if v is not None:
-        return {codominant_of_hessenberg(_tops(v)): (1, 1)}
+        return {smooth_reduce(v): (1, 1)}
     if len(w) > max_n:
         return None
     return _positive_solve(frobenius_cprime(w), len(w))

@@ -21,8 +21,8 @@ A new occurrence of 3412 or 4231 must use n, and n, the largest value, can
 only play the "4".  So inserting n before w[p] keeps w smooth iff w[p:]
 holds no 231 (no 4231 starting at n) and there is no i < p <= k < l with
 w[k] < w[l] < w[i] (no 3412 with n second).  Once a rank is tabulated,
-``Perm.is_smooth`` answers by lookup; otherwise it scans every choice of
-four positions.
+``Perm.is_smooth`` answers by lookup; otherwise it counts the
+transpositions below w (see below).
 
 Two Bruhat questions the checks ask have closed forms.  By the rank
 criterion (Bjorner & Brenti, Combinatorics of Coxeter Groups, Thm 2.1.5),
@@ -46,6 +46,15 @@ w.  E is injective on Hessenberg functions, as m(i) = max(i, max{j : (i, j)
 in E(m)}), so for smooth w, where Lemma 2.2 says the transpositions below
 w are E(m_w), m_w = tops.  The paper defines m_w from the coessential set;
 the lemma22 check compares that reading with this one.
+
+The same edges decide smoothness: w is smooth iff |E(tops)| = l(w).  The
+tangent space of the Schubert variety X_w at the identity is spanned by
+the reflections t <= w (Lakshmibai & Seshadri, Bull. AMS 11, 1984), and
+X_w is smooth iff it is smooth there, as its singular locus is closed and
+B-stable; Lakshmibai & Sandhya (1990) give the same test as 3412/4231
+avoidance.  No check reads this count, as every check enumerates
+``smooth_perms(n)`` before it asks ``is_smooth``, so no verdict rests on
+the theorem; only commands given a --w of an untabulated rank read it.
 
 The modular relation of Prop 3.1 asks, at an ascent w(i) < w(i+1), for the
 lower covers z = w (a b) (a < b, w(a) > w(b)) with z(i) > z(i+1).  A swap
@@ -72,7 +81,8 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 
 # enumerate_hessenberg is imported for bench/tracer.py, which wraps it here
-from .combinat import enumerate_hessenberg, hessenberg_edges, is_hessenberg
+from .combinat import (edge_count, enumerate_hessenberg, hessenberg_edges,
+                       is_hessenberg)
 
 __all__ = [
     "Perm", "NotSmoothError",
@@ -169,9 +179,12 @@ class Perm(tuple):
 
     def is_smooth(self) -> bool:
         """Avoids 3412 and 4231.  A lookup once ``smooth_perms`` has
-        tabulated the rank; otherwise a scan that tabulates nothing."""
+        tabulated the rank; otherwise #{t <= w} = l(w) (see the module
+        docstring), which tabulates nothing."""
         table = _smooth_sets.get(len(self))
-        return _avoids_3412_4231(self) if table is None else self in table
+        if table is None:
+            return edge_count(_tops(self)) == self.length()
+        return self in table
 
     def is_codominant(self) -> bool:
         """Avoids 312."""
@@ -184,12 +197,6 @@ class Perm(tuple):
 def _trusted(word) -> Perm:
     """A Perm from a word that is a permutation by construction, unchecked."""
     return tuple.__new__(Perm, word)
-
-
-def _avoids_3412_4231(word) -> bool:
-    """The definition of smoothness: no four positions read 3412 or 4231."""
-    return not any(c < d < a < b or d < b < c < a
-                   for a, b, c, d in combinations(word, 4))
 
 
 # rank -> frozenset of its smooth permutations, filled by smooth_perms

@@ -272,13 +272,12 @@ W0_S41 = ",".join(map(str, range(41, 0, -1)))
     ["modular", "--w", W0_S41, "--s", "1"], ["decompose", "--w", W0_S41]],
     ids=lambda argv: argv[0])
 def test_perm_rank_capped(capsys, monkeypatch, argv):
-    # above MAX_PERM_N --w is refused before it is scanned for 3412 and
-    # 4231 or its moment graph is read
+    # above MAX_PERM_N --w is refused before anything about it is read:
+    # is_smooth off the table and the moment graph both start from _tops
     def unexpected(w):
-        raise AssertionError("--w was scanned")
+        raise AssertionError("--w was read")
 
     permutations = importlib.import_module("heckelab.permutations")
-    monkeypatch.setattr(permutations, "_avoids_3412_4231", unexpected)
     monkeypatch.setattr(permutations, "_tops", unexpected)
     code = main(["--no-cache", *argv])
     out = capsys.readouterr()

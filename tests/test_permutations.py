@@ -32,6 +32,12 @@ def contains_pattern(w, p):
                for pos in combinations(range(len(w)), len(p)))
 
 
+def avoids_3412_4231(word):
+    """The definition of smoothness: no four positions read 3412 or 4231."""
+    return not any(c < d < a < b or d < b < c < a
+                   for a, b, c, d in combinations(word, 4))
+
+
 def subword_interval(w):
     """All z <= w via subwords of one fixed reduced expression: the oracle."""
     word = w.reduced_word()
@@ -216,10 +222,19 @@ def test_smooth_counts_to_n8():
 def test_smooth_table_is_the_pattern_scan_filter(n):
     # same permutations in the same (lexicographic) order
     perms = smooth_perms(n)
-    assert perms == tuple(w for w in all_perms(n)
-                          if permutations._avoids_3412_4231(w))
+    assert perms == tuple(w for w in all_perms(n) if avoids_3412_4231(w))
     assert all(type(w) is Perm for w in perms)
     assert permutations._smooth_sets[n] == frozenset(perms)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_is_smooth_off_the_table_is_the_definition(monkeypatch, n):
+    # with no rank tabulated, is_smooth is the count #{t <= w} = l(w), and
+    # it tabulates nothing
+    monkeypatch.setattr(permutations, "_smooth_sets", {})
+    for w in all_perms(n):
+        assert w.is_smooth() == avoids_3412_4231(w), w
+    assert permutations._smooth_sets == {}
 
 
 def test_is_smooth_agrees_with_and_without_the_table(monkeypatch):
